@@ -54,6 +54,8 @@ class InteractionLog:
             for i in rec.items:
                 if not 0 <= i < self.n_items:
                     raise ValueError(f"record {idx}: item {i} out of range")
+            if len(set(rec.items)) != len(rec.items):
+                raise ValueError(f"record {idx}: duplicate item in impression list")
             for y in rec.labels:
                 if y not in (0, 1):
                     raise ValueError(f"record {idx}: label {y} not in {{0,1}}")

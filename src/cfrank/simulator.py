@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,12 +102,6 @@ class VariationalPosterior:
             mu_beta=np.zeros(list_len),
             sigma_beta=np.ones(list_len),
         )
-
-
-@dataclass
-class ExogenousDraw:
-    alpha: np.ndarray
-    beta: np.ndarray
 
 
 @dataclass
@@ -209,6 +203,30 @@ def _log_arrays(log: InteractionLog, list_len=None) -> _LogArrays:
     )
 
 
+def _embedding_grads(E_user, E_item, users, items, dz):
+    """Gradients of sum_{b,k} dz[b,k] * E_user[users[b]] . E_item[items[b,k]]
+    with respect to both embedding tables.
+
+    Both scatters are dense matmuls. One bincount sums dz per (item, batch
+    row) into C (n_items x B), so the item gradient is C @ E_user[users].
+    The user gradient sums the rows of C.T @ E_item per user through a
+    one-hot matrix over the batch's distinct users, which keeps it
+    batch x batch however many users the log has.
+    """
+    b = len(users)
+    n_items = E_item.shape[0]
+    flat = (items * b + np.arange(b)[:, None]).ravel()
+    C = np.bincount(flat, weights=dz.ravel(), minlength=n_items * b)
+    C = C.reshape(n_items, b)
+    g_item = C @ E_user[users]
+    distinct, row = np.unique(users, return_inverse=True)
+    U = np.zeros((len(distinct), b))
+    U[row, np.arange(b)] = 1.0
+    g_user = np.zeros_like(E_user)
+    g_user[distinct] = U @ (C.T @ E_item)
+    return g_user, g_item
+
+
 # ---------------------------------------------------------------------------
 # Exposure model: maximize log sigma on shown items plus log(1 - sigma) on
 # negatives sampled from each record's unshown items
@@ -235,26 +253,35 @@ def _impression_loss_grads(P, Q, w_r, users, pos_items, pos_mask, neg_items, alp
     loss = float(
         np.sum(softplus(-z_pos) * pos_mask) + np.sum(softplus(z_neg) * neg_mask)
     )
-    dz_pos = -sigmoid(-z_pos) * pos_mask
-    dz_neg = sigmoid(z_neg) * neg_mask
-
-    gP = np.zeros_like(P)
-    gQ = np.zeros_like(Q)
-    gw = np.zeros_like(w_r)
-    for item_mat, dz in ((pos_items, dz_pos), (neg_items, dz_neg)):
-        np.add.at(gP, users, np.einsum("bk,bkd->bd", dz, Q[item_mat]))
-        flat_items = item_mat.ravel()
-        flat_dz = dz.ravel()
-        np.add.at(gQ, flat_items, flat_dz[:, None] * P[np.repeat(users, item_mat.shape[1])])
-        np.add.at(gw, flat_items, flat_dz * alpha[flat_items])
+    items = np.hstack([pos_items, neg_items])
+    dz = np.hstack([-sigmoid(-z_pos) * pos_mask, sigmoid(z_neg) * neg_mask])
+    gP, gQ = _embedding_grads(P, Q, users, items, dz)
+    gw = np.bincount(items.ravel(), weights=dz.ravel(), minlength=len(w_r)) * alpha
     return loss, gP, gQ, gw
 
 
-def _sample_record_negatives(shown_lookup, rows, n_neg, n_items, stream):
+def _shown_keys(arrays: _LogArrays) -> np.ndarray:
+    """Each record's shown items, sorted and offset by record * (n_items + 1),
+    flattened into one ascending array for `_is_shown`. Padded slots hold
+    n_items, which no sampled item equals."""
+    stride = arrays.n_items + 1
+    rows = np.where(arrays.mask, arrays.items, arrays.n_items)
+    rows.sort(axis=1)
+    return (rows + stride * np.arange(len(rows))[:, None]).ravel()
+
+
+def _is_shown(shown_keys, rows, items, n_items) -> np.ndarray:
+    """(len(rows), m) bool: items[r, t] is in the list of record rows[r]."""
+    query = items + (n_items + 1) * rows[:, None]
+    pos = np.searchsorted(shown_keys, query)
+    return shown_keys[np.minimum(pos, len(shown_keys) - 1)] == query
+
+
+def _sample_record_negatives(shown_keys, rows, n_neg, n_items, stream):
     """Uniform unshown items per record row; vectorized rejection."""
     neg = stream.integers(0, n_items, (len(rows), n_neg))
     for _ in range(1000):
-        bad = shown_lookup[rows[:, None], neg]
+        bad = _is_shown(shown_keys, rows, neg, n_items)
         if not bad.any():
             return neg
         neg[bad] = stream.integers(0, n_items, int(bad.sum()))
@@ -275,11 +302,7 @@ def train_impression_model(
     if hyper.epochs == 0 or len(log.records) == 0:
         return SimParams(P=P, Q=Q, w_r=w_r)
 
-    shown_lookup = np.zeros((len(log.records), arrays.n_items), dtype=bool)
-    rows = np.arange(len(log.records))
-    flat_rows = np.repeat(rows, arrays.list_len)[arrays.mask.ravel()]
-    shown_lookup[flat_rows, arrays.items.ravel()[arrays.mask.ravel()]] = True
-
+    shown_keys = _shown_keys(arrays)
     opt = AdamGroup({"P": P, "Q": Q, "w": w_r}, lr=hyper.lr)
     for epoch in range(hyper.epochs):
         order = stream.permutation(len(log.records))
@@ -287,7 +310,7 @@ def train_impression_model(
         for start in range(0, len(order), hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
             neg = _sample_record_negatives(
-                shown_lookup,
+                shown_keys,
                 idx,
                 hyper.neg_per_pos * arrays.list_len,
                 arrays.n_items,
@@ -339,14 +362,7 @@ def _selection_loss_grads(X, Y, w_s, users, items, mask, sel, n_sel, beta):
     loss = -float(np.sum(sel * np.where(mask, logp, 0.0)))
     p = np.where(mask, np.exp(logp), 0.0)
     dz = n_sel[:, None] * p - sel  # gradient of the negated objective
-    gX = np.zeros_like(X)
-    gY = np.zeros_like(Y)
-    np.add.at(gX, users, np.einsum("bk,bkd->bd", dz, Y[items]))
-    np.add.at(
-        gY,
-        items.ravel(),
-        dz.ravel()[:, None] * X[np.repeat(users, k)],
-    )
+    gX, gY = _embedding_grads(X, Y, users, items, dz)
     gw = (dz * beta[:k][None, :]).sum(axis=0)
     return loss, gX, gY, gw
 
@@ -412,66 +428,95 @@ def train_selection_model(
 # Variational posteriors over alpha and beta
 
 
-def _beta_loglik_grad(params, arrays, beta):
-    """Selection log-likelihood of the log and its gradient w.r.t. beta."""
+@dataclass
+class _PosteriorTerms:
+    """The parts of the log-likelihood that do not depend on alpha or beta.
+
+    Simulator parameters are frozen while the posterior is fit, so these are
+    built once per fit and shared by every epoch and Monte-Carlo draw.
+    """
+
+    w_r: np.ndarray
+    base_r: np.ndarray  # (active users, n_items) P[active] @ Q.T
+    shows_per_user: np.ndarray  # (active users,) shown slots of each
+    shows_per_item: np.ndarray  # (n_items,)
+    slot_score: float  # sum of P[u] . Q[j] over the shown slots
+    w_s: np.ndarray
+    base_s: np.ndarray  # (n, K) X[u] . Y[j] per slot, -inf on padding
+    mask: np.ndarray
+    sel: np.ndarray
+    n_sel: np.ndarray
+
+
+def _posterior_terms(params: SimParams, arrays: _LogArrays) -> _PosteriorTerms:
     k = arrays.list_len
-    if arrays.users.size == 0:
-        return 0.0, np.zeros(k)
-    z = (
-        np.einsum("bd,bkd->bk", params.X[arrays.users], params.Y[arrays.items])
-        + (params.w_s[:k] * beta[:k])[None, :]
+    flat_mask = arrays.mask.ravel()
+    slot_users = np.repeat(arrays.users, k)[flat_mask]
+    slot_items = arrays.items.ravel()[flat_mask]
+    shows_per_user = np.bincount(slot_users, minlength=params.P.shape[0])
+    active = np.nonzero(shows_per_user)[0]
+    base_r = params.P[active] @ params.Q.T
+    base_s = np.einsum("bd,bkd->bk", params.X[arrays.users], params.Y[arrays.items])
+    return _PosteriorTerms(
+        w_r=params.w_r,
+        base_r=base_r,
+        shows_per_user=shows_per_user[active].astype(np.float64),
+        shows_per_item=np.bincount(slot_items, minlength=params.n_items).astype(
+            np.float64
+        ),
+        slot_score=float(
+            base_r[np.searchsorted(active, slot_users), slot_items].sum()
+        ),
+        w_s=params.w_s[:k],
+        base_s=np.where(arrays.mask, base_s, -np.inf),
+        mask=arrays.mask,
+        sel=arrays.sel,
+        n_sel=arrays.n_sel,
     )
-    z = np.where(arrays.mask, z, -np.inf)
+
+
+def _beta_loglik_grad(terms: _PosteriorTerms, beta):
+    """Selection log-likelihood of the log and its gradient w.r.t. beta."""
+    z = terms.base_s + (terms.w_s * beta[: len(terms.w_s)])[None, :]
     lse = logsumexp(z, axis=1)
     logp = z - lse[:, None]
-    value = float(np.sum(arrays.sel * np.where(arrays.mask, logp, 0.0)))
-    p = np.where(arrays.mask, np.exp(logp), 0.0)
-    dz = arrays.sel - arrays.n_sel[:, None] * p
-    grad = (dz * params.w_s[:k][None, :]).sum(axis=0)
+    value = float(np.sum(terms.sel * np.where(terms.mask, logp, 0.0)))
+    dz = terms.sel - terms.n_sel[:, None] * np.exp(logp)
+    grad = (dz * terms.w_s[None, :]).sum(axis=0)
     return value, grad
 
 
-def _alpha_loglik_grad(params, arrays, alpha, block=512):
+def _alpha_loglik_grad(terms: _PosteriorTerms, alpha):
     """Exposure log-likelihood of the log and its gradient w.r.t. alpha.
 
-    Softmax normalization runs over the whole catalog, so the computation
-    is blocked over users to bound memory.
+    Adds w_r * alpha to the cached base logits of every active user and
+    normalizes each row over the whole catalog in one pass.
     """
-    n_items = params.Q.shape[0]
-    if arrays.users.size == 0:
-        return 0.0, np.zeros(n_items)
-    slot_users = np.repeat(arrays.users, arrays.list_len)[arrays.mask.ravel()]
-    slot_items = arrays.items.ravel()[arrays.mask.ravel()]
-    shows_per_user = np.bincount(slot_users, minlength=params.P.shape[0]).astype(
-        np.float64
-    )
-    shows_per_item = np.bincount(slot_items, minlength=n_items).astype(np.float64)
-    active = np.nonzero(shows_per_user)[0]
-
-    wa = params.w_r * alpha
-    value = float(np.sum(params.P[slot_users] * params.Q[slot_items]))
-    value += float(wa[slot_items].sum())
-    soft_mass = np.zeros(n_items)
-    for start in range(0, len(active), block):
-        users = active[start : start + block]
-        z = params.P[users] @ params.Q.T + wa[None, :]
-        lse = logsumexp(z, axis=1)
-        value -= float(shows_per_user[users] @ lse)
-        p = np.exp(z - lse[:, None])
-        soft_mass += shows_per_user[users] @ p
-    grad = (shows_per_item - soft_mass) * params.w_r
+    wa = terms.w_r * alpha
+    z = terms.base_r + wa[None, :]
+    lse = logsumexp(z, axis=1)
+    p = np.exp(z - lse[:, None])
+    value = terms.slot_score + float(terms.shows_per_item @ wa)
+    value -= float(terms.shows_per_user @ lse)
+    grad = (terms.shows_per_item - terms.shows_per_user @ p) * terms.w_r
     return value, grad
 
 
-def elbo_value_and_grads(params, arrays, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b):
+def elbo_value_and_grads(
+    params, arrays, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b, terms=None
+):
     """Evidence lower bound with reparameterized likelihood draws.
 
     The Gaussian prior cross-entropy and the posterior entropy are analytic;
     only the likelihood expectation is Monte-Carlo over the supplied epsilon
     draws, which makes the whole expression deterministic given them (as the
     finite-difference checks require). Returns (elbo, grads) where grads
-    are gradients of the *negated* bound for the minimizer.
+    are gradients of the *negated* bound for the minimizer. `terms` are the
+    frozen likelihood terms of (params, arrays); they are built here when
+    not supplied.
     """
+    if terms is None:
+        terms = _posterior_terms(params, arrays)
     sigma_a = np.exp(rho_a)
     sigma_b = np.exp(rho_b)
     dim = mu_a.size + mu_b.size
@@ -489,8 +534,8 @@ def elbo_value_and_grads(params, arrays, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b)
     for s in range(n_draws):
         alpha = mu_a + sigma_a * eps_a[s]
         beta = mu_b + sigma_b * eps_b[s]
-        va, ga = _alpha_loglik_grad(params, arrays, alpha)
-        vb, gb = _beta_loglik_grad(params, arrays, beta)
+        va, ga = _alpha_loglik_grad(terms, alpha)
+        vb, gb = _beta_loglik_grad(terms, beta)
         lik += va + vb
         glik_mu_a += ga
         glik_rho_a += ga * eps_a[s] * sigma_a
@@ -523,6 +568,7 @@ def fit_posterior(
     k = params.list_len
     n_items = params.n_items
     arrays = _log_arrays(log, list_len=k)
+    terms = _posterior_terms(params, arrays)
     values = {
         "mu_a": np.zeros(n_items),
         "rho_a": np.zeros(n_items),
@@ -544,6 +590,7 @@ def fit_posterior(
             values["rho_b"],
             eps_a,
             eps_b,
+            terms,
         )
         if not np.isfinite(elbo):
             raise TrainingError(f"posterior fit diverged at epoch {epoch}")

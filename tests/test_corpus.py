@@ -52,6 +52,11 @@ class TestNativeLog:
         log = load_native_log(path)
         assert log.n_users == 5 and log.n_items == 9
 
+    def test_duplicate_item_names_record(self, tmp_path):
+        path = write(tmp_path, "log.tsv", "0\t1,2\t1,0\n1\t3,4,3\t0,1,0\n")
+        with pytest.raises(ValueError, match="record 1: duplicate item"):
+            load_native_log(path)
+
     def test_round_trip_exact(self, tmp_path):
         log = InteractionLog(
             3,
@@ -106,6 +111,11 @@ class TestBehaviorsLog:
     def test_unknown_label(self, tmp_path):
         path = write(tmp_path, "behaviors.tsv", "1\tU1\tt\t\tN1-7\n")
         with pytest.raises(ParseError, match="unknown label"):
+            load_mind_behaviors(path)
+
+    def test_duplicate_item_names_record(self, tmp_path):
+        path = write(tmp_path, "behaviors.tsv", MIND_SAMPLE + "5\tU2\tt\t\tN5-1 N5-0\n")
+        with pytest.raises(ValueError, match="record 4: duplicate item"):
             load_mind_behaviors(path)
 
     def test_item_id_with_dash(self, tmp_path):

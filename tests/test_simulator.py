@@ -1,10 +1,13 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cfrank.corpus import InteractionLog, Record
-from cfrank.mathcore import RandomStream, sigmoid
+from cfrank.corpus import InteractionLog, Record, load_mind_behaviors
+from cfrank.mathcore import RandomStream, logsumexp, sigmoid, softplus
 from cfrank.simulator import (
     ImpressionHyper,
     PosteriorHyper,
@@ -12,7 +15,12 @@ from cfrank.simulator import (
     SimParams,
     VariationalPosterior,
     _impression_loss_grads,
+    _is_shown,
     _log_arrays,
+    _posterior_terms,
+    _sample_record_negatives,
+    _selection_loss_grads,
+    _shown_keys,
     counterfactual_select,
     elbo_value_and_grads,
     fit_posterior,
@@ -218,6 +226,138 @@ class TestSelectionTraining:
         assert finite_diff_check(loss, pack(X, Y, w_s), pack(gX, gY, gw)) < 1e-4
 
 
+def reference_impression_loss_grads(
+    P, Q, w_r, users, pos_items, pos_mask, neg_items, alpha
+):
+    """The exposure loss and gradients with np.add.at scatters."""
+    k = pos_items.shape[1]
+    neg_mask = np.tile(pos_mask, neg_items.shape[1] // k)
+
+    def logits(item_mat):
+        return (
+            np.einsum("bd,bkd->bk", P[users], Q[item_mat])
+            + w_r[item_mat] * alpha[item_mat]
+        )
+
+    z_pos = logits(pos_items)
+    z_neg = logits(neg_items)
+    loss = float(
+        np.sum(softplus(-z_pos) * pos_mask) + np.sum(softplus(z_neg) * neg_mask)
+    )
+    gP, gQ, gw = np.zeros_like(P), np.zeros_like(Q), np.zeros_like(w_r)
+    for item_mat, dz in (
+        (pos_items, -sigmoid(-z_pos) * pos_mask),
+        (neg_items, sigmoid(z_neg) * neg_mask),
+    ):
+        np.add.at(gP, users, np.einsum("bk,bkd->bd", dz, Q[item_mat]))
+        flat_items, flat_dz = item_mat.ravel(), dz.ravel()
+        np.add.at(
+            gQ, flat_items, flat_dz[:, None] * P[np.repeat(users, item_mat.shape[1])]
+        )
+        np.add.at(gw, flat_items, flat_dz * alpha[flat_items])
+    return loss, gP, gQ, gw
+
+
+def reference_selection_loss_grads(X, Y, w_s, users, items, mask, sel, n_sel, beta):
+    """The selection loss and gradients with np.add.at scatters."""
+    k = items.shape[1]
+    z = np.einsum("bd,bkd->bk", X[users], Y[items]) + (w_s[:k] * beta[:k])[None, :]
+    z = np.where(mask, z, -np.inf)
+    logp = z - logsumexp(z, axis=1)[:, None]
+    loss = -float(np.sum(sel * np.where(mask, logp, 0.0)))
+    dz = n_sel[:, None] * np.where(mask, np.exp(logp), 0.0) - sel
+    gX, gY = np.zeros_like(X), np.zeros_like(Y)
+    np.add.at(gX, users, np.einsum("bk,bkd->bd", dz, Y[items]))
+    np.add.at(gY, items.ravel(), dz.ravel()[:, None] * X[np.repeat(users, k)])
+    return loss, gX, gY, (dz * beta[:k][None, :]).sum(axis=0)
+
+
+def assert_grads_match(got, want):
+    # atol covers entries that cancel to ~0, where a relative bound means nothing
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+class TestScatterFreeGradients:
+    """The dense-matmul gradients equal the np.add.at scatters they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_users=st.integers(1, 4),
+        n_items=st.integers(1, 7),
+        batch=st.integers(1, 9),
+        k=st.integers(1, 4),
+        reps=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n_users=1, n_items=1, batch=1, k=1, reps=1, seed=0)
+    @example(n_users=3, n_items=5, batch=1, k=3, reps=2, seed=7)
+    def test_match_add_at(self, n_users, n_items, batch, k, reps, seed):
+        rs = RandomStream(seed)
+        d = 3
+        users = rs.integers(0, n_users, batch)
+        items = rs.integers(0, n_items, (batch, k))
+        lengths = rs.integers(1, k + 1, batch)
+        mask = np.arange(k)[None, :] < lengths[:, None]
+        items = np.where(mask, items, 0)
+        P, Q, w = rs.normal((n_users, d)), rs.normal((n_items, d)), rs.normal(n_items)
+        neg = rs.integers(0, n_items, (batch, reps * k))
+        alpha = rs.normal(n_items)
+        got = _impression_loss_grads(P, Q, w, users, items, mask, neg, alpha)
+        want = reference_impression_loss_grads(P, Q, w, users, items, mask, neg, alpha)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert_grads_match(got[1:], want[1:])
+
+        sel = (rs.normal((batch, k)) > 0.3) & mask
+        sel = sel.astype(np.float64)
+        w_s, beta = rs.normal(k), rs.normal(k)
+        args = (P, Q, w_s, users, items, mask, sel, sel.sum(axis=1), beta)
+        got = _selection_loss_grads(*args)
+        want = reference_selection_loss_grads(*args)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert_grads_match(got[1:], want[1:])
+
+
+def reference_sample_record_negatives(shown_lookup, rows, n_neg, n_items, stream):
+    """Rejection sampling against a dense (records x items) shown mask."""
+    neg = stream.integers(0, n_items, (len(rows), n_neg))
+    for _ in range(1000):
+        bad = shown_lookup[rows[:, None], neg]
+        if not bad.any():
+            return neg
+        neg[bad] = stream.integers(0, n_items, int(bad.sum()))
+    raise AssertionError("reference sampler did not finish")
+
+
+class TestRecordNegatives:
+    def test_matches_dense_mask_on_same_stream(self):
+        rs = RandomStream(31)
+        n_items = 9
+        records = []
+        for r in range(40):
+            length = int(rs.integers(1, 8))  # up to 7 of 9 items shown
+            items = rs.permutation(n_items)[:length].tolist()
+            records.append(Record(r % 6, items, [0] * length))
+        arrays = _log_arrays(InteractionLog(6, n_items, records).validate())
+        dense = np.zeros((len(records), n_items), dtype=bool)
+        for r, rec in enumerate(records):
+            dense[r, rec.items] = True
+
+        keys = _shown_keys(arrays)
+        every_row = np.arange(len(records))
+        all_items = np.tile(np.arange(n_items), (len(records), 1))
+        assert np.array_equal(_is_shown(keys, every_row, all_items, n_items), dense)
+
+        ours, theirs = RandomStream(5), RandomStream(5)
+        for _ in range(6):
+            rows = ours.permutation(len(records))[:16]
+            assert np.array_equal(rows, theirs.permutation(len(records))[:16])
+            got = _sample_record_negatives(keys, rows, 12, n_items, ours)
+            want = reference_sample_record_negatives(dense, rows, 12, n_items, theirs)
+            assert np.array_equal(got, want)
+            assert not dense[rows[:, None], got].any()
+
+
 class TestLossMonotone:
     def eval_impression_loss(self, params, log):
         arrays = _log_arrays(log)
@@ -378,6 +518,106 @@ class TestPosterior:
             pack(g["mu_a"], g["rho_a"], g["mu_b"], g["rho_b"]),
         )
         assert err < 1e-4
+
+
+def reference_elbo(params, arrays, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b, block=8):
+    """The ELBO with every likelihood term recomputed on every draw."""
+    k = arrays.list_len
+    n_items = params.Q.shape[0]
+    slot_users = np.repeat(arrays.users, k)[arrays.mask.ravel()]
+    slot_items = arrays.items.ravel()[arrays.mask.ravel()]
+    shows_u = np.bincount(slot_users, minlength=params.P.shape[0]).astype(float)
+    shows_i = np.bincount(slot_items, minlength=n_items).astype(float)
+    active = np.nonzero(shows_u)[0]
+
+    def alpha_term(alpha):
+        if arrays.users.size == 0:
+            return 0.0, np.zeros(n_items)
+        wa = params.w_r * alpha
+        value = float(np.sum(params.P[slot_users] * params.Q[slot_items]))
+        value += float(wa[slot_items].sum())
+        soft_mass = np.zeros(n_items)
+        for start in range(0, len(active), block):
+            users = active[start : start + block]
+            z = params.P[users] @ params.Q.T + wa[None, :]
+            lse = logsumexp(z, axis=1)
+            value -= float(shows_u[users] @ lse)
+            soft_mass += shows_u[users] @ np.exp(z - lse[:, None])
+        return value, (shows_i - soft_mass) * params.w_r
+
+    def beta_term(beta):
+        if arrays.users.size == 0:
+            return 0.0, np.zeros(k)
+        z = np.einsum(
+            "bd,bkd->bk", params.X[arrays.users], params.Y[arrays.items]
+        ) + (params.w_s[:k] * beta[:k])[None, :]
+        z = np.where(arrays.mask, z, -np.inf)
+        logp = z - logsumexp(z, axis=1)[:, None]
+        value = float(np.sum(arrays.sel * np.where(arrays.mask, logp, 0.0)))
+        p = np.where(arrays.mask, np.exp(logp), 0.0)
+        dz = arrays.sel - arrays.n_sel[:, None] * p
+        return value, (dz * params.w_s[:k][None, :]).sum(axis=0)
+
+    sigma_a, sigma_b = np.exp(rho_a), np.exp(rho_b)
+    dim = mu_a.size + mu_b.size
+    prior = -0.5 * (
+        np.sum(mu_a**2 + sigma_a**2) + np.sum(mu_b**2 + sigma_b**2)
+    ) - 0.5 * dim * np.log(2 * np.pi)
+    entropy = np.sum(rho_a) + np.sum(rho_b) + 0.5 * dim * (1.0 + np.log(2 * np.pi))
+    n = eps_a.shape[0]
+    lik = 0.0
+    g = {key: 0.0 for key in ("mu_a", "rho_a", "mu_b", "rho_b")}
+    for s in range(n):
+        va, ga = alpha_term(mu_a + sigma_a * eps_a[s])
+        vb, gb = beta_term(mu_b + sigma_b * eps_b[s])
+        lik += va + vb
+        g["mu_a"] = g["mu_a"] + ga
+        g["rho_a"] = g["rho_a"] + ga * eps_a[s] * sigma_a
+        g["mu_b"] = g["mu_b"] + gb
+        g["rho_b"] = g["rho_b"] + gb * eps_b[s] * sigma_b
+    grads = {
+        "mu_a": mu_a - g["mu_a"] / n,
+        "rho_a": sigma_a**2 - 1.0 - g["rho_a"] / n,
+        "mu_b": mu_b - g["mu_b"] / n,
+        "rho_b": sigma_b**2 - 1.0 - g["rho_b"] / n,
+    }
+    return float(prior + entropy + lik / n), grads
+
+
+class TestCachedElbo:
+    """The ELBO over cached frozen terms equals the per-draw computation."""
+
+    def check(self, params, log):
+        arrays = _log_arrays(log, list_len=params.list_len)
+        rs = RandomStream(8)
+        ni, k = params.n_items, params.list_len
+        eps_a, eps_b = rs.normal((4, ni)), rs.normal((4, k))
+        point = (
+            0.3 * rs.normal(ni),
+            0.2 * rs.normal(ni),
+            0.3 * rs.normal(k),
+            0.2 * rs.normal(k),
+        )
+        want_value, want = reference_elbo(params, arrays, *point, eps_a, eps_b)
+        terms = _posterior_terms(params, arrays)
+        for supplied in (None, terms):
+            value, got = elbo_value_and_grads(
+                params, arrays, *point, eps_a, eps_b, supplied
+            )
+            assert value == pytest.approx(want_value, rel=1e-12)
+            for key in ("mu_a", "rho_a", "mu_b", "rho_b"):
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12)
+
+    def test_padded_behaviors_log(self):
+        sample = Path(__file__).parent / "data" / "behaviors_sample.tsv"
+        log = load_mind_behaviors(sample, max_users=25)
+        assert len({len(r.items) for r in log.records}) > 1  # lists are padded
+        params = rand_params(log.n_users, log.n_items, log.list_len, d=4, seed=3)
+        self.check(params, log)
+
+    def test_empty_log(self):
+        params = rand_params(3, 5, 2, seed=4)
+        self.check(params, InteractionLog(3, 5, []))
 
 
 class TestCounterfactualSelect:
