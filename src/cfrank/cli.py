@@ -423,11 +423,17 @@ def stage_evaluate(cfg, out):
         buckets = coldness_buckets(
             split.train, cfg["eval.cold_low"], cfg["eval.cold_high"]
         )
+    # Every model gets a fresh stream with the same label, so under
+    # sampled candidates all models rank against the same negatives.
     for name, artifact in names:
         model = rankers.load_model(_artifact(out, artifact, must_exist=True))
         model.user_positives = split.train.positives_by_user()
         reports[name] = evalkit.evaluate(
-            model, split, n=n, candidate_policy=policy, stream=stream.substream(name)
+            model,
+            split,
+            n=n,
+            candidate_policy=policy,
+            stream=stream.substream("candidates"),
         )
         if buckets is not None:
             coldness[name] = evalkit.coldness_report(
@@ -436,7 +442,7 @@ def stage_evaluate(cfg, out):
                 buckets,
                 n=n,
                 candidate_policy=policy,
-                stream=stream.substream(name + "/coldness"),
+                stream=stream.substream("candidates/coldness"),
             )
 
     baselines = {}

@@ -14,16 +14,26 @@ FORMAT_VERSION = "cfrank-matrix v1"
 
 
 def save_matrices(path, arrays: dict, meta: dict | None = None) -> None:
-    lines = [f"#{FORMAT_VERSION}"]
-    for key in sorted((meta or {})):
-        lines.append(f"#meta {key}={meta[key]}")
-    for name, arr in arrays.items():
-        a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-        lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
-        for row in a:
-            lines.append(" ".join(repr(float(x)) for x in row))
+    """Write the file one row at a time, so no copy of its text is held.
+
+    Every array is converted before the file is opened: an array that is
+    not numeric leaves an existing file untouched.
+    """
+    blocks = [
+        (name, np.atleast_2d(np.asarray(arr, dtype=np.float64)))
+        for name, arr in arrays.items()
+    ]
+    for name, a in blocks:
+        if a.ndim != 2:
+            raise ValueError(f"{name}: cannot save a {a.ndim}-D array")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"#{FORMAT_VERSION}\n")
+        for key in sorted((meta or {})):
+            fh.write(f"#meta {key}={meta[key]}\n")
+        for name, a in blocks:
+            fh.write(f"{name} {a.shape[0]} {a.shape[1]}\n")
+            for row in a:
+                fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_matrices(path) -> tuple[dict, dict]:

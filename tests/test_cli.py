@@ -1,4 +1,7 @@
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +157,30 @@ class TestPipeline:
         run_pipeline(cfg, str(out))
         assert "itempop" in (out / "report.txt").read_text()
 
+    def test_sampled_candidates_shared_across_models(self, tmp_path):
+        # One fixed scorer saved as both the target and the CPR model: under
+        # sampled candidates both rows must rank against the same negatives.
+        cfg = tiny_cfg(**{
+            "target.kind": "itempop",
+            "eval.candidates": "sampled:8",
+            "eval.n": 3,
+            "eval.coldness": True,
+        })
+        out = tmp_path / "sampled"
+        out.mkdir()
+        stage_synth_gen(cfg, str(out))
+        stage_train_target(cfg, str(out))
+        shutil.copy(out / "target.txt", out / "target_cpr.txt")
+        stage_evaluate(cfg, str(out))
+        rows = {}
+        for line in (out / "report.tsv").read_text().splitlines():
+            fields = line.split("\t")
+            rows[fields[0]] = fields[1:4]
+        pairs = [(name, "cpr-" + name) for name in rows if name.startswith("itempop")]
+        assert len(pairs) >= 2  # the overall row and at least one bucket
+        for target, cpr in pairs:
+            assert rows[target] == rows[cpr], target
+
     def test_untrainable_target_cannot_intervene(self, tmp_path):
         cfg = tiny_cfg(**{"target.kind": "itempop"})
         from cfrank.cli import StageError
@@ -179,6 +206,17 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert code == 0
         assert "bound N\t" in out
+
+    def test_python_m_entry_point(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfrank", "theory-check", "--theorem", "1",
+             "--trials", "200", "--tsv"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].startswith("bound N\t")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

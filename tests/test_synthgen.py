@@ -1,9 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfrank.mathcore import RandomStream, sigmoid
+from cfrank.cli import load_config, stage_synth_gen
+from cfrank.corpus import Record
+from cfrank.mathcore import RandomStream, sigmoid, softmax
 from cfrank.synthgen import (
     SyntheticWorld,
+    _draw_lists,
     _x1_all,
     emit_dataset,
     impression_score,
@@ -175,3 +182,164 @@ class TestEmitDataset:
         b = emit_dataset(noisy, "nonlinear", RandomStream(3))
         assert [r.items for r in a.records] == [r.items for r in b.records]
         assert [r.labels for r in a.records] != [r.labels for r in b.records]
+
+
+def reference_scores(world, u):
+    """x1, x2 for all items from freshly stacked [p_u, q_j] pair features."""
+    p = np.broadcast_to(world.user_vecs[u], world.item_vecs.shape)
+    feats = np.concatenate([p, world.item_vecs], axis=1)
+    x1 = kappa1(kappa2(feats)) @ world.a + world.b
+    x2 = kappa3(-feats) @ world.a + world.b
+    return x1, x2
+
+
+def reference_lists(world, u, n_lists, list_len, stream):
+    """Per-slot sampling: one `choice` call per slot."""
+    base = softmax(1.0 - sigmoid(reference_scores(world, u)[0]))
+    lists = []
+    for _ in range(n_lists):
+        probs = base.copy()
+        chosen = []
+        for _ in range(list_len):
+            probs = probs / probs.sum()
+            item = int(stream.choice(world.n_items, p=probs))
+            chosen.append(item)
+            probs[item] = 0.0
+        lists.append(chosen)
+    return lists
+
+
+def reference_records(world, mode, stream, n_lists, list_len):
+    """The generator as a loop over users, lists and slots."""
+    records = []
+    for u in range(world.n_users):
+        imp_stream = stream.substream(f"impressions/{u}")
+        noise_stream = stream.substream(f"labels/{u}")
+        x1, x2 = reference_scores(world, u)
+        arg = x1 if mode == "linear" else x1 + x1 * x2
+        response = sigmoid(arg)
+        for items in reference_lists(world, u, n_lists, list_len, imp_stream):
+            labels = []
+            for j in items:
+                noise = 0.0
+                if world.noise_std > 0:
+                    noise = world.noise_std * float(noise_stream.normal())
+                labels.append(int(response[j] + noise - 0.5 > 0))
+            records.append(Record(u, items, labels))
+    return records
+
+
+class TestBulkMatchesPerSlot:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_users=st.integers(1, 4),
+        n_items=st.integers(1, 40),
+        d=st.integers(1, 5),
+        n_lists=st.integers(1, 30),
+        len_frac=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["linear", "nonlinear"]),
+        noise_std=st.sampled_from([0.0, 0.05, 0.3]),
+        zero_world=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_emit_dataset(
+        self, n_users, n_items, d, n_lists, len_frac, mode, noise_std, zero_world, seed
+    ):
+        list_len = 1 + int(len_frac * (n_items - 1))
+        if zero_world:  # identical scores: uniform draws
+            world = fixed_world(np.zeros((n_users, d)), np.zeros((n_items, d)), noise_std)
+        else:
+            world = make_world(n_users, n_items, d, noise_std, RandomStream(seed))
+        bulk = emit_dataset(world, mode, RandomStream(seed + 1), n_lists, list_len)
+        ref = reference_records(world, mode, RandomStream(seed + 1), n_lists, list_len)
+        assert bulk.records == ref
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_items=st.integers(1, 60),
+        n_lists=st.integers(1, 30),
+        len_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sample_impressions(self, n_items, n_lists, len_frac, seed):
+        list_len = 1 + int(len_frac * (n_items - 1))
+        world = make_world(2, n_items, 3, stream=RandomStream(seed))
+        bulk = sample_impressions(world, 1, n_lists, list_len, RandomStream(seed))
+        ref = reference_lists(world, 1, n_lists, list_len, RandomStream(seed))
+        assert bulk == ref
+
+    def test_large_catalog(self):
+        # rows longer than numpy's 8192-element reduction buffer
+        world = make_world(1, 20000, 4, stream=RandomStream(6))
+        bulk = sample_impressions(world, 0, 3, 12, RandomStream(7))
+        assert bulk == reference_lists(world, 0, 3, 12, RandomStream(7))
+
+
+class TestDrawListsChecks:
+    """The kernel rejects what `Generator.choice` rejects in `p`."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.5, -0.1, 0.6],  # negative entry
+            [0.5, np.nan, 0.5],  # NaN
+            [1.0, 0.0, 0.0],  # nothing left to draw at the second slot
+        ],
+    )
+    def test_rejects_like_choice(self, row):
+        row = np.asarray(row)
+        stream = RandomStream(0)
+        with pytest.raises(ValueError):
+            probs = row.copy()
+            for _ in range(2):
+                probs = probs / probs.sum()
+                probs[int(stream.choice(3, p=probs))] = 0.0
+        with pytest.raises(ValueError):
+            _draw_lists(row, np.full((2, 2), 0.5))
+
+
+# sha256 of data.tsv written by synth-gen, computed with the per-slot
+# generator: any change to the generator's draws or arithmetic shows here.
+PINNED_DATA = [
+    (
+        {},
+        "1b5e605b7b7bc5d30e582c056ece9031062c853264c142545924a976260f6bda",
+    ),
+    (
+        {"synth.noise_std": "0.2", "synth.mode": "linear"},
+        "0f1c5e3251ae109893607a4f2e08b9c8c191398a0242409a4b3755197b36aebb",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", PINNED_DATA)
+def test_synth_gen_data_pinned(tmp_path, overrides, digest):
+    cfg = load_config(
+        overrides={"synth.n_users": "40", "synth.n_items": "30", **overrides}
+    )
+    stage_synth_gen(cfg, str(tmp_path))
+    assert hashlib.sha256((tmp_path / "data.tsv").read_bytes()).hexdigest() == digest
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("noise_std", [-0.1, float("nan"), float("inf")])
+    def test_make_world_noise_std(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            make_world(2, 3, d=2, noise_std=noise_std)
+
+    @pytest.mark.parametrize("arg", ["n_lists", "list_len"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_list_shape(self, arg, value):
+        world = make_world(2, 5, d=2, stream=RandomStream(0))
+        kwargs = {"n_lists": 3, "list_len": 2, arg: value}
+        with pytest.raises(ValueError, match=arg):
+            emit_dataset(world, "linear", RandomStream(1), **kwargs)
+        with pytest.raises(ValueError, match=arg):
+            sample_impressions(world, 0, stream=RandomStream(1), **kwargs)
+
+    def test_noisy_feedback_needs_stream(self):
+        world = make_world(2, 3, d=2, noise_std=0.1, stream=RandomStream(0))
+        with pytest.raises(ValueError, match="stream"):
+            user_feedback(world, 0, 1, "linear")
+        assert user_feedback(world, 0, 1, "linear", RandomStream(2)) in (0, 1)
