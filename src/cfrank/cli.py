@@ -10,6 +10,7 @@ byte-identical results to the one-shot pipeline.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -111,6 +112,9 @@ def _parse_value(key, text):
         raise ConfigError(f"bad value for {key}: {exc}") from None
 
 
+LOCATION_KEYS = ("out.dir", "dataset.path")
+
+
 class ExperimentConfig:
     """Resolved flat configuration with schema-typed values."""
 
@@ -121,11 +125,13 @@ class ExperimentConfig:
         return self.values[key]
 
     def resolved_lines(self):
-        """Provenance lines; out.dir is location, not identity, and is skipped."""
+        """Provenance lines; out.dir and dataset.path are locations, not
+        identity, and are skipped (reports name a dataset file by its
+        digest instead)."""
         return [
             f"{key} = {self.values[key]}"
             for key in sorted(self.values)
-            if key != "out.dir"
+            if key not in LOCATION_KEYS
         ]
 
 
@@ -179,6 +185,14 @@ def _load_dataset(cfg, out) -> InteractionLog:
         cap = cfg["dataset.max_users"] or None
         return load_mind_behaviors(cfg["dataset.path"], max_users=cap)
     raise ConfigError(f"unknown dataset.kind {kind!r}")
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _split(cfg, log):
@@ -451,6 +465,8 @@ def stage_evaluate(cfg, out):
 
     header = ["# resolved configuration"]
     header += [f"# {line}" for line in cfg.resolved_lines()]
+    if cfg["dataset.kind"] != "synthetic":
+        header.append(f"# dataset.sha256 = {_file_sha256(cfg['dataset.path'])}")
     header.append(f"# test users: {len(split.test)} (degenerate: {split.n_degenerate})")
     body = [evalkit.comparison_table(reports, baselines)]
     tsv = [evalkit.comparison_tsv(reports, baselines)]

@@ -16,12 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textio
-from .mathcore import RandomStream
+from .mathcore import RandomStream, softmax
 from .rankers import loss_pairwise, loss_pointwise
-from .simulator import SimParams, VariationalPosterior, counterfactual_select
+from .simulator import SimParams, VariationalPosterior
 
 LOG_2PI = math.log(2.0 * math.pi)
 SAMPLE_MODES = ("pairwise", "pointwise")
+# Entries of the (episodes x n_items) noise and score matrices per block:
+# run_intervention_round handles BLOCK_ENTRIES // n_items episodes at a
+# time, so its memory does not grow with the number of episodes.
+BLOCK_ENTRIES = 1 << 16
 
 
 class GaussianPolicy:
@@ -55,15 +59,23 @@ class GaussianPolicy:
         for name, arr in values.items():
             setattr(self, name, np.asarray(arr, dtype=np.float64))
 
+    def _forward(self, x):
+        """Pre-activation, hidden layer and mean for x of shape (d,) or (n, d)."""
+        pre = np.asarray(x, dtype=np.float64) @ self.W1.T + self.b1
+        h = np.maximum(pre, 0.0)
+        return pre, h, h @ self.W2.T + self.b2
+
     def mean(self, x) -> np.ndarray:
-        pre = self.W1 @ np.asarray(x, dtype=np.float64) + self.b1
-        return self.W2 @ np.maximum(pre, 0.0) + self.b2
+        return self._forward(x)[2]
+
+    def _log_density(self, z):
+        """log N(action) from standardized residuals z = (action - mean) / std."""
+        quad = np.sum(z**2, axis=-1)
+        return -0.5 * quad - np.sum(self.log_std) - 0.5 * self.d * LOG_2PI
 
     def log_prob(self, x, action) -> float:
-        mu = self.mean(x)
-        std = np.exp(self.log_std)
-        quad = ((np.asarray(action) - mu) / std) ** 2
-        return float(-0.5 * np.sum(quad) - np.sum(self.log_std) - 0.5 * self.d * LOG_2PI)
+        z = (np.asarray(action) - self.mean(x)) / np.exp(self.log_std)
+        return float(self._log_density(z))
 
 
 @dataclass
@@ -160,19 +172,49 @@ def policy_sample(
     return tau, action, logprob
 
 
-def realize_list(params: SimParams, tau, alpha, list_len: int) -> list:
+def realize_list(params: SimParams, tau, alpha, list_len: int):
     """The `list_len` items scoring highest against the center tau.
 
     Scores are tau . Q_k + w_r[k] * alpha[k]; ties break toward the lower
-    item id.
+    item id. One center (tau of shape (d,), alpha of shape (n_items,))
+    gives one list of ids; a block of centers (taus (b, d), alphas
+    (b, n_items)) gives a (b, list_len) id array from one matmul and one
+    row partition. The single list is the same kernel on one row.
     """
-    if list_len > params.n_items:
-        raise ValueError("list length exceeds item count")
-    scores = params.Q @ np.asarray(tau, dtype=np.float64) + params.w_r * np.asarray(
-        alpha
-    )
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return [int(i) for i in order[:list_len]]
+    if not 1 <= list_len <= params.n_items:
+        raise ValueError(
+            f"list length {list_len} outside [1, {params.n_items}] (item count)"
+        )
+    tau = np.asarray(tau, dtype=np.float64)
+    scores = np.atleast_2d(tau) @ params.Q.T + params.w_r * np.asarray(alpha)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("list scores must be finite")
+    items = _top_items(scores, list_len)
+    return items[0].tolist() if tau.ndim == 1 else items
+
+
+def _take(values, index):
+    """Row-wise gather: values[r, index[r, j]]."""
+    return np.take_along_axis(values, index, axis=1)
+
+
+def _top_items(scores, k):
+    """(b, k) ids of each row's k highest scores, best first, ties to the
+    lower id: the first k of a stable sort on -score, found by a partition."""
+    neg = -scores
+    items = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    top = _take(neg, items)
+    kth = top.max(axis=1, keepdims=True)
+    tied = neg == kth
+    # The partition may cut the items tied at the k-th score at a higher
+    # id; such rows take the lowest tied ids instead.
+    for row in np.flatnonzero(tied.sum(axis=1) > (top == kth).sum(axis=1)):
+        ahead = neg[row] < kth[row]
+        room = k - ahead.sum()
+        first_tied = tied[row] & (np.cumsum(tied[row]) <= room)
+        items[row] = np.flatnonzero(ahead | first_tied)
+        top[row] = neg[row, items[row]]
+    return _take(items, np.lexsort((items, top), axis=1))
 
 
 def random_list(n_items: int, list_len: int, stream: RandomStream) -> list:
@@ -183,9 +225,56 @@ def random_list(n_items: int, list_len: int, stream: RandomStream) -> list:
 
 
 def _ranked_slots(slot_probs):
-    """Slot indices by descending probability, ties to the lower slot."""
+    """Slot indices by descending probability, ties to the lower slot, per row."""
     probs = np.asarray(slot_probs, dtype=np.float64)
-    return sorted(range(len(probs)), key=lambda t: (-probs[t], t))
+    return np.argsort(-probs, axis=-1, kind="stable")
+
+
+def _block_samples(users, items, probs, order, mode, k, noise_control):
+    """Sample rows (b, r, 3) and confidences (b, r) for a block of lists.
+
+    `order` ranks each row's slots (`_ranked_slots`). With noise control the
+    k top-ranked slots are the selected side and the k bottom-ranked ones
+    the rejected side; without it the k top-ranked slots (the simulator's
+    selected set) face all other slots, both sides in slot order. Every row
+    yields the same r, so rows are built by index arithmetic in the order
+    of the per-list loops of `build_samples` / `build_samples_unfiltered`.
+    """
+    n_slots = items.shape[1]
+    if noise_control:
+        top, bottom = order[:, :k], order[:, n_slots - k :]
+    else:
+        top, bottom = np.sort(order[:, :k], axis=1), np.sort(order[:, k:], axis=1)
+    if mode == "pairwise":
+        p, q = np.divmod(np.arange(top.shape[1] * bottom.shape[1]), bottom.shape[1])
+        if noise_control:
+            # with 2k > K the middle slots rank in both halves: no self-pairs
+            keep = p != q + (n_slots - k)
+            p, q = p[keep], q[keep]
+        slots, other = top[:, p], bottom[:, q]
+        conf = _take(probs, slots) - _take(probs, other)
+        last = _take(items, other)
+    else:
+        slots = np.concatenate([top, bottom], axis=1)
+        labels = (np.arange(slots.shape[1]) < k).astype(np.int64)
+        last = np.broadcast_to(labels, slots.shape)
+        p = _take(probs, slots)
+        conf = np.where(last == 1, p, 1.0 - p)
+    user = np.broadcast_to(np.asarray(users, dtype=np.int64)[:, None], slots.shape)
+    return np.stack([user, _take(items, slots), last], axis=-1), conf
+
+
+def _batch_from_block(mode, rows, conf, tags) -> CounterfactualBatch:
+    """A CounterfactualBatch of (b, r, 3) rows, one provenance tag per list."""
+    batch = CounterfactualBatch(mode=mode)
+    data = list(map(tuple, rows.reshape(-1, 3).tolist()))
+    if mode == "pairwise":
+        batch.triplets = data
+    else:
+        batch.points = data
+    batch.confidences = conf.ravel().tolist()
+    batch.provenance = [tag for tag in tags for _ in range(rows.shape[1])]
+    return batch
 
 
 def build_samples(
@@ -205,29 +294,14 @@ def build_samples(
     n = len(items)
     if not 1 <= k < n:
         raise ValueError(f"noise-control level k={k} invalid for list of {n}")
-    order = _ranked_slots(slot_probs)
-    top = order[:k]
-    bottom = order[-k:]
-    probs = np.asarray(slot_probs, dtype=np.float64)
-    batch = CounterfactualBatch(mode=mode)
-    if mode == "pairwise":
-        for t_pos in top:
-            for t_neg in bottom:
-                if items[t_pos] == items[t_neg]:
-                    continue
-                batch.triplets.append((user, items[t_pos], items[t_neg]))
-                batch.confidences.append(float(probs[t_pos] - probs[t_neg]))
-                batch.provenance.append(provenance)
-    else:
-        for t in top:
-            batch.points.append((user, items[t], 1))
-            batch.confidences.append(float(probs[t]))
-            batch.provenance.append(provenance)
-        for t in bottom:
-            batch.points.append((user, items[t], 0))
-            batch.confidences.append(float(1.0 - probs[t]))
-            batch.provenance.append(provenance)
-    return batch
+    if len(set(items)) != n:
+        raise ValueError("list contains duplicate items")
+    probs = np.asarray(slot_probs, dtype=np.float64).reshape(1, n)
+    rows, conf = _block_samples(
+        [user], np.asarray(items).reshape(1, n), probs, _ranked_slots(probs),
+        mode, k, noise_control=True,
+    )
+    return _batch_from_block(mode, rows, conf, [provenance])
 
 
 def build_samples_unfiltered(
@@ -268,28 +342,30 @@ def build_samples_unfiltered(
 
 
 def surrogate_loss_grads(policy: GaussianPolicy, episodes, baseline: float):
-    """Value and gradients of sum_t (reward_t - baseline) * logprob_t."""
-    grads = {k: np.zeros_like(v) for k, v in policy.params().items()}
-    value = 0.0
+    """Value and gradients of sum_t (reward_t - baseline) * logprob_t.
+
+    Episodes are stacked as rows, so each sum over episodes is a matmul or
+    a column sum.
+    """
+    d = policy.d
+    x = np.array([ep.user_embed for ep in episodes], dtype=np.float64).reshape(-1, d)
+    a = np.array([ep.action for ep in episodes], dtype=np.float64).reshape(-1, d)
+    weight = np.array([ep.reward for ep in episodes], dtype=np.float64) - baseline
+    pre, h, mu = policy._forward(x)
     std = np.exp(policy.log_std)
-    for ep in episodes:
-        weight = ep.reward - baseline
-        x = ep.user_embed
-        pre = policy.W1 @ x + policy.b1
-        h = np.maximum(pre, 0.0)
-        mu = policy.W2 @ h + policy.b2
-        diff = (ep.action - mu) / (std**2)
-        value += weight * policy.log_prob(x, ep.action)
-        # d logprob / d mu = (a - mu) / std^2, then back through the network
-        dmu = weight * diff
-        grads["W2"] += np.outer(dmu, h)
-        grads["b2"] += dmu
-        dh = policy.W2.T @ dmu
-        dpre = dh * (pre > 0)
-        grads["W1"] += np.outer(dpre, x)
-        grads["b1"] += dpre
+    z = (a - mu) / std
+    value = float(weight @ policy._log_density(z))
+    # d logprob / d mu = (a - mu) / std^2, then back through the network
+    dmu = weight[:, None] * ((a - mu) / std**2)
+    dpre = (dmu @ policy.W2) * (pre > 0)
+    grads = {
+        "W1": dpre.T @ x,
+        "b1": dpre.sum(axis=0),
+        "W2": dmu.T @ h,
+        "b2": dmu.sum(axis=0),
         # d logprob / d log_std = ((a - mu)/std)^2 - 1
-        grads["log_std"] += weight * (((ep.action - mu) / std) ** 2 - 1.0)
+        "log_std": weight @ (z**2 - 1.0),
+    }
     return value, grads
 
 
@@ -320,6 +396,31 @@ def reinforce_update(policy: GaussianPolicy, episodes, lr: float) -> GaussianPol
 # Episode generation
 
 
+def _check_round(policy, params, users, actions_per_user, mode, k, list_source):
+    """Reject bad round arguments before anything is drawn; returns the
+    users as an int array."""
+    if list_source not in ("policy", "random"):
+        raise ValueError(f"unknown list source {list_source!r}")
+    if list_source == "policy" and policy is None:
+        raise ValueError("list_source='policy' needs a policy")
+    if mode not in SAMPLE_MODES:
+        raise ValueError(f"unknown sample mode {mode!r}")
+    if actions_per_user < 0:
+        raise ValueError(f"actions_per_user={actions_per_user} must be >= 0")
+    list_len, n_items = params.list_len, params.n_items
+    if list_len > n_items:
+        raise ValueError(f"list_len={list_len} exceeds n_items={n_items}")
+    if not 1 <= k < list_len:
+        raise ValueError(f"k={k} outside [1, {list_len}) for lists of {list_len}")
+    users = np.fromiter(users, dtype=np.int64)
+    outside = users[(users < 0) | (users >= params.n_users)]
+    if outside.size:
+        raise ValueError(
+            f"users outside [0, {params.n_users}): {outside[:5].tolist()}"
+        )
+    return users
+
+
 def run_intervention_round(
     policy: GaussianPolicy | None,
     params: SimParams,
@@ -342,56 +443,93 @@ def run_intervention_round(
     realized list with the simulator, assemble samples (noise-controlled at
     level k, or all selected-vs-rest when noise_control is off), and set the
     episode reward to the target model's loss on those samples. Returns the
-    merged batch and the episode list.
+    merged batch and the episode list, in (user, action) order.
+
+    Episodes run in blocks of BLOCK_ENTRIES // n_items. A policy block makes
+    one draw, stream.normal((b, n_items + d [+ d] + K)): row e holds episode
+    e's alpha noise, action noise, exploration noise (only if explore_std >
+    0) and beta noise, the widths and order in which one episode used to
+    call sample_alpha, policy_sample and counterfactual_select. Philox fills
+    a (b, w) draw from the same sequence as b draws of width w, so the
+    stream is consumed exactly as by a per-episode loop. The random source
+    draws alpha, list and beta per episode, since its `choice` sits between
+    the normals. The rest is one kernel per block: `realize_list`, the slot
+    softmax, `_block_samples`, and one `loss_*` call whose per-episode sums
+    are the rewards.
     """
-    if list_source not in ("policy", "random"):
-        raise ValueError(f"unknown list source {list_source!r}")
-    list_len = params.list_len
+    users = _check_round(
+        policy, params, users, actions_per_user, mode, k, list_source
+    )
+    n_items, list_len = params.n_items, params.list_len
+    n_alpha, n_beta = posterior.mu_alpha.shape[0], posterior.mu_beta.shape[0]
+    d = params.P.shape[1]
+    explore = list_source == "policy" and explore_std > 0
+    # column offsets of the action, exploration and beta noise in a block draw
+    cuts = np.cumsum([n_alpha, d, d if explore else 0])
+    ep_users = np.repeat(users, actions_per_user)
+    if list_source == "policy":
+        tags = [
+            f"{round_tag}/u{u}/t{t}" for u in users.tolist()
+            for t in range(actions_per_user)
+        ]
+    else:
+        tags = ["random"] * len(ep_users)
+    loss = loss_pairwise if mode == "pairwise" else loss_pointwise
+    block = max(1, BLOCK_ENTRIES // n_items)
     merged = CounterfactualBatch(mode=mode)
     episodes = []
-    for user in users:
-        for t in range(actions_per_user):
-            tag = f"{round_tag}/u{user}/t{t}"
-            alpha = posterior.sample_alpha(stream)
-            if list_source == "policy":
-                embed = params.P[user]
-                tau, action, logprob = policy_sample(
-                    policy, embed, stream, explore_std
-                )
-                items = realize_list(params, tau, alpha, list_len)
-            else:
-                embed = params.P[user]
-                tau = action = np.zeros(params.P.shape[1])
-                logprob = 0.0
-                items = random_list(params.n_items, list_len, stream)
-                tag = "random"
-            selected, probs = counterfactual_select(
-                params, posterior, user, items, m=k, stream=stream
-            )
-            if noise_control:
-                batch = build_samples(user, items, probs, mode, k, provenance=tag)
-            else:
-                batch = build_samples_unfiltered(
-                    user, items, selected, mode, slot_probs=probs, provenance=tag
-                )
-            if mode == "pairwise":
-                reward = loss_pairwise(target_model, batch.rows())
-            else:
-                reward = loss_pointwise(target_model, batch.rows())
+    for start in range(0, len(ep_users), block):
+        block_users = ep_users[start : start + block]
+        block_tags = tags[start : start + block]
+        b = len(block_users)
+        embeds = params.P[block_users]
+        if list_source == "policy":
+            noise = stream.normal((b, cuts[2] + n_beta))
+            alphas = posterior.mu_alpha + posterior.sigma_alpha * noise[:, : cuts[0]]
+            mu = policy.mean(embeds)
+            std = np.exp(policy.log_std)
+            actions = mu + std * noise[:, cuts[0] : cuts[1]]
+            taus = actions
+            if explore:
+                taus = actions + explore_std * noise[:, cuts[1] : cuts[2]]
+            logprobs = policy._log_density((actions - mu) / std)
+            items = realize_list(params, taus, alphas, list_len)
+            beta_noise = noise[:, cuts[2] :]
+        else:
+            items = np.empty((b, list_len), dtype=np.int64)
+            beta_noise = np.empty((b, n_beta))
+            for e in range(b):
+                stream.normal(n_alpha)  # alpha is unused but keeps the stream order
+                items[e] = random_list(n_items, list_len, stream)
+                beta_noise[e] = stream.normal(n_beta)
+            taus = actions = np.zeros((b, d))
+            logprobs = np.zeros(b)
+        betas = posterior.mu_beta + posterior.sigma_beta * beta_noise
+        logits = np.einsum(
+            "bd,bkd->bk", params.X[block_users], params.Y[items]
+        ) + params.w_s * betas[:, :list_len]
+        probs = softmax(logits)
+        order = _ranked_slots(probs)
+        selected = _take(items, np.sort(order[:, :k], axis=1))
+        rows, conf = _block_samples(
+            block_users, items, probs, order, mode, k, noise_control
+        )
+        rewards = loss(target_model, rows)
+        merged.extend(_batch_from_block(mode, rows, conf, block_tags))
+        for e, tag in enumerate(block_tags):
             episodes.append(
                 Episode(
-                    user=user,
-                    user_embed=np.asarray(embed, dtype=np.float64),
-                    action=action,
-                    tau=tau,
-                    logprob=logprob,
-                    items=items,
-                    selected=selected,
-                    reward=reward,
+                    user=int(block_users[e]),
+                    user_embed=embeds[e],
+                    action=actions[e],
+                    tau=taus[e],
+                    logprob=float(logprobs[e]),
+                    items=items[e].tolist(),
+                    selected=selected[e].tolist(),
+                    reward=float(rewards[e]),
                     episode_id=tag,
                 )
             )
-            merged.extend(batch)
     return merged, episodes
 
 

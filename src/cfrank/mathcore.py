@@ -58,15 +58,19 @@ class RandomStream:
 
 
 def softmax(scores) -> np.ndarray:
-    """Shift-invariant softmax of a 1-D score vector."""
+    """Shift-invariant softmax over the last axis of a score array.
+
+    A 2-D input is a stack of rows; each row gets the same arithmetic as a
+    1-D call on it, so the values agree bit for bit.
+    """
     z = np.asarray(scores, dtype=np.float64)
     if z.size == 0:
         raise ValueError("softmax of an empty vector")
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input must be finite")
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logsumexp(z, axis=None, keepdims=False):

@@ -390,34 +390,77 @@ def pointwise_loss_grad(model, u, i, y, l2=0.0):
     return loss, grads
 
 
-def loss_pairwise(model, triplets) -> float:
-    """Exact pairwise objective value on given (u, i, j) triplets, no update."""
-    t = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+def _rows(data, dtype):
+    """(n, 3) rows, and the leading shape of a (..., r, 3) stack or None."""
+    arr = np.asarray(data, dtype=dtype)
+    lead = arr.shape[:-2] if arr.ndim > 2 else None
+    return arr.reshape(-1, 3), lead
+
+
+def _row_losses(values, lead):
+    """One float for plain rows, else one sum per leading index. Each block
+    of r losses is contiguous, so its sum runs exactly as np.sum over that
+    block alone would."""
+    if lead is None:
+        return float(np.sum(values))
+    return values.reshape(lead + (-1,)).sum(axis=-1)
+
+
+def loss_pairwise(model, triplets):
+    """Exact pairwise objective value on given (u, i, j) triplets, no update.
+
+    Triplets shaped (..., r, 3) give one loss per leading index, each the
+    sum over its r rows (the intervention engine scores a block of episodes
+    in one call this way).
+    """
+    t, lead = _rows(triplets, np.int64)
     if t.shape[0] == 0:
-        return 0.0
+        return 0.0 if lead is None else np.zeros(lead)
     margin = model.score_batch(t[:, 0], t[:, 1]) - model.score_batch(t[:, 0], t[:, 2])
-    return float(np.sum(softplus(-margin)))
+    return _row_losses(softplus(-margin), lead)
 
 
-def loss_pointwise(model, points) -> float:
-    """Exact pointwise cross-entropy on (u, i, label) rows, no update."""
-    p = np.asarray(points).reshape(-1, 3)
+def loss_pointwise(model, points):
+    """Exact pointwise cross-entropy on (u, i, label) rows, no update.
+
+    Rows shaped (..., r, 3) give one loss per leading index, as in
+    `loss_pairwise`.
+    """
+    p, lead = _rows(points, None)
     if p.shape[0] == 0:
-        return 0.0
+        return 0.0 if lead is None else np.zeros(lead)
     u = p[:, 0].astype(np.int64)
     i = p[:, 1].astype(np.int64)
     y = p[:, 2].astype(np.float64)
     s = model.score_batch(u, i)
-    return float(np.sum(y * softplus(-s) + (1.0 - y) * softplus(s)))
+    return _row_losses(y * softplus(-s) + (1.0 - y) * softplus(s), lead)
+
+
+def _positive_keys(user_positives, n_items) -> np.ndarray:
+    """Every (user, positive item) as user * n_items + item, sorted."""
+    sizes = [len(items) for items in user_positives]
+    users = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    items = np.fromiter(
+        (i for items in user_positives for i in items), np.int64, sum(sizes)
+    )
+    return np.sort(users * n_items + items)
 
 
 def _sample_negatives(user_positives, users, n_items, stream):
-    """One uniform negative per row, rejected against the user's positives."""
+    """One uniform negative per row, rejected against the user's positives.
+
+    Rejected rows are redrawn in row order until none is a positive; the
+    lookup is a `searchsorted` over sorted (user, item) keys.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    keys = _positive_keys(user_positives, n_items)
     neg = stream.integers(0, n_items, len(users))
+    if keys.size == 0:
+        return neg
     for _ in range(1000):
-        bad = np.array(
-            [item in user_positives[u] for u, item in zip(users, neg)], dtype=bool
-        )
+        query = users * n_items + neg
+        pos = np.searchsorted(keys, query)
+        bad = keys[np.minimum(pos, len(keys) - 1)] == query
         if not bad.any():
             return neg
         neg[bad] = stream.integers(0, n_items, int(bad.sum()))

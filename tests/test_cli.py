@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import subprocess
@@ -82,6 +83,10 @@ class TestConfig:
         cfg = load_config(overrides={"out.dir": "/somewhere"})
         assert not any("out.dir" in line for line in cfg.resolved_lines())
 
+    def test_dataset_path_excluded_from_provenance(self):
+        cfg = load_config(overrides={"dataset.path": "/somewhere/data.tsv"})
+        assert not any("dataset.path" in line for line in cfg.resolved_lines())
+
 
 class TestPipeline:
     def test_manual_composition_matches_pipeline(self, tmp_path):
@@ -142,6 +147,28 @@ class TestPipeline:
         report = (out / "report.txt").read_text()
         assert "# seed = 5" in report
         assert "# target.kind = bpr-mf" in report
+
+    def test_behaviors_report_independent_of_location(self, tmp_path):
+        sample = os.path.join(os.path.dirname(__file__), "data", "behaviors_sample.tsv")
+        reports = []
+        for name in ("one", "two"):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "behaviors.tsv"
+            shutil.copy(sample, path)
+            cfg = tiny_cfg(**{
+                "dataset.kind": "behaviors",
+                "dataset.path": str(path),
+                "dataset.max_users": 30,
+                "simulator.epochs": 1,
+                "posterior.epochs": 3,
+            })
+            run_pipeline(cfg, str(tmp_path / name / "run"))
+            reports.append((tmp_path / name / "run" / "report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        with open(sample, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert f"# dataset.sha256 = {digest}\n".encode() in reports[0]
+        assert b"dataset.path" not in reports[0]
 
     def test_missing_artifact_names_file(self, tmp_path):
         cfg = tiny_cfg()

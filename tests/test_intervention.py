@@ -1,8 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cfrank import intervention
+from cfrank.cli import load_config, run_pipeline
 from cfrank.intervention import (
     CounterfactualBatch,
     Episode,
@@ -20,8 +25,8 @@ from cfrank.intervention import (
     surrogate_loss_grads,
 )
 from cfrank.mathcore import RandomStream, finite_diff_check
-from cfrank.rankers import loss_pairwise, make_model
-from cfrank.simulator import SimParams, VariationalPosterior
+from cfrank.rankers import loss_pairwise, loss_pointwise, make_model
+from cfrank.simulator import SimParams, VariationalPosterior, counterfactual_select
 
 
 class TestPolicySample:
@@ -157,6 +162,10 @@ class TestBuildSamples:
     def test_ties_break_by_slot(self):
         batch = build_samples(0, [5, 6, 7, 8], [0.25] * 4, "pairwise", 1)
         assert batch.triplets == [(0, 5, 8)]
+
+    def test_duplicate_items_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            build_samples(0, [4, 5, 4, 6], [0.4, 0.3, 0.2, 0.1], "pairwise", 2)
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -415,3 +424,346 @@ class TestBatchIO:
         b = CounterfactualBatch(mode="pointwise")
         with pytest.raises(ValueError):
             a.extend(b)
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against the per-episode loop it replaced
+
+
+def reference_realize_list(params, tau, alpha, list_len):
+    """Per-list realization: catalog matvec and a full lexsort."""
+    scores = params.Q @ np.asarray(tau, dtype=np.float64) + params.w_r * alpha
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return [int(i) for i in order[:list_len]]
+
+
+def reference_build_samples(user, items, slot_probs, mode, k, provenance):
+    """Per-list confidence-filtered samples, one Python tuple at a time."""
+    probs = np.asarray(slot_probs, dtype=np.float64)
+    order = sorted(range(len(probs)), key=lambda t: (-probs[t], t))
+    top, bottom = order[:k], order[-k:]
+    batch = CounterfactualBatch(mode=mode)
+    if mode == "pairwise":
+        for t_pos in top:
+            for t_neg in bottom:
+                if items[t_pos] == items[t_neg]:
+                    continue
+                batch.triplets.append((user, items[t_pos], items[t_neg]))
+                batch.confidences.append(float(probs[t_pos] - probs[t_neg]))
+                batch.provenance.append(provenance)
+    else:
+        for t in top:
+            batch.points.append((user, items[t], 1))
+            batch.confidences.append(float(probs[t]))
+            batch.provenance.append(provenance)
+        for t in bottom:
+            batch.points.append((user, items[t], 0))
+            batch.confidences.append(float(1.0 - probs[t]))
+            batch.provenance.append(provenance)
+    return batch
+
+
+def reference_round(
+    policy, params, posterior, target, users, actions, mode, k, stream,
+    explore_std, noise_control, list_source, round_tag,
+):
+    """One episode at a time: policy_sample -> realize_list ->
+    counterfactual_select -> build_samples[_unfiltered] -> loss_*."""
+    merged = CounterfactualBatch(mode=mode)
+    episodes = []
+    for user in users:
+        for t in range(actions):
+            tag = f"{round_tag}/u{user}/t{t}"
+            alpha = posterior.sample_alpha(stream)
+            embed = params.P[user]
+            if list_source == "policy":
+                tau, action, logprob = policy_sample(policy, embed, stream, explore_std)
+                items = reference_realize_list(params, tau, alpha, params.list_len)
+            else:
+                tau = action = np.zeros(params.P.shape[1])
+                logprob = 0.0
+                items = random_list(params.n_items, params.list_len, stream)
+                tag = "random"
+            selected, probs = counterfactual_select(
+                params, posterior, user, items, m=k, stream=stream
+            )
+            if noise_control:
+                batch = reference_build_samples(user, items, probs, mode, k, tag)
+            else:
+                batch = build_samples_unfiltered(
+                    user, items, selected, mode, slot_probs=probs, provenance=tag
+                )
+            loss = loss_pairwise if mode == "pairwise" else loss_pointwise
+            episodes.append(
+                Episode(
+                    user=user, user_embed=embed, action=action, tau=tau,
+                    logprob=logprob, items=items, selected=selected,
+                    reward=loss(target, batch.rows()), episode_id=tag,
+                )
+            )
+            merged.extend(batch)
+    return merged, episodes
+
+
+def random_world(seed, n_users, n_items, list_len, d, dup_items, zero_noise):
+    """Simulator, posterior, target and policy drawn from one seed. The first
+    `dup_items` items repeat item 0's exposure row with w_r = 0, so their
+    list scores tie exactly; `zero_noise` collapses both posteriors."""
+    rs = RandomStream(seed)
+    params = SimParams(
+        P=rs.normal((n_users, d)),
+        Q=rs.normal((n_items, d)),
+        w_r=rs.normal(n_items),
+        X=rs.normal((n_users, d)),
+        Y=rs.normal((n_items, d)),
+        w_s=rs.normal(list_len),
+    )
+    params.Q[1 : dup_items + 1] = params.Q[0]
+    params.w_r[: dup_items + 1] = 0.0
+    posterior = VariationalPosterior(
+        mu_alpha=rs.normal(n_items),
+        sigma_alpha=np.zeros(n_items) if zero_noise else rs.uniform(size=n_items),
+        mu_beta=rs.normal(list_len),
+        sigma_beta=np.zeros(list_len) if zero_noise else rs.uniform(size=list_len),
+    )
+    target = make_model("bpr-mf", n_users, n_items, 3, rs.substream("target"))
+    policy = GaussianPolicy(d, 5, rs.substream("policy"))
+    return params, posterior, target, policy
+
+
+@st.composite
+def round_setups(draw):
+    n_items = draw(st.integers(2, 12))
+    list_len = draw(st.integers(2, n_items))
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "n_users": draw(st.integers(1, 4)),
+        "n_items": n_items,
+        "list_len": list_len,
+        "d": draw(st.integers(1, 4)),
+        "dup_items": draw(st.integers(0, n_items - 1)),
+        "zero_noise": draw(st.booleans()),
+        "k": draw(st.integers(1, list_len - 1)),
+        "mode": draw(st.sampled_from(["pairwise", "pointwise"])),
+        "noise_control": draw(st.booleans()),
+        "list_source": draw(st.sampled_from(["policy", "random"])),
+        "explore_std": draw(st.sampled_from([0.0, 0.7])),
+        "actions": draw(st.integers(0, 4)),
+        # episodes per block, from one up to more than a round has
+        "block_rows": draw(st.integers(1, 40)),
+    }
+
+
+# Every list is the whole catalog, every item ties, 2k > K, and each episode
+# is its own block.
+EDGE_CASE = {
+    "seed": 12, "n_users": 3, "n_items": 5, "list_len": 5, "d": 2,
+    "dup_items": 4, "zero_noise": True, "k": 3, "actions": 2, "block_rows": 1,
+}
+
+
+def assert_rounds_equal(got, want):
+    (batch, episodes), (ref_batch, ref_episodes) = got, want
+    assert batch.mode == ref_batch.mode
+    assert batch.triplets == ref_batch.triplets
+    assert batch.points == ref_batch.points
+    assert batch.provenance == ref_batch.provenance
+    np.testing.assert_allclose(
+        batch.confidences, ref_batch.confidences, rtol=1e-12, atol=1e-15
+    )
+    assert len(episodes) == len(ref_episodes)
+    for ep, ref in zip(episodes, ref_episodes):
+        assert (ep.user, ep.episode_id) == (ref.user, ref.episode_id)
+        assert ep.items == ref.items
+        assert ep.selected == ref.selected
+        assert ep.reward == ref.reward
+        np.testing.assert_array_equal(ep.user_embed, ref.user_embed)
+        for name in ("action", "tau"):
+            np.testing.assert_allclose(
+                getattr(ep, name), getattr(ref, name), rtol=1e-12, atol=1e-15
+            )
+        assert ep.logprob == pytest.approx(ref.logprob, rel=1e-12, abs=1e-15)
+
+
+class TestBatchedRound:
+    @settings(max_examples=150, deadline=None)
+    @given(round_setups())
+    @example(
+        {**EDGE_CASE, "mode": "pairwise", "noise_control": True,
+         "list_source": "policy", "explore_std": 0.7}
+    )
+    @example(
+        {**EDGE_CASE, "mode": "pointwise", "noise_control": False,
+         "list_source": "random", "explore_std": 0.0}
+    )
+    def test_matches_per_episode_loop(self, case):
+        params, posterior, target, policy = random_world(
+            case["seed"], case["n_users"], case["n_items"], case["list_len"],
+            case["d"], case["dup_items"], case["zero_noise"],
+        )
+        if case["list_source"] == "random":
+            policy = None
+        users = list(range(case["n_users"])) + [0]
+        args = (params, posterior, target, users, case["actions"], case["mode"],
+                case["k"])
+        extra = dict(
+            explore_std=case["explore_std"],
+            noise_control=case["noise_control"],
+            list_source=case["list_source"],
+            round_tag="r3",
+        )
+        ref_stream, stream = RandomStream(case["seed"]), RandomStream(case["seed"])
+        want = reference_round(policy, *args, ref_stream, **extra)
+        saved = intervention.BLOCK_ENTRIES
+        intervention.BLOCK_ENTRIES = case["block_rows"] * case["n_items"]
+        try:
+            got = run_intervention_round(policy, *args, stream, **extra)
+        finally:
+            intervention.BLOCK_ENTRIES = saved
+        assert_rounds_equal(got, want)
+        # both consumed the same draws
+        assert stream.normal(3).tolist() == ref_stream.normal(3).tolist()
+
+    def test_ties_break_to_lower_id(self):
+        params, posterior, target, policy = random_world(3, 2, 9, 4, 2, 8, True)
+        items = realize_list(params, np.ones((3, 2)), np.zeros((3, 9)), 4)
+        assert items.tolist() == [[0, 1, 2, 3]] * 3
+        assert realize_list(params, np.ones(2), np.zeros(9), 4) == [0, 1, 2, 3]
+
+    def test_block_equals_single_rows(self):
+        params, _, _, _ = random_world(4, 2, 30, 6, 3, 0, False)
+        rs = RandomStream(9)
+        taus, alphas = rs.normal((7, 3)), rs.normal((7, 30))
+        block = realize_list(params, taus, alphas, 6)
+        for row, tau, alpha in zip(block, taus, alphas):
+            assert row.tolist() == realize_list(params, tau, alpha, 6)
+            assert row.tolist() == reference_realize_list(params, tau, alpha, 6)
+
+    def test_non_finite_scores_rejected(self):
+        params, _, _, _ = random_world(4, 2, 5, 3, 2, 0, False)
+        with pytest.raises(ValueError, match="finite"):
+            realize_list(params, np.full(2, np.nan), np.zeros(5), 3)
+
+    def test_rows_per_episode(self):
+        params, posterior, target, policy = random_world(5, 3, 7, 5, 2, 0, False)
+        expected = {
+            ("pairwise", True): lambda k: k * k - max(0, 2 * k - 5),
+            ("pointwise", True): lambda k: 2 * k,
+            ("pairwise", False): lambda k: k * (5 - k),
+            ("pointwise", False): lambda k: 5,
+        }
+        for (mode, filtered), rows in expected.items():
+            for k in range(1, 5):
+                batch, episodes = run_intervention_round(
+                    policy, params, posterior, target, [0, 1, 2], 2, mode, k,
+                    RandomStream(k), noise_control=filtered,
+                )
+                assert len(episodes) == 6
+                assert len(batch) == 6 * rows(k), (mode, filtered, k)
+
+
+class TestRoundInputs:
+    def setup_method(self):
+        self.params, self.posterior, self.target, self.policy = random_world(
+            6, 3, 8, 4, 2, 0, False
+        )
+
+    def run(self, users=(0, 1), actions=1, k=2, params=None, stream=None):
+        return run_intervention_round(
+            self.policy, params or self.params, self.posterior, self.target,
+            list(users), actions, "pairwise", k, stream or RandomStream(1),
+        )
+
+    @pytest.mark.parametrize("users", [[-1], [3], [0, 5]])
+    def test_users_outside_range(self, users):
+        stream = RandomStream(11)
+        with pytest.raises(ValueError, match="users"):
+            self.run(users=users, stream=stream)
+        # nothing was drawn before the check
+        assert stream.normal(2).tolist() == RandomStream(11).normal(2).tolist()
+
+    def test_negative_actions(self):
+        with pytest.raises(ValueError, match="actions_per_user"):
+            self.run(actions=-2)
+
+    @pytest.mark.parametrize("k", [0, 4, -1])
+    def test_k_outside_list(self, k):
+        with pytest.raises(ValueError, match="k="):
+            self.run(k=k)
+
+    def test_list_longer_than_catalog(self):
+        params = SimParams(
+            P=self.params.P, Q=self.params.Q[:3], w_r=self.params.w_r[:3],
+            X=self.params.X, Y=self.params.Y[:3], w_s=self.params.w_s,
+        )
+        with pytest.raises(ValueError, match="list_len"):
+            self.run(params=params)
+
+    def test_empty_users(self):
+        batch, episodes = self.run(users=[])
+        assert len(batch) == 0 and episodes == []
+
+
+def reference_surrogate(policy, episodes, baseline):
+    """Per-episode accumulation of the REINFORCE surrogate's gradients."""
+    grads = {k: np.zeros_like(v) for k, v in policy.params().items()}
+    value = 0.0
+    std = np.exp(policy.log_std)
+    for ep in episodes:
+        weight = ep.reward - baseline
+        pre = policy.W1 @ ep.user_embed + policy.b1
+        h = np.maximum(pre, 0.0)
+        mu = policy.W2 @ h + policy.b2
+        value += weight * policy.log_prob(ep.user_embed, ep.action)
+        dmu = weight * (ep.action - mu) / std**2
+        grads["W2"] += np.outer(dmu, h)
+        grads["b2"] += dmu
+        dpre = (policy.W2.T @ dmu) * (pre > 0)
+        grads["W1"] += np.outer(dpre, ep.user_embed)
+        grads["b1"] += dpre
+        grads["log_std"] += weight * (((ep.action - mu) / std) ** 2 - 1.0)
+    return value, grads
+
+
+def test_surrogate_matches_per_episode_sum():
+    policy = GaussianPolicy(4, 6, RandomStream(3))
+    episodes = make_episodes(policy, RandomStream(4).normal(25), seed=5)
+    value, grads = surrogate_loss_grads(policy, episodes, 0.3)
+    ref_value, ref_grads = reference_surrogate(policy, episodes, 0.3)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    for name, grad in ref_grads.items():
+        np.testing.assert_allclose(grads[name], grad, rtol=1e-12, atol=1e-13)
+
+
+# sha256 of batches.tsv from a tiny pipeline, computed with the per-episode
+# engine: any change to the engine's draws, lists or samples shows here.
+PINNED_BATCHES = [
+    ({}, "5fb58e43b231365d606c3f88931bb5f5dc51769504cd42fca5e6d70f38592b8a"),
+    (
+        {"target.objective": "pointwise", "target.kind": "neumf"},
+        "a92a91695a396ff479d723cf3b368997b9461e15aa4b2d7777a94a345ca094ff",
+    ),
+    (
+        {"intervention.noise_control": "false"},
+        "90a80bebf6448ca4e8cb7d01ef3cb4974b0fca3f2efd30913f10ce73860c41b9",
+    ),
+    (
+        {"target.objective": "pointwise", "intervention.mode": "random"},
+        "495073dfd10083ffd936954e299bbb726706dd59b17a5b4546979f1b92f42bd3",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", PINNED_BATCHES)
+def test_pipeline_batches_pinned(tmp_path, overrides, digest):
+    tiny = {
+        "seed": "5", "synth.n_users": "40", "synth.n_items": "30", "synth.d": "6",
+        "simulator.d_r": "8", "simulator.d_s": "8", "simulator.epochs": "4",
+        "posterior.epochs": "15", "target.d": "8", "target.epochs": "6",
+        "intervention.rounds": "1", "intervention.actions": "1",
+        "intervention.k": "2", "intervention.pretrain_episodes": "3",
+        "intervention.pretrain_steps": "6",
+    }
+    run_pipeline(load_config(overrides={**tiny, **overrides}), str(tmp_path))
+    data = (tmp_path / "batches.tsv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -50,6 +50,18 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax([0.0, float("nan")])
 
+    def test_rows_match_single_calls(self):
+        rs = RandomStream(4)
+        for width in (1, 5, 9, 300):
+            rows = rs.normal((6, width)) * 20
+            out = softmax(rows)
+            for row, got in zip(rows, out):
+                assert got.tolist() == softmax(row).tolist()
+
+    def test_rows_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            softmax([[0.0, 1.0], [float("inf"), 0.0]])
+
 
 class TestRandomStream:
     def test_equal_seeds_equal_sequences(self):

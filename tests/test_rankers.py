@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrank.corpus import InteractionLog, Record
-from cfrank.mathcore import RandomStream, finite_diff_check, sigmoid
+from cfrank.mathcore import RandomStream, TrainingError, finite_diff_check, sigmoid
 from cfrank.rankers import (
     GRADIENT_KINDS,
+    _sample_negatives,
     ItemKnn,
     ItemPop,
     RankerHyper,
@@ -280,3 +283,62 @@ class TestPersistence:
         if kind == "itemknn":
             again.user_positives = model.user_positives
         np.testing.assert_array_equal(model.score_batch(u, i), again.score_batch(u, i))
+
+
+def reference_sample_negatives(user_positives, users, n_items, stream):
+    """Rejection with one Python set lookup per row and pass."""
+    neg = stream.integers(0, n_items, len(users))
+    for _ in range(1000):
+        bad = np.array(
+            [item in user_positives[u] for u, item in zip(users, neg)], dtype=bool
+        )
+        if not bad.any():
+            return neg
+        neg[bad] = stream.integers(0, n_items, int(bad.sum()))
+    raise TrainingError("negative sampling failed; users with no negatives left")
+
+
+class TestSampleNegatives:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 60),
+    )
+    def test_matches_set_lookup(self, n_items, n_users, seed, n_rows):
+        rs = RandomStream(seed)
+        # up to all but one item positive per user, some users with none
+        user_positives = [
+            set(rs.choice(n_items, int(rs.integers(0, n_items)), replace=False))
+            for _ in range(n_users)
+        ]
+        users = rs.integers(0, n_users, n_rows)
+        a, b = RandomStream(seed + 1), RandomStream(seed + 1)
+        got = _sample_negatives(user_positives, users, n_items, a)
+        want = reference_sample_negatives(user_positives, users, n_items, b)
+        np.testing.assert_array_equal(got, want)
+        assert a.normal(2).tolist() == b.normal(2).tolist()
+
+    def test_exhausted_user_fails(self):
+        with pytest.raises(TrainingError, match="negative sampling failed"):
+            _sample_negatives([{0, 1, 2}], np.zeros(3, np.int64), 3, RandomStream(1))
+
+
+class TestBlockLosses:
+    def test_row_blocks_sum_like_single_calls(self):
+        model = make_model("bpr-mf", 5, 9, 4, RandomStream(2))
+        rs = RandomStream(3)
+        users = rs.integers(0, 5, (6, 7, 1))
+        triplets = np.concatenate([users, rs.integers(0, 9, (6, 7, 2))], axis=2)
+        points = np.concatenate(
+            [users, rs.integers(0, 9, (6, 7, 1)), rs.integers(0, 2, (6, 7, 1))], axis=2
+        )
+        for loss, rows in ((loss_pairwise, triplets), (loss_pointwise, points)):
+            per_block = loss(model, rows)
+            assert per_block.shape == (6,)
+            assert per_block.tolist() == [loss(model, block) for block in rows]
+            assert isinstance(loss(model, rows[0]), float)
+            assert loss(model, rows.reshape(2, 3, 7, 3)).shape == (2, 3)
+            empty = np.zeros((4, 0, 3), dtype=np.int64)
+            assert loss(model, empty).tolist() == [0.0] * 4
