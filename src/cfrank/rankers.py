@@ -46,18 +46,10 @@ class TrainBatchSource:
 
     @classmethod
     def from_log(cls, log: InteractionLog) -> "TrainBatchSource":
-        rows = []
-        for rec in log.records:
-            for item in rec.selected:
-                rows.append((rec.user, item))
-        positives = (
-            np.array(rows, dtype=np.int64)
-            if rows
-            else np.zeros((0, 2), dtype=np.int64)
-        )
+        rows, slots = np.nonzero(log.labels == 1)
         return cls(
             origin="observed",
-            positives=positives,
+            positives=np.stack([log.users[rows], log.items[rows, slots]], axis=1),
             user_positives=log.positives_by_user(),
         )
 
@@ -285,11 +277,8 @@ class ItemPop(RankingModel):
         self.counts = np.zeros(n_items)
 
     def fit(self, log: InteractionLog) -> "ItemPop":
-        counts = np.zeros(self.n_items)
-        for rec in log.records:
-            for item in rec.selected:
-                counts[item] += 1
-        self.counts = counts
+        selected = log.items[log.labels == 1]
+        self.counts = np.bincount(selected, minlength=self.n_items).astype(np.float64)
         self.user_positives = log.positives_by_user()
         return self
 
@@ -312,9 +301,8 @@ class ItemKnn(RankingModel):
         self.user_positives = log.positives_by_user()
         if sim is None:
             mat = np.zeros((self.n_users, self.n_items))
-            for u, pos in enumerate(self.user_positives):
-                for item in pos:
-                    mat[u, item] = 1.0
+            rows, slots = np.nonzero(log.labels == 1)
+            mat[log.users[rows], log.items[rows, slots]] = 1.0
             norms = np.linalg.norm(mat, axis=0)
             norms[norms == 0] = 1.0
             sim = (mat / norms).T @ (mat / norms)

@@ -186,20 +186,23 @@ class _LogArrays:
 
 
 def _log_arrays(log: InteractionLog, list_len=None) -> _LogArrays:
+    """The log's columns as trainer arrays. `users` is the log's own column
+    and so is `items` unless `list_len` differs from the log's width, in
+    which case items and labels are copied into `list_len` padded slots."""
     k = list_len if list_len is not None else log.list_len
-    n = len(log.records)
-    users = np.zeros(n, dtype=np.int64)
-    items = np.zeros((n, k), dtype=np.int64)
-    mask = np.zeros((n, k), dtype=bool)
-    sel = np.zeros((n, k))
-    for idx, rec in enumerate(log.records):
-        users[idx] = rec.user
-        m = len(rec.items)
-        items[idx, :m] = rec.items
-        mask[idx, :m] = True
-        sel[idx, :m] = rec.labels
+    if k < log.list_len:
+        raise ValueError(f"list_len={k} is below the log's longest list ({log.list_len})")
+    items, labels = log.items, log.labels
+    if items.shape[1] != k:
+        width = min(k, items.shape[1])
+        items = np.zeros((log.n_records, k), dtype=np.int64)
+        labels = np.zeros((log.n_records, k), dtype=np.int64)
+        items[:, :width] = log.items[:, :width]
+        labels[:, :width] = log.labels[:, :width]
+    mask = np.arange(k) < log.lengths[:, None]
+    sel = labels.astype(np.float64)
     return _LogArrays(
-        users, items, mask, sel, sel.sum(axis=1), k, log.n_users, log.n_items
+        log.users, items, mask, sel, sel.sum(axis=1), k, log.n_users, log.n_items
     )
 
 
@@ -299,13 +302,13 @@ def train_impression_model(
     P = 0.1 * init.normal((arrays.n_users, hyper.d_r))
     Q = 0.1 * init.normal((arrays.n_items, hyper.d_r))
     w_r = np.full(arrays.n_items, 0.1)
-    if hyper.epochs == 0 or len(log.records) == 0:
+    if hyper.epochs == 0 or log.n_records == 0:
         return SimParams(P=P, Q=Q, w_r=w_r)
 
     shown_keys = _shown_keys(arrays)
     opt = AdamGroup({"P": P, "Q": Q, "w": w_r}, lr=hyper.lr)
     for epoch in range(hyper.epochs):
-        order = stream.permutation(len(log.records))
+        order = stream.permutation(log.n_records)
         epoch_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
             idx = order[start : start + hyper.batch_size]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .corpus import InteractionLog, Record
+from .corpus import InteractionLog
 from .mathcore import RandomStream, sigmoid, softmax
 
 FEEDBACK_MODES = ("linear", "nonlinear")
@@ -216,15 +216,18 @@ def emit_dataset(
     Impressions and label noise draw from separate per-user substreams, so
     the two feedback modes see identical impression lists for a given seed.
     Per user, the lists come from one `_draw_lists` block (see
-    `sample_impressions`) and the labels from one array expression; the
-    noise is one (n_lists, list_len) normal draw, in the slot order a
-    per-slot loop would draw it. The item half of the kappa features is
-    computed once for all users.
+    `sample_impressions`) and the labels from one array expression, both
+    written straight into the log's columns; the noise is one
+    (n_lists, list_len) normal draw, in the slot order a per-slot loop would
+    draw it. The item half of the kappa features is computed once for all
+    users.
     """
     _check_mode(mode)
     _check_list_shape(world, n_lists, list_len)
     tables = _kappa_tables(world)
-    records = []
+    n = world.n_users * n_lists
+    item_col = np.empty((n, list_len), dtype=np.int64)
+    label_col = np.empty((n, list_len), dtype=np.int64)
     for u in range(world.n_users):
         imp_stream = stream.substream(f"impressions/{u}")
         x1, x2 = _scores(world, u, tables)
@@ -234,10 +237,17 @@ def emit_dataset(
         if world.noise_std > 0:
             noise_stream = stream.substream(f"labels/{u}")
             shown = shown + world.noise_std * noise_stream.normal((n_lists, list_len))
-        labels = (shown - 0.5 > 0).astype(np.int64)
-        for row_items, row_labels in zip(items.tolist(), labels.tolist()):
-            records.append(Record(u, row_items, row_labels))
-    return InteractionLog(world.n_users, world.n_items, records).validate()
+        block = slice(u * n_lists, (u + 1) * n_lists)
+        item_col[block] = items
+        label_col[block] = shown - 0.5 > 0
+    return InteractionLog(
+        world.n_users,
+        world.n_items,
+        np.repeat(np.arange(world.n_users, dtype=np.int64), n_lists),
+        item_col,
+        label_col,
+        np.full(n, list_len, dtype=np.int64),
+    ).validate()
 
 
 def save_world(world: SyntheticWorld, path) -> None:

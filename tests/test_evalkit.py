@@ -54,7 +54,7 @@ def simple_split(n_users=5, n_items=30):
     records = []
     for u in range(n_users):
         records.append(Record(u, [2 * u, 2 * u + 1, 2 * u + 2], [1, 1, 0]))
-    log = InteractionLog(n_users, n_items, records).validate()
+    log = InteractionLog.from_records(n_users, n_items, records).validate()
     return leave_one_out_split(log, RandomStream(10))
 
 
@@ -79,7 +79,7 @@ class TestEvaluate:
         assert report.hr == 0.0 and report.ndcg == 0.0
 
     def test_empty_test_flagged(self):
-        log = InteractionLog(2, 4, [Record(0, [0, 1], [1, 0])]).validate()
+        log = InteractionLog.from_records(2, 4, [Record(0, [0, 1], [1, 0])]).validate()
         split = leave_one_out_split(log, RandomStream(1))
         model = FixedScorer(2, 4, np.zeros(4))
         report = evaluate(model, split, n=2)
@@ -109,7 +109,7 @@ class TestEvaluate:
         records = [
             Record(u, [u % n_items, (u + 1) % n_items], [1, 1]) for u in range(n_users)
         ]
-        log = InteractionLog(n_users, n_items, records).validate()
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
         split = leave_one_out_split(log, RandomStream(42))
         model = make_model("bpr-mf", n_users, n_items, 8, RandomStream(77))
         report = evaluate(model, split, 10, "sampled:99", RandomStream(11))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrank.corpus import InteractionLog, Record
+from log_strategies import valid_logs
 from cfrank.mathcore import RandomStream, TrainingError, finite_diff_check, sigmoid
 from cfrank.rankers import (
     GRADIENT_KINDS,
@@ -28,7 +29,7 @@ from cfrank.rankers import (
 
 
 def small_log():
-    return InteractionLog(
+    return InteractionLog.from_records(
         3,
         6,
         [
@@ -342,3 +343,58 @@ class TestBlockLosses:
             assert loss(model, rows.reshape(2, 3, 7, 3)).shape == (2, 3)
             empty = np.zeros((4, 0, 3), dtype=np.int64)
             assert loss(model, empty).tolist() == [0.0] * 4
+
+
+def reference_from_log(log):
+    """Observed (user, item) positives in record and slot order."""
+    rows = []
+    for rec in log.records:
+        for item in rec.selected:
+            rows.append((rec.user, item))
+    return np.array(rows, dtype=np.int64) if rows else np.zeros((0, 2), dtype=np.int64)
+
+
+def reference_interaction_matrix(log):
+    mat = np.zeros((log.n_users, log.n_items))
+    for rec in log.records:
+        for item in rec.selected:
+            mat[rec.user, item] = 1.0
+    return mat
+
+
+class TestFitsMatchRecordLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=valid_logs())
+    def test_from_log_and_item_counts(self, drawn):
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        source = TrainBatchSource.from_log(log)
+        want = reference_from_log(log)
+        assert source.positives.dtype == want.dtype
+        assert source.positives.shape == want.shape
+        assert np.array_equal(source.positives, want)
+        assert source.user_positives == log.positives_by_user()
+        pop = ItemPop(n_users, n_items).fit(log)
+        assert pop.counts.dtype == np.float64
+        assert np.array_equal(pop.counts, reference_interaction_counts(log))
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=valid_logs(), neighborhood=st.integers(1, 9))
+    def test_itemknn_similarity(self, drawn, neighborhood):
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        model = ItemKnn(n_users, n_items, neighborhood).fit(log)
+        mat = reference_interaction_matrix(log)
+        norms = np.linalg.norm(mat, axis=0)
+        norms[norms == 0] = 1.0
+        sim = (mat / norms).T @ (mat / norms)
+        want = ItemKnn(n_users, n_items, neighborhood).fit(log, sim=sim)
+        assert np.array_equal(model.sim, want.sim)
+
+
+def reference_interaction_counts(log):
+    counts = np.zeros(log.n_items)
+    for rec in log.records:
+        for item in rec.selected:
+            counts[item] += 1
+    return counts

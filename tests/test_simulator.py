@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfrank.corpus import InteractionLog, Record, load_mind_behaviors
+from log_strategies import valid_logs
 from cfrank.mathcore import RandomStream, logsumexp, sigmoid, softplus
 from cfrank.simulator import (
     ImpressionHyper,
@@ -103,7 +104,7 @@ class TestElementaryProbs:
 
 
 def always_item_zero_log(n_records=30):
-    return InteractionLog(
+    return InteractionLog.from_records(
         1, 2, [Record(0, [0], [1]) for _ in range(n_records)]
     ).validate()
 
@@ -160,7 +161,7 @@ class TestImpressionTraining:
 
 
 def slot_zero_log(n_records=30):
-    return InteractionLog(
+    return InteractionLog.from_records(
         1, 3, [Record(0, [0, 1, 2], [1, 0, 0]) for _ in range(n_records)]
     ).validate()
 
@@ -189,7 +190,7 @@ class TestSelectionTraining:
         assert np.allclose(gX, 0) and np.allclose(gY, 0) and np.allclose(gw, 0)
 
     def test_empty_selection_records_skipped(self):
-        log = InteractionLog(
+        log = InteractionLog.from_records(
             1, 3, [Record(0, [0, 1, 2], [0, 0, 0])] * 4 + [Record(0, [0, 1, 2], [1, 0, 0])]
         ).validate()
         hyper = SelectionHyper(d_s=2, epochs=3)
@@ -338,7 +339,7 @@ class TestRecordNegatives:
             length = int(rs.integers(1, 8))  # up to 7 of 9 items shown
             items = rs.permutation(n_items)[:length].tolist()
             records.append(Record(r % 6, items, [0] * length))
-        arrays = _log_arrays(InteractionLog(6, n_items, records).validate())
+        arrays = _log_arrays(InteractionLog.from_records(6, n_items, records).validate())
         dense = np.zeros((len(records), n_items), dtype=bool)
         for r, rec in enumerate(records):
             dense[r, rec.items] = True
@@ -356,6 +357,48 @@ class TestRecordNegatives:
             want = reference_sample_record_negatives(dense, rows, 12, n_items, theirs)
             assert np.array_equal(got, want)
             assert not dense[rows[:, None], got].any()
+
+
+def reference_log_arrays(log, list_len=None):
+    """(users, items, mask, sel, n_sel, list_len) filled record by record."""
+    records = log.records
+    k = list_len if list_len is not None else log.list_len
+    n = len(records)
+    users = np.zeros(n, dtype=np.int64)
+    items = np.zeros((n, k), dtype=np.int64)
+    mask = np.zeros((n, k), dtype=bool)
+    sel = np.zeros((n, k))
+    for idx, rec in enumerate(records):
+        users[idx] = rec.user
+        m = len(rec.items)
+        items[idx, :m] = rec.items
+        mask[idx, :m] = True
+        sel[idx, :m] = rec.labels
+    return users, items, mask, sel, sel.sum(axis=1), k
+
+
+class TestLogArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=valid_logs(), extra=st.one_of(st.none(), st.integers(0, 3)))
+    def test_matches_record_loop(self, drawn, extra):
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        list_len = None if extra is None else log.list_len + extra
+        arrays = _log_arrays(log, list_len)
+        want = reference_log_arrays(log, list_len)
+        got = (arrays.users, arrays.items, arrays.mask, arrays.sel, arrays.n_sel)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert arrays.list_len == want[5]
+        assert (arrays.n_users, arrays.n_items) == (n_users, n_items)
+        if records:  # the columns are viewed, not copied
+            assert arrays.users is log.users
+            assert (arrays.items is log.items) == (not extra)
+
+    def test_rejects_short_list_len(self):
+        log = InteractionLog.from_records(1, 3, [Record(0, [0, 1, 2], [1, 0, 0])])
+        with pytest.raises(ValueError, match="below the log"):
+            _log_arrays(log, list_len=2)
 
 
 class TestLossMonotone:
@@ -376,7 +419,7 @@ class TestLossMonotone:
         return loss
 
     def test_median_loss_nonincreasing(self):
-        world_log = InteractionLog(
+        world_log = InteractionLog.from_records(
             4,
             10,
             [
@@ -424,7 +467,7 @@ def two_slot_params():
 
 
 def two_slot_log(n_records=20):
-    return InteractionLog(
+    return InteractionLog.from_records(
         1, 2, [Record(0, [0, 1], [1, 0]) for _ in range(n_records)]
     ).validate()
 
@@ -434,7 +477,7 @@ class TestPosterior:
         params = two_slot_params()
         post = fit_posterior(
             params,
-            InteractionLog(1, 2, []),
+            InteractionLog.from_records(1, 2, []),
             PosteriorHyper(epochs=50, mc_samples=4),
             RandomStream(2),
         )
@@ -493,7 +536,7 @@ class TestPosterior:
 
         rs = RandomStream(41)
         params = rand_params(2, 4, 2, d=2, seed=13)
-        log = InteractionLog(
+        log = InteractionLog.from_records(
             2, 4, [Record(0, [0, 1], [1, 0]), Record(1, [2, 3], [0, 1])]
         ).validate()
         arrays = _log_arrays(log)
@@ -617,7 +660,7 @@ class TestCachedElbo:
 
     def test_empty_log(self):
         params = rand_params(3, 5, 2, seed=4)
-        self.check(params, InteractionLog(3, 5, []))
+        self.check(params, InteractionLog.from_records(3, 5, []))
 
 
 class TestCounterfactualSelect:
