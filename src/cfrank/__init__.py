@@ -26,8 +26,6 @@ from .intervention import (
     Episode,
     GaussianPolicy,
     build_samples,
-    build_samples_unfiltered,
-    policy_sample,
     pretrain_policy,
     random_list,
     realize_list,
@@ -40,7 +38,6 @@ from .mathcore import (
     TrainingError,
     adam_step,
     finite_diff_check,
-    sample_gaussian,
     softmax,
 )
 from .rankers import (
@@ -62,8 +59,6 @@ from .simulator import (
     counterfactual_select,
     fit_posterior,
     impression_logit,
-    prob_list,
-    prob_select,
     slot_probs,
     train_impression_model,
     train_selection_model,

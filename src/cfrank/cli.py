@@ -295,6 +295,12 @@ def _ranker_hyper(cfg, lr=None, epochs=None):
     )
 
 
+def _trainer(objective):
+    if objective == "pairwise":
+        return rankers.train_pairwise
+    return rankers.train_pointwise
+
+
 def stage_train_target(cfg, out):
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
@@ -307,12 +313,9 @@ def stage_train_target(cfg, out):
     )
     if model.trainable:
         source = rankers.TrainBatchSource.from_log(train)
-        trainer = (
-            rankers.train_pairwise
-            if cfg["target.objective"] == "pairwise"
-            else rankers.train_pointwise
+        _trainer(cfg["target.objective"])(
+            model, [source], _ranker_hyper(cfg), stream.substream("train")
         )
-        trainer(model, [source], _ranker_hyper(cfg), stream.substream("train"))
     else:
         model.fit(train)
     rankers.save_model(model, _artifact(out, "target.txt"))
@@ -389,11 +392,7 @@ def stage_intervene(cfg, out):
         all_batches.extend(batch)
         if len(batch) == 0:
             continue
-        cf_source = (
-            rankers.TrainBatchSource(origin="counterfactual", triplets=batch.rows())
-            if mode == "pairwise"
-            else rankers.TrainBatchSource(origin="counterfactual", points=batch.rows())
-        )
+        cf_source = rankers.TrainBatchSource(origin="counterfactual", rows=batch.rows())
         mix_stream = stream.substream(f"mix{rnd}")
         take = min(len(batch), n_pos)
         picked = mix_stream.choice(n_pos, size=take, replace=False)
@@ -402,10 +401,7 @@ def stage_intervene(cfg, out):
             positives=observed.positives[np.sort(picked)],
             user_positives=observed.user_positives,
         )
-        trainer = (
-            rankers.train_pairwise if mode == "pairwise" else rankers.train_pointwise
-        )
-        trainer(
+        _trainer(mode)(
             target,
             [cf_source, obs_sample],
             _ranker_hyper(

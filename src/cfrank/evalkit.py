@@ -54,7 +54,13 @@ def _candidate_sets(split: SplitPair, candidate_policy: str, stream):
             out.append([i for i in range(n_items) if i not in exclude])
         return out
     if candidate_policy.startswith("sampled:"):
-        m = int(candidate_policy.split(":", 1)[1])
+        size = candidate_policy.split(":", 1)[1]
+        if not (size.isdecimal() and int(size) >= 1):
+            raise ValueError(
+                f"candidate policy {candidate_policy!r}: the sample size must be "
+                "an integer >= 1"
+            )
+        m = int(size)
         if stream is None:
             raise ValueError("sampled candidate policy needs a random stream")
         for user, truth in split.test:

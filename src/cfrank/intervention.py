@@ -152,26 +152,6 @@ class CounterfactualBatch:
         return batch
 
 
-def policy_sample(
-    policy: GaussianPolicy, user_embed, stream: RandomStream, explore_std: float = 0.0
-):
-    """Draw an action and its log-density; optionally add exploration noise.
-
-    Returns (tau, action, logprob): `action` is the policy's own draw and the
-    log-density refers to it, `tau` adds the exploration perturbation and is
-    what downstream list realization should use.
-    """
-    user_embed = np.asarray(user_embed, dtype=np.float64)
-    mu = policy.mean(user_embed)
-    std = np.exp(policy.log_std)
-    action = mu + std * stream.normal(policy.d)
-    tau = action.copy()
-    if explore_std > 0:
-        tau = tau + explore_std * stream.normal(policy.d)
-    logprob = policy.log_prob(user_embed, action)
-    return tau, action, logprob
-
-
 def realize_list(params: SimParams, tau, alpha, list_len: int):
     """The `list_len` items scoring highest against the center tau.
 
@@ -237,8 +217,9 @@ def _block_samples(users, items, probs, order, mode, k, noise_control):
     k top-ranked slots are the selected side and the k bottom-ranked ones
     the rejected side; without it the k top-ranked slots (the simulator's
     selected set) face all other slots, both sides in slot order. Every row
-    yields the same r, so rows are built by index arithmetic in the order
-    of the per-list loops of `build_samples` / `build_samples_unfiltered`.
+    yields the same r, so rows are built by index arithmetic, in the order
+    a per-list loop emits them: pairs with the selected side outer, points
+    with the selected side first.
     """
     n_slots = items.shape[1]
     if noise_control:
@@ -302,39 +283,6 @@ def build_samples(
         mode, k, noise_control=True,
     )
     return _batch_from_block(mode, rows, conf, [provenance])
-
-
-def build_samples_unfiltered(
-    user: int, items, selected, mode: str, slot_probs=None, provenance: str = ""
-) -> CounterfactualBatch:
-    """All selected-vs-rest samples from one labeled list, no filtering."""
-    if mode not in SAMPLE_MODES:
-        raise ValueError(f"unknown sample mode {mode!r}")
-    selected = list(selected)
-    if not set(selected) <= set(items):
-        raise ValueError("selected items must come from the realized list")
-    rest = [i for i in items if i not in selected]
-    probs = {
-        item: float(p)
-        for item, p in zip(items, np.asarray(slot_probs, dtype=np.float64))
-    } if slot_probs is not None else {}
-    batch = CounterfactualBatch(mode=mode)
-    if mode == "pairwise":
-        for i in selected:
-            for j in rest:
-                batch.triplets.append((user, i, j))
-                batch.confidences.append(probs.get(i, 1.0) - probs.get(j, 0.0))
-                batch.provenance.append(provenance)
-    else:
-        for i in selected:
-            batch.points.append((user, i, 1))
-            batch.confidences.append(probs.get(i, 1.0))
-            batch.provenance.append(provenance)
-        for j in rest:
-            batch.points.append((user, j, 0))
-            batch.confidences.append(1.0 - probs.get(j, 0.0))
-            batch.provenance.append(provenance)
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +396,13 @@ def run_intervention_round(
     Episodes run in blocks of BLOCK_ENTRIES // n_items. A policy block makes
     one draw, stream.normal((b, n_items + d [+ d] + K)): row e holds episode
     e's alpha noise, action noise, exploration noise (only if explore_std >
-    0) and beta noise, the widths and order in which one episode used to
-    call sample_alpha, policy_sample and counterfactual_select. Philox fills
-    a (b, w) draw from the same sequence as b draws of width w, so the
-    stream is consumed exactly as by a per-episode loop. The random source
-    draws alpha, list and beta per episode, since its `choice` sits between
-    the normals. The rest is one kernel per block: `realize_list`, the slot
-    softmax, `_block_samples`, and one `loss_*` call whose per-episode sums
-    are the rewards.
+    0) and beta noise, the widths and order in which a per-episode loop
+    draws them. Philox fills a (b, w) draw from the same sequence as b
+    draws of width w, so the stream is consumed exactly as by that loop.
+    The random source draws alpha, list and beta per episode, since its
+    `choice` sits between the normals. The rest is one kernel per block:
+    `realize_list`, the slot softmax, `_block_samples`, and one `loss_*`
+    call whose per-episode sums are the rewards.
     """
     users = _check_round(
         policy, params, users, actions_per_user, mode, k, list_source

@@ -1,15 +1,16 @@
 """Deterministic numeric kernel shared by every learning module.
 
 Seeded counter-based random streams, stable softmax/sigmoid helpers, a
-lazy Adam optimizer for sparse embedding gradients, and a central-difference
-gradient checker. Everything here is pure given its inputs; a RandomStream
+lazy Adam optimizer for sparse embedding gradients with the one shuffled
+minibatch loop every trainer runs, and a central-difference gradient
+checker. Everything here is pure given its inputs; a RandomStream
 is the only stateful object and is never shared between concurrent tasks.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,19 +98,6 @@ def softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
-def log_sigmoid(x):
-    return -softplus(-np.asarray(x, dtype=np.float64))
-
-
-def sample_gaussian(stream: RandomStream, mean, std) -> np.ndarray:
-    """Draw from N(mean, diag(std^2)); std may be zero (degenerate)."""
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    if np.any(std < 0):
-        raise ValueError("negative standard deviation")
-    return mean + std * stream.normal(mean.shape if mean.shape else None)
-
-
 @dataclass
 class AdamState:
     """Moment estimates and hyperparameters for one parameter array."""
@@ -175,6 +163,39 @@ class AdamGroup:
 
     def step(self, params: dict, grads: dict) -> dict:
         return {k: adam_step(self.states[k], params[k], grads[k]) for k in params}
+
+
+def minibatch_adam(
+    params: dict, epoch_rows, loss_grad, lr, batch_size, epochs, stream, what
+) -> dict:
+    """Shuffled minibatch Adam over a dict of parameter arrays; returns the
+    final parameters.
+
+    `epoch_rows(epoch)` gives each epoch's rows. An epoch without rows is
+    skipped and draws nothing; otherwise one `stream.permutation` shuffles
+    them, and each slice of `batch_size` rows gets one `loss_grad(params,
+    batch) -> (loss, grads)` call and one Adam step. A non-finite epoch
+    loss raises TrainingError naming `what`.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size={batch_size} must be >= 1")
+    if epochs < 0:
+        raise ValueError(f"epochs={epochs} must be >= 0")
+    opt = AdamGroup(params, lr=lr)
+    for epoch in range(epochs):
+        rows = epoch_rows(epoch)
+        if len(rows) == 0:
+            continue
+        rows = rows[stream.permutation(len(rows))]
+        epoch_loss = 0.0
+        for start in range(0, len(rows), batch_size):
+            loss, grads = loss_grad(params, rows[start : start + batch_size])
+            epoch_loss += loss
+            params = opt.step(params, grads)
+            del grads  # freed before the next batch allocates its own
+        if not np.isfinite(epoch_loss):
+            raise TrainingError(f"{what} diverged at epoch {epoch}")
+    return params
 
 
 def finite_diff_check(loss, params, analytic_grad, h: float = 1e-4) -> float:

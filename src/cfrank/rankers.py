@@ -1,20 +1,24 @@
 """Target ranking models and their pairwise/pointwise objectives.
 
 Gradient-trainable kinds (bpr-mf, gmf, mlp, neumf) carry hand-derived
-backward passes; itempop and itemknn are fit directly from counts. The
-pairwise objective is the log-sigmoid margin loss, the pointwise one is
-sigmoid cross-entropy; both are exposed as pure loss evaluations so other
-components can use them as rewards.
+backward passes. `train_pairwise` and `train_pointwise` are two entries
+into one trainer: it assembles each epoch's rows from the training sources
+and runs the shared minibatch Adam loop of `mathcore`. itempop is fit from
+selection counts and itemknn from item-item cosine similarity. The pairwise
+objective is the log-sigmoid margin loss and the pointwise one is sigmoid
+cross-entropy; `loss_pairwise`/`loss_pointwise` evaluate them without an
+update, which the intervention engine uses as episode rewards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .corpus import InteractionLog
-from .mathcore import AdamGroup, RandomStream, TrainingError, sigmoid, softplus
+from .mathcore import RandomStream, TrainingError, minibatch_adam, sigmoid, softplus
 
 GRADIENT_KINDS = ("bpr-mf", "gmf", "mlp", "neumf")
 ALL_KINDS = GRADIENT_KINDS + ("itempop", "itemknn")
@@ -35,13 +39,13 @@ class TrainBatchSource:
 
     Observed sources carry (user, item) positives; negatives are resampled
     every epoch from the items the user never selected. Counterfactual
-    sources carry ready-made triplets (pairwise) or labeled points.
+    sources carry ready-made rows: (user, pos, neg) triplets for pairwise
+    training, (user, item, label) points for pointwise training.
     """
 
     origin: str  # "observed" | "counterfactual"
     positives: np.ndarray | None = None  # (n, 2) user, item
-    triplets: np.ndarray | None = None  # (n, 3) user, pos, neg
-    points: np.ndarray | None = None  # (n, 3) user, item, label
+    rows: np.ndarray | None = None  # (n, 3) triplets or points
     user_positives: list | None = None
 
     @classmethod
@@ -455,31 +459,6 @@ def _sample_negatives(user_positives, users, n_items, stream):
     raise TrainingError("negative sampling failed; users with no negatives left")
 
 
-def _register_observed(model, sources):
-    for src in sources:
-        if src.origin == "observed" and src.user_positives is not None:
-            model.user_positives = src.user_positives
-
-
-def _run_epochs(model, assemble, loss_grad, hyper, stream, n_epochs):
-    opt = AdamGroup(model.params(), lr=hyper.lr)
-    for epoch in range(n_epochs):
-        rows = assemble(epoch)
-        if rows.shape[0] == 0:
-            continue
-        order = stream.permutation(rows.shape[0])
-        rows = rows[order]
-        epoch_loss = 0.0
-        for start in range(0, rows.shape[0], hyper.batch_size):
-            batch = rows[start : start + hyper.batch_size]
-            loss, grads = loss_grad(batch)
-            epoch_loss += loss
-            model.set_params(opt.step(model.params(), grads))
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"non-finite loss at epoch {epoch}")
-    return model
-
-
 def train_pairwise(model, sources, hyper: RankerHyper, stream: RandomStream):
     """Minimize the pairwise margin loss over all sources, in place.
 
@@ -487,83 +466,61 @@ def train_pairwise(model, sources, hyper: RankerHyper, stream: RandomStream):
     the user's never-selected items each epoch; counterfactual sources
     contribute their triplets verbatim.
     """
-    if not model.trainable:
-        raise ValueError(f"{model.kind} does not support gradient training")
-    sources = list(sources)
-    _register_observed(model, sources)
-
-    def assemble(epoch):
-        parts = []
-        for src in sources:
-            if src.origin == "observed":
-                if src.positives is None or src.positives.shape[0] == 0:
-                    continue
-                pos = src.positives
-                for _ in range(hyper.neg_per_pos):
-                    neg = _sample_negatives(
-                        src.user_positives, pos[:, 0], model.n_items, stream
-                    )
-                    parts.append(
-                        np.column_stack([pos[:, 0], pos[:, 1], neg])
-                    )
-            elif src.triplets is not None and src.triplets.shape[0] > 0:
-                parts.append(src.triplets)
-        if not parts:
-            return np.zeros((0, 3), dtype=np.int64)
-        return np.concatenate(parts).astype(np.int64)
-
-    def loss_grad(batch):
-        return pairwise_loss_grad(
-            model, batch[:, 0], batch[:, 1], batch[:, 2], l2=hyper.l2
-        )
-
-    return _run_epochs(model, assemble, loss_grad, hyper, stream, hyper.epochs)
+    return _train(model, sources, hyper, stream, "pairwise")
 
 
 def train_pointwise(model, sources, hyper: RankerHyper, stream: RandomStream):
-    """Minimize the pointwise cross-entropy over all sources, in place."""
+    """Minimize the pointwise cross-entropy over all sources, in place;
+    observed positives are labeled 1 and their resampled negatives 0."""
+    return _train(model, sources, hyper, stream, "pointwise")
+
+
+def _train(model, sources, hyper, stream, mode):
     if not model.trainable:
         raise ValueError(f"{model.kind} does not support gradient training")
     sources = list(sources)
-    _register_observed(model, sources)
+    for src in sources:
+        if src.origin == "observed" and src.user_positives is not None:
+            model.user_positives = src.user_positives
 
-    def assemble(epoch):
+    def epoch_rows(epoch):
         parts = []
         for src in sources:
-            if src.origin == "observed":
-                if src.positives is None or src.positives.shape[0] == 0:
-                    continue
-                pos = src.positives
-                parts.append(
-                    np.column_stack([pos, np.ones(pos.shape[0], dtype=np.int64)])
+            if src.origin != "observed":
+                if src.rows is not None and len(src.rows) > 0:
+                    parts.append(src.rows)
+                continue
+            pos = src.positives
+            if pos is None or len(pos) == 0:
+                continue
+            users = pos[:, 0]
+            if mode == "pointwise":  # the positives, then the negatives
+                parts.append(np.column_stack([pos, np.ones_like(users)]))
+            for _ in range(hyper.neg_per_pos):
+                neg = _sample_negatives(
+                    src.user_positives, users, model.n_items, stream
                 )
-                for _ in range(hyper.neg_per_pos):
-                    neg = _sample_negatives(
-                        src.user_positives, pos[:, 0], model.n_items, stream
-                    )
-                    parts.append(
-                        np.column_stack(
-                            [pos[:, 0], neg, np.zeros(pos.shape[0], dtype=np.int64)]
-                        )
-                    )
-            elif src.points is not None and src.points.shape[0] > 0:
-                parts.append(src.points)
-        if not parts:
-            return np.zeros((0, 3), dtype=np.int64)
-        return np.concatenate(parts).astype(np.int64)
+                if mode == "pairwise":
+                    parts.append(np.column_stack([users, pos[:, 1], neg]))
+                else:
+                    parts.append(np.column_stack([users, neg, np.zeros_like(users)]))
+        return np.concatenate(parts or [np.zeros((0, 3))]).astype(np.int64)
 
-    def loss_grad(batch):
-        return pointwise_loss_grad(
-            model, batch[:, 0], batch[:, 1], batch[:, 2], l2=hyper.l2
-        )
+    def loss_grad(params, batch):
+        model.set_params(params)
+        fn = pairwise_loss_grad if mode == "pairwise" else pointwise_loss_grad
+        return fn(model, batch[:, 0], batch[:, 1], batch[:, 2], l2=hyper.l2)
 
-    return _run_epochs(model, assemble, loss_grad, hyper, stream, hyper.epochs)
+    params = minibatch_adam(
+        model.params(), epoch_rows, loss_grad, hyper.lr, hyper.batch_size,
+        hyper.epochs, stream, "ranker training",
+    )
+    model.set_params(params)
+    return model
 
 
 def save_model(model, path) -> None:
     """Checkpoint a model in the shared plain-text matrix format."""
-    from . import textio
-
     meta = {"kind": model.kind, "n_users": model.n_users, "n_items": model.n_items}
     if model.kind == "itempop":
         arrays = {"counts": model.counts}
@@ -577,9 +534,6 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     """Rebuild a model from a checkpoint; training positives are not stored."""
-    from . import textio
-    from .mathcore import RandomStream
-
     arrays, meta = textio.load_matrices(path)
     kind = meta["kind"]
     n_users, n_items = int(meta["n_users"]), int(meta["n_items"])

@@ -1,12 +1,17 @@
 """Stochastic recommender simulator.
 
 Two learned generative components over the observed impression logs: an
-exposure model (which items get shown to a user, a per-slot softmax over
-the whole catalog with per-item exogenous noise alpha) and a selection
+exposure model (which items get shown to a user, scored P_u . Q_j +
+w_r[j] * alpha[j] with per-item exogenous noise alpha) and a selection
 model (which shown slots the user picks, a within-list softmax with
-per-slot exogenous noise beta). Variational posteriors over alpha and beta
-recover the environment that produced the log, and counterfactual selection
-replays the learned response on lists that were never shown.
+per-slot exogenous noise beta). Both trainers run the minibatch Adam loop
+of `mathcore`. The selection half has one likelihood kernel, shared by its
+trainer and its posterior. The exposure half does not yet: it is trained
+as a logistic likelihood of shown items against sampled unshown ones,
+while the posterior over alpha treats each shown slot as a softmax over
+the whole catalog. Variational posteriors over alpha and beta recover the
+environment that produced the log, and counterfactual selection replays
+the learned response on lists that were never shown.
 
 All gradients are derived by hand and exposed for finite-difference checks.
 """
@@ -26,6 +31,7 @@ from .mathcore import (
     RandomStream,
     TrainingError,
     logsumexp,
+    minibatch_adam,
     sigmoid,
     softmax,
     softplus,
@@ -139,18 +145,6 @@ def impression_logit(params: SimParams, u: int, j: int, alpha) -> float:
     return float(params.P[u] @ params.Q[j] + params.w_r[j] * alpha[j])
 
 
-def impression_logits_all(params: SimParams, u: int, alpha) -> np.ndarray:
-    return params.P[u] @ params.Q.T + params.w_r * np.asarray(alpha)
-
-
-def prob_list(params: SimParams, u: int, items, alpha) -> float:
-    """Probability of showing the ordered list: product of per-slot softmaxes
-    over the whole catalog."""
-    z = impression_logits_all(params, u, alpha)
-    logp = z - logsumexp(z)
-    return float(np.exp(sum(logp[i] for i in items)))
-
-
 def selection_logits(params: SimParams, u: int, items, beta) -> np.ndarray:
     items = np.asarray(items, dtype=np.int64)
     k = len(items)
@@ -161,12 +155,6 @@ def selection_logits(params: SimParams, u: int, items, beta) -> np.ndarray:
 def slot_probs(params: SimParams, u: int, items, beta) -> np.ndarray:
     """Within-list selection probabilities, one per slot, summing to 1."""
     return softmax(selection_logits(params, u, items, beta))
-
-
-def prob_select(params: SimParams, u: int, items, t: int, beta) -> float:
-    if not 0 <= t < len(items):
-        raise ValueError(f"slot index {t} out of range for list of {len(items)}")
-    return float(slot_probs(params, u, items, beta)[t])
 
 
 # ---------------------------------------------------------------------------
@@ -291,82 +279,85 @@ def _sample_record_negatives(shown_keys, rows, n_neg, n_items, stream):
     raise TrainingError("negative sampling failed; a record shows every item")
 
 
+def _check_draws(name, value):
+    if value < 1:
+        raise ValueError(f"{name}={value} must be >= 1")
+
+
+def _mean_over_draws(n_draws, draw_loss_grads, params):
+    """Loss and gradients averaged over `n_draws` calls of
+    `draw_loss_grads() -> (loss, *grads)`, the grads in `params` key order."""
+    total = 0.0
+    grads = {key: np.zeros_like(value) for key, value in params.items()}
+    for _ in range(n_draws):
+        loss, *parts = draw_loss_grads()
+        total += loss
+        for grad, part in zip(grads.values(), parts):
+            grad += part
+    scale = 1.0 / n_draws
+    return total * scale, {key: grad * scale for key, grad in grads.items()}
+
+
 def train_impression_model(
     log: InteractionLog, hyper: ImpressionHyper, stream: RandomStream
 ) -> SimParams:
     """Fit the exposure half (P, Q, w_r) by negative-sampled maximum
     likelihood; the exogenous alpha is redrawn per batch and the loss is
     averaged over `alpha_draws` draws."""
+    _check_draws("alpha_draws", hyper.alpha_draws)
     arrays = _log_arrays(log)
     init = stream.substream("init")
-    P = 0.1 * init.normal((arrays.n_users, hyper.d_r))
-    Q = 0.1 * init.normal((arrays.n_items, hyper.d_r))
-    w_r = np.full(arrays.n_items, 0.1)
-    if hyper.epochs == 0 or log.n_records == 0:
-        return SimParams(P=P, Q=Q, w_r=w_r)
-
     shown_keys = _shown_keys(arrays)
-    opt = AdamGroup({"P": P, "Q": Q, "w": w_r}, lr=hyper.lr)
-    for epoch in range(hyper.epochs):
-        order = stream.permutation(log.n_records)
-        epoch_loss = 0.0
-        for start in range(0, len(order), hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
-            neg = _sample_record_negatives(
-                shown_keys,
-                idx,
-                hyper.neg_per_pos * arrays.list_len,
-                arrays.n_items,
-                stream,
-            )
-            gP = np.zeros_like(P)
-            gQ = np.zeros_like(Q)
-            gw = np.zeros_like(w_r)
-            batch_loss = 0.0
-            for _ in range(hyper.alpha_draws):
-                alpha = stream.normal(arrays.n_items)
-                loss, dP, dQ, dw = _impression_loss_grads(
-                    P,
-                    Q,
-                    w_r,
-                    arrays.users[idx],
-                    arrays.items[idx],
-                    arrays.mask[idx],
-                    neg,
-                    alpha,
-                )
-                batch_loss += loss
-                gP += dP
-                gQ += dQ
-                gw += dw
-            scale = 1.0 / hyper.alpha_draws
-            new = opt.step(
-                {"P": P, "Q": Q, "w": w_r},
-                {"P": gP * scale, "Q": gQ * scale, "w": gw * scale},
-            )
-            P, Q, w_r = new["P"], new["Q"], new["w"]
-            epoch_loss += batch_loss * scale
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"exposure training diverged at epoch {epoch}")
-    return SimParams(P=P, Q=Q, w_r=w_r)
+    records = np.arange(log.n_records)
+
+    def loss_grad(p, idx):
+        neg = _sample_record_negatives(
+            shown_keys, idx, hyper.neg_per_pos * arrays.list_len, arrays.n_items, stream
+        )
+        batch = (arrays.users[idx], arrays.items[idx], arrays.mask[idx], neg)
+        return _mean_over_draws(
+            hyper.alpha_draws,
+            lambda: _impression_loss_grads(
+                p["P"], p["Q"], p["w"], *batch, stream.normal(arrays.n_items)
+            ),
+            p,
+        )
+
+    # the initial arrays are passed without a local name, so each is freed
+    # once the optimizer replaces it
+    params = minibatch_adam(
+        {
+            "P": 0.1 * init.normal((arrays.n_users, hyper.d_r)),
+            "Q": 0.1 * init.normal((arrays.n_items, hyper.d_r)),
+            "w": np.full(arrays.n_items, 0.1),
+        },
+        lambda epoch: records, loss_grad, hyper.lr, hyper.batch_size,
+        hyper.epochs, stream, "exposure training",
+    )
+    return SimParams(P=params["P"], Q=params["Q"], w_r=params["w"])
 
 
 # ---------------------------------------------------------------------------
 # Selection model: exact within-list softmax likelihood of the selected slots
 
 
+def _selection_nll(scores, w_s, beta, mask, sel, n_sel):
+    """Negated selection log-likelihood and its gradient w.r.t. the logits
+    scores + w_s * beta, where `scores` (n, K) holds X[u] . Y[j] per slot
+    and -inf on padding. The trainer and the posterior share this kernel."""
+    k = scores.shape[1]
+    z = scores + (w_s[:k] * beta[:k])[None, :]
+    logp = z - logsumexp(z, axis=1)[:, None]
+    loss = -float(np.sum(sel * np.where(mask, logp, 0.0)))
+    return loss, n_sel[:, None] * np.exp(logp) - sel
+
+
 def _selection_loss_grads(X, Y, w_s, users, items, mask, sel, n_sel, beta):
     """Negated selection likelihood and gradients for one padded batch."""
-    k = items.shape[1]
-    z = np.einsum("bd,bkd->bk", X[users], Y[items]) + (w_s[:k] * beta[:k])[None, :]
-    z = np.where(mask, z, -np.inf)
-    lse = logsumexp(z, axis=1)
-    logp = z - lse[:, None]
-    loss = -float(np.sum(sel * np.where(mask, logp, 0.0)))
-    p = np.where(mask, np.exp(logp), 0.0)
-    dz = n_sel[:, None] * p - sel  # gradient of the negated objective
+    scores = np.where(mask, np.einsum("bd,bkd->bk", X[users], Y[items]), -np.inf)
+    loss, dz = _selection_nll(scores, w_s, beta, mask, sel, n_sel)
     gX, gY = _embedding_grads(X, Y, users, items, dz)
-    gw = (dz * beta[:k][None, :]).sum(axis=0)
+    gw = (dz * beta[: items.shape[1]][None, :]).sum(axis=0)
     return loss, gX, gY, gw
 
 
@@ -378,53 +369,34 @@ def train_selection_model(
     Records with no selected item contribute no likelihood term and are
     skipped; beta is redrawn per batch, averaged over `beta_draws`.
     """
+    _check_draws("beta_draws", hyper.beta_draws)
     arrays = _log_arrays(log)
     init = stream.substream("init")
-    X = 0.1 * init.normal((arrays.n_users, hyper.d_s))
-    Y = 0.1 * init.normal((arrays.n_items, hyper.d_s))
-    w_s = np.full(arrays.list_len, 0.1)
-    keep = arrays.n_sel > 0
-    if hyper.epochs == 0 or not keep.any():
-        return SimParams(X=X, Y=Y, w_s=w_s)
-    kept = np.nonzero(keep)[0]
+    kept = np.nonzero(arrays.n_sel > 0)[0]
 
-    opt = AdamGroup({"X": X, "Y": Y, "w": w_s}, lr=hyper.lr)
-    for epoch in range(hyper.epochs):
-        order = kept[stream.permutation(len(kept))]
-        epoch_loss = 0.0
-        for start in range(0, len(order), hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
-            gX = np.zeros_like(X)
-            gY = np.zeros_like(Y)
-            gw = np.zeros_like(w_s)
-            batch_loss = 0.0
-            for _ in range(hyper.beta_draws):
-                beta = stream.normal(arrays.list_len)
-                loss, dX, dY, dw = _selection_loss_grads(
-                    X,
-                    Y,
-                    w_s,
-                    arrays.users[idx],
-                    arrays.items[idx],
-                    arrays.mask[idx],
-                    arrays.sel[idx],
-                    arrays.n_sel[idx],
-                    beta,
-                )
-                batch_loss += loss
-                gX += dX
-                gY += dY
-                gw += dw
-            scale = 1.0 / hyper.beta_draws
-            new = opt.step(
-                {"X": X, "Y": Y, "w": w_s},
-                {"X": gX * scale, "Y": gY * scale, "w": gw * scale},
-            )
-            X, Y, w_s = new["X"], new["Y"], new["w"]
-            epoch_loss += batch_loss * scale
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"selection training diverged at epoch {epoch}")
-    return SimParams(X=X, Y=Y, w_s=w_s)
+    def loss_grad(p, idx):
+        batch = (
+            arrays.users[idx], arrays.items[idx], arrays.mask[idx],
+            arrays.sel[idx], arrays.n_sel[idx],
+        )
+        return _mean_over_draws(
+            hyper.beta_draws,
+            lambda: _selection_loss_grads(
+                p["X"], p["Y"], p["w"], *batch, stream.normal(arrays.list_len)
+            ),
+            p,
+        )
+
+    params = minibatch_adam(
+        {
+            "X": 0.1 * init.normal((arrays.n_users, hyper.d_s)),
+            "Y": 0.1 * init.normal((arrays.n_items, hyper.d_s)),
+            "w": np.full(arrays.list_len, 0.1),
+        },
+        lambda epoch: kept, loss_grad, hyper.lr, hyper.batch_size,
+        hyper.epochs, stream, "selection training",
+    )
+    return SimParams(X=params["X"], Y=params["Y"], w_s=params["w"])
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +452,10 @@ def _posterior_terms(params: SimParams, arrays: _LogArrays) -> _PosteriorTerms:
 
 def _beta_loglik_grad(terms: _PosteriorTerms, beta):
     """Selection log-likelihood of the log and its gradient w.r.t. beta."""
-    z = terms.base_s + (terms.w_s * beta[: len(terms.w_s)])[None, :]
-    lse = logsumexp(z, axis=1)
-    logp = z - lse[:, None]
-    value = float(np.sum(terms.sel * np.where(terms.mask, logp, 0.0)))
-    dz = terms.sel - terms.n_sel[:, None] * np.exp(logp)
-    grad = (dz * terms.w_s[None, :]).sum(axis=0)
-    return value, grad
+    loss, dz = _selection_nll(
+        terms.base_s, terms.w_s, beta, terms.mask, terms.sel, terms.n_sel
+    )
+    return -loss, -(dz * terms.w_s[None, :]).sum(axis=0)
 
 
 def _alpha_loglik_grad(terms: _PosteriorTerms, alpha):
@@ -568,6 +537,9 @@ def fit_posterior(
     exponential map and floored at 1e-4; hitting the floor is reported once
     as a warning.
     """
+    _check_draws("mc_samples", hyper.mc_samples)
+    if hyper.epochs < 0:
+        raise ValueError(f"epochs={hyper.epochs} must be >= 0")
     k = params.list_len
     n_items = params.n_items
     arrays = _log_arrays(log, list_len=k)

@@ -258,6 +258,27 @@ class TestMainEntry:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_stage_exit_code(self, tmp_path, capsys):
+        code = main(
+            ["pipeline", "--out", str(tmp_path)]
+            + [f"--set={k}={v}" for k, v in TINY.items()]
+            + ["--set=simulator.lr=1e300"]
+        )
+        assert code == 3
+        assert "exposure training diverged" in capsys.readouterr().err
+        assert not (tmp_path / "sim.txt").exists()
+
+    def test_bad_batch_size_fails_the_stage(self, tmp_path, capsys):
+        code = main(
+            ["pipeline", "--out", str(tmp_path)]
+            + [f"--set={k}={v}" for k, v in TINY.items()]
+            + ["--set=target.batch_size=-1"]
+        )
+        assert code == 2
+        assert "stage 'train-target' failed: batch_size=-1" in capsys.readouterr().err
+        assert not (tmp_path / "target.txt").exists()
+
     def test_stage_subcommand(self, tmp_path, capsys):
         code = main(
             ["synth-gen", "--out", str(tmp_path)]

@@ -104,6 +104,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, split, 10, "everything")
 
+    @pytest.mark.parametrize("policy", ["sampled:0", "sampled:-1", "sampled:abc",
+                                        "sampled:", "sampled:2.5"])
+    def test_degenerate_sample_size_rejected(self, policy):
+        split = simple_split()
+        model = FixedScorer(5, 30, np.zeros(30))
+        with pytest.raises(ValueError, match=f"candidate policy '{policy}'"):
+            evaluate(model, split, 10, policy, RandomStream(1))
+
     def test_random_scorer_binomial(self):
         n_users, n_items = 2500, 120
         records = [

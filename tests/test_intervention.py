@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from cfrank import intervention
 from cfrank.cli import load_config, run_pipeline
 from cfrank.intervention import (
+    SAMPLE_MODES,
     CounterfactualBatch,
     Episode,
     GaussianPolicy,
     build_samples,
-    build_samples_unfiltered,
     load_policy,
-    policy_sample,
     pretrain_policy,
     random_list,
     realize_list,
@@ -27,6 +26,63 @@ from cfrank.intervention import (
 from cfrank.mathcore import RandomStream, finite_diff_check
 from cfrank.rankers import loss_pairwise, loss_pointwise, make_model
 from cfrank.simulator import SimParams, VariationalPosterior, counterfactual_select
+
+
+# ---------------------------------------------------------------------------
+# Per-list references for the batched engine
+
+
+def policy_sample(
+    policy: GaussianPolicy, user_embed, stream: RandomStream, explore_std: float = 0.0
+):
+    """Draw an action and its log-density; optionally add exploration noise.
+
+    Returns (tau, action, logprob): `action` is the policy's own draw and the
+    log-density refers to it, `tau` adds the exploration perturbation and is
+    what downstream list realization should use.
+    """
+    user_embed = np.asarray(user_embed, dtype=np.float64)
+    mu = policy.mean(user_embed)
+    std = np.exp(policy.log_std)
+    action = mu + std * stream.normal(policy.d)
+    tau = action.copy()
+    if explore_std > 0:
+        tau = tau + explore_std * stream.normal(policy.d)
+    logprob = policy.log_prob(user_embed, action)
+    return tau, action, logprob
+
+
+def build_samples_unfiltered(
+    user: int, items, selected, mode: str, slot_probs=None, provenance: str = ""
+) -> CounterfactualBatch:
+    """All selected-vs-rest samples from one labeled list, no filtering."""
+    if mode not in SAMPLE_MODES:
+        raise ValueError(f"unknown sample mode {mode!r}")
+    selected = list(selected)
+    if not set(selected) <= set(items):
+        raise ValueError("selected items must come from the realized list")
+    rest = [i for i in items if i not in selected]
+    probs = {
+        item: float(p)
+        for item, p in zip(items, np.asarray(slot_probs, dtype=np.float64))
+    } if slot_probs is not None else {}
+    batch = CounterfactualBatch(mode=mode)
+    if mode == "pairwise":
+        for i in selected:
+            for j in rest:
+                batch.triplets.append((user, i, j))
+                batch.confidences.append(probs.get(i, 1.0) - probs.get(j, 0.0))
+                batch.provenance.append(provenance)
+    else:
+        for i in selected:
+            batch.points.append((user, i, 1))
+            batch.confidences.append(probs.get(i, 1.0))
+            batch.provenance.append(provenance)
+        for j in rest:
+            batch.points.append((user, j, 0))
+            batch.confidences.append(1.0 - probs.get(j, 0.0))
+            batch.provenance.append(provenance)
+    return batch
 
 
 class TestPolicySample:

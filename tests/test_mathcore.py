@@ -6,10 +6,11 @@ import pytest
 from cfrank.mathcore import (
     AdamState,
     RandomStream,
+    TrainingError,
     adam_step,
     finite_diff_check,
     logsumexp,
-    sample_gaussian,
+    minibatch_adam,
     sigmoid,
     softmax,
 )
@@ -78,28 +79,6 @@ class TestRandomStream:
         assert s1.tobytes() != s3.tobytes()
 
 
-class TestSampleGaussian:
-    def test_zero_std_exact(self):
-        rs = RandomStream(0)
-        mean = np.array([1.0, -2.0, 3.5])
-        out = sample_gaussian(rs, mean, np.zeros(3))
-        assert np.array_equal(out, mean)
-
-    def test_deterministic(self):
-        a = sample_gaussian(RandomStream(42), np.zeros(5), np.ones(5))
-        b = sample_gaussian(RandomStream(42), np.zeros(5), np.ones(5))
-        assert a.tobytes() == b.tobytes()
-
-    def test_monte_carlo_moments(self):
-        draws = sample_gaussian(RandomStream(9), np.zeros(10**6), np.ones(10**6))
-        assert abs(draws.mean()) < 0.02
-        assert 0.99 <= draws.var() <= 1.01
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            sample_gaussian(RandomStream(0), np.zeros(2), np.array([1.0, -0.1]))
-
-
 class TestAdam:
     def test_zero_grad_is_identity_fresh_state(self):
         params = np.array([1.0, -2.0])
@@ -139,6 +118,43 @@ class TestAdam:
         state = AdamState.for_params(np.zeros(3))
         with pytest.raises(ValueError):
             adam_step(state, np.zeros(3), np.zeros(4))
+
+
+def quadratic_loss_grad(params, batch):
+    """sum over the batch of (x - target)^2 for one scalar parameter x."""
+    diff = params["x"] - batch.astype(np.float64)
+    return float(np.sum(diff**2)), {"x": 2.0 * diff.sum(keepdims=True)}
+
+
+class TestMinibatchAdam:
+    def fit(self, rows, batch_size=2, epochs=3, lr=0.1, stream=None):
+        return minibatch_adam(
+            {"x": np.zeros(1)}, lambda epoch: rows, quadratic_loss_grad, lr,
+            batch_size, epochs, stream or RandomStream(0), "toy fit",
+        )
+
+    def test_moves_toward_rows(self):
+        assert 0.0 < self.fit(np.array([1, 1, 1, 1]), epochs=20)["x"][0] <= 1.0
+
+    def test_empty_epochs_skip_without_drawing(self):
+        stream = RandomStream(4)
+        out = self.fit(np.zeros(0, dtype=np.int64), stream=stream)
+        assert np.array_equal(out["x"], np.zeros(1))
+        assert stream.normal(3).tobytes() == RandomStream(4).normal(3).tobytes()
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_bad_batch_size_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            self.fit(np.array([1, 2]), batch_size=batch_size)
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            self.fit(np.array([1, 2]), epochs=-1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_fit(self):
+        with pytest.raises(TrainingError, match="toy fit diverged at epoch 1"):
+            self.fit(np.array([1, 2]), lr=1e300)
 
 
 class TestFiniteDiffCheck:

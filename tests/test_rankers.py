@@ -147,7 +147,7 @@ class TestTraining:
     def test_single_triplet_margin_grows(self):
         model = make_model("bpr-mf", 1, 2, 1, RandomStream(2))
         source = TrainBatchSource(
-            origin="counterfactual", triplets=np.array([[0, 0, 1]])
+            origin="counterfactual", rows=np.array([[0, 0, 1]])
         )
         start = model.score(0, 0) - model.score(0, 1)
         train_pairwise(model, [source], RankerHyper(lr=0.05, epochs=100, l2=0.0), RandomStream(1))
@@ -156,7 +156,7 @@ class TestTraining:
 
     def test_single_positive_pointwise(self):
         model = make_model("gmf", 1, 2, 2, RandomStream(2))
-        source = TrainBatchSource(origin="counterfactual", points=np.array([[0, 0, 1]]))
+        source = TrainBatchSource(origin="counterfactual", rows=np.array([[0, 0, 1]]))
         train_pointwise(model, [source], RankerHyper(lr=0.05, epochs=200, l2=0.0), RandomStream(1))
         assert sigmoid(model.score(0, 0)) > 0.9
 
@@ -170,7 +170,7 @@ class TestTraining:
     def test_all_positive_batch_loss_decreases(self):
         model = make_model("gmf", 2, 4, 3, RandomStream(7))
         points = np.array([[0, 1, 1], [1, 2, 1], [0, 3, 1]])
-        source = TrainBatchSource(origin="counterfactual", points=points)
+        source = TrainBatchSource(origin="counterfactual", rows=points)
         losses = []
         for epochs in (0, 5, 20):
             m = make_model("gmf", 2, 4, 3, RandomStream(7))
@@ -205,6 +205,31 @@ class TestTraining:
             params.append({k: v.copy() for k, v in model.params().items()})
         for k in params[0]:
             assert np.array_equal(params[0][k], params[1][k])
+
+
+class TestTrainingSizes:
+    @pytest.mark.parametrize(
+        "hyper, field",
+        [
+            (RankerHyper(batch_size=-1), "batch_size"),
+            (RankerHyper(batch_size=0), "batch_size"),
+            (RankerHyper(epochs=-1), "epochs"),
+        ],
+    )
+    @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
+    def test_bad_size_rejected(self, train, hyper, field):
+        model = make_model("bpr-mf", 3, 6, 4, RandomStream(2))
+        with pytest.raises(ValueError, match=f"^{field}="):
+            train(model, [TrainBatchSource.from_log(small_log())], hyper, RandomStream(3))
+
+    @pytest.mark.parametrize("kind", ["bpr-mf", "neumf"])
+    @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises(self, kind, train):
+        model = make_model(kind, 3, 6, 4, RandomStream(2))
+        source = TrainBatchSource.from_log(small_log())
+        with pytest.raises(TrainingError, match="ranker training diverged at epoch 1"):
+            train(model, [source], RankerHyper(lr=1e300, epochs=3), RandomStream(3))
 
 
 class TestNeuMfConsistency:

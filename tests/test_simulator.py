@@ -1,4 +1,3 @@
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from cfrank.corpus import InteractionLog, Record, load_mind_behaviors
 from log_strategies import valid_logs
-from cfrank.mathcore import RandomStream, logsumexp, sigmoid, softplus
+from cfrank.mathcore import RandomStream, TrainingError, logsumexp, sigmoid, softplus
 from cfrank.simulator import (
     ImpressionHyper,
     PosteriorHyper,
@@ -28,8 +27,6 @@ from cfrank.simulator import (
     impression_logit,
     load_posterior,
     load_sim_params,
-    prob_list,
-    prob_select,
     save_posterior,
     save_sim_params,
     slot_probs,
@@ -67,27 +64,6 @@ class TestElementaryProbs:
         assert impression_logit(p, 1, 2, np.zeros(3)) == pytest.approx(
             float(p.P[1] @ p.Q[2])
         )
-
-    def test_prob_list_uniform_cases(self):
-        p = rand_params(1, 2, 1, scale=0.0)
-        assert prob_list(p, 0, [0], np.zeros(2)) == pytest.approx(0.5)
-        p3 = rand_params(1, 3, 2, scale=0.0)
-        assert prob_list(p3, 0, [0, 1], np.zeros(3)) == pytest.approx(1 / 9)
-
-    @pytest.mark.parametrize("n_items,k", [(4, 2), (5, 3)])
-    def test_prob_list_sums_to_one(self, n_items, k):
-        p = rand_params(2, n_items, k, seed=7)
-        alpha = RandomStream(8).normal(n_items)
-        total = sum(
-            prob_list(p, 1, tup, alpha)
-            for tup in itertools.product(range(n_items), repeat=k)
-        )
-        assert abs(total - 1.0) < 1e-10
-
-    def test_prob_select_uniform(self):
-        p = rand_params(1, 5, 5, scale=0.0)
-        for t in range(5):
-            assert prob_select(p, 0, [0, 1, 2, 3, 4], t, np.zeros(5)) == pytest.approx(0.2)
 
     def test_slot_probs_sum_to_one(self):
         for seed in range(50):
@@ -225,6 +201,48 @@ class TestSelectionTraining:
             X, Y, w_s, users, items, mask, sel, sel.sum(1), beta
         )
         assert finite_diff_check(loss, pack(X, Y, w_s), pack(gX, gY, gw)) < 1e-4
+
+
+class TestTrainingSizes:
+    @pytest.mark.parametrize(
+        "train, hyper, field",
+        [
+            (train_impression_model, ImpressionHyper(batch_size=-1), "batch_size"),
+            (train_impression_model, ImpressionHyper(batch_size=0), "batch_size"),
+            (train_impression_model, ImpressionHyper(epochs=-1), "epochs"),
+            (train_impression_model, ImpressionHyper(alpha_draws=0), "alpha_draws"),
+            (train_selection_model, SelectionHyper(batch_size=-1), "batch_size"),
+            (train_selection_model, SelectionHyper(batch_size=0), "batch_size"),
+            (train_selection_model, SelectionHyper(epochs=-1), "epochs"),
+            (train_selection_model, SelectionHyper(beta_draws=0), "beta_draws"),
+        ],
+    )
+    def test_bad_size_rejected(self, train, hyper, field):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            train(slot_zero_log(4), hyper, RandomStream(1))
+
+    @pytest.mark.parametrize(
+        "hyper, field",
+        [(PosteriorHyper(mc_samples=0), "mc_samples"), (PosteriorHyper(epochs=-1), "epochs")],
+    )
+    def test_bad_posterior_size_rejected(self, hyper, field):
+        params = rand_params(1, 3, 3, seed=2)
+        with pytest.raises(ValueError, match=f"^{field}="):
+            fit_posterior(params, slot_zero_log(4), hyper, RandomStream(1))
+
+    @pytest.mark.parametrize(
+        "train, hyper, log, what",
+        [
+            (train_impression_model, ImpressionHyper(d_r=2, lr=1e300, epochs=3),
+             always_item_zero_log(12), "exposure"),
+            (train_selection_model, SelectionHyper(d_s=2, lr=1e300, epochs=3),
+             slot_zero_log(12), "selection"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises(self, train, hyper, log, what):
+        with pytest.raises(TrainingError, match=f"{what} training diverged at epoch 1"):
+            train(log, hyper, RandomStream(1))
 
 
 def reference_impression_loss_grads(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,3 +77,46 @@ def test_bad_array_leaves_existing_file(tmp_path):
     with pytest.raises(ValueError):
         save_matrices(path, {"ok": np.ones(2), "bad": ["x"]})
     assert path.read_text() == "keep\n"
+
+
+VALID = [f"#{FORMAT_VERSION}", "#meta d=2", "P 2 2", "1.0 2.0", "3.0 4.0",
+         "w 1 3", "0.5 0.25 0.125"]
+
+
+def load_lines(tmp_path, lines):
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_valid_lines_load(tmp_path):
+    arrays, meta = load_matrices(load_lines(tmp_path, VALID))
+    assert meta == {"d": "2"}
+    np.testing.assert_array_equal(arrays["P"], [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(arrays["w"], [[0.5, 0.25, 0.125]])
+
+
+@pytest.mark.parametrize(
+    "lines, lineno, message",
+    [
+        # a block cut short at the end of the file
+        (VALID[:6], 7, "block 'w' ends after 0 of 1 rows"),
+        # a block cut short and followed by another block
+        (VALID[:4] + VALID[5:], 5, "block 'P' ends after 1 of 2 rows"),
+        # a ragged row
+        (VALID[:4] + ["3.0"] + VALID[5:], 5, "block 'P': 1 values in a row of 2"),
+        # an over-wide row
+        (VALID[:3] + ["1.0 2.0 9.0"] + VALID[4:], 4, "block 'P': 3 values in a row of 2"),
+        # a non-numeric token
+        (VALID[:4] + ["3.0 x"] + VALID[5:], 5, "block 'P': could not convert"),
+        # a 2-field block header
+        (VALID[:5] + ["w 1"] + VALID[6:], 6, "expected a 'name rows cols' block header"),
+    ],
+    ids=["cut-short", "cut-short-then-block", "ragged", "over-wide", "non-numeric",
+         "two-field-header"],
+)
+def test_malformed_block_names_line(tmp_path, lines, lineno, message):
+    path = load_lines(tmp_path, lines)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: ") as info:
+        load_matrices(path)
+    assert message in str(info.value)
