@@ -19,7 +19,6 @@ import numpy as np
 from . import evalkit, intervention, rankers, simulator, synthgen
 from .corpus import (
     InteractionLog,
-    ParseError,
     coldness_buckets,
     leave_one_out_split,
     load_mind_behaviors,
@@ -489,19 +488,24 @@ PIPELINE_STAGES = (
 )
 
 
+def run_stage(name, cfg, out):
+    """One stage by name; any error it raises comes out as a StageError."""
+    try:
+        return dict(PIPELINE_STAGES)[name](cfg, out)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def run_pipeline(cfg, out):
     """All stages in order; completed artifacts survive a failing stage."""
     os.makedirs(out, exist_ok=True)
     result = None
-    for name, fn in PIPELINE_STAGES:
+    for name, _ in PIPELINE_STAGES:
         if name == "synth-gen" and cfg["dataset.kind"] != "synthetic":
             continue
         if name == "intervene" and cfg["intervention.rounds"] == 0:
             continue
-        try:
-            result = fn(cfg, out)
-        except Exception as exc:
-            raise StageError(name, exc) from exc
+        result = run_stage(name, cfg, out)
     return result
 
 
@@ -598,7 +602,6 @@ def main(argv=None) -> int:
     theory.add_argument("--tsv", action="store_true", help="machine-readable output")
 
     args = parser.parse_args(argv)
-    stages = {name: fn for name, fn in PIPELINE_STAGES}
     try:
         if args.command == "theory-check":
             if args.trials is None:
@@ -608,7 +611,7 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             run_pipeline(cfg, out)
         else:
-            stages[args.command](cfg, out)
+            run_stage(args.command, cfg, out)
         return 0
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -621,12 +624,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, MissingArtifactError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (TrainingError, FloatingPointError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import BUCKET_NAMES, ColdnessBuckets, SplitPair
-from .mathcore import RandomStream
+from .mathcore import RandomStream, items_outside
 from .rankers import recommend_topn
 
 
@@ -39,7 +39,7 @@ class EvalReport:
 
 
 def _candidate_sets(split: SplitPair, candidate_policy: str, stream):
-    """Per-test-user candidate lists under the chosen policy.
+    """Per-test-user candidate ids under the chosen policy.
 
     "all" ranks every item except the user's training positives; "sampled:m"
     ranks the held-out item against m uniformly sampled items the user never
@@ -47,12 +47,8 @@ def _candidate_sets(split: SplitPair, candidate_policy: str, stream):
     """
     train_pos = split.train.positives_by_user()
     n_items = split.train.n_items
-    out = []
     if candidate_policy == "all":
-        for user, truth in split.test:
-            exclude = train_pos[user]
-            out.append([i for i in range(n_items) if i not in exclude])
-        return out
+        return [items_outside(train_pos[user], n_items) for user, _ in split.test]
     if candidate_policy.startswith("sampled:"):
         size = candidate_policy.split(":", 1)[1]
         if not (size.isdecimal() and int(size) >= 1):
@@ -63,13 +59,13 @@ def _candidate_sets(split: SplitPair, candidate_policy: str, stream):
         m = int(size)
         if stream is None:
             raise ValueError("sampled candidate policy needs a random stream")
+        out = []
         for user, truth in split.test:
-            forbidden = train_pos[user] | {truth}
-            pool = [i for i in range(n_items) if i not in forbidden]
+            pool = items_outside(train_pos[user] | {truth}, n_items)
             if m > len(pool):
                 raise ValueError(f"cannot sample {m} candidates for user {user}")
             picked = stream.choice(len(pool), size=m, replace=False)
-            out.append([truth] + [pool[int(x)] for x in picked])
+            out.append([truth] + pool[picked].tolist())
         return out
     raise ValueError(f"unknown candidate policy {candidate_policy!r}")
 
@@ -78,6 +74,8 @@ def evaluate(
     model, split: SplitPair, n=10, candidate_policy="all", stream: RandomStream | None = None
 ) -> EvalReport:
     """Average HR@n and NDCG@n of the model over the held-out test points."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
     candidates = _candidate_sets(split, candidate_policy, stream)
     hr_sum = ndcg_sum = 0.0
     for (user, truth), cands in zip(split.test, candidates):

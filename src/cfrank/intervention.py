@@ -4,7 +4,9 @@ A small Gaussian policy proposes a continuous item center per user; the K
 catalog items scoring highest against that center form the intervened list,
 the simulator labels it, and the resulting samples (optionally filtered to
 the most- and least-confident slots) are scored by the target model's loss,
-which REINFORCE then pushes the policy to increase.
+which REINFORCE then pushes the policy to increase. Both rankings here, the
+catalog items against a center and the slots of a labeled list, are
+`mathcore.top_k`, so ties break toward the lower id or slot.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import textio
-from .mathcore import RandomStream, softmax
+from . import mathcore, textio
+from .mathcore import RandomStream, softmax, top_k
 from .rankers import loss_pairwise, loss_pointwise
 from .simulator import SimParams, VariationalPosterior
 
@@ -25,7 +27,7 @@ SAMPLE_MODES = ("pairwise", "pointwise")
 # Entries of the (episodes x n_items) noise and score matrices per block:
 # run_intervention_round handles BLOCK_ENTRIES // n_items episodes at a
 # time, so its memory does not grow with the number of episodes.
-BLOCK_ENTRIES = 1 << 16
+BLOCK_ENTRIES = mathcore.BLOCK_ENTRIES
 
 
 class GaussianPolicy:
@@ -169,32 +171,13 @@ def realize_list(params: SimParams, tau, alpha, list_len: int):
     scores = np.atleast_2d(tau) @ params.Q.T + params.w_r * np.asarray(alpha)
     if not np.all(np.isfinite(scores)):
         raise ValueError("list scores must be finite")
-    items = _top_items(scores, list_len)
+    items = top_k(scores, list_len)
     return items[0].tolist() if tau.ndim == 1 else items
 
 
 def _take(values, index):
     """Row-wise gather: values[r, index[r, j]]."""
     return np.take_along_axis(values, index, axis=1)
-
-
-def _top_items(scores, k):
-    """(b, k) ids of each row's k highest scores, best first, ties to the
-    lower id: the first k of a stable sort on -score, found by a partition."""
-    neg = -scores
-    items = np.argpartition(neg, k - 1, axis=1)[:, :k]
-    top = _take(neg, items)
-    kth = top.max(axis=1, keepdims=True)
-    tied = neg == kth
-    # The partition may cut the items tied at the k-th score at a higher
-    # id; such rows take the lowest tied ids instead.
-    for row in np.flatnonzero(tied.sum(axis=1) > (top == kth).sum(axis=1)):
-        ahead = neg[row] < kth[row]
-        room = k - ahead.sum()
-        first_tied = tied[row] & (np.cumsum(tied[row]) <= room)
-        items[row] = np.flatnonzero(ahead | first_tied)
-        top[row] = neg[row, items[row]]
-    return _take(items, np.lexsort((items, top), axis=1))
 
 
 def random_list(n_items: int, list_len: int, stream: RandomStream) -> list:
@@ -204,17 +187,11 @@ def random_list(n_items: int, list_len: int, stream: RandomStream) -> list:
     return [int(i) for i in stream.choice(n_items, size=list_len, replace=False)]
 
 
-def _ranked_slots(slot_probs):
-    """Slot indices by descending probability, ties to the lower slot, per row."""
-    probs = np.asarray(slot_probs, dtype=np.float64)
-    return np.argsort(-probs, axis=-1, kind="stable")
-
-
 def _block_samples(users, items, probs, order, mode, k, noise_control):
     """Sample rows (b, r, 3) and confidences (b, r) for a block of lists.
 
-    `order` ranks each row's slots (`_ranked_slots`). With noise control the
-    k top-ranked slots are the selected side and the k bottom-ranked ones
+    `order` ranks each row's slots (`top_k` of all K). With noise control
+    the k top-ranked slots are the selected side and the k bottom-ranked ones
     the rejected side; without it the k top-ranked slots (the simulator's
     selected set) face all other slots, both sides in slot order. Every row
     yields the same r, so rows are built by index arithmetic, in the order
@@ -279,7 +256,7 @@ def build_samples(
         raise ValueError("list contains duplicate items")
     probs = np.asarray(slot_probs, dtype=np.float64).reshape(1, n)
     rows, conf = _block_samples(
-        [user], np.asarray(items).reshape(1, n), probs, _ranked_slots(probs),
+        [user], np.asarray(items).reshape(1, n), probs, top_k(probs, n),
         mode, k, noise_control=True,
     )
     return _batch_from_block(mode, rows, conf, [provenance])
@@ -456,7 +433,7 @@ def run_intervention_round(
             "bd,bkd->bk", params.X[block_users], params.Y[items]
         ) + params.w_s * betas[:, :list_len]
         probs = softmax(logits)
-        order = _ranked_slots(probs)
+        order = top_k(probs, list_len)
         selected = _take(items, np.sort(order[:, :k], axis=1))
         rows, conf = _block_samples(
             block_users, items, probs, order, mode, k, noise_control

@@ -2,9 +2,11 @@
 
 Seeded counter-based random streams, stable softmax/sigmoid helpers, a
 lazy Adam optimizer for sparse embedding gradients with the one shuffled
-minibatch loop every trainer runs, and a central-difference gradient
-checker. Everything here is pure given its inputs; a RandomStream
-is the only stateful object and is never shared between concurrent tasks.
+minibatch loop every trainer runs, a central-difference gradient checker,
+and the item-set rules `top_k` (k best, ties to the lower id),
+`items_outside` and `sample_excluding` (uniform ids outside an exclusion
+set). Everything here is pure given its inputs; a RandomStream is the only
+stateful object and is never shared between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+
+# Entries of a score block: top_k ranks BLOCK_ENTRIES // n rows at a time.
+BLOCK_ENTRIES = 1 << 16
 
 
 class TrainingError(RuntimeError):
@@ -196,6 +201,66 @@ def minibatch_adam(
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"{what} diverged at epoch {epoch}")
     return params
+
+
+def top_k(scores, k) -> np.ndarray:
+    """(b, k) ids of each row's k highest of (b, n) scores, best first, ties
+    to the lower id: the first k of a stable sort on -score, found by a
+    partition. k must lie in [0, n]; ±inf scores are fine, NaN is not."""
+    scores = np.asarray(scores, dtype=np.float64)
+    b, n = scores.shape
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} outside [0, {n}]")
+    if np.isnan(scores).any():
+        raise ValueError("top_k scores must not be NaN")
+    out = np.empty((b, k), dtype=np.intp)
+    if k == 0:
+        return out
+    rows = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, b, rows):
+        neg = -scores[start : start + rows]
+        r = np.arange(len(neg))[:, None]
+        # the first k positions hold the k best, position k the next best
+        part = np.argpartition(neg, min(k, n - 1), axis=1)
+        items = part[:, :k]
+        top = neg[r, items]
+        if k < n:
+            # Where the next best ties the k-th, the partition may have cut
+            # the tied items at a higher id; such rows are sorted stably.
+            cut = neg[r[:, 0], part[:, k]] == top.max(axis=1)
+            if cut.any():
+                items[cut] = np.argsort(neg[cut], axis=1, kind="stable")[:, :k]
+                top[cut] = neg[r[cut], items[cut]]
+        out[start : start + rows] = items[r, np.lexsort((items, top), axis=1)]
+    return out
+
+
+def items_outside(excluded, n_items) -> np.ndarray:
+    """Sorted ids in [0, n_items) that are not in the collection `excluded`."""
+    keep = np.ones(n_items, dtype=bool)
+    keep[np.fromiter(excluded, np.int64, len(excluded))] = False
+    return np.flatnonzero(keep)
+
+
+def sample_excluding(keys, owners, stride, n_items, shape, stream, what):
+    """Uniform ids in [0, n_items) of the given shape, each outside its
+    owner's exclusion set: `keys` holds every excluded (owner, item) pair as
+    owner * stride + item, sorted, and `owners` broadcasts against `shape`.
+
+    One `stream.integers(0, n_items, shape)` draw, then the excluded entries
+    are redrawn together, in C order, for at most 1000 passes before
+    TrainingError("negative sampling failed; " + what)."""
+    draw = stream.integers(0, n_items, shape)
+    if len(keys) == 0:
+        return draw
+    for _ in range(1000):
+        query = owners * stride + draw
+        pos = np.searchsorted(keys, query)
+        bad = keys[np.minimum(pos, len(keys) - 1)] == query
+        if not bad.any():
+            return draw
+        draw[bad] = stream.integers(0, n_items, int(bad.sum()))
+    raise TrainingError("negative sampling failed; " + what)
 
 
 def finite_diff_check(loss, params, analytic_grad, h: float = 1e-4) -> float:

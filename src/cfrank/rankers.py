@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
+from . import mathcore, textio
 from .corpus import InteractionLog
-from .mathcore import RandomStream, TrainingError, minibatch_adam, sigmoid, softplus
+from .mathcore import RandomStream, minibatch_adam, sigmoid, softplus, top_k
 
 GRADIENT_KINDS = ("bpr-mf", "gmf", "mlp", "neumf")
 ALL_KINDS = GRADIENT_KINDS + ("itempop", "itemknn")
@@ -312,11 +312,9 @@ class ItemKnn(RankingModel):
             sim = (mat / norms).T @ (mat / norms)
         sim = np.asarray(sim, dtype=np.float64)
         if self.neighborhood < self.n_items:
+            top = top_k(sim, self.neighborhood)
             kept = np.zeros_like(sim)
-            for i in range(self.n_items):
-                order = np.lexsort((np.arange(self.n_items), -sim[i]))
-                top = order[: self.neighborhood]
-                kept[i, top] = sim[i, top]
+            np.put_along_axis(kept, top, np.take_along_axis(sim, top, axis=1), axis=1)
             sim = kept
         self.sim = sim
         return self
@@ -439,24 +437,13 @@ def _positive_keys(user_positives, n_items) -> np.ndarray:
 
 
 def _sample_negatives(user_positives, users, n_items, stream):
-    """One uniform negative per row, rejected against the user's positives.
-
-    Rejected rows are redrawn in row order until none is a positive; the
-    lookup is a `searchsorted` over sorted (user, item) keys.
-    """
+    """One uniform negative per row, outside the user's positives
+    (`mathcore.sample_excluding` over sorted (user, item) keys)."""
     users = np.asarray(users, dtype=np.int64)
-    keys = _positive_keys(user_positives, n_items)
-    neg = stream.integers(0, n_items, len(users))
-    if keys.size == 0:
-        return neg
-    for _ in range(1000):
-        query = users * n_items + neg
-        pos = np.searchsorted(keys, query)
-        bad = keys[np.minimum(pos, len(keys) - 1)] == query
-        if not bad.any():
-            return neg
-        neg[bad] = stream.integers(0, n_items, int(bad.sum()))
-    raise TrainingError("negative sampling failed; users with no negatives left")
+    return mathcore.sample_excluding(
+        _positive_keys(user_positives, n_items), users, n_items, n_items,
+        len(users), stream, "users with no negatives left",
+    )
 
 
 def train_pairwise(model, sources, hyper: RankerHyper, stream: RandomStream):
@@ -478,6 +465,8 @@ def train_pointwise(model, sources, hyper: RankerHyper, stream: RandomStream):
 def _train(model, sources, hyper, stream, mode):
     if not model.trainable:
         raise ValueError(f"{model.kind} does not support gradient training")
+    if hyper.neg_per_pos < 1:
+        raise ValueError(f"neg_per_pos={hyper.neg_per_pos} must be >= 1")
     sources = list(sources)
     for src in sources:
         if src.origin == "observed" and src.user_positives is not None:
@@ -562,13 +551,10 @@ def recommend_topn(model, u, candidates=None, n=10):
     training positives.
     """
     if candidates is None:
-        exclude = (
-            model.user_positives[u] if model.user_positives is not None else set()
-        )
-        candidates = [i for i in range(model.n_items) if i not in exclude]
-    candidates = np.asarray(sorted(candidates), dtype=np.int64)
+        exclude = model.user_positives[u] if model.user_positives else ()
+        candidates = mathcore.items_outside(exclude, model.n_items)
+    candidates = np.sort(np.asarray(candidates, dtype=np.int64))
     if n > len(candidates):
         raise ValueError(f"n={n} exceeds {len(candidates)} candidates")
     scores = model.score_candidates(u, candidates)
-    order = np.lexsort((candidates, -scores))
-    return [int(c) for c in candidates[order[:n]]]
+    return candidates[top_k(scores[None], n)[0]].tolist()

@@ -32,6 +32,7 @@ from .mathcore import (
     TrainingError,
     logsumexp,
     minibatch_adam,
+    sample_excluding,
     sigmoid,
     softmax,
     softplus,
@@ -253,33 +254,15 @@ def _impression_loss_grads(P, Q, w_r, users, pos_items, pos_mask, neg_items, alp
 
 def _shown_keys(arrays: _LogArrays) -> np.ndarray:
     """Each record's shown items, sorted and offset by record * (n_items + 1),
-    flattened into one ascending array for `_is_shown`. Padded slots hold
-    n_items, which no sampled item equals."""
+    flattened into one ascending array of `sample_excluding` keys. Padded
+    slots hold n_items, which no sampled item equals."""
     stride = arrays.n_items + 1
     rows = np.where(arrays.mask, arrays.items, arrays.n_items)
     rows.sort(axis=1)
     return (rows + stride * np.arange(len(rows))[:, None]).ravel()
 
 
-def _is_shown(shown_keys, rows, items, n_items) -> np.ndarray:
-    """(len(rows), m) bool: items[r, t] is in the list of record rows[r]."""
-    query = items + (n_items + 1) * rows[:, None]
-    pos = np.searchsorted(shown_keys, query)
-    return shown_keys[np.minimum(pos, len(shown_keys) - 1)] == query
-
-
-def _sample_record_negatives(shown_keys, rows, n_neg, n_items, stream):
-    """Uniform unshown items per record row; vectorized rejection."""
-    neg = stream.integers(0, n_items, (len(rows), n_neg))
-    for _ in range(1000):
-        bad = _is_shown(shown_keys, rows, neg, n_items)
-        if not bad.any():
-            return neg
-        neg[bad] = stream.integers(0, n_items, int(bad.sum()))
-    raise TrainingError("negative sampling failed; a record shows every item")
-
-
-def _check_draws(name, value):
+def _check_count(name, value):
     if value < 1:
         raise ValueError(f"{name}={value} must be >= 1")
 
@@ -304,15 +287,18 @@ def train_impression_model(
     """Fit the exposure half (P, Q, w_r) by negative-sampled maximum
     likelihood; the exogenous alpha is redrawn per batch and the loss is
     averaged over `alpha_draws` draws."""
-    _check_draws("alpha_draws", hyper.alpha_draws)
+    _check_count("alpha_draws", hyper.alpha_draws)
+    _check_count("neg_per_pos", hyper.neg_per_pos)
     arrays = _log_arrays(log)
     init = stream.substream("init")
     shown_keys = _shown_keys(arrays)
     records = np.arange(log.n_records)
 
     def loss_grad(p, idx):
-        neg = _sample_record_negatives(
-            shown_keys, idx, hyper.neg_per_pos * arrays.list_len, arrays.n_items, stream
+        neg = sample_excluding(
+            shown_keys, idx[:, None], arrays.n_items + 1, arrays.n_items,
+            (len(idx), hyper.neg_per_pos * arrays.list_len), stream,
+            "a record shows every item",
         )
         batch = (arrays.users[idx], arrays.items[idx], arrays.mask[idx], neg)
         return _mean_over_draws(
@@ -369,7 +355,7 @@ def train_selection_model(
     Records with no selected item contribute no likelihood term and are
     skipped; beta is redrawn per batch, averaged over `beta_draws`.
     """
-    _check_draws("beta_draws", hyper.beta_draws)
+    _check_count("beta_draws", hyper.beta_draws)
     arrays = _log_arrays(log)
     init = stream.substream("init")
     kept = np.nonzero(arrays.n_sel > 0)[0]
@@ -537,7 +523,7 @@ def fit_posterior(
     exponential map and floored at 1e-4; hitting the floor is reported once
     as a warning.
     """
-    _check_draws("mc_samples", hyper.mc_samples)
+    _check_count("mc_samples", hyper.mc_samples)
     if hyper.epochs < 0:
         raise ValueError(f"epochs={hyper.epochs} must be >= 0")
     k = params.list_len

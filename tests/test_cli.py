@@ -279,6 +279,40 @@ class TestMainEntry:
         assert "stage 'train-target' failed: batch_size=-1" in capsys.readouterr().err
         assert not (tmp_path / "target.txt").exists()
 
+    def test_stage_subcommand_error_is_one_line(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfrank", "synth-gen", "--out", str(tmp_path),
+             "--set", "synth.list_len=0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert (
+            "error: stage 'synth-gen' failed: list_len must be >= 1, got 0"
+            in proc.stderr
+        )
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_cutoff_fails_the_evaluate_stage(self, tmp_path, capsys):
+        args = ["--out", str(tmp_path)] + [f"--set={k}={v}" for k, v in TINY.items()]
+        for stage in ("synth-gen", "train-target"):
+            assert main([stage] + args) == 0
+        assert main(["evaluate", "--set=eval.n=0"] + args) == 2
+        assert "stage 'evaluate' failed: n=0 must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.tsv").exists()
+
+    def test_zero_target_negatives_fails_the_stage(self, tmp_path, capsys):
+        code = main(
+            ["pipeline", "--out", str(tmp_path)]
+            + [f"--set={k}={v}" for k, v in TINY.items()]
+            + ["--set=target.negatives=0"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stage 'train-target' failed: neg_per_pos=0 must be >= 1" in err
+        assert not (tmp_path / "target.txt").exists()
+
     def test_stage_subcommand(self, tmp_path, capsys):
         code = main(
             ["synth-gen", "--out", str(tmp_path)]

@@ -5,6 +5,7 @@ import pytest
 
 from cfrank.corpus import InteractionLog, Record, coldness_buckets, leave_one_out_split
 from cfrank.evalkit import (
+    _candidate_sets,
     comparison_table,
     comparison_tsv,
     coldness_report,
@@ -131,6 +132,46 @@ class TestEvaluate:
         a = evaluate(FixedScorer(5, 30, base_scores), split, 10)
         b = evaluate(FixedScorer(5, 30, np.exp(base_scores)), split, 10)
         assert (a.hr, a.ndcg) == (b.hr, b.ndcg)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_cutoff_below_one_rejected(self, n):
+        split = simple_split()
+        with pytest.raises(ValueError, match=f"^n={n} must be >= 1$"):
+            evaluate(FixedScorer(5, 30, np.zeros(30)), split, n)
+
+
+def reference_candidate_sets(split, candidate_policy, stream):
+    """Candidate lists built by comprehensions over the whole catalog."""
+    train_pos = split.train.positives_by_user()
+    n_items = split.train.n_items
+    out = []
+    for user, truth in split.test:
+        if candidate_policy == "all":
+            out.append([i for i in range(n_items) if i not in train_pos[user]])
+            continue
+        m = int(candidate_policy.split(":")[1])
+        forbidden = train_pos[user] | {truth}
+        pool = [i for i in range(n_items) if i not in forbidden]
+        picked = stream.choice(len(pool), size=m, replace=False)
+        out.append([truth] + [pool[int(x)] for x in picked])
+    return out
+
+
+class TestCandidateSets:
+    @pytest.mark.parametrize("policy", ["all", "sampled:1", "sampled:7", "sampled:20"])
+    def test_match_comprehensions(self, policy):
+        records = [
+            Record(u, RandomStream(u).permutation(30)[: 3 + u % 6].tolist(),
+                   [1, 1] + [u % 2] * (1 + u % 6))
+            for u in range(12)
+        ]
+        log = InteractionLog.from_records(12, 30, records).validate()
+        split = leave_one_out_split(log, RandomStream(3))
+        ours, theirs = RandomStream(21), RandomStream(21)
+        got = _candidate_sets(split, policy, ours)
+        want = reference_candidate_sets(split, policy, theirs)
+        assert [np.asarray(c).tolist() for c in got] == want
+        assert ours.normal(3).tolist() == theirs.normal(3).tolist()
 
 
 class TestColdnessReport:

@@ -1,7 +1,10 @@
-"""Every name a cfrank module imports is used in that module.
+"""Static checks over the cfrank modules.
 
-No linter ships with the project, so this parses each module with `ast`.
-The package `__init__` is skipped: its imports are the public exports.
+Every name a module imports is used in that module, and only `mathcore`
+sorts or partitions for a ranking (its `top_k` holds the tie rule). No
+linter ships with the project, so this parses each module with `ast`.
+The package `__init__` is skipped by the import check: its imports are the
+public exports.
 """
 
 import ast
@@ -27,6 +30,23 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+RANKING_SORTS = {"argpartition", "argsort", "lexsort"}
+
+
+def ranking_sorts(source: str) -> list:
+    """(line, name) of every call of a ranking sort, as `np.f(...)`,
+    `x.f(...)` or a bare `f(...)`."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            if name in RANKING_SORTS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
 def test_modules_found():
     assert {"cli.py", "mathcore.py", "rankers.py", "simulator.py"} <= {
         p.name for p in MODULES
@@ -48,3 +68,25 @@ def test_detects_an_unused_import():
         "    x: int = 0\n"
     )
     assert unused_imports(source) == [(1, "os"), (2, "field")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "mathcore.py"),
+    ids=lambda p: p.name,
+)
+def test_ranking_sorts_only_in_mathcore(path):
+    assert ranking_sorts(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_ranking_sort():
+    source = (
+        "import numpy as np\n"
+        "from numpy import lexsort\n"
+        "order = np.argsort(x, kind='stable')\n"
+        "top = x.argpartition(3)\n"
+        "rows = lexsort((a, b))\n"
+        "fine = np.sort(x)\n"
+    )
+    assert ranking_sorts(source) == [
+        (3, "argsort"), (4, "argpartition"), (5, "lexsort")
+    ]

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cfrank import mathcore
 from cfrank.mathcore import (
     AdamState,
     RandomStream,
@@ -13,6 +16,7 @@ from cfrank.mathcore import (
     minibatch_adam,
     sigmoid,
     softmax,
+    top_k,
 )
 
 
@@ -196,3 +200,50 @@ def test_sigmoid_extremes_finite():
     out = sigmoid(np.array([-800.0, 0.0, 800.0]))
     assert np.all(np.isfinite(out))
     assert out[1] == 0.5
+
+
+# few distinct values, so rows tie heavily, also across the cut
+TIE_VALUES = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]
+
+
+@st.composite
+def score_blocks(draw):
+    """(scores, k, block_entries): a (b, n) block, k in [0, n], and a block
+    size that makes top_k split the rows into one or several blocks."""
+    b = draw(st.integers(0, 7))
+    n = draw(st.integers(1, 12))
+    value = st.one_of(
+        st.sampled_from(TIE_VALUES), st.floats(-3, 3, allow_nan=False, width=16)
+    )
+    flat = draw(st.lists(value, min_size=b * n, max_size=b * n))
+    k = draw(st.integers(0, n))
+    block_entries = draw(st.sampled_from([1, n, 2 * n + 1, 1 << 16]))
+    return np.array(flat, dtype=np.float64).reshape(b, n), k, block_entries
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=score_blocks())
+    # ties straddling the cut: the partition may pick the higher tied ids
+    @example(drawn=(np.array([[0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0]]), 4, 1 << 16))
+    @example(drawn=(np.zeros((3, 9)), 2, 9))
+    def test_matches_stable_sort(self, drawn):
+        scores, k, block_entries = drawn
+        saved = mathcore.BLOCK_ENTRIES
+        mathcore.BLOCK_ENTRIES = block_entries
+        try:
+            got = top_k(scores, k)
+        finally:
+            mathcore.BLOCK_ENTRIES = saved
+        want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        assert got.shape == (scores.shape[0], k)
+        assert np.array_equal(got, want)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            top_k(np.array([[0.0, np.nan, 1.0]]), 1)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_k_outside_range_rejected(self, k):
+        with pytest.raises(ValueError, match=rf"k={k} outside \[0, 3\]"):
+            top_k(np.zeros((2, 3)), k)

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from cfrank.corpus import InteractionLog, Record
 from log_strategies import valid_logs
-from cfrank.mathcore import RandomStream, TrainingError, finite_diff_check, sigmoid
+from cfrank.mathcore import (
+    RandomStream,
+    TrainingError,
+    finite_diff_check,
+    sample_excluding,
+    sigmoid,
+)
 from cfrank.rankers import (
     GRADIENT_KINDS,
     _sample_negatives,
@@ -214,6 +220,8 @@ class TestTrainingSizes:
             (RankerHyper(batch_size=-1), "batch_size"),
             (RankerHyper(batch_size=0), "batch_size"),
             (RankerHyper(epochs=-1), "epochs"),
+            (RankerHyper(neg_per_pos=0), "neg_per_pos"),
+            (RankerHyper(neg_per_pos=-1), "neg_per_pos"),
         ],
     )
     @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
@@ -351,6 +359,35 @@ class TestSampleNegatives:
             _sample_negatives([{0, 1, 2}], np.zeros(3, np.int64), 3, RandomStream(1))
 
 
+class TestSampleExcluding:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 60),
+        st.integers(0, 3),
+    )
+    def test_one_dimensional_matches_set_lookup(
+        self, n_items, n_users, seed, n_rows, pad
+    ):
+        rs = RandomStream(seed)
+        user_positives = [
+            set(rs.choice(n_items, int(rs.integers(0, n_items)), replace=False))
+            for _ in range(n_users)
+        ]
+        users = rs.integers(0, n_users, n_rows)
+        stride = n_items + pad  # any stride of at least n_items separates owners
+        pairs = [(u, i) for u, items in enumerate(user_positives) for i in items]
+        keys = np.sort(np.array([u * stride + i for u, i in pairs], dtype=np.int64))
+        a, b = RandomStream(seed + 1), RandomStream(seed + 1)
+        got = sample_excluding(keys, users, stride, n_items, n_rows, a, "none left")
+        want = reference_sample_negatives(user_positives, users, n_items, b)
+        assert got.shape == (n_rows,)
+        np.testing.assert_array_equal(got, want)
+        assert a.normal(2).tolist() == b.normal(2).tolist()
+
+
 class TestBlockLosses:
     def test_row_blocks_sum_like_single_calls(self):
         model = make_model("bpr-mf", 5, 9, 4, RandomStream(2))
@@ -415,6 +452,66 @@ class TestFitsMatchRecordLoop:
         sim = (mat / norms).T @ (mat / norms)
         want = ItemKnn(n_users, n_items, neighborhood).fit(log, sim=sim)
         assert np.array_equal(model.sim, want.sim)
+
+
+def reference_knn_keep(sim, neighborhood):
+    """Each row's `neighborhood` largest similarities kept, ties to the lower
+    item id, by one lexsort per row; the rest zeroed."""
+    n = sim.shape[0]
+    if neighborhood >= n:
+        return sim
+    kept = np.zeros_like(sim)
+    for i in range(n):
+        top = np.lexsort((np.arange(n), -sim[i]))[:neighborhood]
+        kept[i, top] = sim[i, top]
+    return kept
+
+
+def reference_recommend(model, u, candidates, n):
+    """Top-n of sorted candidates by one lexsort on (-score, id)."""
+    candidates = np.asarray(sorted(candidates), dtype=np.int64)
+    scores = model.score_candidates(u, candidates)
+    return [int(c) for c in candidates[np.lexsort((candidates, -scores))[:n]]]
+
+
+class TestTopKCallers:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        drawn=valid_logs(max_users=8, max_items=24, max_records=10),
+        neighborhood=st.integers(1, 25),
+    )
+    def test_itemknn_keeps_lexsort_neighbors(self, drawn, neighborhood):
+        # few records over many items: most similarities are tied zeros
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        model = ItemKnn(n_users, n_items, neighborhood).fit(log)
+        dense = ItemKnn(n_users, n_items, n_items).fit(log)
+        assert np.array_equal(model.sim, reference_knn_keep(dense.sim, neighborhood))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        drawn=valid_logs(max_users=4, max_items=20),
+        kind=st.sampled_from(["itempop", "itemknn", "bpr-mf"]),
+        subset=st.lists(st.integers(0, 19), unique=True),
+        n=st.integers(0, 20),
+    )
+    def test_recommend_matches_lexsort(self, drawn, kind, subset, n):
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        if kind == "bpr-mf":
+            model = make_model(kind, n_users, n_items, 2, RandomStream(1))
+            model.Q = np.sign(np.round(10 * model.Q))  # 9 distinct rows: ties
+            model.user_positives = log.positives_by_user()
+        else:
+            model = make_model(kind, n_users, n_items, neighborhood=3).fit(log)
+        for u in range(n_users):
+            full = [i for i in range(n_items) if i not in model.user_positives[u]]
+            for candidates in (None, [i for i in subset if i < n_items]):
+                pool = full if candidates is None else candidates
+                if n > len(pool):
+                    continue
+                got = recommend_topn(model, u, candidates, n=n)
+                assert got == reference_recommend(model, u, pool, n)
 
 
 def reference_interaction_counts(log):

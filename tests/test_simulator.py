@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from cfrank.corpus import InteractionLog, Record, load_mind_behaviors
 from log_strategies import valid_logs
-from cfrank.mathcore import RandomStream, TrainingError, logsumexp, sigmoid, softplus
+from cfrank.mathcore import (
+    RandomStream,
+    TrainingError,
+    logsumexp,
+    sample_excluding,
+    sigmoid,
+    softplus,
+)
 from cfrank.simulator import (
     ImpressionHyper,
     PosteriorHyper,
@@ -15,10 +22,8 @@ from cfrank.simulator import (
     SimParams,
     VariationalPosterior,
     _impression_loss_grads,
-    _is_shown,
     _log_arrays,
     _posterior_terms,
-    _sample_record_negatives,
     _selection_loss_grads,
     _shown_keys,
     counterfactual_select,
@@ -215,6 +220,8 @@ class TestTrainingSizes:
             (train_selection_model, SelectionHyper(batch_size=0), "batch_size"),
             (train_selection_model, SelectionHyper(epochs=-1), "epochs"),
             (train_selection_model, SelectionHyper(beta_draws=0), "beta_draws"),
+            (train_impression_model, ImpressionHyper(neg_per_pos=0), "neg_per_pos"),
+            (train_impression_model, ImpressionHyper(neg_per_pos=-1), "neg_per_pos"),
         ],
     )
     def test_bad_size_rejected(self, train, hyper, field):
@@ -365,16 +372,53 @@ class TestRecordNegatives:
         keys = _shown_keys(arrays)
         every_row = np.arange(len(records))
         all_items = np.tile(np.arange(n_items), (len(records), 1))
-        assert np.array_equal(_is_shown(keys, every_row, all_items, n_items), dense)
+        shown = np.isin(all_items + (n_items + 1) * every_row[:, None], keys)
+        assert np.array_equal(shown, dense)
 
         ours, theirs = RandomStream(5), RandomStream(5)
         for _ in range(6):
             rows = ours.permutation(len(records))[:16]
             assert np.array_equal(rows, theirs.permutation(len(records))[:16])
-            got = _sample_record_negatives(keys, rows, 12, n_items, ours)
+            got = sample_excluding(
+                keys, rows[:, None], n_items + 1, n_items, (len(rows), 12), ours,
+                "a record shows every item",
+            )
             want = reference_sample_record_negatives(dense, rows, 12, n_items, theirs)
             assert np.array_equal(got, want)
             assert not dense[rows[:, None], got].any()
+
+    def test_two_dimensional_draw_and_stream_state(self):
+        rs = RandomStream(8)
+        n_items = 11
+        records = []
+        for r in range(25):
+            length = int(rs.integers(1, 11))  # up to 10 of 11 items shown
+            items = rs.permutation(n_items)[:length].tolist()
+            records.append(Record(r % 4, items, [0] * length))
+        log = InteractionLog.from_records(4, n_items, records).validate()
+        arrays = _log_arrays(log)
+        dense = np.zeros((len(records), n_items), dtype=bool)
+        for r, rec in enumerate(records):
+            dense[r, rec.items] = True
+        keys = _shown_keys(arrays)
+        rows = np.arange(len(records))[::-1]
+        ours, theirs = RandomStream(9), RandomStream(9)
+        got = sample_excluding(
+            keys, rows[:, None], n_items + 1, n_items, (len(rows), 7), ours, "x"
+        )
+        want = reference_sample_record_negatives(dense, rows, 7, n_items, theirs)
+        assert got.shape == (len(rows), 7)
+        assert np.array_equal(got, want)
+        assert ours.normal(3).tolist() == theirs.normal(3).tolist()
+
+    def test_record_showing_every_item_fails(self):
+        log = InteractionLog.from_records(1, 3, [Record(0, [2, 0, 1], [1, 0, 0])])
+        with pytest.raises(
+            TrainingError, match="^negative sampling failed; a record shows every item$"
+        ):
+            train_impression_model(
+                log.validate(), ImpressionHyper(d_r=2, epochs=1), RandomStream(3)
+            )
 
 
 def reference_log_arrays(log, list_len=None):
