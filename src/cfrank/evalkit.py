@@ -1,5 +1,14 @@
 """Leave-one-out evaluation: hit ratio and NDCG at a cutoff, overall and per
-item-coldness bucket, plus plain-text/TSV comparison tables."""
+item-coldness bucket, plus plain-text/TSV comparison tables.
+
+Under "all" one `recommend_topn` call ranks the test users over the full
+catalog in blocks of BLOCK_ENTRIES // n_items, each user's training
+positives excluded; under "sampled:m" each user's m + 1 candidates are
+ranked one user at a time. Both score through the models' grid scorers
+(bit-exact to the pair scores for bpr-mf, itempop and itemknn, to rounding
+for gmf, mlp and neumf; see `rankers`), and HR and NDCG are summed in
+test-user order.
+"""
 
 from __future__ import annotations
 
@@ -39,47 +48,52 @@ class EvalReport:
 
 
 def _candidate_sets(split: SplitPair, candidate_policy: str, stream):
-    """Per-test-user candidate ids under the chosen policy.
-
-    "all" ranks every item except the user's training positives; "sampled:m"
-    ranks the held-out item against m uniformly sampled items the user never
-    interacted with.
-    """
+    """Per-test-user candidate ids under a "sampled:m" policy: the held-out
+    item and m uniformly sampled items the user never interacted with."""
+    if not candidate_policy.startswith("sampled:"):
+        raise ValueError(f"unknown candidate policy {candidate_policy!r}")
+    size = candidate_policy.split(":", 1)[1]
+    if not (size.isdecimal() and int(size) >= 1):
+        raise ValueError(
+            f"candidate policy {candidate_policy!r}: the sample size must be "
+            "an integer >= 1"
+        )
+    m = int(size)
+    if stream is None:
+        raise ValueError("sampled candidate policy needs a random stream")
     train_pos = split.train.positives_by_user()
-    n_items = split.train.n_items
-    if candidate_policy == "all":
-        return [items_outside(train_pos[user], n_items) for user, _ in split.test]
-    if candidate_policy.startswith("sampled:"):
-        size = candidate_policy.split(":", 1)[1]
-        if not (size.isdecimal() and int(size) >= 1):
-            raise ValueError(
-                f"candidate policy {candidate_policy!r}: the sample size must be "
-                "an integer >= 1"
-            )
-        m = int(size)
-        if stream is None:
-            raise ValueError("sampled candidate policy needs a random stream")
-        out = []
-        for user, truth in split.test:
-            pool = items_outside(train_pos[user] | {truth}, n_items)
-            if m > len(pool):
-                raise ValueError(f"cannot sample {m} candidates for user {user}")
-            picked = stream.choice(len(pool), size=m, replace=False)
-            out.append([truth] + pool[picked].tolist())
-        return out
-    raise ValueError(f"unknown candidate policy {candidate_policy!r}")
+    out = []
+    for user, truth in split.test:
+        pool = items_outside(train_pos[user] | {truth}, split.train.n_items)
+        if m > len(pool):
+            raise ValueError(f"cannot sample {m} candidates for user {user}")
+        picked = stream.choice(len(pool), size=m, replace=False)
+        out.append([truth] + pool[picked].tolist())
+    return out
 
 
 def evaluate(
     model, split: SplitPair, n=10, candidate_policy="all", stream: RandomStream | None = None
 ) -> EvalReport:
-    """Average HR@n and NDCG@n of the model over the held-out test points."""
+    """Average HR@n and NDCG@n of the model over the held-out test points.
+
+    "all" ranks every item except the user's training positives; "sampled:m"
+    ranks the held-out item against m sampled ones (see `_candidate_sets`).
+    """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    candidates = _candidate_sets(split, candidate_policy, stream)
+    users = [user for user, _ in split.test]
+    if candidate_policy == "all":
+        exclude = split.train.positives_by_user()
+        lists = recommend_topn(model, users, n=n, exclude=exclude)
+    else:
+        candidates = _candidate_sets(split, candidate_policy, stream)
+        lists = [
+            recommend_topn(model, user, cands, n=min(n, len(cands)))
+            for user, cands in zip(users, candidates)
+        ]
     hr_sum = ndcg_sum = 0.0
-    for (user, truth), cands in zip(split.test, candidates):
-        ranked = recommend_topn(model, user, cands, n=min(n, len(cands)))
+    for (_, truth), ranked in zip(split.test, lists):
         hr_sum += hr_at_n(ranked, truth, len(ranked))
         ndcg_sum += ndcg_at_n(ranked, truth, len(ranked))
     count = len(split.test)

@@ -8,6 +8,18 @@ selection counts and itemknn from item-item cosine similarity. The pairwise
 objective is the log-sigmoid margin loss and the pointwise one is sigmoid
 cross-entropy; `loss_pairwise`/`loss_pointwise` evaluate them without an
 update, which the intervention engine uses as episode rewards.
+
+Every model scores (user, item) pairs with `score_batch` and a block of
+users against a set of items with `score_grid`, which computes the item-side
+terms once per call. bpr-mf and gmf make one einsum per block; bpr-mf's grid
+scores equal its pair scores bit for bit, and gmf's entries are summed the
+same way wherever they sit, so items with equal embeddings tie exactly. mlp
+and neumf split the first tower layer into its user and item column halves,
+compute the item half once and run the rest of the tower one user row at a
+time, agreeing with `score_batch` to rounding. itempop and itemknn score the
+grid through `score_batch` over the cross product, bit for bit.
+`recommend_topn` ranks a block of users with one `score_grid` and one
+`mathcore.top_k` call per BLOCK_ENTRIES score entries.
 """
 
 from __future__ import annotations
@@ -70,12 +82,16 @@ class RankingModel:
     def score(self, u: int, i: int) -> float:
         return float(self.score_batch(np.array([u]), np.array([i]))[0])
 
-    def score_candidates(self, u: int, items) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        return self.score_batch(np.full(items.shape, u, dtype=np.int64), items)
-
     def score_batch(self, u, i) -> np.ndarray:
         raise NotImplementedError
+
+    def score_grid(self, users, items) -> np.ndarray:
+        """(len(users), len(items)) scores of every user against every item;
+        this default scores the cross product through `score_batch`."""
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        pairs = self.score_batch(np.repeat(users, len(items)), np.tile(items, len(users)))
+        return pairs.reshape(len(users), len(items))
 
     def params(self) -> dict:
         return {}
@@ -100,6 +116,11 @@ class BprMF(RankingModel):
     def score_batch(self, u, i):
         return np.einsum("bd,bd->b", self.P[u], self.Q[i])
 
+    def score_grid(self, users, items):
+        # einsum, not a BLAS product: each entry is summed as score_batch
+        # sums it, whatever its position, so tied items stay tied
+        return np.einsum("bd,md->bm", self.P[users], self.Q[items])
+
     def backward(self, u, i, ds, grads, l2=0.0):
         gi = ds[:, None] * self.Q[i] + l2 * self.P[u]
         gu = ds[:, None] * self.P[u] + l2 * self.Q[i]
@@ -122,6 +143,9 @@ class Gmf(RankingModel):
 
     def score_batch(self, u, i):
         return (self.P[u] * self.Q[i]) @ self.h
+
+    def score_grid(self, users, items):
+        return np.einsum("bd,md->bm", self.P[users] * self.h, self.Q[items])
 
     def backward(self, u, i, ds, grads, l2=0.0):
         pu, qi = self.P[u], self.Q[i]
@@ -151,6 +175,20 @@ def _tower_forward(x, W1, b1, W2, b2):
     a2 = h1 @ W2.T + b2
     h2 = np.maximum(a2, 0.0)
     return a1, h1, a2, h2
+
+
+def _tower_grid(p, q, W1, b1, W2, b2, w):
+    """(len(p), len(q)) grid of h2(concat(p[r], q[c])) @ w. The item half of
+    the first layer is computed once; each user row then adds its own half
+    and runs the rest of the tower, so no intermediate exceeds len(q) x d."""
+    d = p.shape[1]
+    item_half = q @ W1[:, d:].T
+    user_half = p @ W1[:, :d].T + b1
+    out = np.empty((len(p), len(q)))
+    for row, a in enumerate(user_half):
+        h1 = np.maximum(item_half + a, 0.0)
+        out[row] = np.maximum(h1 @ W2.T + b2, 0.0) @ w
+    return out
 
 
 def _tower_backward(dh2, x, a1, h1, a2, W1, W2, grads, prefix, l2=0.0):
@@ -200,6 +238,12 @@ class Mlp(RankingModel):
     def score_batch(self, u, i):
         _, _, _, _, h2 = self._forward(u, i)
         return h2 @ self.w_out + self.b_out[0]
+
+    def score_grid(self, users, items):
+        tower = _tower_grid(
+            self.P[users], self.Q[items], self.W1, self.b1, self.W2, self.b2, self.w_out
+        )
+        return tower + self.b_out[0]
 
     def backward(self, u, i, ds, grads, l2=0.0):
         x, a1, h1, a2, h2 = self._forward(u, i)
@@ -257,6 +301,15 @@ class NeuMf(RankingModel):
         g, _, _, _, _, h2 = self._forward(u, i)
         z = np.concatenate([g, h2], axis=1)
         return z @ self.w_fuse + self.b_fuse[0]
+
+    def score_grid(self, users, items):
+        d = self.d
+        product = (self.Pg[users] * self.w_fuse[:d]) @ self.Qg[items].T
+        tower = _tower_grid(
+            self.Pm[users], self.Qm[items], self.W1, self.b1, self.W2, self.b2,
+            self.w_fuse[d:],
+        )
+        return product + tower + self.b_fuse[0]
 
     def backward(self, u, i, ds, grads, l2=0.0):
         g, x, a1, h1, a2, h2 = self._forward(u, i)
@@ -320,13 +373,22 @@ class ItemKnn(RankingModel):
         return self
 
     def score_batch(self, u, i):
+        """Per row, sim[i, p] summed over the user's positives p in sorted
+        order. One gather and one row sum per distinct user: each row is a
+        contiguous pairwise sum, as a lone sim[i, sorted(pos)].sum() is."""
         u = np.asarray(u, dtype=np.int64)
         i = np.asarray(i, dtype=np.int64)
         out = np.zeros(len(i))
-        for row, (uu, ii) in enumerate(zip(u, i)):
-            pos = self.user_positives[uu] if self.user_positives else ()
+        if not self.user_positives or len(u) == 0:
+            return out
+        # rows grouped by user: one sort of user * len(u) + row
+        keys = np.sort(u * len(u) + np.arange(len(u)))
+        rows = keys % len(u)
+        bounds = np.flatnonzero(np.diff(keys // len(u))) + 1
+        for group in np.split(rows, bounds):
+            pos = self.user_positives[u[group[0]]]
             if pos:
-                out[row] = self.sim[ii, sorted(pos)].sum()
+                out[group] = self.sim[np.ix_(i[group], sorted(pos))].sum(axis=1)
         return out
 
 
@@ -544,17 +606,57 @@ def load_model(path):
     return model
 
 
-def recommend_topn(model, u, candidates=None, n=10):
-    """Top-n candidate items by score, descending, ties to the lower id.
+def _check_ids(ids, limit, what):
+    bad = ids[(ids < 0) | (ids >= limit)]
+    if len(bad):
+        raise ValueError(f"{what} id {bad[0]} outside [0, {limit})")
 
-    With candidates=None every item is ranked except the user's recorded
-    training positives.
+
+def recommend_topn(model, users, candidates=None, n=10, exclude=None):
+    """Top-n items by score, descending, ties to the lower id: one list for
+    a scalar user, one list per user for an array of users.
+
+    Explicit candidates (distinct ids, at least n of them) are ranked for
+    every user. With candidates=None each user ranks the whole catalog
+    except `exclude[user]` (default: the model's recorded training
+    positives) and keeps the first min(n, items left) entries. Users are
+    ranked in blocks of BLOCK_ENTRIES // len(items): one `score_grid` call
+    and one `top_k` call per block, excluded items scored -inf and dropped.
     """
+    scalar = np.ndim(users) == 0
+    users = np.atleast_1d(np.asarray(users, dtype=np.int64))
+    _check_ids(users, model.n_users, "user")
+    if n < 0:
+        raise ValueError(f"n={n} must be >= 0")
     if candidates is None:
-        exclude = model.user_positives[u] if model.user_positives else ()
-        candidates = mathcore.items_outside(exclude, model.n_items)
-    candidates = np.sort(np.asarray(candidates, dtype=np.int64))
-    if n > len(candidates):
-        raise ValueError(f"n={n} exceeds {len(candidates)} candidates")
-    scores = model.score_candidates(u, candidates)
-    return candidates[top_k(scores[None], n)[0]].tolist()
+        items = np.arange(model.n_items)
+        exclude = model.user_positives if exclude is None else exclude
+    else:
+        items = np.sort(np.asarray(candidates, dtype=np.int64))
+        _check_ids(items, model.n_items, "candidate")
+        repeated = items[1:][items[1:] == items[:-1]]
+        if len(repeated):
+            raise ValueError(f"candidate id {repeated[0]} repeated")
+        if n > len(items):
+            raise ValueError(f"n={n} exceeds {len(items)} candidates")
+        exclude = None
+    lists = []
+    rows = max(1, mathcore.BLOCK_ENTRIES // max(len(items), 1))
+    for start in range(0, len(users), rows):
+        block = users[start : start + rows].tolist()
+        scores = model.score_grid(block, items)
+        if not exclude:
+            lists += items[top_k(scores, min(n, len(items)))].tolist()
+            continue
+        sizes = [len(exclude[u]) for u in block]
+        masked = np.zeros(scores.shape, dtype=bool)
+        masked[
+            np.repeat(np.arange(len(block)), sizes),
+            np.fromiter((i for u in block for i in exclude[u]), np.int64, sum(sizes)),
+        ] = True
+        scores[masked] = -np.inf
+        # each row's first n + |excluded| ids hold its first n others
+        top = top_k(scores, min(n + max(sizes), len(items)))
+        keep = ~np.take_along_axis(masked, top, axis=1)
+        lists += [ids[ok][:n].tolist() for ids, ok in zip(top, keep)]
+    return lists[0] if scalar else lists

@@ -216,6 +216,40 @@ class TestPipeline:
             run_pipeline(cfg, str(tmp_path / "x"))
 
 
+class TestReportPins:
+    """report.tsv digests of four tiny pipelines, fixed before evaluation
+    ranked users in blocks: a ranking change that alters any HR/NDCG digit
+    shows here."""
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ({}, "ea4d912ea827c978dbaa54cf6e5f8f69fbf6da8097f5646d80beba6d2d030974"),
+            (
+                {"target.kind": "neumf", "target.objective": "pointwise",
+                 "eval.coldness": True},
+                "9bbe64fb1913604070e660876623d553d9c3f14cbbcdb7b4ddef06e9d8674792",
+            ),
+            (
+                {"target.kind": "itemknn", "intervention.rounds": 0,
+                 "eval.candidates": "sampled:20", "eval.coldness": True},
+                "a91a097b427b187c7d901ec51d526735ad17c4be01c8f52c20bb3d5f5ad09bd7",
+            ),
+            (
+                {"target.kind": "itempop", "intervention.rounds": 0, "eval.n": 5},
+                "00ce058412b7a62c517d915620966a96afdc0976bdaaf476bbae6acde1213dc0",
+            ),
+        ],
+        ids=["bpr-mf-all", "neumf-pointwise-coldness", "itemknn-sampled-coldness",
+             "itempop-n5"],
+    )
+    def test_report_digest(self, tmp_path, extra, digest):
+        cfg = tiny_cfg(**{"synth.n_items": 80, **extra})
+        run_pipeline(cfg, str(tmp_path))
+        data = (tmp_path / "report.tsv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestMainEntry:
     def test_theory_check_exit_zero(self, capsys):
         code = main(

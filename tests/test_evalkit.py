@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cfrank.corpus import InteractionLog, Record, coldness_buckets, leave_one_out_split
 from cfrank.evalkit import (
@@ -13,9 +16,12 @@ from cfrank.evalkit import (
     hr_at_n,
     ndcg_at_n,
 )
+from cfrank import mathcore
 from cfrank.mathcore import RandomStream
-from cfrank.rankers import ItemPop, make_model
+from cfrank.rankers import ALL_KINDS, ItemPop, make_model
 from cfrank.corpus import SplitPair
+from log_strategies import valid_logs
+from ranking_refs import drawn_model, reference_recommend
 
 
 class TestUnitMetrics:
@@ -141,7 +147,9 @@ class TestEvaluate:
 
 
 def reference_candidate_sets(split, candidate_policy, stream):
-    """Candidate lists built by comprehensions over the whole catalog."""
+    """Candidate lists built by comprehensions over the whole catalog: every
+    item outside the training positives under "all", else the held-out item
+    and m sampled ones."""
     train_pos = split.train.positives_by_user()
     n_items = split.train.n_items
     out = []
@@ -158,7 +166,7 @@ def reference_candidate_sets(split, candidate_policy, stream):
 
 
 class TestCandidateSets:
-    @pytest.mark.parametrize("policy", ["all", "sampled:1", "sampled:7", "sampled:20"])
+    @pytest.mark.parametrize("policy", ["sampled:1", "sampled:7", "sampled:20"])
     def test_match_comprehensions(self, policy):
         records = [
             Record(u, RandomStream(u).permutation(30)[: 3 + u % 6].tolist(),
@@ -172,6 +180,65 @@ class TestCandidateSets:
         want = reference_candidate_sets(split, policy, theirs)
         assert [np.asarray(c).tolist() for c in got] == want
         assert ours.normal(3).tolist() == theirs.normal(3).tolist()
+
+
+def reference_evaluate(model, split, n, candidate_policy, stream):
+    """(hr, ndcg, users) of the per-user loop: one lexsort ranking of each
+    test user's sorted candidates, scored by one score_batch call."""
+    candidates = reference_candidate_sets(split, candidate_policy, stream)
+    hr_sum = ndcg_sum = 0.0
+    for (user, truth), cands in zip(split.test, candidates):
+        ranked = reference_recommend(model, user, cands, min(n, len(cands)))
+        hr_sum += hr_at_n(ranked, truth, len(ranked))
+        ndcg_sum += ndcg_at_n(ranked, truth, len(ranked))
+    count = len(split.test)
+    if count == 0:
+        return 0.0, 0.0, 0
+    return hr_sum / count, ndcg_sum / count, count
+
+
+class TestBlockEvaluate:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        drawn=valid_logs(max_users=8, max_items=30, max_records=16),
+        kind=st.sampled_from(ALL_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        policy=st.sampled_from(["all", "all", "sampled:1", "sampled:3"]),
+        entries=st.sampled_from([1, 7, 30, mathcore.BLOCK_ENTRIES]),
+    )
+    def test_matches_per_user_loop(self, drawn, kind, seed, n, policy, entries):
+        log = InteractionLog.from_records(*drawn).validate()
+        assume(log.n_records > 0)
+        split = leave_one_out_split(log, RandomStream(seed))
+        model = drawn_model(kind, split.train, seed)
+        m = int(policy.split(":")[1]) if policy != "all" else 0
+        train_pos = split.train.positives_by_user()
+        assume(all(log.n_items - len(train_pos[u]) - 1 >= m for u, _ in split.test))
+        ours, theirs = RandomStream(seed + 2), RandomStream(seed + 2)
+        with mock.patch.object(mathcore, "BLOCK_ENTRIES", entries):
+            report = evaluate(model, split, n, policy, ours)
+        want = reference_evaluate(model, split, n, policy, theirs)
+        assert (report.hr, report.ndcg, report.n_users) == want
+        assert ours.normal(3).tolist() == theirs.normal(3).tolist()
+
+    @pytest.mark.parametrize("policy", ["all", "sampled:2"])
+    def test_empty_test_set(self, policy):
+        split = SplitPair(train=simple_split().train, test=[])
+        stream = RandomStream(4)
+        report = evaluate(FixedScorer(5, 30, np.zeros(30)), split, 10, policy, stream)
+        assert report.n_users == 0 and report.metadata == {"empty_test": True}
+        assert stream.normal(2).tolist() == RandomStream(4).normal(2).tolist()
+
+    def test_positives_from_the_split_not_the_model(self):
+        # the model records no positives; "all" still excludes the split's
+        split = simple_split()
+        scores = np.zeros(30)
+        for user, _ in split.test:
+            scores[list(split.train.positives_by_user()[user])] = 100.0
+        report = evaluate(FixedScorer(5, 30, scores), split, 10)
+        want = reference_evaluate(FixedScorer(5, 30, scores), split, 10, "all", None)
+        assert (report.hr, report.ndcg, report.n_users) == want
 
 
 class TestColdnessReport:

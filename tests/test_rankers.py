@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfrank import mathcore
 from cfrank.corpus import InteractionLog, Record
 from log_strategies import valid_logs
+from ranking_refs import drawn_model, reference_recommend, score_candidates
 from cfrank.mathcore import (
     RandomStream,
     TrainingError,
@@ -15,6 +18,7 @@ from cfrank.mathcore import (
     sigmoid,
 )
 from cfrank.rankers import (
+    ALL_KINDS,
     GRADIENT_KINDS,
     _sample_negatives,
     ItemKnn,
@@ -64,7 +68,7 @@ class TestScores:
         model = ItemKnn(3, 6, neighborhood=6)
         model.fit(small_log(), sim=np.eye(6))
         # user 2's single positive is item 4
-        scores = model.score_candidates(2, range(6))
+        scores = score_candidates(model, 2, range(6))
         assert np.argmax(scores) == 4
 
     def test_itemknn_cosine_from_log(self):
@@ -299,6 +303,44 @@ class TestRecommend:
         with pytest.raises(ValueError):
             recommend_topn(model, 0, candidates=[1, 2], n=3)
 
+    @pytest.mark.parametrize("user", [-1, 3, [0, -2], [1, 3]])
+    def test_user_out_of_range(self, user):
+        model = ItemPop(3, 4)
+        bad = user if np.ndim(user) == 0 else user[1]
+        with pytest.raises(ValueError, match=f"^user id {bad} outside \\[0, 3\\)$"):
+            recommend_topn(model, user, n=2)
+
+    @pytest.mark.parametrize("candidates, bad", [([-1, 2], -1), ([0, 4], 4)])
+    def test_candidate_out_of_range(self, candidates, bad):
+        model = ItemPop(1, 4)
+        with pytest.raises(ValueError, match=f"^candidate id {bad} outside \\[0, 4\\)$"):
+            recommend_topn(model, 0, candidates=candidates, n=1)
+
+    def test_repeated_candidate(self):
+        model = ItemPop(1, 4)
+        with pytest.raises(ValueError, match="^candidate id 2 repeated$"):
+            recommend_topn(model, 0, candidates=[2, 0, 2], n=1)
+
+    def test_negative_cutoff(self):
+        model = ItemPop(1, 4)
+        model.user_positives = [{0, 1}]
+        with pytest.raises(ValueError, match="^n=-1 must be >= 0$"):
+            recommend_topn(model, 0, n=-1)
+
+    def test_block_of_users(self):
+        model = ItemPop(3, 4)
+        model.counts = np.array([3.0, 1.0, 2.0, 0.0])
+        model.user_positives = [{0}, set(), {0, 1, 2, 3}]
+        assert recommend_topn(model, [0, 1, 2, 0], n=3) == [
+            [2, 1, 3], [0, 2, 1], [], [2, 1, 3]
+        ]
+        assert recommend_topn(model, np.zeros(0, np.int64), n=3) == []
+        # fewer items left than n: each user keeps what is left
+        assert recommend_topn(model, [0], n=9) == [[2, 1, 3]]
+        assert recommend_topn(model, [2, 1], candidates=[3, 0], n=2) == [[0, 3]] * 2
+        model.user_positives = None  # nothing excluded
+        assert recommend_topn(model, 1, n=9) == [0, 2, 1, 3]
+
 
 class TestPersistence:
     @pytest.mark.parametrize("kind", GRADIENT_KINDS + ("itempop", "itemknn"))
@@ -467,13 +509,6 @@ def reference_knn_keep(sim, neighborhood):
     return kept
 
 
-def reference_recommend(model, u, candidates, n):
-    """Top-n of sorted candidates by one lexsort on (-score, id)."""
-    candidates = np.asarray(sorted(candidates), dtype=np.int64)
-    scores = model.score_candidates(u, candidates)
-    return [int(c) for c in candidates[np.lexsort((candidates, -scores))[:n]]]
-
-
 class TestTopKCallers:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -520,3 +555,135 @@ def reference_interaction_counts(log):
         for item in rec.selected:
             counts[item] += 1
     return counts
+
+
+def reference_itemknn_pairs(model, u, i):
+    """ItemKnn scores by one gather and one sum per (user, item) pair."""
+    out = np.zeros(len(i))
+    for row, (uu, ii) in enumerate(zip(u, i)):
+        pos = model.user_positives[uu] if model.user_positives else ()
+        if pos:
+            out[row] = model.sim[ii, sorted(pos)].sum()
+    return out
+
+
+def block_entries(value):
+    """Patch the score-block size that recommend_topn and top_k read."""
+    return mock.patch.object(mathcore, "BLOCK_ENTRIES", value)
+
+
+class TestItemKnnBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        drawn=valid_logs(max_users=6, max_items=12),
+        neighborhood=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(0, 40),
+    )
+    def test_matches_per_pair_loop(self, drawn, neighborhood, seed, n_rows):
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        model = ItemKnn(n_users, n_items, neighborhood).fit(log)
+        rs = RandomStream(seed)
+        u = rs.integers(0, n_users, n_rows)
+        i = rs.integers(0, n_items, n_rows)
+        want = reference_itemknn_pairs(model, u, i)
+        np.testing.assert_array_equal(model.score_batch(u, i), want)
+        model.user_positives = None
+        assert model.score_batch(u, i).tolist() == [0.0] * n_rows
+
+    def test_dense_catalog_matches_per_pair_loop(self):
+        rs = RandomStream(4)
+        model = ItemKnn(30, 200, neighborhood=200)
+        model.sim = rs.uniform(size=(200, 200)) * (rs.uniform(size=(200, 200)) < 0.5)
+        model.user_positives = [
+            set(rs.choice(200, int(rs.integers(0, 150)), replace=False).tolist())
+            for _ in range(30)
+        ]
+        u = rs.integers(0, 30, 3000)
+        i = rs.integers(0, 200, 3000)
+        want = reference_itemknn_pairs(model, u, i)
+        np.testing.assert_array_equal(model.score_batch(u, i), want)
+
+
+class TestScoreGrid:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        drawn=valid_logs(max_users=6, max_items=12),
+        kind=st.sampled_from(ALL_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        n_users=st.integers(0, 7),
+        n_items=st.integers(0, 15),
+    )
+    def test_matches_pair_scores(self, drawn, kind, seed, n_users, n_items):
+        log = InteractionLog.from_records(*drawn).validate()
+        model = drawn_model(kind, log, seed)
+        rs = RandomStream(seed + 1)
+        users = rs.integers(0, log.n_users, n_users)
+        items = rs.integers(0, log.n_items, n_items)  # repeats included
+        grid = model.score_grid(users, items)
+        assert grid.shape == (n_users, n_items) and grid.dtype == np.float64
+        want = np.array(
+            [score_candidates(model, u, items) for u in users]
+        ).reshape(n_users, n_items)
+        if kind in ("itempop", "itemknn", "bpr-mf"):
+            np.testing.assert_array_equal(grid, want)
+        else:
+            scale = np.abs(want).max(axis=1, initial=0.0, keepdims=True)
+            assert np.all(np.abs(grid - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("kind", ["bpr-mf", "gmf"])
+    def test_equal_item_rows_tie_exactly(self, kind):
+        # 33 x 257 is a shape where a BLAS product rounds equal columns
+        # differently (OpenBLAS 0.3.31)
+        model = make_model(kind, 33, 257, 8, RandomStream(6))
+        model.Q = model.Q[RandomStream(7).integers(0, 4, 257)]
+        grid = model.score_grid(np.arange(33), np.arange(257))
+        for row in range(4):
+            same = grid[:, np.all(model.Q == model.Q[row], axis=1)]
+            assert np.all(same == same[:, :1])
+
+
+class TestBlockRecommend:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        drawn=valid_logs(max_users=6, max_items=16),
+        kind=st.sampled_from(ALL_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 18),
+        n_users=st.integers(0, 9),
+        entries=st.sampled_from([1, 5, 16, 40, mathcore.BLOCK_ENTRIES]),
+        subset=st.lists(st.integers(0, 15), unique=True),
+    )
+    def test_matches_per_user(self, drawn, kind, seed, n, n_users, entries, subset):
+        log = InteractionLog.from_records(*drawn).validate()
+        model = drawn_model(kind, log, seed)
+        users = RandomStream(seed + 1).integers(0, log.n_users, n_users)
+        candidates = [i for i in subset if i < log.n_items]
+        with block_entries(entries):
+            full = recommend_topn(model, users, n=n)
+            picked = recommend_topn(model, users, candidates, n=min(n, len(candidates)))
+        assert len(full) == len(picked) == n_users
+        for u, got_full, got_picked in zip(users.tolist(), full, picked):
+            pool = [i for i in range(log.n_items) if i not in model.user_positives[u]]
+            assert got_full == reference_recommend(model, u, pool, min(n, len(pool)))
+            want = reference_recommend(model, u, candidates, min(n, len(candidates)))
+            assert got_picked == want
+            assert recommend_topn(model, u, n=n) == got_full
+
+    @pytest.mark.parametrize("entries", [1, 3, mathcore.BLOCK_ENTRIES])
+    def test_explicit_exclusions(self, entries):
+        model = drawn_model("bpr-mf", small_log(), 3)
+        exclude = [set(), {0, 1, 2, 3, 4, 5}, {5, 1}]
+        with block_entries(entries):
+            got = recommend_topn(model, [2, 1, 0, 2], n=5, exclude=exclude)
+        for u, ranked in zip([2, 1, 0, 2], got):
+            pool = [i for i in range(6) if i not in exclude[u]]
+            assert ranked == reference_recommend(model, u, pool, min(5, len(pool)))
+        assert got[1] == []
+
+    def test_negative_infinite_scores_stay_candidates(self):
+        model = ItemPop(2, 5)
+        model.counts = np.array([-np.inf, 1.0, -np.inf, -np.inf, 0.0])
+        model.user_positives = [{1, 2}, set()]
+        assert recommend_topn(model, [0, 1], n=5) == [[4, 0, 3], [1, 4, 0, 2, 3]]
