@@ -4,7 +4,11 @@ stage, and an end-to-end pipeline that composes them through file artifacts.
 Every stage reads its inputs from the run directory (or the configured
 dataset path), derives all randomness from labeled substreams of the config
 seed, and writes plain-text artifacts, so composing stages by hand produces
-byte-identical results to the one-shot pipeline.
+byte-identical results to the one-shot pipeline. Each matrix checkpoint
+(`world.txt`, `sim.txt`, `posterior.txt`, `target.txt`, `policy.txt`,
+`target_cpr.txt`) has a binary twin `<name>.f64` beside it, which the next
+stage reads in place of parsing the text while it matches the text's sha256
+(see `textio`); the text stays the artifact of record.
 """
 
 from __future__ import annotations
@@ -497,7 +501,11 @@ def run_stage(name, cfg, out):
 
 
 def run_pipeline(cfg, out):
-    """All stages in order; completed artifacts survive a failing stage."""
+    """All stages in order; completed artifacts survive a failing stage.
+
+    Returns the last stage's result. Earlier results are dropped as soon
+    as their stage ends: the next stage reads them back from `out`.
+    """
     os.makedirs(out, exist_ok=True)
     result = None
     for name, _ in PIPELINE_STAGES:
@@ -505,6 +513,7 @@ def run_pipeline(cfg, out):
             continue
         if name == "intervene" and cfg["intervention.rounds"] == 0:
             continue
+        result = None  # not held while the next stage runs
         result = run_stage(name, cfg, out)
     return result
 

@@ -139,18 +139,40 @@ class CounterfactualBatch:
 
     @classmethod
     def from_tsv(cls, path) -> "CounterfactualBatch":
+        """Reads what `to_tsv` writes; a malformed line raises ValueError
+        naming `path:lineno`."""
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
-        mode = lines[0].split()[1]
+        first = lines[0] if lines else ""
+        mode = first.removeprefix("#mode ")
+        if mode == first or mode not in SAMPLE_MODES:
+            raise ValueError(
+                f"{path}:1: expected '#mode pairwise' or '#mode pointwise', "
+                f"got {first!r}"
+            )
         batch = cls(mode=mode)
-        for line in lines[2:]:
+        rows = batch.triplets if mode == "pairwise" else batch.points
+        for lineno, line in enumerate(lines[2:], start=3):
             if not line:
                 continue
-            a, b, c, conf, src = line.split("\t")
-            row = (int(a), int(b), int(c))
-            (batch.triplets if mode == "pairwise" else batch.points).append(row)
-            batch.confidences.append(float(conf))
-            batch.provenance.append(src)
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise ValueError(f"{path}:{lineno}: {len(fields)} fields in a row of 5")
+            try:
+                row = tuple(int(x) for x in fields[:3])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: ids must be integers, got {fields[:3]}"
+                ) from None
+            try:
+                conf = float(fields[3])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: confidence must be a number, got {fields[3]!r}"
+                ) from None
+            rows.append(row)
+            batch.confidences.append(conf)
+            batch.provenance.append(fields[4])
         return batch
 
 

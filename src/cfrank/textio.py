@@ -4,21 +4,56 @@ One format serves every checkpoint in the package: a version line, `#meta`
 key=value lines, then named blocks of `name rows cols` followed by one
 space-separated row per line. Floats are written with repr-exact precision
 so saved and reloaded arrays compare equal bit for bit.
+
+Each save also writes a binary twin, `path + ".f64"`: the 32-byte sha256
+of the text, then every block's values as little-endian float64 in file
+order (NaN as canonical `np.nan`, the value its text `nan` parses to). A
+load streams the text once, hashing it and reading only the meta lines and
+block headers; when the digest matches the twin's and the twin's length
+matches the headers, the values come from the twin. The text always wins:
+with no twin, a stale one (the text was edited or copied alone) or a short
+one, the values are parsed from the text, so both paths give the same bits.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import numpy as np
 
 FORMAT_VERSION = "cfrank-matrix v1"
+TWIN_SUFFIX = ".f64"
+_F64 = np.dtype("<f8")
+_DIGEST_BYTES = hashlib.sha256().digest_size
+
+
+def _check_names(arrays, meta) -> None:
+    """Reject names the loader would read back differently."""
+    for name in arrays:
+        text = str(name)
+        if text.split() != [text] or text.startswith("#"):
+            raise ValueError(
+                f"block name {text!r} must be one non-whitespace token "
+                "not starting with '#'"
+            )
+    for key, value in meta.items():
+        key = str(key)
+        if "=" in key or any(c.isspace() for c in key):
+            raise ValueError(f"meta key {key!r} must hold no '=' or whitespace")
+        if any(c in str(value) for c in "\r\n"):
+            raise ValueError(f"meta value of {key!r} must be one line")
 
 
 def save_matrices(path, arrays: dict, meta: dict | None = None) -> None:
-    """Write the file one row at a time, so no copy of its text is held.
+    """Write the text one row at a time, so no copy of it is held, then
+    its binary twin.
 
-    Every array is converted before the file is opened: an array that is
-    not numeric leaves an existing file untouched.
+    Every array and name is checked before the file is opened: an array
+    that is not numeric, or a name that would not read back, leaves an
+    existing file untouched.
     """
+    meta = meta or {}
     blocks = [
         (name, np.atleast_2d(np.asarray(arr, dtype=np.float64)))
         for name, arr in arrays.items()
@@ -26,14 +61,29 @@ def save_matrices(path, arrays: dict, meta: dict | None = None) -> None:
     for name, a in blocks:
         if a.ndim != 2:
             raise ValueError(f"{name}: cannot save a {a.ndim}-D array")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#{FORMAT_VERSION}\n")
-        for key in sorted((meta or {})):
-            fh.write(f"#meta {key}={meta[key]}\n")
+    _check_names(arrays, meta)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def put(line):
+            data = (line + "\n").encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        put(f"#{FORMAT_VERSION}")
+        for key in sorted(meta):
+            put(f"#meta {key}={meta[key]}")
         for name, a in blocks:
-            fh.write(f"{name} {a.shape[0]} {a.shape[1]}\n")
+            put(f"{name} {a.shape[0]} {a.shape[1]}")
             for row in a:
-                fh.write(" ".join(map(repr, row.tolist())) + "\n")
+                put(" ".join(map(repr, row.tolist())))
+    with open(os.fspath(path) + TWIN_SUFFIX, "wb") as fh:
+        fh.write(digest.digest())
+        for _, a in blocks:
+            nan = np.isnan(a)
+            if nan.any():
+                a = np.where(nan, np.nan, a)
+            a.astype(_F64, copy=False).tofile(fh)
 
 
 def _block_header(line):
@@ -42,6 +92,59 @@ def _block_header(line):
     if len(fields) != 3 or not (fields[1].isdecimal() and fields[2].isdecimal()):
         return None
     return fields[0], int(fields[1]), int(fields[2])
+
+
+def _scan_text(path):
+    """(meta, headers, sha256) from one pass over the text, reading only
+    the meta lines and block headers; None where the text is not laid out
+    as the writer lays it out (the parser then names the fault)."""
+    meta: dict = {}
+    headers: list = []
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        lines = iter(fh)
+        first = next(lines, b"")
+        digest.update(first)
+        if first.rstrip(b"\n") != f"#{FORMAT_VERSION}".encode():
+            return None
+        for raw in lines:
+            digest.update(raw)
+            line = raw.rstrip(b"\n").decode("utf-8")
+            if line.startswith("#meta ") and not headers:
+                key, _, value = line[len("#meta "):].partition("=")
+                meta[key] = value
+                continue
+            header = _block_header(line)
+            if header is None:
+                return None
+            headers.append(header)
+            for _ in range(header[1]):
+                raw = next(lines, None)
+                if raw is None:
+                    return None
+                digest.update(raw)
+    return meta, headers, digest.digest()
+
+
+def _load_twin(path):
+    """(arrays, meta) from the binary twin of the text at `path`, or None
+    when there is no twin or it does not belong to this text."""
+    twin = os.fspath(path) + TWIN_SUFFIX
+    if not os.path.exists(twin):
+        return None
+    scanned = _scan_text(path)
+    if scanned is None:
+        return None
+    meta, headers, text_digest = scanned
+    size = _DIGEST_BYTES + _F64.itemsize * sum(r * c for _, r, c in headers)
+    with open(twin, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size != size or fh.read(_DIGEST_BYTES) != text_digest:
+            return None
+        arrays = {
+            name: np.fromfile(fh, dtype=_F64, count=rows * cols).reshape(rows, cols)
+            for name, rows, cols in headers
+        }
+    return arrays, meta
 
 
 def _block_error(path, lines, start, name, rows, cols) -> str:
@@ -64,11 +167,8 @@ def _block_error(path, lines, start, name, rows, cols) -> str:
     return f"{path}:{start + 1}: block {name!r} is malformed"
 
 
-def load_matrices(path) -> tuple[dict, dict]:
-    """Returns (arrays, meta). 1xN blocks come back as 2-D; callers ravel.
-
-    A malformed block raises ValueError naming `path:lineno`.
-    """
+def _parse_text(path) -> tuple[dict, dict]:
+    """(arrays, meta) parsed from the text alone."""
     arrays: dict = {}
     meta: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -101,3 +201,12 @@ def load_matrices(path) -> tuple[dict, dict]:
         arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
         i += 1 + rows
     return arrays, meta
+
+
+def load_matrices(path) -> tuple[dict, dict]:
+    """Returns (arrays, meta). 1xN blocks come back as 2-D; callers ravel.
+
+    Values come from the binary twin when it matches the text, else from
+    the text. A malformed block raises ValueError naming `path:lineno`.
+    """
+    return _load_twin(path) or _parse_text(path)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -105,9 +106,47 @@ class TestPipeline:
             stage_evaluate,
         ):
             stage(cfg, str(manual))
-        for name in ("data.tsv", "sim.txt", "posterior.txt", "target.txt",
-                     "target_cpr.txt", "batches.tsv", "report.txt", "report.tsv"):
+        checkpoints = ("world.txt", "sim.txt", "posterior.txt", "target.txt",
+                       "policy.txt", "target_cpr.txt")
+        for name in ("data.tsv", "batches.tsv", "report.txt", "report.tsv",
+                     *checkpoints, *(name + ".f64" for name in checkpoints)):
             assert (auto / name).read_bytes() == (manual / name).read_bytes(), name
+
+    def test_checkpoints_load_through_twins(self, tmp_path, monkeypatch):
+        # Every checkpoint a stage reads was written by an earlier stage, so
+        # each load must take its values from the binary twin.
+        from cfrank import textio
+
+        def no_parse(path):
+            raise AssertionError(f"{path} was parsed as text")
+
+        monkeypatch.setattr(textio, "_parse_text", no_parse)
+        run_pipeline(tiny_cfg(**{"eval.coldness": True}), str(tmp_path))
+        assert (tmp_path / "report.tsv").exists()
+
+    def test_stage_results_released_before_next_stage(self, tmp_path, monkeypatch):
+        from cfrank import cli
+
+        class Result:
+            pass
+
+        seen = []
+
+        def stage(name):
+            def run(cfg, out):
+                assert all(ref() is None for ref in seen), name
+                result = Result()
+                seen.append(weakref.ref(result))
+                return result
+
+            return run
+
+        monkeypatch.setattr(
+            cli, "PIPELINE_STAGES", tuple((name, stage(name)) for name, _ in cli.PIPELINE_STAGES)
+        )
+        last = run_pipeline(tiny_cfg(), str(tmp_path))
+        assert len(seen) == len(cli.PIPELINE_STAGES)
+        assert seen[-1]() is last
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         cfg = tiny_cfg()

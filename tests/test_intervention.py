@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -465,6 +466,27 @@ class TestBatchIO:
         assert again.mode == batch.mode
         assert again.triplets == batch.triplets
         assert again.provenance == batch.provenance
+
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("", 1, "expected '#mode pairwise' or '#mode pointwise', got ''"),
+            ("#mode listwise\nuser\n", 1, "got '#mode listwise'"),
+            ("#mode pairwise\nuser\n1\t2\t3\n", 3, "3 fields in a row of 5"),
+            ("#mode pointwise\nuser\n1\t2\t1\t0.5\tr\n1\tx\t0\t0.5\tr\n", 4,
+             "ids must be integers"),
+            ("#mode pairwise\nuser\n1\t2.0\t3\t0.5\tr\n", 3, "ids must be integers"),
+            ("#mode pairwise\nuser\n1\t2\t3\thigh\tr\n", 3, "confidence must be a number"),
+        ],
+        ids=["empty", "unknown-mode", "short-row", "non-integer-item",
+             "float-item", "non-numeric-confidence"],
+    )
+    def test_malformed_tsv_names_line(self, tmp_path, text, lineno, message):
+        path = tmp_path / "batches.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: ") as info:
+            CounterfactualBatch.from_tsv(path)
+        assert message in str(info.value)
 
     def test_policy_round_trip(self, tmp_path):
         policy = GaussianPolicy(3, 5, RandomStream(12))

@@ -1,4 +1,7 @@
+import hashlib
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cfrank.textio import FORMAT_VERSION, load_matrices, save_matrices
+from cfrank import textio
+from cfrank.textio import FORMAT_VERSION, TWIN_SUFFIX, load_matrices, save_matrices
 
 
 def joined_reference(arrays, meta=None) -> str:
@@ -79,6 +83,31 @@ def test_bad_array_leaves_existing_file(tmp_path):
     assert path.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "arrays, meta, message",
+    [
+        ({"a b": np.ones(2)}, None, "block name 'a b'"),
+        ({"": np.ones(2)}, None, "block name ''"),
+        ({"a\nb": np.ones(2)}, None, "block name"),
+        ({"#x": np.ones(2)}, None, "block name '#x'"),
+        ({"ok": np.ones(2)}, {"k=j": "v"}, "meta key 'k=j'"),
+        ({"ok": np.ones(2)}, {"k j": "v"}, "meta key 'k j'"),
+        ({"ok": np.ones(2)}, {"k\tj": "v"}, "meta key"),
+        ({"ok": np.ones(2)}, {"k": "v\nw"}, "meta value of 'k'"),
+        ({"ok": np.ones(2)}, {"k": "v\rw"}, "meta value of 'k'"),
+    ],
+    ids=["space-name", "empty-name", "newline-name", "hash-name", "eq-key",
+         "space-key", "tab-key", "newline-value", "cr-value"],
+)
+def test_unreadable_name_leaves_existing_file(tmp_path, arrays, meta, message):
+    path = tmp_path / "m.txt"
+    path.write_text("keep\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_matrices(path, arrays, meta)
+    assert path.read_text() == "keep\n"
+    assert not os.path.exists(str(path) + TWIN_SUFFIX)
+
+
 VALID = [f"#{FORMAT_VERSION}", "#meta d=2", "P 2 2", "1.0 2.0", "3.0 4.0",
          "w 1 3", "0.5 0.25 0.125"]
 
@@ -120,3 +149,123 @@ def test_malformed_block_names_line(tmp_path, lines, lineno, message):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: ") as info:
         load_matrices(path)
     assert message in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# The binary twin against the text it mirrors
+
+
+def parsed_without_twin(path):
+    os.remove(str(path) + TWIN_SUFFIX)
+    return load_matrices(path)
+
+
+def assert_same_bits(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+value = st.one_of(
+    st.floats(width=64),  # NaNs of either sign, subnormals, infinities
+    st.sampled_from(EDGE.tolist()),
+)
+token = st.text(
+    st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    arrays=st.dictionaries(
+        token.filter(lambda name: not name.startswith("#")),
+        hnp.arrays(
+            np.float64,
+            st.one_of(
+                hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                st.sampled_from([(1, 7), (0, 3), (3, 0), (0, 0)]),
+            ),
+            elements=value,
+        ),
+        max_size=4,
+    ),
+    meta=st.dictionaries(
+        token.filter(lambda k: "=" not in k),
+        st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",))),
+        max_size=3,
+    ),
+    as_path=st.sampled_from([str, Path]),
+)
+def test_twin_loads_the_bits_the_text_parses_to(tmp_path_factory, arrays, meta, as_path):
+    path = as_path(tmp_path_factory.mktemp("twin") / "m.txt")
+    save_matrices(path, arrays, meta)
+    via_twin = textio._load_twin(path)
+    assert via_twin is not None
+    got, got_meta = via_twin
+    want, want_meta = parsed_without_twin(path)
+    assert got_meta == want_meta == {str(k): str(v) for k, v in meta.items()}
+    assert_same_bits(got, want)
+    for name, a in arrays.items():
+        a = np.atleast_2d(a)
+        expected = np.where(np.isnan(a), np.nan, a)  # the text drops NaN sign and payload
+        assert got[name].tobytes() == expected.tobytes(), name
+
+
+def test_twin_holds_digest_then_values(tmp_path):
+    path = tmp_path / "m.txt"
+    save_matrices(path, {"v": EDGE, "m": np.arange(6).reshape(2, 3)}, {"d": 1})
+    twin = (tmp_path / ("m.txt" + TWIN_SUFFIX)).read_bytes()
+    assert twin[:32] == hashlib.sha256(path.read_bytes()).digest()
+    values = np.frombuffer(twin[32:], dtype="<f8")
+    assert values.tobytes() == np.concatenate([EDGE, np.arange(6.0)]).tobytes()
+
+
+def twin_case(tmp_path):
+    path = tmp_path / "m.txt"
+    arrays = {"P": np.array([[1.0, 2.0], [3.0, 4.0]]), "w": np.array([0.5, 0.25])}
+    save_matrices(path, arrays, {"d": 2})
+    return path, Path(str(path) + TWIN_SUFFIX)
+
+
+def test_stale_twin_after_hand_edit(tmp_path):
+    path, twin = twin_case(tmp_path)
+    path.write_text(path.read_text().replace("3.0 4.0", "3.0 9.5"))
+    assert twin.exists()
+    assert textio._load_twin(path) is None
+    arrays, meta = load_matrices(path)
+    np.testing.assert_array_equal(arrays["P"], [[1.0, 2.0], [3.0, 9.5]])
+    assert meta == {"d": "2"}
+
+
+def test_truncated_twin(tmp_path):
+    path, twin = twin_case(tmp_path)
+    twin.write_bytes(twin.read_bytes()[:-8])
+    assert textio._load_twin(path) is None
+    arrays, _ = load_matrices(path)
+    np.testing.assert_array_equal(arrays["w"], [[0.5, 0.25]])
+
+
+def test_missing_twin(tmp_path):
+    path, twin = twin_case(tmp_path)
+    twin.unlink()
+    arrays, meta = load_matrices(path)
+    np.testing.assert_array_equal(arrays["P"], [[1.0, 2.0], [3.0, 4.0]])
+    assert meta == {"d": "2"}
+
+
+def test_twin_hit_never_parses_text(tmp_path, monkeypatch):
+    path, _ = twin_case(tmp_path)
+    monkeypatch.setattr(textio, "_parse_text", None)  # any call fails
+    arrays, meta = load_matrices(path)
+    np.testing.assert_array_equal(arrays["P"], [[1.0, 2.0], [3.0, 4.0]])
+    assert meta == {"d": "2"}
+
+
+def test_malformed_text_with_twin_names_line(tmp_path):
+    # A twin never hides a fault in the text: the parser still reports it.
+    path, _ = twin_case(tmp_path)
+    path.write_text(path.read_text().replace("3.0 4.0\n", ""))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: "):
+        load_matrices(path)
