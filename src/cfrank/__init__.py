@@ -25,7 +25,6 @@ from .intervention import (
     CounterfactualBatch,
     Episode,
     GaussianPolicy,
-    build_samples,
     pretrain_policy,
     random_list,
     realize_list,
@@ -37,7 +36,6 @@ from .mathcore import (
     RandomStream,
     TrainingError,
     adam_step,
-    finite_diff_check,
     softmax,
 )
 from .rankers import (
@@ -58,7 +56,6 @@ from .simulator import (
     VariationalPosterior,
     counterfactual_select,
     fit_posterior,
-    impression_logit,
     slot_probs,
     train_impression_model,
     train_selection_model,

@@ -456,6 +456,7 @@ def stage_evaluate(cfg, out):
                 n=n,
                 candidate_policy=policy,
                 stream=stream.substream("candidates/coldness"),
+                overall=reports[name],
             )
 
     baselines = {}

@@ -7,7 +7,9 @@ positives excluded; under "sampled:m" each user's m + 1 candidates are
 ranked one user at a time. Both score through the models' grid scorers
 (bit-exact to the pair scores for bpr-mf, itempop and itemknn, to rounding
 for gmf, mlp and neumf; see `rankers`), and HR and NDCG are summed in
-test-user order.
+test-user order. Under "all" a user's list does not depend on which other
+users are ranked, so coldness buckets reuse the lists of the overall
+evaluation instead of ranking each user again.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class EvalReport:
     n_users: int
     candidate_policy: str
     metadata: dict = field(default_factory=dict)
+    # each test user's ranked list, in test order
+    ranked: list = field(default_factory=list, repr=False, compare=False)
 
 
 def _candidate_sets(split: SplitPair, candidate_policy: str, stream):
@@ -79,6 +83,7 @@ def evaluate(
 
     "all" ranks every item except the user's training positives; "sampled:m"
     ranks the held-out item against m sampled ones (see `_candidate_sets`).
+    The report keeps each user's list in `ranked`.
     """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
@@ -92,14 +97,21 @@ def evaluate(
             recommend_topn(model, user, cands, n=min(n, len(cands)))
             for user, cands in zip(users, candidates)
         ]
+    return _report(split.test, lists, n, candidate_policy)
+
+
+def _report(test, lists, n, candidate_policy) -> EvalReport:
+    """HR@n and NDCG@n averaged over the test points, summed in test order."""
     hr_sum = ndcg_sum = 0.0
-    for (_, truth), ranked in zip(split.test, lists):
+    for (_, truth), ranked in zip(test, lists):
         hr_sum += hr_at_n(ranked, truth, len(ranked))
         ndcg_sum += ndcg_at_n(ranked, truth, len(ranked))
-    count = len(split.test)
+    count = len(test)
     if count == 0:
         return EvalReport(0.0, 0.0, n, 0, candidate_policy, {"empty_test": True})
-    return EvalReport(hr_sum / count, ndcg_sum / count, n, count, candidate_policy)
+    return EvalReport(
+        hr_sum / count, ndcg_sum / count, n, count, candidate_policy, ranked=lists
+    )
 
 
 def coldness_report(
@@ -109,17 +121,35 @@ def coldness_report(
     n=10,
     candidate_policy="all",
     stream: RandomStream | None = None,
+    overall: EvalReport | None = None,
 ) -> dict:
-    """Per-bucket reports keyed by bucket name; empty buckets are absent."""
+    """Per-bucket reports keyed by bucket name; empty buckets are absent.
+
+    Under "all" each bucket scores the lists of `overall`, the report of
+    `evaluate(model, split, n)`, which is computed here when not given;
+    under "sampled:m" each bucket draws its own candidates from `stream`.
+    """
     grouped: dict = {}
-    for user, truth in split.test:
-        grouped.setdefault(buckets.name_of(truth), []).append((user, truth))
+    for index, (_, truth) in enumerate(split.test):
+        grouped.setdefault(buckets.name_of(truth), []).append(index)
+    if candidate_policy == "all":
+        if overall is None:
+            overall = evaluate(model, split, n)
+        if (overall.candidate_policy, overall.n, len(overall.ranked)) != (
+            "all", n, len(split.test)
+        ):
+            raise ValueError("overall report does not cover this split at this n")
     out = {}
     for name in BUCKET_NAMES:
         if name not in grouped:
             continue
-        sub = SplitPair(train=split.train, test=grouped[name])
-        out[name] = evaluate(model, sub, n, candidate_policy, stream)
+        test = [split.test[i] for i in grouped[name]]
+        if candidate_policy == "all":
+            lists = [overall.ranked[i] for i in grouped[name]]
+            out[name] = _report(test, lists, n, candidate_policy)
+        else:
+            sub = SplitPair(train=split.train, test=test)
+            out[name] = evaluate(model, sub, n, candidate_policy, stream)
     return out
 
 

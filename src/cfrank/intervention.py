@@ -257,33 +257,6 @@ def _batch_from_block(mode, rows, conf, tags) -> CounterfactualBatch:
     return batch
 
 
-def build_samples(
-    user: int, items, slot_probs, mode: str, k: int, provenance: str = ""
-) -> CounterfactualBatch:
-    """Confidence-filtered samples from one labeled list.
-
-    The k highest-probability slots act as selected items and the k lowest
-    as rejected ones (one shared ranking, ties to the lower slot, so the two
-    sets are disjoint whenever 2k <= K). Pairwise mode emits the k*k cross
-    pairs with the probability margin as confidence; pointwise mode labels
-    the two sets 1 and 0 with the slot probability (or its complement) as
-    confidence.
-    """
-    if mode not in SAMPLE_MODES:
-        raise ValueError(f"unknown sample mode {mode!r}")
-    n = len(items)
-    if not 1 <= k < n:
-        raise ValueError(f"noise-control level k={k} invalid for list of {n}")
-    if len(set(items)) != n:
-        raise ValueError("list contains duplicate items")
-    probs = np.asarray(slot_probs, dtype=np.float64).reshape(1, n)
-    rows, conf = _block_samples(
-        [user], np.asarray(items).reshape(1, n), probs, top_k(probs, n),
-        mode, k, noise_control=True,
-    )
-    return _batch_from_block(mode, rows, conf, [provenance])
-
-
 # ---------------------------------------------------------------------------
 # REINFORCE
 

@@ -2,10 +2,9 @@
 
 Seeded counter-based random streams, stable softmax/sigmoid helpers, a
 lazy Adam optimizer for sparse embedding gradients with the one shuffled
-minibatch loop every trainer runs, a central-difference gradient checker,
-and the item-set rules `top_k` (k best, ties to the lower id),
-`items_outside` and `sample_excluding` (uniform ids outside an exclusion
-set). Everything here is pure given its inputs; a RandomStream is the only
+minibatch loop every trainer runs, and the item-set rules `top_k` (k best,
+ties to the lower id), `items_outside` and `sample_excluding` (uniform ids
+outside an exclusion set). Everything here is pure given its inputs; a RandomStream is the only
 stateful object and is never shared between concurrent tasks.
 """
 
@@ -261,30 +260,3 @@ def sample_excluding(keys, owners, stride, n_items, shape, stream, what):
             return draw
         draw[bad] = stream.integers(0, n_items, int(bad.sum()))
     raise TrainingError("negative sampling failed; " + what)
-
-
-def finite_diff_check(loss, params, analytic_grad, h: float = 1e-4) -> float:
-    """Max relative error between central differences and an analytic gradient.
-
-    `loss` maps a flat parameter vector to a scalar. The relative error at
-    coordinate i is |cd_i - g_i| / max(1e-8, |g_i|); the maximum over all
-    coordinates is returned.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    params = np.asarray(params, dtype=np.float64)
-    analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
-    if params.shape != analytic_grad.shape:
-        raise ValueError("params and analytic_grad must have the same shape")
-    worst = 0.0
-    for i in range(params.size):
-        bump = np.zeros_like(params)
-        bump[i] = h
-        up = float(loss(params + bump))
-        down = float(loss(params - bump))
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise FloatingPointError(f"loss is non-finite near coordinate {i}")
-        cd = (up - down) / (2.0 * h)
-        err = abs(cd - analytic_grad[i]) / max(1e-8, abs(analytic_grad[i]))
-        worst = max(worst, err)
-    return worst

@@ -5,21 +5,30 @@ exposure model (which items get shown to a user, scored P_u . Q_j +
 w_r[j] * alpha[j] with per-item exogenous noise alpha) and a selection
 model (which shown slots the user picks, a within-list softmax with
 per-slot exogenous noise beta). Both trainers run the minibatch Adam loop
-of `mathcore`. The selection half has one likelihood kernel, shared by its
-trainer and its posterior. The exposure half does not yet: it is trained
-as a logistic likelihood of shown items against sampled unshown ones,
-while the posterior over alpha treats each shown slot as a softmax over
-the whole catalog. Variational posteriors over alpha and beta recover the
-environment that produced the log, and counterfactual selection replays
-the learned response on lists that were never shown.
+of `mathcore`. The exposure half is trained as a logistic likelihood of
+shown items against sampled unshown ones, while the posterior over alpha
+treats each shown slot as a softmax over the whole catalog; the posterior
+over beta uses the selection trainer's within-list softmax. Variational
+posteriors over alpha and beta recover the environment that produced the
+log, and counterfactual selection replays the learned response on lists
+that were never shown.
 
-All gradients are derived by hand and exposed for finite-difference checks.
+The posterior's two likelihood terms are softmax log-normalizers over
+frozen logit rows plus a per-draw shift (w_r * alpha over the catalog,
+w_s * beta over the slots). Since exp(b + shift) = exp(b) * exp(shift),
+the rows are exponentiated once per fit, and all Monte-Carlo draws of an
+ELBO evaluation share two matrix products per term; a draw whose row sums
+would underflow rebuilds the logits and normalizes them directly.
+
+All gradients are derived by hand and checked against finite differences
+in the tests.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +148,6 @@ class PosteriorHyper:
 
 # ---------------------------------------------------------------------------
 # Elementary probabilities
-
-
-def impression_logit(params: SimParams, u: int, j: int, alpha) -> float:
-    """Exposure score P_u . Q_j + w_r[j] * alpha[j]."""
-    return float(params.P[u] @ params.Q[j] + params.w_r[j] * alpha[j])
 
 
 def selection_logits(params: SimParams, u: int, items, beta) -> np.ndarray:
@@ -330,7 +334,8 @@ def train_impression_model(
 def _selection_nll(scores, w_s, beta, mask, sel, n_sel):
     """Negated selection log-likelihood and its gradient w.r.t. the logits
     scores + w_s * beta, where `scores` (n, K) holds X[u] . Y[j] per slot
-    and -inf on padding. The trainer and the posterior share this kernel."""
+    and -inf on padding. The posterior's beta term is the same likelihood
+    in factorized form (see `_posterior_terms`)."""
     k = scores.shape[1]
     z = scores + (w_s[:k] * beta[:k])[None, :]
     logp = z - logsumexp(z, axis=1)[:, None]
@@ -388,6 +393,59 @@ def train_selection_model(
 # ---------------------------------------------------------------------------
 # Variational posteriors over alpha and beta
 
+# A row sum below this may have lost terms to underflow, so a draw that
+# meets one is normalized the direct way instead.
+ROW_SUM_FLOOR = 1e-250
+
+
+@dataclass
+class _SoftmaxRows:
+    """Frozen logit rows b stored as scaled = exp(b - rowmax) (0 where b
+    is -inf), with the number of likelihood terms each row carries.
+    `logits()` rebuilds b bit for bit for the direct fallback."""
+
+    scaled: np.ndarray  # (rows, cols)
+    rowmax: np.ndarray  # (rows,)
+    weight: np.ndarray  # (rows,)
+    logits: Callable[[], np.ndarray]
+
+
+def _softmax_rows(base, weight, logits) -> _SoftmaxRows:
+    """Rows of `base`, which is exponentiated in place."""
+    rowmax = base.max(axis=1)
+    base -= rowmax[:, None]
+    np.exp(base, out=base)
+    return _SoftmaxRows(base, rowmax, weight, logits)
+
+
+def _weighted_log_normalizers(rows: _SoftmaxRows, shifts):
+    """For each draw d, a row of `shifts` (draws x cols):
+    (sum_r weight[r] * logsumexp(b[r] + shifts[d]),
+    sum_r weight[r] * softmax(b[r] + shifts[d])), stacked over the draws.
+
+    With c = max(shifts[d]) and e = exp(shifts[d] - c), the row sums are
+    s = scaled @ e, the log-normalizers log(s) + rowmax + c and the mass
+    ((weight / s) @ scaled) * e; all draws go through one product each.
+    A draw whose c is not finite or whose s has an entry below
+    ROW_SUM_FLOOR is normalized from rebuilt logits the direct way.
+    """
+    c = shifts.max(axis=1)
+    fast = np.isfinite(c)
+    e = np.exp(shifts - np.where(fast, c, 0.0)[:, None])
+    s = rows.scaled @ e.T  # (rows, draws)
+    fast &= np.all(s >= ROW_SUM_FLOOR, axis=0)
+    s, e = s[:, fast], e[fast]
+    totals = np.empty(len(shifts))
+    mass = np.empty_like(shifts)
+    totals[fast] = rows.weight @ (np.log(s) + rows.rowmax[:, None] + c[fast])
+    mass[fast] = ((rows.weight[:, None] / s).T @ rows.scaled) * e
+    for d in np.flatnonzero(~fast):
+        z = rows.logits() + shifts[d][None, :]
+        lse = logsumexp(z, axis=1)
+        totals[d] = rows.weight @ lse
+        mass[d] = rows.weight @ np.exp(z - lse[:, None])
+    return totals, mass
+
 
 @dataclass
 class _PosteriorTerms:
@@ -395,18 +453,25 @@ class _PosteriorTerms:
 
     Simulator parameters are frozen while the posterior is fit, so these are
     built once per fit and shared by every epoch and Monte-Carlo draw.
+
+    Exposure: each shown slot (u, j) scores base_r[u, j] + w_r[j] alpha[j]
+    against a softmax over the catalog, base_r = P[active] @ Q.T. Only its
+    exponentiated rows are kept (one n_active x n_items array), weighted by
+    the user's shown slots; the fallback recomputes the same product.
+    Selection: a record without a click has sel = 0 on every slot and adds
+    nothing, so only clicked records are kept: their slot scores X[u] . Y[j]
+    (-inf on padding) raw for the fallback and exponentiated, weighted by
+    n_sel.
     """
 
     w_r: np.ndarray
-    base_r: np.ndarray  # (active users, n_items) P[active] @ Q.T
-    shows_per_user: np.ndarray  # (active users,) shown slots of each
+    exposure: _SoftmaxRows  # active users over the catalog
     shows_per_item: np.ndarray  # (n_items,)
     slot_score: float  # sum of P[u] . Q[j] over the shown slots
     w_s: np.ndarray
-    base_s: np.ndarray  # (n, K) X[u] . Y[j] per slot, -inf on padding
-    mask: np.ndarray
-    sel: np.ndarray
-    n_sel: np.ndarray
+    selection: _SoftmaxRows  # clicked records over the K slots
+    sel_per_slot: np.ndarray  # (K,) selected slots at each position
+    sel_score: float  # sum of X[u] . Y[j] over the selected slots
 
 
 def _posterior_terms(params: SimParams, arrays: _LogArrays) -> _PosteriorTerms:
@@ -416,48 +481,50 @@ def _posterior_terms(params: SimParams, arrays: _LogArrays) -> _PosteriorTerms:
     slot_items = arrays.items.ravel()[flat_mask]
     shows_per_user = np.bincount(slot_users, minlength=params.P.shape[0])
     active = np.nonzero(shows_per_user)[0]
-    base_r = params.P[active] @ params.Q.T
-    base_s = np.einsum("bd,bkd->bk", params.X[arrays.users], params.Y[arrays.items])
+    user_emb, item_emb = params.P[active], params.Q
+    base_r = user_emb @ item_emb.T
+    slot_score = float(base_r[np.searchsorted(active, slot_users), slot_items].sum())
+
+    kept = np.nonzero(arrays.n_sel > 0)[0]
+    sel = arrays.sel[kept]
+    scores = np.einsum(
+        "bd,bkd->bk", params.X[arrays.users[kept]], params.Y[arrays.items[kept]]
+    )
+    base_s = np.where(arrays.mask[kept], scores, -np.inf)
     return _PosteriorTerms(
         w_r=params.w_r,
-        base_r=base_r,
-        shows_per_user=shows_per_user[active].astype(np.float64),
+        exposure=_softmax_rows(
+            base_r,
+            shows_per_user[active].astype(np.float64),
+            lambda: user_emb @ item_emb.T,
+        ),
         shows_per_item=np.bincount(slot_items, minlength=params.n_items).astype(
             np.float64
         ),
-        slot_score=float(
-            base_r[np.searchsorted(active, slot_users), slot_items].sum()
-        ),
+        slot_score=slot_score,
         w_s=params.w_s[:k],
-        base_s=np.where(arrays.mask, base_s, -np.inf),
-        mask=arrays.mask,
-        sel=arrays.sel,
-        n_sel=arrays.n_sel,
+        selection=_softmax_rows(base_s.copy(), arrays.n_sel[kept], lambda: base_s),
+        sel_per_slot=sel.sum(axis=0),
+        sel_score=float(np.sum(sel * scores)),
     )
 
 
-def _beta_loglik_grad(terms: _PosteriorTerms, beta):
-    """Selection log-likelihood of the log and its gradient w.r.t. beta."""
-    loss, dz = _selection_nll(
-        terms.base_s, terms.w_s, beta, terms.mask, terms.sel, terms.n_sel
-    )
-    return -loss, -(dz * terms.w_s[None, :]).sum(axis=0)
+def _alpha_loglik_grads(terms: _PosteriorTerms, alphas):
+    """Exposure log-likelihood of the log and its gradient w.r.t. alpha,
+    one per row of `alphas` (draws x n_items)."""
+    wa = terms.w_r * alphas
+    lse, mass = _weighted_log_normalizers(terms.exposure, wa)
+    values = terms.slot_score + wa @ terms.shows_per_item - lse
+    return values, (terms.shows_per_item - mass) * terms.w_r
 
 
-def _alpha_loglik_grad(terms: _PosteriorTerms, alpha):
-    """Exposure log-likelihood of the log and its gradient w.r.t. alpha.
-
-    Adds w_r * alpha to the cached base logits of every active user and
-    normalizes each row over the whole catalog in one pass.
-    """
-    wa = terms.w_r * alpha
-    z = terms.base_r + wa[None, :]
-    lse = logsumexp(z, axis=1)
-    p = np.exp(z - lse[:, None])
-    value = terms.slot_score + float(terms.shows_per_item @ wa)
-    value -= float(terms.shows_per_user @ lse)
-    grad = (terms.shows_per_item - terms.shows_per_user @ p) * terms.w_r
-    return value, grad
+def _beta_loglik_grads(terms: _PosteriorTerms, betas):
+    """Selection log-likelihood of the log and its gradient w.r.t. beta,
+    one per row of `betas` (draws x K)."""
+    wb = terms.w_s * betas
+    lse, mass = _weighted_log_normalizers(terms.selection, wb)
+    values = terms.sel_score + wb @ terms.sel_per_slot - lse
+    return values, (terms.sel_per_slot - mass) * terms.w_s
 
 
 def elbo_value_and_grads(
@@ -484,29 +551,14 @@ def elbo_value_and_grads(
     entropy = np.sum(rho_a) + np.sum(rho_b) + 0.5 * dim * (1.0 + LOG_2PI)
 
     n_draws = eps_a.shape[0]
-    lik = 0.0
-    glik_mu_a = np.zeros_like(mu_a)
-    glik_rho_a = np.zeros_like(rho_a)
-    glik_mu_b = np.zeros_like(mu_b)
-    glik_rho_b = np.zeros_like(rho_b)
-    for s in range(n_draws):
-        alpha = mu_a + sigma_a * eps_a[s]
-        beta = mu_b + sigma_b * eps_b[s]
-        va, ga = _alpha_loglik_grad(terms, alpha)
-        vb, gb = _beta_loglik_grad(terms, beta)
-        lik += va + vb
-        glik_mu_a += ga
-        glik_rho_a += ga * eps_a[s] * sigma_a
-        glik_mu_b += gb
-        glik_rho_b += gb * eps_b[s] * sigma_b
-    lik /= n_draws
-    elbo = float(prior + entropy + lik)
-
+    va, ga = _alpha_loglik_grads(terms, mu_a + sigma_a * eps_a)
+    vb, gb = _beta_loglik_grads(terms, mu_b + sigma_b * eps_b)
+    elbo = float(prior + entropy + np.sum(va + vb) / n_draws)
     grads = {
-        "mu_a": mu_a - glik_mu_a / n_draws,
-        "rho_a": sigma_a**2 - 1.0 - glik_rho_a / n_draws,
-        "mu_b": mu_b - glik_mu_b / n_draws,
-        "rho_b": sigma_b**2 - 1.0 - glik_rho_b / n_draws,
+        "mu_a": mu_a - ga.sum(axis=0) / n_draws,
+        "rho_a": sigma_a**2 - 1.0 - (ga * eps_a).sum(axis=0) * sigma_a / n_draws,
+        "mu_b": mu_b - gb.sum(axis=0) / n_draws,
+        "rho_b": sigma_b**2 - 1.0 - (gb * eps_b).sum(axis=0) * sigma_b / n_draws,
     }
     return elbo, grads
 

@@ -167,39 +167,69 @@ def _block_error(path, lines, start, name, rows, cols) -> str:
     return f"{path}:{start + 1}: block {name!r} is malformed"
 
 
+def _read_lines(path) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [ln.rstrip("\n") for ln in fh]
+
+
+def _parse_block(lines, rows, cols, size):
+    """The next `rows` lines of the iterator as a (rows, cols) array, or
+    None when they are not `rows` lines of `cols` floats. A row takes at
+    least 2 bytes per value (1 when empty), so a header claiming more rows
+    than a file of `size` bytes holds is short, and nothing is allocated."""
+    if rows * max(2 * cols, 1) > size + 1:
+        return None
+    block = np.empty((rows, cols))
+    for r in range(rows):
+        row = next(lines, None)
+        if row is None:
+            return None
+        try:
+            values = [float(x) for x in row.split()]
+        except ValueError:
+            return None
+        if len(values) != cols:
+            return None
+        block[r] = values
+    return block
+
+
 def _parse_text(path) -> tuple[dict, dict]:
-    """(arrays, meta) parsed from the text alone."""
+    """(arrays, meta) parsed from the text alone.
+
+    Lines are streamed and each block's rows are parsed straight into its
+    preallocated float64 array, so the text is never held whole. On the
+    first fault the file is read again to name its line.
+    """
     arrays: dict = {}
     meta: dict = {}
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != f"#{FORMAT_VERSION}":
-        raise ValueError(f"{path}: not a {FORMAT_VERSION} file")
-    i = 1
-    while i < len(lines) and lines[i].startswith("#meta "):
-        key, _, value = lines[i][len("#meta "):].partition("=")
-        meta[key] = value
-        i += 1
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        header = _block_header(lines[i])
-        if header is None:
-            raise ValueError(
-                f"{path}:{i + 1}: expected a 'name rows cols' block header, "
-                f"got {lines[i]!r}"
-            )
-        name, rows, cols = header
-        block = lines[i + 1 : i + 1 + rows]
-        try:
-            values = [[float(x) for x in row.split()] for row in block]
-        except ValueError:
-            values = None
-        if values is None or len(block) < rows or any(len(v) != cols for v in values):
-            raise ValueError(_block_error(path, lines, i, name, rows, cols))
-        arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
-        i += 1 + rows
+        size = os.fstat(fh.fileno()).st_size
+        lines = (ln.rstrip("\n") for ln in fh)
+        if next(lines, None) != f"#{FORMAT_VERSION}":
+            raise ValueError(f"{path}: not a {FORMAT_VERSION} file")
+        i, line = 1, next(lines, None)  # line is lines[i], 0-based
+        while line is not None and line.startswith("#meta "):
+            key, _, value = line[len("#meta "):].partition("=")
+            meta[key] = value
+            i, line = i + 1, next(lines, None)
+        while line is not None:
+            if not line.strip():
+                i, line = i + 1, next(lines, None)
+                continue
+            header = _block_header(line)
+            if header is None:
+                raise ValueError(
+                    f"{path}:{i + 1}: expected a 'name rows cols' block header, "
+                    f"got {line!r}"
+                )
+            name, rows, cols = header
+            block = _parse_block(lines, rows, cols, size)
+            if block is None:
+                every = _read_lines(path)
+                raise ValueError(_block_error(path, every, i, name, rows, cols))
+            arrays[name] = block
+            i, line = i + 1 + rows, next(lines, None)
     return arrays, meta
 
 

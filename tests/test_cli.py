@@ -247,6 +247,28 @@ class TestPipeline:
         for target, cpr in pairs:
             assert rows[target] == rows[cpr], target
 
+    def test_coldness_ranks_each_test_user_once(self, tmp_path, monkeypatch):
+        from cfrank import evalkit, rankers
+
+        cfg = tiny_cfg(**{"target.kind": "itempop", "eval.coldness": True})
+        out = tmp_path / "once"
+        out.mkdir()
+        stage_synth_gen(cfg, str(out))
+        stage_train_target(cfg, str(out))
+        shutil.copy(out / "target.txt", out / "target_cpr.txt")
+        ranked = []
+
+        def counting(model, users, *args, **kwargs):
+            ranked.append(len(users))
+            return rankers.recommend_topn(model, users, *args, **kwargs)
+
+        monkeypatch.setattr(evalkit, "recommend_topn", counting)
+        reports = stage_evaluate(cfg, str(out))
+        n_test = next(iter(reports.values())).n_users
+        assert n_test > 0 and ranked == [n_test, n_test]  # one call per model
+        tsv = (out / "report.tsv").read_text()
+        assert tsv.count("@") >= 2  # bucket rows were written for both models
+
     def test_untrainable_target_cannot_intervene(self, tmp_path):
         cfg = tiny_cfg(**{"target.kind": "itempop"})
         from cfrank.cli import StageError

@@ -16,9 +16,9 @@ from cfrank.evalkit import (
     hr_at_n,
     ndcg_at_n,
 )
-from cfrank import mathcore
+from cfrank import evalkit, mathcore
 from cfrank.mathcore import RandomStream
-from cfrank.rankers import ALL_KINDS, ItemPop, make_model
+from cfrank.rankers import ALL_KINDS, ItemPop, make_model, recommend_topn
 from cfrank.corpus import SplitPair
 from log_strategies import valid_logs
 from ranking_refs import drawn_model, reference_recommend
@@ -258,6 +258,88 @@ class TestColdnessReport:
         buckets = coldness_buckets(split.train)
         reports = coldness_report(FixedScorer(5, 30, np.zeros(30)), split, buckets)
         assert sum(r.n_users for r in reports.values()) == len(split.test)
+
+
+class CountingRanker:
+    """Wraps `recommend_topn` and counts the user lists it ranks."""
+
+    def __init__(self):
+        self.users = 0
+
+    def __call__(self, model, users, *args, **kwargs):
+        self.users += int(np.size(users))
+        return recommend_topn(model, users, *args, **kwargs)
+
+
+class TestColdnessReuse:
+    """Under "all" the buckets score the overall report's lists; the
+    figures equal a separate evaluation of each bucket's users."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        drawn=valid_logs(max_users=8, max_items=10),
+        kind=st.sampled_from(["bpr-mf", "itempop", "itemknn"]),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_per_bucket_evaluation(self, drawn, kind, n, seed):
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        assume(log.n_records > 0)
+        split = leave_one_out_split(log, RandomStream(seed))
+        model = drawn_model(kind, split.train, seed)
+        buckets = coldness_buckets(split.train, low_max=1, high_min=3)
+        overall = evaluate(model, split, n)
+        assert len(overall.ranked) == len(split.test)
+        for given_overall in (overall, None):
+            got = coldness_report(model, split, buckets, n, overall=given_overall)
+            want = {}
+            for user, truth in split.test:
+                want.setdefault(buckets.name_of(truth), []).append((user, truth))
+            assert set(got) == set(want)
+            for name, test in want.items():
+                rep = evaluate(model, SplitPair(train=split.train, test=test), n)
+                assert (got[name].hr, got[name].ndcg, got[name].n_users) == (
+                    rep.hr, rep.ndcg, rep.n_users
+                )
+                assert got[name].ranked == rep.ranked
+
+    def test_ranks_once(self, monkeypatch):
+        split = simple_split()
+        buckets = coldness_buckets(split.train)
+        model = FixedScorer(5, 30, np.arange(30.0))
+        counter = CountingRanker()
+        monkeypatch.setattr(evalkit, "recommend_topn", counter)
+        overall = evaluate(model, split, 10)
+        assert counter.users == len(split.test)
+        coldness_report(model, split, buckets, 10, overall=overall)
+        assert counter.users == len(split.test)
+        coldness_report(model, split, buckets, 10)  # ranks all users once itself
+        assert counter.users == 2 * len(split.test)
+
+    def test_sampled_draws_per_bucket(self):
+        split = simple_split()
+        buckets = coldness_buckets(split.train, low_max=0, high_min=1)
+        model = FixedScorer(5, 30, np.arange(30.0))
+        overall = evaluate(model, split, 3, "sampled:4", RandomStream(1))
+        with_overall = coldness_report(
+            model, split, buckets, 3, "sampled:4", RandomStream(2), overall=overall
+        )
+        without = coldness_report(model, split, buckets, 3, "sampled:4", RandomStream(2))
+        assert {k: r.ranked for k, r in with_overall.items()} == {
+            k: r.ranked for k, r in without.items()
+        }
+
+    @pytest.mark.parametrize(
+        "n, drop, policy", [(5, 0, "all"), (10, 1, "all"), (10, 0, "sampled:12")]
+    )
+    def test_mismatched_overall_rejected(self, n, drop, policy):
+        split = simple_split()
+        model = FixedScorer(5, 30, np.arange(30.0))
+        overall = evaluate(model, split, n, policy, RandomStream(3))
+        overall.ranked = overall.ranked[drop:]
+        with pytest.raises(ValueError, match="overall report"):
+            coldness_report(model, split, coldness_buckets(split.train), 10, overall=overall)
 
 
 class TestTables:

@@ -14,7 +14,6 @@ from cfrank.intervention import (
     CounterfactualBatch,
     Episode,
     GaussianPolicy,
-    build_samples,
     load_policy,
     pretrain_policy,
     random_list,
@@ -24,7 +23,8 @@ from cfrank.intervention import (
     save_policy,
     surrogate_loss_grads,
 )
-from cfrank.mathcore import RandomStream, finite_diff_check
+from cfrank.mathcore import RandomStream, top_k
+from gradcheck import finite_diff_check
 from cfrank.rankers import loss_pairwise, loss_pointwise, make_model
 from cfrank.simulator import SimParams, VariationalPosterior, counterfactual_select
 
@@ -51,6 +51,34 @@ def policy_sample(
         tau = tau + explore_std * stream.normal(policy.d)
     logprob = policy.log_prob(user_embed, action)
     return tau, action, logprob
+
+
+def build_samples(
+    user: int, items, slot_probs, mode: str, k: int, provenance: str = ""
+) -> CounterfactualBatch:
+    """Confidence-filtered samples from one labeled list, through the block
+    kernel of `run_intervention_round`.
+
+    The k highest-probability slots act as selected items and the k lowest
+    as rejected ones (one shared ranking, ties to the lower slot, so the two
+    sets are disjoint whenever 2k <= K). Pairwise mode emits the k*k cross
+    pairs with the probability margin as confidence; pointwise mode labels
+    the two sets 1 and 0 with the slot probability (or its complement) as
+    confidence.
+    """
+    if mode not in SAMPLE_MODES:
+        raise ValueError(f"unknown sample mode {mode!r}")
+    n = len(items)
+    if not 1 <= k < n:
+        raise ValueError(f"noise-control level k={k} invalid for list of {n}")
+    if len(set(items)) != n:
+        raise ValueError("list contains duplicate items")
+    probs = np.asarray(slot_probs, dtype=np.float64).reshape(1, n)
+    rows, conf = intervention._block_samples(
+        [user], np.asarray(items).reshape(1, n), probs, top_k(probs, n),
+        mode, k, noise_control=True,
+    )
+    return intervention._batch_from_block(mode, rows, conf, [provenance])
 
 
 def build_samples_unfiltered(

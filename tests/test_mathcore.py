@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfrank import mathcore
+from gradcheck import finite_diff_check
 from cfrank.mathcore import (
     AdamState,
     RandomStream,
     TrainingError,
     adam_step,
-    finite_diff_check,
     logsumexp,
     minibatch_adam,
     sigmoid,

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from cfrank import mathcore
 from cfrank.corpus import InteractionLog, Record
 from log_strategies import valid_logs
+from gradcheck import finite_diff_check
 from ranking_refs import drawn_model, reference_recommend, score_candidates
 from cfrank.mathcore import (
     RandomStream,
     TrainingError,
-    finite_diff_check,
     sample_excluding,
     sigmoid,
 )

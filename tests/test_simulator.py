@@ -21,6 +21,9 @@ from cfrank.simulator import (
     SelectionHyper,
     SimParams,
     VariationalPosterior,
+    _alpha_loglik_grads,
+    _beta_loglik_grads,
+    _weighted_log_normalizers,
     _impression_loss_grads,
     _log_arrays,
     _posterior_terms,
@@ -29,7 +32,6 @@ from cfrank.simulator import (
     counterfactual_select,
     elbo_value_and_grads,
     fit_posterior,
-    impression_logit,
     load_posterior,
     load_sim_params,
     save_posterior,
@@ -50,6 +52,11 @@ def rand_params(n_users, n_items, k, d=3, seed=0, scale=1.0):
         Y=scale * rs.normal((n_items, d)),
         w_s=scale * rs.normal(k),
     )
+
+
+def impression_logit(params: SimParams, u: int, j: int, alpha) -> float:
+    """Exposure score P_u . Q_j + w_r[j] * alpha[j]."""
+    return float(params.P[u] @ params.Q[j] + params.w_r[j] * alpha[j])
 
 
 class TestElementaryProbs:
@@ -109,7 +116,7 @@ class TestImpressionTraining:
         assert np.array_equal(a.w_r, np.full(2, 0.1))
 
     def test_gradients_match_finite_differences(self):
-        from cfrank.mathcore import finite_diff_check
+        from gradcheck import finite_diff_check
 
         rs = RandomStream(17)
         nu, ni, d, k = 2, 5, 3, 2
@@ -179,7 +186,7 @@ class TestSelectionTraining:
         assert np.all(np.isfinite(params.X))
 
     def test_gradients_match_finite_differences(self):
-        from cfrank.mathcore import finite_diff_check
+        from gradcheck import finite_diff_check
         from cfrank.simulator import _selection_loss_grads
 
         rs = RandomStream(23)
@@ -594,7 +601,7 @@ class TestPosterior:
         assert fitted >= prior
 
     def test_elbo_gradients_match_finite_differences(self):
-        from cfrank.mathcore import finite_diff_check
+        from gradcheck import finite_diff_check
 
         rs = RandomStream(41)
         params = rand_params(2, 4, 2, d=2, seed=13)
@@ -724,6 +731,188 @@ class TestCachedElbo:
         params = rand_params(3, 5, 2, seed=4)
         self.check(params, InteractionLog.from_records(3, 5, []))
 
+
+def direct_alpha_loglik_grad(params, arrays, alpha):
+    """The exposure term the unfactorized way: every draw adds w_r * alpha
+    to P[active] @ Q.T and normalizes each row over the whole catalog."""
+    k = arrays.list_len
+    flat = arrays.mask.ravel()
+    slot_users = np.repeat(arrays.users, k)[flat]
+    slot_items = arrays.items.ravel()[flat]
+    shows_u = np.bincount(slot_users, minlength=params.P.shape[0])
+    active = np.nonzero(shows_u)[0]
+    shows_u = shows_u[active].astype(np.float64)
+    shows_i = np.bincount(slot_items, minlength=params.n_items).astype(np.float64)
+    base = params.P[active] @ params.Q.T
+    slot_score = float(base[np.searchsorted(active, slot_users), slot_items].sum())
+    wa = params.w_r * alpha
+    z = base + wa[None, :]
+    lse = logsumexp(z, axis=1)
+    p = np.exp(z - lse[:, None])
+    value = slot_score + float(shows_i @ wa)
+    value -= float(shows_u @ lse)
+    return value, (shows_i - shows_u @ p) * params.w_r
+
+
+def direct_beta_loglik_grad(params, arrays, beta):
+    """The selection term the unfactorized way: a within-list softmax over
+    every record, zero-click ones included."""
+    k = arrays.list_len
+    scores = np.einsum("bd,bkd->bk", params.X[arrays.users], params.Y[arrays.items])
+    z = np.where(arrays.mask, scores, -np.inf) + (params.w_s[:k] * beta)[None, :]
+    logp = z - logsumexp(z, axis=1)[:, None]
+    value = float(np.sum(arrays.sel * np.where(arrays.mask, logp, 0.0)))
+    dz = arrays.sel - arrays.n_sel[:, None] * np.exp(logp)
+    return value, (dz * params.w_s[:k][None, :]).sum(axis=0)
+
+
+def count_fallbacks(terms):
+    """Wrap both halves' logit rebuilds; the list grows by the half's name
+    on each direct-fallback draw."""
+    calls = []
+    for name in ("exposure", "selection"):
+        rows = getattr(terms, name)
+        rows.logits = lambda f=rows.logits, name=name: calls.append(name) or f()
+    return calls
+
+
+def assert_terms_match(got, draws, direct):
+    """Each draw's (value, grad) of a batched term equals `direct` on it."""
+    for d, draw in enumerate(draws):
+        want = direct(draw)
+        assert got[0][d] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(got[1][d], want[1], rtol=1e-12, atol=1e-12)
+
+
+class TestFactorizedLikelihood:
+    """The posterior's factorized alpha and beta terms equal the direct
+    formulas, and draws that would underflow take the direct fallback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        drawn=valid_logs(),
+        extra=st.integers(0, 2),
+        scale=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        draws=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_direct_formulas(self, drawn, extra, scale, draws, seed):
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        k = max(log.list_len, 1) + extra
+        params = rand_params(n_users, n_items, k, seed=seed, scale=scale)
+        arrays = _log_arrays(log, list_len=k)
+        terms = _posterior_terms(params, arrays)
+        fallbacks = count_fallbacks(terms)
+        rs = RandomStream(seed + 1)
+        alphas, betas = 2.0 * rs.normal((draws, n_items)), 2.0 * rs.normal((draws, k))
+        assert_terms_match(
+            _alpha_loglik_grads(terms, alphas), alphas,
+            lambda alpha: direct_alpha_loglik_grad(params, arrays, alpha),
+        )
+        assert_terms_match(
+            _beta_loglik_grads(terms, betas), betas,
+            lambda beta: direct_beta_loglik_grad(params, arrays, beta),
+        )
+        assert fallbacks == []
+
+    def huge_case(self):
+        """Logits spread over thousands of nats: under the first draw of
+        `alphas` and `betas` a row's largest base logit and the largest
+        shift sit on different items, so a row sum underflows; the second
+        draw is ordinary."""
+        params = SimParams(
+            P=np.array([[1.0], [2.0]]),
+            Q=np.array([[0.0], [-600.0], [-300.0]]),
+            w_r=np.array([1000.0, 1.0, 2000.0]),
+            X=np.array([[1.0], [-1.0]]),
+            Y=np.array([[0.0], [900.0], [-900.0]]),
+            w_s=np.array([1000.0, 1.0, 1.0]),
+        )
+        log = InteractionLog.from_records(
+            2, 3, [Record(0, [0, 1, 2], [1, 0, 0]), Record(1, [2, 1], [0, 1]),
+                   Record(1, [0], [0])],
+        ).validate()
+        alphas = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        betas = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        return params, _log_arrays(log, list_len=3), alphas, betas
+
+    def test_underflow_takes_the_direct_formula_exactly(self):
+        params, arrays, alphas, betas = self.huge_case()
+        terms = _posterior_terms(params, arrays)
+        fallbacks = count_fallbacks(terms)
+        direct = lambda alpha: direct_alpha_loglik_grad(params, arrays, alpha)
+        got = _alpha_loglik_grads(terms, alphas)
+        assert fallbacks == ["exposure"]  # the first draw only
+        assert_terms_match(got, alphas, direct)
+        assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+        # the fallback is the direct formula: the same product, bit for bit
+        active = np.array([0, 1])
+        z = params.P[active] @ params.Q.T + (params.w_r * alphas[0])[None, :]
+        lse = logsumexp(z, axis=1)
+        shows = np.array([3.0, 3.0])  # shown slots of users 0 and 1
+        totals, mass = _weighted_log_normalizers(terms.exposure, params.w_r * alphas)
+        assert totals[0] == shows @ lse
+        assert np.array_equal(mass[0], shows @ np.exp(z - lse[:, None]))
+        assert np.array_equal(got[1][0], direct(alphas[0])[1])
+
+        got = _beta_loglik_grads(terms, betas)
+        assert fallbacks == ["exposure", "exposure", "selection"]
+        assert_terms_match(
+            got, betas, lambda beta: direct_beta_loglik_grad(params, arrays, beta)
+        )
+
+    def test_non_finite_shift_takes_the_direct_formula(self):
+        params, arrays, _, _ = self.huge_case()
+        terms = _posterior_terms(params, arrays)
+        fallbacks = count_fallbacks(terms)
+        alphas = np.array([[np.inf, 0.0, 0.0], [0.5, 0.0, -0.5]])
+        with np.errstate(invalid="ignore"):
+            got = _alpha_loglik_grads(terms, alphas)
+            want = direct_alpha_loglik_grad(params, arrays, alphas[0])
+        assert fallbacks == ["exposure"]
+        np.testing.assert_array_equal(got[1][0], want[1])
+        assert np.isnan(got[0][0]) and np.isnan(want[0])
+        assert_terms_match(
+            (got[0][1:], got[1][1:]), alphas[1:],
+            lambda alpha: direct_alpha_loglik_grad(params, arrays, alpha),
+        )
+
+    def test_empty_log(self):
+        params = rand_params(3, 5, 2, seed=4)
+        terms = _posterior_terms(params, _log_arrays(InteractionLog.from_records(3, 5, []), 2))
+        assert terms.exposure.scaled.shape == (0, 5)
+        assert terms.selection.scaled.shape == (0, 2)
+        values, grads = _alpha_loglik_grads(terms, np.ones((2, 5)))
+        assert np.array_equal(values, np.zeros(2)) and np.array_equal(grads, np.zeros((2, 5)))
+        values, grads = _beta_loglik_grads(terms, np.ones((2, 2)))
+        assert np.array_equal(values, np.zeros(2)) and np.array_equal(grads, np.zeros((2, 2)))
+
+    def test_keeps_only_clicked_records(self):
+        log = InteractionLog.from_records(
+            2, 4, [Record(0, [0, 1], [0, 0]), Record(1, [2, 3, 0], [0, 1, 1]),
+                   Record(0, [3], [0])],
+        ).validate()
+        terms = _posterior_terms(rand_params(2, 4, 3, seed=6), _log_arrays(log))
+        assert terms.selection.scaled.shape == (1, 3)
+        assert terms.selection.weight.tolist() == [2.0]
+        assert terms.sel_per_slot.tolist() == [0.0, 1.0, 1.0]
+
+    def test_fit_posterior_never_calls_logsumexp(self, monkeypatch):
+        from cfrank import mathcore, simulator
+
+        def boom(*args, **kwargs):
+            raise AssertionError("logsumexp called")
+
+        monkeypatch.setattr(mathcore, "logsumexp", boom)
+        monkeypatch.setattr(simulator, "logsumexp", boom)
+        sample = Path(__file__).parent / "data" / "behaviors_sample.tsv"
+        log = load_mind_behaviors(sample, max_users=25)
+        params = rand_params(log.n_users, log.n_items, log.list_len, d=4, seed=3)
+        post = fit_posterior(
+            params, log, PosteriorHyper(epochs=5, mc_samples=3), RandomStream(2)
+        )
+        assert np.all(np.isfinite(post.mu_alpha)) and np.all(np.isfinite(post.mu_beta))
 
 class TestCounterfactualSelect:
     def test_select_all_returns_list(self):

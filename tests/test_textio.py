@@ -269,3 +269,106 @@ def test_malformed_text_with_twin_names_line(tmp_path):
     path.write_text(path.read_text().replace("3.0 4.0\n", ""))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: "):
         load_matrices(path)
+
+
+# ---------------------------------------------------------------------------
+# The streaming text parser against the whole-file parser it replaced
+
+
+def reference_parse_text(path):
+    """Every line read first, then each block as a list of float lists."""
+    arrays, meta = {}, {}
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    if not lines or lines[0] != f"#{FORMAT_VERSION}":
+        raise ValueError(f"{path}: not a {FORMAT_VERSION} file")
+    i = 1
+    while i < len(lines) and lines[i].startswith("#meta "):
+        key, _, value = lines[i][len("#meta "):].partition("=")
+        meta[key] = value
+        i += 1
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        header = textio._block_header(lines[i])
+        if header is None:
+            raise ValueError(
+                f"{path}:{i + 1}: expected a 'name rows cols' block header, "
+                f"got {lines[i]!r}"
+            )
+        name, rows, cols = header
+        block = lines[i + 1 : i + 1 + rows]
+        try:
+            values = [[float(x) for x in row.split()] for row in block]
+        except ValueError:
+            values = None
+        if values is None or len(block) < rows or any(len(v) != cols for v in values):
+            raise ValueError(textio._block_error(path, lines, i, name, rows, cols))
+        arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
+        i += 1 + rows
+    return arrays, meta
+
+
+def outcome(parse, path):
+    try:
+        return parse(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+stray_line = st.sampled_from([
+    "", " ", "#meta k=v", "#cfrank-matrix v1", "x 1 2", "y 2 1", "z 0 3",
+    "big 99999999999 4", "v 3 0", "1.0 2.0", "1.0", "nan -inf", "1.0 x", "a b c",
+    "0.5 0.25 0.125", "1e308 -0.0 5e-324",
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.sampled_from([VALID, VALID[:1], VALID[:3]]),
+    edits=st.lists(
+        st.tuples(st.integers(0, 9), st.sampled_from(["del", "ins", "set"]), stray_line),
+        max_size=3,
+    ),
+)
+def test_streaming_parse_matches_whole_file_parse(tmp_path_factory, lines, edits):
+    lines = list(lines)
+    for where, op, text in edits:
+        where = min(where, len(lines))
+        if op == "del" and where < len(lines):
+            del lines[where]
+        elif op == "ins":
+            lines.insert(where, text)
+        elif where < len(lines):
+            lines[where] = text
+    path = load_lines(tmp_path_factory.mktemp("parse"), lines)
+    got, want = outcome(textio._parse_text, path), outcome(reference_parse_text, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[1] == want[1]
+        assert_same_bits(got[0], want[0])
+
+
+def test_header_claiming_too_many_rows_allocates_nothing(tmp_path):
+    path = load_lines(tmp_path, VALID[:5] + ["w 99999999999 99999999"])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: block 'w' ends"):
+        textio._parse_text(path)
+
+
+def test_text_parse_peak_memory(tmp_path):
+    import tracemalloc
+
+    arrays = {"P": np.random.default_rng(3).normal(size=(2000, 32)), "w": np.ones((1, 2000))}
+    path = tmp_path / "big.txt"
+    save_matrices(path, arrays)
+    result = sum(a.nbytes for a in arrays.values())
+    tracemalloc.start()
+    try:
+        got, _ = parsed_without_twin(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_bits(got, arrays)
+    assert peak < 2 * result, (peak, result)
