@@ -1,11 +1,13 @@
 """Deterministic numeric kernel shared by every learning module.
 
-Seeded counter-based random streams, stable softmax/sigmoid helpers, a
+Seeded counter-based random streams, stable softmax/sigmoid helpers,
+`scatter_add` (row-wise `np.add.at` through the flat 1-D fast path), a
 lazy Adam optimizer for sparse embedding gradients with the one shuffled
 minibatch loop every trainer runs, and the item-set rules `top_k` (k best,
 ties to the lower id), `items_outside` and `sample_excluding` (uniform ids
-outside an exclusion set). Everything here is pure given its inputs; a RandomStream is the only
-stateful object and is never shared between concurrent tasks.
+outside an exclusion set). Everything here is pure given its inputs; a
+RandomStream is the only stateful object and is never shared between
+concurrent tasks.
 """
 
 from __future__ import annotations
@@ -87,19 +89,35 @@ def logsumexp(z, axis=None, keepdims=False):
 
 
 def sigmoid(x):
+    """1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|): one
+    exp and one division per entry, and no exp of a positive argument."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(x):
     """log(1 + e^x), overflow-safe."""
     x = np.asarray(x, dtype=np.float64)
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+
+
+def scatter_add(out, index, values) -> None:
+    """out[index[k]] += values[k] in place, for k in order, as
+    `np.add.at(out, index, values)` does: each entry of `out` receives its
+    terms in the same order, so the sums agree bit for bit, and negative or
+    out-of-range rows index (or raise IndexError) the same way. The rows of
+    a C-contiguous `out` are addressed through its flat view as
+    row * width + column, which takes numpy's 1-D `ufunc.at` fast path;
+    any other `out` raises ValueError rather than update a copy."""
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous output array")
+    index = np.asarray(index, dtype=np.intp)
+    row = out.shape[1:]
+    width = int(np.prod(row))
+    flat = index[..., None] * width + np.arange(width)
+    values = np.broadcast_to(values, index.shape + row)
+    np.add.at(out.reshape(-1), flat.reshape(-1), values.reshape(-1))
 
 
 @dataclass
@@ -248,15 +266,19 @@ def sample_excluding(keys, owners, stride, n_items, shape, stream, what):
 
     One `stream.integers(0, n_items, shape)` draw, then the excluded entries
     are redrawn together, in C order, for at most 1000 passes before
-    TrainingError("negative sampling failed; " + what)."""
+    TrainingError("negative sampling failed; " + what). Each pass looks up
+    only the entries the previous pass redrew."""
     draw = stream.integers(0, n_items, shape)
     if len(keys) == 0:
         return draw
+    flat = draw.reshape(-1)
+    owner = np.broadcast_to(owners, draw.shape).reshape(-1)
+    todo = np.arange(flat.size)
     for _ in range(1000):
-        query = owners * stride + draw
+        query = owner[todo] * stride + flat[todo]
         pos = np.searchsorted(keys, query)
-        bad = keys[np.minimum(pos, len(keys) - 1)] == query
-        if not bad.any():
+        todo = todo[keys[np.minimum(pos, len(keys) - 1)] == query]
+        if len(todo) == 0:
             return draw
-        draw[bad] = stream.integers(0, n_items, int(bad.sum()))
+        flat[todo] = stream.integers(0, n_items, len(todo))
     raise TrainingError("negative sampling failed; " + what)

@@ -30,7 +30,14 @@ import numpy as np
 
 from . import mathcore, textio
 from .corpus import InteractionLog
-from .mathcore import RandomStream, minibatch_adam, sigmoid, softplus, top_k
+from .mathcore import (
+    RandomStream,
+    minibatch_adam,
+    scatter_add,
+    sigmoid,
+    softplus,
+    top_k,
+)
 
 GRADIENT_KINDS = ("bpr-mf", "gmf", "mlp", "neumf")
 ALL_KINDS = GRADIENT_KINDS + ("itempop", "itemknn")
@@ -49,10 +56,11 @@ class RankerHyper:
 class TrainBatchSource:
     """One origin of training data: observed positives or synthesized samples.
 
-    Observed sources carry (user, item) positives; negatives are resampled
-    every epoch from the items the user never selected. Counterfactual
-    sources carry ready-made rows: (user, pos, neg) triplets for pairwise
-    training, (user, item, label) points for pointwise training.
+    Observed sources carry (user, item) positives and, when they have any,
+    `user_positives` (each user's selected items); negatives are resampled
+    every epoch from the items outside that set. Counterfactual sources
+    carry ready-made rows: (user, pos, neg) triplets for pairwise training,
+    (user, item, label) points for pointwise training.
     """
 
     origin: str  # "observed" | "counterfactual"
@@ -122,10 +130,9 @@ class BprMF(RankingModel):
         return np.einsum("bd,md->bm", self.P[users], self.Q[items])
 
     def backward(self, u, i, ds, grads, l2=0.0):
-        gi = ds[:, None] * self.Q[i] + l2 * self.P[u]
-        gu = ds[:, None] * self.P[u] + l2 * self.Q[i]
-        np.add.at(grads["P"], u, gi)
-        np.add.at(grads["Q"], i, gu)
+        pu, qi = self.P[u], self.Q[i]
+        scatter_add(grads["P"], u, ds[:, None] * qi + l2 * pu)
+        scatter_add(grads["Q"], i, ds[:, None] * pu + l2 * qi)
 
 
 class Gmf(RankingModel):
@@ -150,8 +157,8 @@ class Gmf(RankingModel):
     def backward(self, u, i, ds, grads, l2=0.0):
         pu, qi = self.P[u], self.Q[i]
         grads["h"] += (pu * qi).T @ ds + l2 * self.h
-        np.add.at(grads["P"], u, ds[:, None] * (self.h * qi) + l2 * pu)
-        np.add.at(grads["Q"], i, ds[:, None] * (self.h * pu) + l2 * qi)
+        scatter_add(grads["P"], u, ds[:, None] * (self.h * qi) + l2 * pu)
+        scatter_add(grads["Q"], i, ds[:, None] * (self.h * pu) + l2 * qi)
 
 
 def _tower_init(d, stream):
@@ -252,8 +259,8 @@ class Mlp(RankingModel):
         dh2 = ds[:, None] * self.w_out[None, :]
         dx = _tower_backward(dh2, x, a1, h1, a2, self.W1, self.W2, grads, "", l2)
         d = self.d
-        np.add.at(grads["P"], u, dx[:, :d] + l2 * self.P[u])
-        np.add.at(grads["Q"], i, dx[:, d:] + l2 * self.Q[i])
+        scatter_add(grads["P"], u, dx[:, :d] + l2 * self.P[u])
+        scatter_add(grads["Q"], i, dx[:, d:] + l2 * self.Q[i])
 
 
 class NeuMf(RankingModel):
@@ -319,11 +326,12 @@ class NeuMf(RankingModel):
         dz = ds[:, None] * self.w_fuse[None, :]
         d = self.d
         dg, dh2 = dz[:, :d], dz[:, d:]
-        np.add.at(grads["Pg"], u, dg * self.Qg[i] + l2 * self.Pg[u])
-        np.add.at(grads["Qg"], i, dg * self.Pg[u] + l2 * self.Qg[i])
+        pu, qi = self.Pg[u], self.Qg[i]
+        scatter_add(grads["Pg"], u, dg * qi + l2 * pu)
+        scatter_add(grads["Qg"], i, dg * pu + l2 * qi)
         dx = _tower_backward(dh2, x, a1, h1, a2, self.W1, self.W2, grads, "", l2)
-        np.add.at(grads["Pm"], u, dx[:, :d] + l2 * self.Pm[u])
-        np.add.at(grads["Qm"], i, dx[:, d:] + l2 * self.Qm[i])
+        scatter_add(grads["Pm"], u, dx[:, :d] + l2 * self.Pm[u])
+        scatter_add(grads["Qm"], i, dx[:, d:] + l2 * self.Qm[i])
 
 
 class ItemPop(RankingModel):
@@ -415,8 +423,10 @@ def _zero_grads(model):
 def pairwise_loss_grad(model, u, i, j, l2=0.0):
     """Loss and parameter gradients of -sum log sigmoid(f(u,i) - f(u,j)).
 
-    The optional l2 adds per-occurrence weight decay on the touched rows
-    (and once per call on dense weights), matching the training objective.
+    The optional l2 adds weight decay from the positive pass only: once per
+    occurrence on the user rows u and positive item rows i it touches, and
+    once per call on the dense weights. The negative item rows j get none
+    (their backward pass runs with l2=0).
     """
     u = np.asarray(u, dtype=np.int64)
     i = np.asarray(i, dtype=np.int64)
@@ -498,13 +508,13 @@ def _positive_keys(user_positives, n_items) -> np.ndarray:
     return np.sort(users * n_items + items)
 
 
-def _sample_negatives(user_positives, users, n_items, stream):
+def _sample_negatives(keys, users, n_items, stream):
     """One uniform negative per row, outside the user's positives
-    (`mathcore.sample_excluding` over sorted (user, item) keys)."""
+    (`mathcore.sample_excluding` over the `_positive_keys`)."""
     users = np.asarray(users, dtype=np.int64)
     return mathcore.sample_excluding(
-        _positive_keys(user_positives, n_items), users, n_items, n_items,
-        len(users), stream, "users with no negatives left",
+        keys, users, n_items, n_items, len(users), stream,
+        "users with no negatives left",
     )
 
 
@@ -530,27 +540,34 @@ def _train(model, sources, hyper, stream, mode):
     if hyper.neg_per_pos < 1:
         raise ValueError(f"neg_per_pos={hyper.neg_per_pos} must be >= 1")
     sources = list(sources)
-    for src in sources:
-        if src.origin == "observed" and src.user_positives is not None:
+    keys = {}  # the negatives' exclusion keys per observed source, built once
+    for n, src in enumerate(sources):
+        if src.origin != "observed":
+            continue
+        if src.positives is not None and len(src.positives) > 0:
+            if src.user_positives is None:
+                raise ValueError(
+                    "an observed TrainBatchSource with positives needs user_positives"
+                )
+            keys[n] = _positive_keys(src.user_positives, model.n_items)
+        if src.user_positives is not None:
             model.user_positives = src.user_positives
 
     def epoch_rows(epoch):
         parts = []
-        for src in sources:
+        for n, src in enumerate(sources):
             if src.origin != "observed":
                 if src.rows is not None and len(src.rows) > 0:
                     parts.append(src.rows)
                 continue
-            pos = src.positives
-            if pos is None or len(pos) == 0:
+            if n not in keys:
                 continue
+            pos = src.positives
             users = pos[:, 0]
             if mode == "pointwise":  # the positives, then the negatives
                 parts.append(np.column_stack([pos, np.ones_like(users)]))
             for _ in range(hyper.neg_per_pos):
-                neg = _sample_negatives(
-                    src.user_positives, users, model.n_items, stream
-                )
+                neg = _sample_negatives(keys[n], users, model.n_items, stream)
                 if mode == "pairwise":
                     parts.append(np.column_stack([users, pos[:, 1], neg]))
                 else:

@@ -280,35 +280,58 @@ class TestPipeline:
 class TestReportPins:
     """report.tsv digests of four tiny pipelines, fixed before evaluation
     ranked users in blocks: a ranking change that alters any HR/NDCG digit
-    shows here."""
+    shows here. The two gradient-trained cases also pin the simulator and
+    ranker checkpoints and the counterfactual batches, fixed before the
+    training-step kernels (gradient scatter, negative rejection, sigmoid)
+    were rewritten: those rewrites must not move a bit."""
+
+    SIM = "219089200f1c1bd263b3176450c77cdbd5dd2481bda9f4b360ff740efefd4b28"
 
     @pytest.mark.parametrize(
-        "extra, digest",
+        "extra, digests",
         [
-            ({}, "ea4d912ea827c978dbaa54cf6e5f8f69fbf6da8097f5646d80beba6d2d030974"),
+            (
+                {},
+                {
+                    "report.tsv": "ea4d912ea827c978dbaa54cf6e5f8f69fbf6da8097f5646d80beba6d2d030974",
+                    "target.txt": "874c85140dce2815a0bb27cc9b03a4293144b64cbb0e78056c1e25d5b66f91c1",
+                    "target_cpr.txt": "1fb23948cf1d346d724dbf393705957a643466051db99bff0aee6003ef9c5e07",
+                    "sim.txt": SIM,
+                    "batches.tsv": "1324c5ef2b72e8836b5e0bfac4fe35a5dbd30e10d02478d32ea622973391b519",
+                },
+            ),
             (
                 {"target.kind": "neumf", "target.objective": "pointwise",
                  "eval.coldness": True},
-                "9bbe64fb1913604070e660876623d553d9c3f14cbbcdb7b4ddef06e9d8674792",
+                {
+                    "report.tsv": "9bbe64fb1913604070e660876623d553d9c3f14cbbcdb7b4ddef06e9d8674792",
+                    "target.txt": "996bee7aab370a348ee47091479fe3d194c67109377044a1f660b42655d3db31",
+                    "target_cpr.txt": "da2b7bb0cd2f2438d1b9f0fc2327d25b6a2aac51981fe116211aa0acb395cd60",
+                    "sim.txt": SIM,
+                    "batches.tsv": "9031ee0020ee0a72b2121309c1cb23b3ec372df0ac49921dce64132b1557fde5",
+                },
             ),
             (
                 {"target.kind": "itemknn", "intervention.rounds": 0,
                  "eval.candidates": "sampled:20", "eval.coldness": True},
-                "a91a097b427b187c7d901ec51d526735ad17c4be01c8f52c20bb3d5f5ad09bd7",
+                {"report.tsv": "a91a097b427b187c7d901ec51d526735ad17c4be01c8f52c20bb3d5f5ad09bd7"},
             ),
             (
                 {"target.kind": "itempop", "intervention.rounds": 0, "eval.n": 5},
-                "00ce058412b7a62c517d915620966a96afdc0976bdaaf476bbae6acde1213dc0",
+                {"report.tsv": "00ce058412b7a62c517d915620966a96afdc0976bdaaf476bbae6acde1213dc0"},
             ),
         ],
         ids=["bpr-mf-all", "neumf-pointwise-coldness", "itemknn-sampled-coldness",
              "itempop-n5"],
     )
-    def test_report_digest(self, tmp_path, extra, digest):
+    def test_report_digest(self, tmp_path, extra, digests):
         cfg = tiny_cfg(**{"synth.n_items": 80, **extra})
         run_pipeline(cfg, str(tmp_path))
-        data = (tmp_path / "report.tsv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests
+        }
+        assert got == digests
 
 
 class TestMainEntry:

@@ -1,7 +1,9 @@
 """Static checks over the cfrank modules.
 
 Every name a module imports is used in that module, and only `mathcore`
-sorts or partitions for a ranking (its `top_k` holds the tie rule). No
+sorts or partitions for a ranking (its `top_k` holds the tie rule) or
+scatters with a `ufunc.at` call (its `scatter_add` takes the flat fast
+path). No
 linter ships with the project, so this parses each module with `ast`.
 The package `__init__` is skipped by the import check: its imports are the
 public exports.
@@ -90,3 +92,35 @@ def test_detects_a_ranking_sort():
     assert ranking_sorts(source) == [
         (3, "argsort"), (4, "argpartition"), (5, "lexsort")
     ]
+
+
+def ufunc_at_calls(source: str) -> list:
+    """Lines of every `<expr>.at(...)` call, such as `np.add.at(...)`."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "at"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "mathcore.py"),
+    ids=lambda p: p.name,
+)
+def test_ufunc_at_only_in_mathcore(path):
+    assert ufunc_at_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_ufunc_at_call():
+    source = (
+        "import numpy as np\n"
+        "from numpy import add\n"
+        "np.add.at(g, u, v)\n"
+        "add.at(g, u, v)\n"
+        "np.maximum.at(x, i, 1.0)\n"
+        "fine = x.attr(1) + np.add(a, b)\n"
+    )
+    assert ufunc_at_calls(source) == [3, 4, 5]

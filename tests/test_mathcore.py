@@ -14,6 +14,8 @@ from cfrank.mathcore import (
     adam_step,
     logsumexp,
     minibatch_adam,
+    sample_excluding,
+    scatter_add,
     sigmoid,
     softmax,
     top_k,
@@ -200,6 +202,205 @@ def test_sigmoid_extremes_finite():
     out = sigmoid(np.array([-800.0, 0.0, 800.0]))
     assert np.all(np.isfinite(out))
     assert out[1] == 0.5
+
+
+def two_branch_sigmoid(x):
+    """The former `sigmoid`: 1/(1 + exp(-x)) on x >= 0, exp(x)/(1 + exp(x))
+    elsewhere, each half through a boolean mask."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SIGMOID_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7, 709.78, -709.78, 745.2, -745.2,
+    800.0, -800.0, np.inf, -np.inf,
+]
+
+
+class TestSigmoid:
+    def test_edges_match_two_branch_form(self):
+        x = np.array(SIGMOID_EDGES)
+        got = sigmoid(x)
+        assert got.view(np.int64).tolist() == two_branch_sigmoid(x).view(np.int64).tolist()
+        assert got[:2].tolist() == [0.5, 0.5]
+        assert got[-2:].tolist() == [1.0, 0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, width=64), max_size=40),
+        st.integers(1, 4),
+    )
+    def test_matches_two_branch_form(self, values, rows):
+        x = np.array(values * rows, dtype=np.float64).reshape(rows, -1)
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), two_branch_sigmoid(x).view(np.int64))
+
+    def test_scalar_and_nan(self):
+        assert sigmoid(0.0).shape == ()
+        assert sigmoid(-3.0) == two_branch_sigmoid(-3.0)
+        out = sigmoid(np.array([np.nan, 1.0, -np.nan]))
+        assert np.isnan(out[0]) and np.isnan(out[2])
+        assert out[1] == two_branch_sigmoid(1.0)
+
+
+SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+@st.composite
+def scatter_cases(draw):
+    """(out, index, values): a 1-D or 2-D float table holding ±0.0 among
+    its values, and rows in [-n, n) with repeats, possibly none."""
+    n = draw(st.integers(1, 6))
+    row = draw(st.sampled_from([(), (1,), (3,), (5,)]))
+    out = np.array(
+        draw(st.lists(SCATTER_VALUES, min_size=n * max(row or (1,)),
+                      max_size=n * max(row or (1,)))),
+        dtype=np.float64,
+    ).reshape((n,) + row)
+    k = draw(st.integers(0, 25))
+    index = np.array(draw(st.lists(st.integers(-n, n - 1), min_size=k, max_size=k)),
+                     dtype=np.int64)
+    size = k * max(row or (1,))
+    values = np.array(
+        draw(st.lists(SCATTER_VALUES, min_size=size, max_size=size)), dtype=np.float64
+    ).reshape((k,) + row)
+    return out, index, values
+
+
+class TestScatterAdd:
+    @settings(max_examples=150, deadline=None)
+    @given(scatter_cases())
+    def test_matches_add_at_bit_for_bit(self, case):
+        out, index, values = case
+        want = out.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 terms
+            np.add.at(want, index, values)
+            scatter_add(out, index, values)
+        assert out.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_signed_zeros(self):
+        out = np.array([[-0.0, 0.0], [-0.0, -0.0]])
+        scatter_add(out, np.array([0, 1, 1]), np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]]))
+        assert np.signbit(out).tolist() == [[True, False], [False, False]]
+
+    def test_empty_index(self):
+        out = np.arange(6.0).reshape(3, 2)
+        scatter_add(out, np.zeros(0, np.int64), np.zeros((0, 2)))
+        assert out.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    def test_broadcast_values(self):
+        out, want = np.zeros((4, 3)), np.zeros((4, 3))
+        index = np.array([3, -1, 0])
+        scatter_add(out, index, np.array([1.0, 2.0, 3.0]))
+        np.add.at(want, index, np.array([1.0, 2.0, 3.0]))
+        assert out.tolist() == want.tolist()
+        scatter_add(out, index, 0.5)
+        np.add.at(want, index, 0.5)
+        assert out.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("row", [4, -5])
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)])
+    def test_out_of_range_row_raises(self, shape, row):
+        with pytest.raises(IndexError):
+            np.add.at(np.zeros(shape), np.array([row]), 1.0)
+        with pytest.raises(IndexError):
+            scatter_add(np.zeros(shape), np.array([row]), 1.0)
+
+    @pytest.mark.parametrize(
+        "view", [lambda a: a.T, lambda a: a[:, ::2], lambda a: a[::2]],
+        ids=["transposed", "column-strided", "row-strided"],
+    )
+    def test_non_contiguous_out_raises(self, view):
+        table = np.zeros((4, 4))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add(view(table), np.array([0, 1]), 1.0)
+        assert not table.any()
+
+
+def full_recheck_sample_excluding(keys, owners, stride, n_items, shape, stream, what):
+    """The former `sample_excluding`: every pass looks up the whole draw."""
+    draw = stream.integers(0, n_items, shape)
+    if len(keys) == 0:
+        return draw
+    for _ in range(1000):
+        query = owners * stride + draw
+        pos = np.searchsorted(keys, query)
+        bad = keys[np.minimum(pos, len(keys) - 1)] == query
+        if not bad.any():
+            return draw
+        draw[bad] = stream.integers(0, n_items, int(bad.sum()))
+    raise TrainingError("negative sampling failed; " + what)
+
+
+@st.composite
+def dense_exclusions(draw):
+    """(keys, stride, n_items, owners, shape): owners that mostly exclude
+    all but one or two items, so most entries need many passes, and owner
+    arrays shaped (b, 1) or (b, m) against a (b, m) draw."""
+    n_items = draw(st.integers(1, 30))
+    n_owners = draw(st.integers(1, 5))
+    stride = n_items + draw(st.integers(0, 3))
+    rs = RandomStream(draw(st.integers(0, 2**32 - 1)))
+    keys = []
+    for owner in range(n_owners):
+        left = draw(st.integers(1, min(2, n_items))) if draw(st.booleans()) else (
+            draw(st.integers(1, n_items))
+        )
+        kept = rs.permutation(n_items)[left:]
+        keys += (owner * stride + kept).tolist()
+    b, m = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        owners = rs.integers(0, n_owners, (b, 1))
+    else:
+        owners = rs.integers(0, n_owners, (b, m))
+    return np.sort(np.array(keys, dtype=np.int64)), stride, n_items, owners, (b, m)
+
+
+class TestSampleExcludingPasses:
+    @settings(max_examples=80, deadline=None)
+    @given(dense_exclusions(), st.integers(0, 2**32 - 1))
+    def test_matches_full_recheck(self, case, seed):
+        keys, stride, n_items, owners, shape = case
+        a, b = RandomStream(seed), RandomStream(seed)
+        got = sample_excluding(keys, owners, stride, n_items, shape, a, "x")
+        want = full_recheck_sample_excluding(keys, owners, stride, n_items, shape, b, "x")
+        assert got.shape == shape
+        assert got.tolist() == want.tolist()
+        assert a.integers(0, 1 << 30, 4).tolist() == b.integers(0, 1 << 30, 4).tolist()
+        assert not np.isin(owners * stride + got, keys).any()
+
+    def test_many_passes_one_dimensional(self):
+        # 40 of 41 items excluded for every owner: about 41 passes per entry
+        n_items = 41
+        owners = np.arange(60) % 3
+        keys = np.sort(np.concatenate(
+            [o * n_items + np.delete(np.arange(n_items), 7 * o) for o in range(3)]
+        ))
+        a, b = RandomStream(4), RandomStream(4)
+        got = sample_excluding(keys, owners, n_items, n_items, 60, a, "x")
+        want = full_recheck_sample_excluding(keys, owners, n_items, n_items, 60, b, "x")
+        assert got.tolist() == want.tolist() == (7 * owners).tolist()
+        assert a.normal(3).tolist() == b.normal(3).tolist()
+
+    @pytest.mark.parametrize("owners", [np.array([[0], [1]]), np.array([[1, 0], [1, 1]])])
+    def test_owner_excluding_everything_fails(self, owners):
+        keys = np.sort(np.concatenate([np.arange(5), 8 + np.arange(4)]))
+        a, b = RandomStream(2), RandomStream(2)
+        with pytest.raises(TrainingError, match="^negative sampling failed; none left$"):
+            sample_excluding(keys, owners, 8, 5, (2, 2), a, "none left")
+        with pytest.raises(TrainingError):
+            full_recheck_sample_excluding(keys, owners, 8, 5, (2, 2), b, "none left")
+        assert a.normal(2).tolist() == b.normal(2).tolist()
 
 
 # few distinct values, so rows tie heavily, also across the cut

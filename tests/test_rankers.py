@@ -20,6 +20,7 @@ from cfrank.mathcore import (
 from cfrank.rankers import (
     ALL_KINDS,
     GRADIENT_KINDS,
+    _positive_keys,
     _sample_negatives,
     ItemKnn,
     ItemPop,
@@ -198,6 +199,47 @@ class TestTraining:
         pos_score = model.score(1, 1)
         rest = [model.score(1, i) for i in (0, 2, 5)]
         assert pos_score > np.mean(rest)
+
+    @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
+    def test_observed_positives_need_user_positives(self, train):
+        model = make_model("bpr-mf", 3, 6, 4, RandomStream(1))
+        before = {k: v.copy() for k, v in model.params().items()}
+        source = TrainBatchSource(origin="observed", positives=np.array([[0, 1], [2, 3]]))
+        with pytest.raises(ValueError, match="needs user_positives"):
+            train(model, [source], RankerHyper(epochs=2), RandomStream(2))
+        assert model.user_positives is None
+        for k, v in model.params().items():
+            assert np.array_equal(before[k], v)
+
+    @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
+    def test_observed_source_without_positives_is_skipped(self, train):
+        model = make_model("gmf", 2, 4, 3, RandomStream(7))
+        before = {k: v.copy() for k, v in model.params().items()}
+        empty = TrainBatchSource(origin="observed", positives=np.zeros((0, 2), np.int64))
+        train(model, [empty, TrainBatchSource(origin="observed")], RankerHyper(epochs=3),
+              RandomStream(1))
+        for k, v in model.params().items():
+            assert np.array_equal(before[k], v)
+
+    @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
+    def test_exclusion_keys_built_once_per_call(self, train):
+        log = small_log()
+        sources = [TrainBatchSource.from_log(log), TrainBatchSource.from_log(log)]
+        hyper = RankerHyper(epochs=4, neg_per_pos=3)
+        calls = []
+
+        def counted(user_positives, n_items):
+            calls.append(n_items)
+            return _positive_keys(user_positives, n_items)
+
+        with mock.patch("cfrank.rankers._positive_keys", counted):
+            patched = make_model("bpr-mf", 3, 6, 4, RandomStream(5))
+            train(patched, sources, hyper, RandomStream(6))
+        assert calls == [6, 6]
+        plain = make_model("bpr-mf", 3, 6, 4, RandomStream(5))
+        train(plain, sources, hyper, RandomStream(6))
+        for k, v in plain.params().items():
+            assert np.array_equal(patched.params()[k], v)
 
     def test_untrainable_kind_rejected(self):
         model = ItemPop(2, 3)
@@ -391,14 +433,18 @@ class TestSampleNegatives:
         ]
         users = rs.integers(0, n_users, n_rows)
         a, b = RandomStream(seed + 1), RandomStream(seed + 1)
-        got = _sample_negatives(user_positives, users, n_items, a)
+        keys = _positive_keys(user_positives, n_items)
+        got = _sample_negatives(keys, users, n_items, a)
         want = reference_sample_negatives(user_positives, users, n_items, b)
         np.testing.assert_array_equal(got, want)
         assert a.normal(2).tolist() == b.normal(2).tolist()
 
     def test_exhausted_user_fails(self):
         with pytest.raises(TrainingError, match="negative sampling failed"):
-            _sample_negatives([{0, 1, 2}], np.zeros(3, np.int64), 3, RandomStream(1))
+            _sample_negatives(
+                _positive_keys([{0, 1, 2}], 3), np.zeros(3, np.int64), 3,
+                RandomStream(1),
+            )
 
 
 class TestSampleExcluding:
