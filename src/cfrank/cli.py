@@ -342,7 +342,6 @@ def stage_intervene(cfg, out):
     if not target.trainable:
         raise ConfigError(f"target.kind {kind!r} cannot be retrained")
     observed = rankers.TrainBatchSource.from_log(train)
-    target.user_positives = observed.user_positives
     stream = RandomStream(cfg["seed"]).substream("intervene")
 
     list_source = cfg["intervention.mode"]

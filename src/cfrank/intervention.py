@@ -290,7 +290,8 @@ def surrogate_loss_grads(policy: GaussianPolicy, episodes, baseline: float):
 
 
 def reinforce_update(policy: GaussianPolicy, episodes, lr: float) -> GaussianPolicy:
-    """One ascent step on the baseline-subtracted policy-gradient surrogate.
+    """One ascent step on the baseline-subtracted policy-gradient surrogate,
+    added to the policy's arrays in place.
 
     The baseline is the mean episode reward; equal rewards therefore produce
     an exactly zero update. A non-finite gradient skips the update with a
@@ -307,8 +308,8 @@ def reinforce_update(policy: GaussianPolicy, episodes, lr: float) -> GaussianPol
     if not all(np.all(np.isfinite(g)) for g in grads.values()):
         warnings.warn("non-finite policy gradient; update skipped", stacklevel=2)
         return policy
-    updated = {k: v + lr * grads[k] for k, v in policy.params().items()}
-    policy.set_params(updated)
+    for k, v in policy.params().items():
+        v += lr * grads[k]
     return policy
 
 

@@ -120,33 +120,31 @@ def scatter_add(out, index, values) -> None:
     np.add.at(out.reshape(-1), flat.reshape(-1), values.reshape(-1))
 
 
+# Adam's moment decay rates and denominator offset, the same for every fit.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Moment estimates and hyperparameters for one parameter array."""
+    """Moment estimates and step size for one parameter array."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, params, lr=1e-3):
         p = np.asarray(params, dtype=np.float64)
-        return cls(
-            m=np.zeros_like(p),
-            v=np.zeros_like(p),
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+        return cls(m=np.zeros_like(p), v=np.zeros_like(p), lr=lr)
 
 
 def adam_step(state: AdamState, params, grads) -> np.ndarray:
-    """One Adam update with bias correction; returns the new parameters.
+    """One Adam update with bias correction, subtracted from `params` in
+    place; returns that array (a float64 copy only when `params` is not a
+    float64 array).
 
     Coordinates whose gradient is exactly zero are left untouched, moments
     included. For embedding tables trained on sparse minibatches this keeps
@@ -163,35 +161,33 @@ def adam_step(state: AdamState, params, grads) -> np.ndarray:
     state.step += 1
     active = grads != 0.0
     if not np.any(active):
-        return params.copy()
+        return params
     g = grads[active]
-    state.m[active] = state.beta1 * state.m[active] + (1.0 - state.beta1) * g
-    state.v[active] = state.beta2 * state.v[active] + (1.0 - state.beta2) * g * g
-    m_hat = state.m[active] / (1.0 - state.beta1**state.step)
-    v_hat = state.v[active] / (1.0 - state.beta2**state.step)
-    out = params.copy()
-    out[active] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return out
+    state.m[active] = ADAM_BETA1 * state.m[active] + (1.0 - ADAM_BETA1) * g
+    state.v[active] = ADAM_BETA2 * state.v[active] + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m[active] / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.v[active] / (1.0 - ADAM_BETA2**state.step)
+    params[active] -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params
 
 
 class AdamGroup:
     """Adam states for a named family of parameter arrays."""
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.states = {
-            k: AdamState.for_params(v, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-            for k, v in params.items()
-        }
+    def __init__(self, params: dict, lr=1e-3):
+        self.states = {k: AdamState.for_params(v, lr=lr) for k, v in params.items()}
 
-    def step(self, params: dict, grads: dict) -> dict:
-        return {k: adam_step(self.states[k], params[k], grads[k]) for k in params}
+    def step(self, params: dict, grads: dict) -> None:
+        """One `adam_step` per array, each result stored back into `params`."""
+        for k in params:
+            params[k] = adam_step(self.states[k], params[k], grads[k])
 
 
 def minibatch_adam(
     params: dict, epoch_rows, loss_grad, lr, batch_size, epochs, stream, what
 ) -> dict:
-    """Shuffled minibatch Adam over a dict of parameter arrays; returns the
-    final parameters.
+    """Shuffled minibatch Adam over a dict of parameter arrays, updated in
+    place (see `adam_step`); returns the same dict.
 
     `epoch_rows(epoch)` gives each epoch's rows. An epoch without rows is
     skipped and draws nothing; otherwise one `stream.permutation` shuffles
@@ -213,7 +209,7 @@ def minibatch_adam(
         for start in range(0, len(rows), batch_size):
             loss, grads = loss_grad(params, rows[start : start + batch_size])
             epoch_loss += loss
-            params = opt.step(params, grads)
+            opt.step(params, grads)
             del grads  # freed before the next batch allocates its own
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"{what} diverged at epoch {epoch}")

@@ -9,6 +9,13 @@ objective is the log-sigmoid margin loss and the pointwise one is sigmoid
 cross-entropy; `loss_pairwise`/`loss_pointwise` evaluate them without an
 update, which the intervention engine uses as episode rewards.
 
+Each gradient kind has one `forward(u, i) -> (scores, activations)`, and
+`score_batch` returns its scores. `backward(activations, ds, grads, l2)`
+adds the gradient of sum(ds * scores), with l2 decay on the rows and
+weights it touched, into `grads` without running the forward again; the
+loss gradients run `forward` once per side. Training updates the arrays of
+`params()` in place.
+
 Every model scores (user, item) pairs with `score_batch` and a block of
 users against a set of items with `score_grid`, which computes the item-side
 terms once per call. bpr-mf and gmf make one einsum per block; bpr-mf's grid
@@ -91,6 +98,9 @@ class RankingModel:
         return float(self.score_batch(np.array([u]), np.array([i]))[0])
 
     def score_batch(self, u, i) -> np.ndarray:
+        return self.forward(u, i)[0]
+
+    def forward(self, u, i):
         raise NotImplementedError
 
     def score_grid(self, users, items) -> np.ndarray:
@@ -121,16 +131,17 @@ class BprMF(RankingModel):
     def params(self):
         return {"P": self.P, "Q": self.Q}
 
-    def score_batch(self, u, i):
-        return np.einsum("bd,bd->b", self.P[u], self.Q[i])
+    def forward(self, u, i):
+        pu, qi = self.P[u], self.Q[i]
+        return np.einsum("bd,bd->b", pu, qi), (u, i, pu, qi)
 
     def score_grid(self, users, items):
         # einsum, not a BLAS product: each entry is summed as score_batch
         # sums it, whatever its position, so tied items stay tied
         return np.einsum("bd,md->bm", self.P[users], self.Q[items])
 
-    def backward(self, u, i, ds, grads, l2=0.0):
-        pu, qi = self.P[u], self.Q[i]
+    def backward(self, acts, ds, grads, l2=0.0):
+        u, i, pu, qi = acts
         scatter_add(grads["P"], u, ds[:, None] * qi + l2 * pu)
         scatter_add(grads["Q"], i, ds[:, None] * pu + l2 * qi)
 
@@ -148,15 +159,17 @@ class Gmf(RankingModel):
     def params(self):
         return {"P": self.P, "Q": self.Q, "h": self.h}
 
-    def score_batch(self, u, i):
-        return (self.P[u] * self.Q[i]) @ self.h
+    def forward(self, u, i):
+        pu, qi = self.P[u], self.Q[i]
+        g = pu * qi
+        return g @ self.h, (u, i, pu, qi, g)
 
     def score_grid(self, users, items):
         return np.einsum("bd,md->bm", self.P[users] * self.h, self.Q[items])
 
-    def backward(self, u, i, ds, grads, l2=0.0):
-        pu, qi = self.P[u], self.Q[i]
-        grads["h"] += (pu * qi).T @ ds + l2 * self.h
+    def backward(self, acts, ds, grads, l2=0.0):
+        u, i, pu, qi, g = acts
+        grads["h"] += g.T @ ds + l2 * self.h
         scatter_add(grads["P"], u, ds[:, None] * (self.h * qi) + l2 * pu)
         scatter_add(grads["Q"], i, ds[:, None] * (self.h * pu) + l2 * qi)
 
@@ -198,14 +211,14 @@ def _tower_grid(p, q, W1, b1, W2, b2, w):
     return out
 
 
-def _tower_backward(dh2, x, a1, h1, a2, W1, W2, grads, prefix, l2=0.0):
+def _tower_backward(dh2, x, a1, h1, a2, W1, W2, grads, l2=0.0):
     da2 = dh2 * (a2 > 0)
-    grads[prefix + "W2"] += da2.T @ h1 + l2 * W2
-    grads[prefix + "b2"] += da2.sum(axis=0)
+    grads["W2"] += da2.T @ h1 + l2 * W2
+    grads["b2"] += da2.sum(axis=0)
     dh1 = da2 @ W2
     da1 = dh1 * (a1 > 0)
-    grads[prefix + "W1"] += da1.T @ x + l2 * W1
-    grads[prefix + "b1"] += da1.sum(axis=0)
+    grads["W1"] += da1.T @ x + l2 * W1
+    grads["b1"] += da1.sum(axis=0)
     return da1 @ W1  # gradient w.r.t. the concatenated embedding input
 
 
@@ -237,14 +250,10 @@ class Mlp(RankingModel):
             "b_out": self.b_out,
         }
 
-    def _forward(self, u, i):
+    def forward(self, u, i):
         x = np.concatenate([self.P[u], self.Q[i]], axis=1)
         a1, h1, a2, h2 = _tower_forward(x, self.W1, self.b1, self.W2, self.b2)
-        return x, a1, h1, a2, h2
-
-    def score_batch(self, u, i):
-        _, _, _, _, h2 = self._forward(u, i)
-        return h2 @ self.w_out + self.b_out[0]
+        return h2 @ self.w_out + self.b_out[0], (u, i, x, a1, h1, a2, h2)
 
     def score_grid(self, users, items):
         tower = _tower_grid(
@@ -252,15 +261,15 @@ class Mlp(RankingModel):
         )
         return tower + self.b_out[0]
 
-    def backward(self, u, i, ds, grads, l2=0.0):
-        x, a1, h1, a2, h2 = self._forward(u, i)
+    def backward(self, acts, ds, grads, l2=0.0):
+        u, i, x, a1, h1, a2, h2 = acts
         grads["w_out"] += h2.T @ ds + l2 * self.w_out
         grads["b_out"] += ds.sum(keepdims=True)
         dh2 = ds[:, None] * self.w_out[None, :]
-        dx = _tower_backward(dh2, x, a1, h1, a2, self.W1, self.W2, grads, "", l2)
+        dx = _tower_backward(dh2, x, a1, h1, a2, self.W1, self.W2, grads, l2)
         d = self.d
-        scatter_add(grads["P"], u, dx[:, :d] + l2 * self.P[u])
-        scatter_add(grads["Q"], i, dx[:, d:] + l2 * self.Q[i])
+        scatter_add(grads["P"], u, dx[:, :d] + l2 * x[:, :d])
+        scatter_add(grads["Q"], i, dx[:, d:] + l2 * x[:, d:])
 
 
 class NeuMf(RankingModel):
@@ -298,16 +307,12 @@ class NeuMf(RankingModel):
             "b_fuse": self.b_fuse,
         }
 
-    def _forward(self, u, i):
-        g = self.Pg[u] * self.Qg[i]
+    def forward(self, u, i):
+        pu, qi = self.Pg[u], self.Qg[i]
         x = np.concatenate([self.Pm[u], self.Qm[i]], axis=1)
         a1, h1, a2, h2 = _tower_forward(x, self.W1, self.b1, self.W2, self.b2)
-        return g, x, a1, h1, a2, h2
-
-    def score_batch(self, u, i):
-        g, _, _, _, _, h2 = self._forward(u, i)
-        z = np.concatenate([g, h2], axis=1)
-        return z @ self.w_fuse + self.b_fuse[0]
+        z = np.concatenate([pu * qi, h2], axis=1)
+        return z @ self.w_fuse + self.b_fuse[0], (u, i, pu, qi, x, a1, h1, a2, z)
 
     def score_grid(self, users, items):
         d = self.d
@@ -318,20 +323,18 @@ class NeuMf(RankingModel):
         )
         return product + tower + self.b_fuse[0]
 
-    def backward(self, u, i, ds, grads, l2=0.0):
-        g, x, a1, h1, a2, h2 = self._forward(u, i)
-        z = np.concatenate([g, h2], axis=1)
+    def backward(self, acts, ds, grads, l2=0.0):
+        u, i, pu, qi, x, a1, h1, a2, z = acts
         grads["w_fuse"] += z.T @ ds + l2 * self.w_fuse
         grads["b_fuse"] += ds.sum(keepdims=True)
         dz = ds[:, None] * self.w_fuse[None, :]
         d = self.d
         dg, dh2 = dz[:, :d], dz[:, d:]
-        pu, qi = self.Pg[u], self.Qg[i]
         scatter_add(grads["Pg"], u, dg * qi + l2 * pu)
         scatter_add(grads["Qg"], i, dg * pu + l2 * qi)
-        dx = _tower_backward(dh2, x, a1, h1, a2, self.W1, self.W2, grads, "", l2)
-        scatter_add(grads["Pm"], u, dx[:, :d] + l2 * self.Pm[u])
-        scatter_add(grads["Qm"], i, dx[:, d:] + l2 * self.Qm[i])
+        dx = _tower_backward(dh2, x, a1, h1, a2, self.W1, self.W2, grads, l2)
+        scatter_add(grads["Pm"], u, dx[:, :d] + l2 * x[:, :d])
+        scatter_add(grads["Qm"], i, dx[:, d:] + l2 * x[:, d:])
 
 
 class ItemPop(RankingModel):
@@ -431,12 +434,14 @@ def pairwise_loss_grad(model, u, i, j, l2=0.0):
     u = np.asarray(u, dtype=np.int64)
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
-    margin = model.score_batch(u, i) - model.score_batch(u, j)
+    pos, pos_acts = model.forward(u, i)
+    neg, neg_acts = model.forward(u, j)
+    margin = pos - neg
     loss = float(np.sum(softplus(-margin)))
     grads = _zero_grads(model)
     dmargin = -sigmoid(-margin)
-    model.backward(u, i, dmargin, grads, l2=l2)
-    model.backward(u, j, -dmargin, grads, l2=0.0)
+    model.backward(pos_acts, dmargin, grads, l2=l2)
+    model.backward(neg_acts, -dmargin, grads, l2=0.0)
     return loss, grads
 
 
@@ -445,10 +450,10 @@ def pointwise_loss_grad(model, u, i, y, l2=0.0):
     u = np.asarray(u, dtype=np.int64)
     i = np.asarray(i, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
-    s = model.score_batch(u, i)
+    s, acts = model.forward(u, i)
     loss = float(np.sum(y * softplus(-s) + (1.0 - y) * softplus(s)))
     grads = _zero_grads(model)
-    model.backward(u, i, sigmoid(s) - y, grads, l2=l2)
+    model.backward(acts, sigmoid(s) - y, grads, l2=l2)
     return loss, grads
 
 
@@ -574,16 +579,15 @@ def _train(model, sources, hyper, stream, mode):
                     parts.append(np.column_stack([users, neg, np.zeros_like(users)]))
         return np.concatenate(parts or [np.zeros((0, 3))]).astype(np.int64)
 
+    fn = pairwise_loss_grad if mode == "pairwise" else pointwise_loss_grad
+
     def loss_grad(params, batch):
-        model.set_params(params)
-        fn = pairwise_loss_grad if mode == "pairwise" else pointwise_loss_grad
         return fn(model, batch[:, 0], batch[:, 1], batch[:, 2], l2=hyper.l2)
 
-    params = minibatch_adam(
+    minibatch_adam(
         model.params(), epoch_rows, loss_grad, hyper.lr, hyper.batch_size,
         hyper.epochs, stream, "ranker training",
     )
-    model.set_params(params)
     return model
 
 

@@ -45,6 +45,7 @@ from .mathcore import (
     sigmoid,
     softmax,
     softplus,
+    top_k,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -150,16 +151,13 @@ class PosteriorHyper:
 # Elementary probabilities
 
 
-def selection_logits(params: SimParams, u: int, items, beta) -> np.ndarray:
+def slot_probs(params: SimParams, u: int, items, beta) -> np.ndarray:
+    """Within-list selection probabilities, one per slot, summing to 1: the
+    softmax of the logits X[u] . Y[j] + w_s * beta over the slots."""
     items = np.asarray(items, dtype=np.int64)
     k = len(items)
     beta = np.asarray(beta, dtype=np.float64)
-    return params.X[u] @ params.Y[items].T + params.w_s[:k] * beta[:k]
-
-
-def slot_probs(params: SimParams, u: int, items, beta) -> np.ndarray:
-    """Within-list selection probabilities, one per slot, summing to 1."""
-    return softmax(selection_logits(params, u, items, beta))
+    return softmax(params.X[u] @ params.Y[items].T + params.w_s[:k] * beta[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +311,6 @@ def train_impression_model(
             p,
         )
 
-    # the initial arrays are passed without a local name, so each is freed
-    # once the optimizer replaces it
     params = minibatch_adam(
         {
             "P": 0.1 * init.normal((arrays.n_users, hyper.d_r)),
@@ -527,9 +523,7 @@ def _beta_loglik_grads(terms: _PosteriorTerms, betas):
     return values, (terms.sel_per_slot - mass) * terms.w_s
 
 
-def elbo_value_and_grads(
-    params, arrays, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b, terms=None
-):
+def elbo_value_and_grads(terms, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b):
     """Evidence lower bound with reparameterized likelihood draws.
 
     The Gaussian prior cross-entropy and the posterior entropy are analytic;
@@ -537,11 +531,8 @@ def elbo_value_and_grads(
     draws, which makes the whole expression deterministic given them (as the
     finite-difference checks require). Returns (elbo, grads) where grads
     are gradients of the *negated* bound for the minimizer. `terms` are the
-    frozen likelihood terms of (params, arrays); they are built here when
-    not supplied.
+    frozen likelihood terms of the simulator and log (`_posterior_terms`).
     """
-    if terms is None:
-        terms = _posterior_terms(params, arrays)
     sigma_a = np.exp(rho_a)
     sigma_b = np.exp(rho_b)
     dim = mu_a.size + mu_b.size
@@ -580,8 +571,7 @@ def fit_posterior(
         raise ValueError(f"epochs={hyper.epochs} must be >= 0")
     k = params.list_len
     n_items = params.n_items
-    arrays = _log_arrays(log, list_len=k)
-    terms = _posterior_terms(params, arrays)
+    terms = _posterior_terms(params, _log_arrays(log, list_len=k))
     values = {
         "mu_a": np.zeros(n_items),
         "rho_a": np.zeros(n_items),
@@ -595,23 +585,21 @@ def fit_posterior(
         eps_a = stream.normal((hyper.mc_samples, n_items))
         eps_b = stream.normal((hyper.mc_samples, k))
         elbo, grads = elbo_value_and_grads(
-            params,
-            arrays,
+            terms,
             values["mu_a"],
             values["rho_a"],
             values["mu_b"],
             values["rho_b"],
             eps_a,
             eps_b,
-            terms,
         )
         if not np.isfinite(elbo):
             raise TrainingError(f"posterior fit diverged at epoch {epoch}")
-        values = opt.step(values, grads)
+        opt.step(values, grads)
         for key in ("rho_a", "rho_b"):
             if np.any(values[key] < rho_floor):
                 clamped = True
-                values[key] = np.maximum(values[key], rho_floor)
+                np.maximum(values[key], rho_floor, out=values[key])
     if clamped:
         warnings.warn("posterior sigma clamped at floor 1e-4", stacklevel=2)
     return VariationalPosterior(
@@ -647,8 +635,7 @@ def counterfactual_select(
         raise ValueError("intervened list contains duplicate items")
     beta = posterior.sample_beta(stream)
     probs = slot_probs(params, u, items, beta)
-    order = sorted(range(len(items)), key=lambda t: (-probs[t], t))
-    chosen_slots = sorted(order[:m])
+    chosen_slots = np.sort(top_k(probs[None, :], m)[0])
     return [items[t] for t in chosen_slots], probs
 
 

@@ -1,10 +1,10 @@
 """Static checks over the cfrank modules.
 
 Every name a module imports is used in that module, and only `mathcore`
-sorts or partitions for a ranking (its `top_k` holds the tie rule) or
-scatters with a `ufunc.at` call (its `scatter_add` takes the flat fast
-path). No
-linter ships with the project, so this parses each module with `ast`.
+sorts or partitions for a ranking (its `top_k` holds the tie rule; a
+`sorted(..., key=...)` call counts as a ranking sort) or scatters with a
+`ufunc.at` call (its `scatter_add` takes the flat fast path). No linter
+ships with the project, so this parses each module with `ast`.
 The package `__init__` is skipped by the import check: its imports are the
 public exports.
 """
@@ -37,14 +37,15 @@ RANKING_SORTS = {"argpartition", "argsort", "lexsort"}
 
 def ranking_sorts(source: str) -> list:
     """(line, name) of every call of a ranking sort, as `np.f(...)`,
-    `x.f(...)` or a bare `f(...)`."""
+    `x.f(...)` or a bare `f(...)`, and of every `sorted(...)` with a key."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "attr", None) or getattr(func, "id", None)
-            if name in RANKING_SORTS:
+            keyed = name == "sorted" and any(kw.arg == "key" for kw in node.keywords)
+            if name in RANKING_SORTS or keyed:
                 found.append((node.lineno, name))
     return sorted(found)
 
@@ -88,9 +89,11 @@ def test_detects_a_ranking_sort():
         "top = x.argpartition(3)\n"
         "rows = lexsort((a, b))\n"
         "fine = np.sort(x)\n"
+        "also_fine = sorted(pos)\n"
+        "slots = sorted(range(n), key=lambda t: (-p[t], t))\n"
     )
     assert ranking_sorts(source) == [
-        (3, "argsort"), (4, "argpartition"), (5, "lexsort")
+        (3, "argsort"), (4, "argpartition"), (5, "lexsort"), (8, "sorted")
     ]
 
 

@@ -111,14 +111,24 @@ class TestAdam:
     def test_statefulness(self):
         params = np.array([0.0])
         s1 = AdamState.for_params(params, lr=0.1)
-        twice = adam_step(s1, adam_step(s1, params, np.array([1.0])), np.array([1.0]))
+        twice = adam_step(
+            s1, adam_step(s1, params.copy(), np.array([1.0])), np.array([1.0])
+        )
         s2 = AdamState.for_params(params, lr=0.2)
-        once = adam_step(s2, params, np.array([1.0]))
+        once = adam_step(s2, params.copy(), np.array([1.0]))
         # constant gradients make the step sizes agree to O(eps), but the
         # trajectories are not identical and the carried state differs
         assert twice[0] != once[0]
         assert s1.step == 2 and s2.step == 1
         assert not np.array_equal(s1.m, s2.m)
+
+    def test_updates_the_given_array_in_place(self):
+        params = np.array([1.0, -2.0, 0.5])
+        state = AdamState.for_params(params, lr=0.1)
+        out = adam_step(state, params, np.array([0.5, 0.0, -1.0]))
+        assert out is params
+        np.testing.assert_allclose(params, [0.9, -2.0, 0.6])
+        assert adam_step(state, params, np.zeros(3)) is params
 
     def test_dimension_mismatch(self):
         state = AdamState.for_params(np.zeros(3))

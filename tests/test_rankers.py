@@ -22,6 +22,7 @@ from cfrank.rankers import (
     GRADIENT_KINDS,
     _positive_keys,
     _sample_negatives,
+    _tower_forward,
     ItemKnn,
     ItemPop,
     RankerHyper,
@@ -152,6 +153,19 @@ class TestGradients:
     @pytest.mark.parametrize("kind", GRADIENT_KINDS)
     def test_pointwise(self, kind):
         self.check(kind, pointwise=True)
+
+    @pytest.mark.parametrize("kind", ["mlp", "neumf"])
+    @pytest.mark.parametrize("pointwise, towers", [(True, 1), (False, 2)])
+    def test_one_tower_forward_per_side(self, kind, pointwise, towers):
+        model = make_model(kind, 3, 6, 4, RandomStream(3))
+        with mock.patch(
+            "cfrank.rankers._tower_forward", wraps=_tower_forward
+        ) as tower:
+            if pointwise:
+                pointwise_loss_grad(model, self.u, self.i, self.y, l2=0.1)
+            else:
+                pairwise_loss_grad(model, self.u, self.i, self.j, l2=0.1)
+        assert tower.call_count == towers
 
 
 class TestTraining:

@@ -582,12 +582,11 @@ class TestPosterior:
         post = fit_posterior(
             params, log, PosteriorHyper(lr=0.05, epochs=200, mc_samples=8), RandomStream(3)
         )
-        arrays = _log_arrays(log, list_len=2)
+        terms = _posterior_terms(params, _log_arrays(log, list_len=2))
         eps_a = RandomStream(77).normal((1000, 2))
         eps_b = RandomStream(78).normal((1000, 2))
         fitted, _ = elbo_value_and_grads(
-            params,
-            arrays,
+            terms,
             post.mu_alpha,
             np.log(post.sigma_alpha),
             post.mu_beta,
@@ -596,7 +595,7 @@ class TestPosterior:
             eps_b,
         )
         prior, _ = elbo_value_and_grads(
-            params, arrays, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), eps_a, eps_b
+            terms, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), eps_a, eps_b
         )
         assert fitted >= prior
 
@@ -608,7 +607,7 @@ class TestPosterior:
         log = InteractionLog.from_records(
             2, 4, [Record(0, [0, 1], [1, 0]), Record(1, [2, 3], [0, 1])]
         ).validate()
-        arrays = _log_arrays(log)
+        terms = _posterior_terms(params, _log_arrays(log))
         ni, k = 4, 2
         eps_a = rs.normal((3, ni))
         eps_b = rs.normal((3, k))
@@ -621,9 +620,9 @@ class TestPosterior:
         def loss(v):
             ma, ra = v[:ni], v[ni : 2 * ni]
             mb, rb = v[2 * ni : 2 * ni + k], v[2 * ni + k :]
-            return -elbo_value_and_grads(params, arrays, ma, ra, mb, rb, eps_a, eps_b)[0]
+            return -elbo_value_and_grads(terms, ma, ra, mb, rb, eps_a, eps_b)[0]
 
-        _, g = elbo_value_and_grads(params, arrays, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b)
+        _, g = elbo_value_and_grads(terms, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b)
         err = finite_diff_check(
             loss,
             pack(mu_a, rho_a, mu_b, rho_b),
@@ -712,13 +711,10 @@ class TestCachedElbo:
         )
         want_value, want = reference_elbo(params, arrays, *point, eps_a, eps_b)
         terms = _posterior_terms(params, arrays)
-        for supplied in (None, terms):
-            value, got = elbo_value_and_grads(
-                params, arrays, *point, eps_a, eps_b, supplied
-            )
-            assert value == pytest.approx(want_value, rel=1e-12)
-            for key in ("mu_a", "rho_a", "mu_b", "rho_b"):
-                np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12)
+        value, got = elbo_value_and_grads(terms, *point, eps_a, eps_b)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        for key in ("mu_a", "rho_a", "mu_b", "rho_b"):
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12)
 
     def test_padded_behaviors_log(self):
         sample = Path(__file__).parent / "data" / "behaviors_sample.tsv"
