@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 
 import numpy as np
 
-from . import evalkit, intervention, rankers, simulator, synthgen
+from . import evalkit, intervention, rankers, simulator, synthgen, theorylab
 from .corpus import (
     InteractionLog,
     coldness_buckets,
@@ -139,14 +140,18 @@ class ExperimentConfig:
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
-    """Defaults, then the config file, then explicit key=value overrides."""
+    """Defaults, then the config file, then explicit key=value overrides.
+
+    In the file, `#` starts a comment at the start of a line or after
+    whitespace; elsewhere it is part of the value (`a/run#2/b.tsv`).
+    """
     values = {key: default for key, (_, default) in SCHEMA.items()}
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
+                line = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
@@ -428,7 +433,8 @@ def stage_evaluate(cfg, out):
     reports = {}
     coldness = {}
     names = [(_target_name(cfg), "target.txt")]
-    if os.path.exists(_artifact(out, "target_cpr.txt")):
+    # A run directory reused with rounds=0 may hold an older run's model.
+    if cfg["intervention.rounds"] > 0 and os.path.exists(_artifact(out, "target_cpr.txt")):
         names.append((_cpr_name(cfg), "target_cpr.txt"))
     buckets = None
     if cfg["eval.coldness"]:
@@ -550,8 +556,6 @@ def _resolve(args):
 def _cmd_theory_check(args):
     stream = RandomStream(args.seed)
     if args.theorem == 1:
-        from . import theorylab
-
         n = theorylab.bound_theorem1(args.eta, args.delta)
         empirical = theorylab.simulate_voting(args.eta, n, args.trials, stream)
         exact = theorylab.exact_voting_failure(args.eta, n)
@@ -562,8 +566,6 @@ def _cmd_theory_check(args):
             ("delta", args.delta),
         ]
     else:
-        from . import theorylab
-
         n = theorylab.bound_theorem2(args.hypotheses, args.delta, args.eps, args.zeta)
         empirical = theorylab.simulate_noisy_erm(
             args.zeta, args.eps, args.delta, args.hypotheses, args.trials, stream

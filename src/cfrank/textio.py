@@ -7,17 +7,19 @@ so saved and reloaded arrays compare equal bit for bit.
 
 Each save also writes a binary twin, `path + ".f64"`: the 32-byte sha256
 of the text, then every block's values as little-endian float64 in file
-order (NaN as canonical `np.nan`, the value its text `nan` parses to). A
-load streams the text once, hashing it and reading only the meta lines and
-block headers; when the digest matches the twin's and the twin's length
-matches the headers, the values come from the twin. The text always wins:
-with no twin, a stale one (the text was edited or copied alone) or a short
-one, the values are parsed from the text, so both paths give the same bits.
+order (NaN as canonical `np.nan`, the value its text `nan` parses to). One
+reader walks the text, in one of two modes. A load first scans: it hashes
+every line but decodes only the meta lines and block headers, and when the
+digest and the headers match the twin, the values come from the twin. The
+text always wins: with no twin, a stale one (the text was edited or copied
+alone) or a short one, the load parses the rows instead, so both paths give
+the same bits.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -94,36 +96,74 @@ def _block_header(line):
     return fields[0], int(fields[1]), int(fields[2])
 
 
-def _scan_text(path):
-    """(meta, headers, sha256) from one pass over the text, reading only
-    the meta lines and block headers; None where the text is not laid out
-    as the writer lays it out (the parser then names the fault)."""
+def _read_text(path, parse):
+    """(blocks, meta, sha256) from one pass over the text at `path`.
+
+    Parse mode reads each block's rows into its preallocated float64 array.
+    Scan mode hashes each line, maps each name to (rows, cols) and leaves
+    the rows undecoded, so a fault inside one shows only as a stale digest.
+    A fault in the layout raises ValueError naming `path:lineno`.
+    """
+    blocks: dict = {}
     meta: dict = {}
-    headers: list = []
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        lines = iter(fh)
-        first = next(lines, b"")
-        digest.update(first)
-        if first.rstrip(b"\n") != f"#{FORMAT_VERSION}".encode():
-            return None
-        for raw in lines:
-            digest.update(raw)
-            line = raw.rstrip(b"\n").decode("utf-8")
-            if line.startswith("#meta ") and not headers:
+    with open(path, "r" if parse else "rb", encoding="utf-8" if parse else None) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lines = enumerate(fh, 1)
+
+        def text(line):
+            if not parse:
+                digest.update(line)
+                line = line.decode("utf-8")
+            return line.rstrip("\n")
+
+        def fault(message):  # at the line last read
+            return ValueError(f"{path}:{lineno}: {message}")
+
+        lineno, line = next(lines, (1, None))
+        if line is None or text(line) != f"#{FORMAT_VERSION}":
+            raise ValueError(f"{path}: not a {FORMAT_VERSION} file")
+        heading = True  # `#meta` lines come first, before any block
+        for lineno, line in lines:
+            line = text(line)
+            if heading and line.startswith("#meta "):
                 key, _, value = line[len("#meta "):].partition("=")
                 meta[key] = value
                 continue
+            heading = False
+            if not line.strip():
+                continue
             header = _block_header(line)
             if header is None:
-                return None
-            headers.append(header)
-            for _ in range(header[1]):
-                raw = next(lines, None)
-                if raw is None:
-                    return None
-                digest.update(raw)
-    return meta, headers, digest.digest()
+                raise fault(f"expected a 'name rows cols' block header, got {line!r}")
+            name, rows, cols = header
+            # Scan mode keeps the shape. A row takes at least 2 bytes per value
+            # (1 when empty), so a header claiming more rows than the file holds
+            # allocates nothing: one of its rows is sure to fail.
+            fits = parse and rows * max(2 * cols, 1) <= size + 1
+            block = np.empty((rows, cols)) if fits else (rows, cols)
+            start = lineno
+            for lineno, row in itertools.islice(lines, rows):
+                if not parse:
+                    digest.update(row)
+                    continue
+                try:
+                    values = [float(x) for x in row.split()]
+                except ValueError as exc:
+                    if _block_header(row) is not None:
+                        break  # the next block begins here
+                    raise fault(f"block {name!r}: {exc}") from None
+                if len(values) != cols:
+                    raise fault(f"block {name!r}: {len(values)} values in a row of {cols}")
+                if fits:
+                    block[lineno - start - 1] = values
+            else:
+                lineno += 1  # the line the next row would be on
+            got = lineno - start - 1
+            if got < rows:
+                raise fault(f"block {name!r} ends after {got} of {rows} rows")
+            blocks[name] = block
+    return blocks, meta, digest.digest()
 
 
 def _load_twin(path):
@@ -132,105 +172,24 @@ def _load_twin(path):
     twin = os.fspath(path) + TWIN_SUFFIX
     if not os.path.exists(twin):
         return None
-    scanned = _scan_text(path)
-    if scanned is None:
-        return None
-    meta, headers, text_digest = scanned
-    size = _DIGEST_BYTES + _F64.itemsize * sum(r * c for _, r, c in headers)
+    try:
+        shapes, meta, text_digest = _read_text(path, parse=False)
+    except ValueError:
+        return None  # the parser names the fault
+    size = _DIGEST_BYTES + _F64.itemsize * sum(r * c for r, c in shapes.values())
     with open(twin, "rb") as fh:
         if os.fstat(fh.fileno()).st_size != size or fh.read(_DIGEST_BYTES) != text_digest:
             return None
         arrays = {
             name: np.fromfile(fh, dtype=_F64, count=rows * cols).reshape(rows, cols)
-            for name, rows, cols in headers
+            for name, (rows, cols) in shapes.items()
         }
     return arrays, meta
 
 
-def _block_error(path, lines, start, name, rows, cols) -> str:
-    """`path:lineno: ...` for the first bad row of the block whose header is
-    lines[start]."""
-    for r in range(rows):
-        lineno = start + 2 + r
-        where = f"{path}:{lineno}: block {name!r}"
-        if lineno > len(lines):
-            return f"{where} ends after {r} of {rows} rows"
-        fields = lines[lineno - 1].split()
-        try:
-            [float(x) for x in fields]
-        except ValueError as exc:
-            if _block_header(lines[lineno - 1]) is not None:
-                return f"{where} ends after {r} of {rows} rows"
-            return f"{where}: {exc}"
-        if len(fields) != cols:
-            return f"{where}: {len(fields)} values in a row of {cols}"
-    return f"{path}:{start + 1}: block {name!r} is malformed"
-
-
-def _read_lines(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [ln.rstrip("\n") for ln in fh]
-
-
-def _parse_block(lines, rows, cols, size):
-    """The next `rows` lines of the iterator as a (rows, cols) array, or
-    None when they are not `rows` lines of `cols` floats. A row takes at
-    least 2 bytes per value (1 when empty), so a header claiming more rows
-    than a file of `size` bytes holds is short, and nothing is allocated."""
-    if rows * max(2 * cols, 1) > size + 1:
-        return None
-    block = np.empty((rows, cols))
-    for r in range(rows):
-        row = next(lines, None)
-        if row is None:
-            return None
-        try:
-            values = [float(x) for x in row.split()]
-        except ValueError:
-            return None
-        if len(values) != cols:
-            return None
-        block[r] = values
-    return block
-
-
 def _parse_text(path) -> tuple[dict, dict]:
-    """(arrays, meta) parsed from the text alone.
-
-    Lines are streamed and each block's rows are parsed straight into its
-    preallocated float64 array, so the text is never held whole. On the
-    first fault the file is read again to name its line.
-    """
-    arrays: dict = {}
-    meta: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        lines = (ln.rstrip("\n") for ln in fh)
-        if next(lines, None) != f"#{FORMAT_VERSION}":
-            raise ValueError(f"{path}: not a {FORMAT_VERSION} file")
-        i, line = 1, next(lines, None)  # line is lines[i], 0-based
-        while line is not None and line.startswith("#meta "):
-            key, _, value = line[len("#meta "):].partition("=")
-            meta[key] = value
-            i, line = i + 1, next(lines, None)
-        while line is not None:
-            if not line.strip():
-                i, line = i + 1, next(lines, None)
-                continue
-            header = _block_header(line)
-            if header is None:
-                raise ValueError(
-                    f"{path}:{i + 1}: expected a 'name rows cols' block header, "
-                    f"got {line!r}"
-                )
-            name, rows, cols = header
-            block = _parse_block(lines, rows, cols, size)
-            if block is None:
-                every = _read_lines(path)
-                raise ValueError(_block_error(path, every, i, name, rows, cols))
-            arrays[name] = block
-            i, line = i + 1 + rows, next(lines, None)
-    return arrays, meta
+    """(arrays, meta) parsed from the text alone."""
+    return _read_text(path, parse=True)[:2]
 
 
 def load_matrices(path) -> tuple[dict, dict]:

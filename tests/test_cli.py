@@ -62,6 +62,16 @@ class TestConfig:
         assert cfg["target.kind"] == "gmf"
         assert cfg["target.d"] == 16
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "# a comment line\n  # an indented one\n"
+            "dataset.path = /data/run#2/b.tsv\nseed = 3\t# after a tab\n"
+        )
+        cfg = load_config(path)
+        assert cfg["dataset.path"] == "/data/run#2/b.tsv"
+        assert cfg["seed"] == 3
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("nonsense.key = 3\n")
@@ -164,6 +174,16 @@ class TestPipeline:
         assert "bpr-mf" in report
         assert "cpr" not in report
         assert not (out / "target_cpr.txt").exists()
+
+    def test_zero_rounds_rerun_ignores_an_older_cpr_model(self, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        run_pipeline(tiny_cfg(), str(reused))
+        cfg = tiny_cfg(**{"intervention.rounds": 0, "target.epochs": 8})
+        run_pipeline(cfg, str(reused))
+        run_pipeline(cfg, str(fresh))
+        assert (reused / "target_cpr.txt").exists()
+        for name in ("report.txt", "report.tsv"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_random_mode_row_name(self, tmp_path):
         cfg = tiny_cfg(**{"intervention.mode": "random"})

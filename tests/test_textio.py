@@ -275,6 +275,34 @@ def test_malformed_text_with_twin_names_line(tmp_path):
 # The streaming text parser against the whole-file parser it replaced
 
 
+def reference_header(line):
+    """(name, rows, cols) of a `name rows cols` header line, else None."""
+    fields = line.split()
+    if len(fields) != 3 or not (fields[1].isdecimal() and fields[2].isdecimal()):
+        return None
+    return fields[0], int(fields[1]), int(fields[2])
+
+
+def reference_block_error(path, lines, start, name, rows, cols) -> str:
+    """`path:lineno: ...` for the first bad row of the block whose header is
+    lines[start], found by walking the whole file again."""
+    for r in range(rows):
+        lineno = start + 2 + r
+        where = f"{path}:{lineno}: block {name!r}"
+        if lineno > len(lines):
+            return f"{where} ends after {r} of {rows} rows"
+        fields = lines[lineno - 1].split()
+        try:
+            [float(x) for x in fields]
+        except ValueError as exc:
+            if reference_header(lines[lineno - 1]) is not None:
+                return f"{where} ends after {r} of {rows} rows"
+            return f"{where}: {exc}"
+        if len(fields) != cols:
+            return f"{where}: {len(fields)} values in a row of {cols}"
+    raise AssertionError("a block that parses has no bad row")
+
+
 def reference_parse_text(path):
     """Every line read first, then each block as a list of float lists."""
     arrays, meta = {}, {}
@@ -291,7 +319,7 @@ def reference_parse_text(path):
         if not lines[i].strip():
             i += 1
             continue
-        header = textio._block_header(lines[i])
+        header = reference_header(lines[i])
         if header is None:
             raise ValueError(
                 f"{path}:{i + 1}: expected a 'name rows cols' block header, "
@@ -304,7 +332,7 @@ def reference_parse_text(path):
         except ValueError:
             values = None
         if values is None or len(block) < rows or any(len(v) != cols for v in values):
-            raise ValueError(textio._block_error(path, lines, i, name, rows, cols))
+            raise ValueError(reference_block_error(path, lines, i, name, rows, cols))
         arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
         i += 1 + rows
     return arrays, meta
@@ -324,16 +352,14 @@ stray_line = st.sampled_from([
 ])
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    lines=st.sampled_from([VALID, VALID[:1], VALID[:3]]),
-    edits=st.lists(
+@st.composite
+def edited_lines(draw):
+    """VALID, or a prefix of it, with up to three lines deleted, inserted or set."""
+    lines = list(draw(st.sampled_from([VALID, VALID[:1], VALID[:3]])))
+    edits = draw(st.lists(
         st.tuples(st.integers(0, 9), st.sampled_from(["del", "ins", "set"]), stray_line),
         max_size=3,
-    ),
-)
-def test_streaming_parse_matches_whole_file_parse(tmp_path_factory, lines, edits):
-    lines = list(lines)
+    ))
     for where, op, text in edits:
         where = min(where, len(lines))
         if op == "del" and where < len(lines):
@@ -342,13 +368,35 @@ def test_streaming_parse_matches_whole_file_parse(tmp_path_factory, lines, edits
             lines.insert(where, text)
         elif where < len(lines):
             lines[where] = text
-    path = load_lines(tmp_path_factory.mktemp("parse"), lines)
-    got, want = outcome(textio._parse_text, path), outcome(reference_parse_text, path)
+    return lines
+
+
+def assert_same_outcome(got, want):
     if isinstance(want, str):
         assert got == want
     else:
         assert got[1] == want[1]
         assert_same_bits(got[0], want[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=edited_lines())
+def test_streaming_parse_matches_whole_file_parse(tmp_path_factory, lines):
+    path = load_lines(tmp_path_factory.mktemp("parse"), lines)
+    assert_same_outcome(outcome(textio._parse_text, path), outcome(reference_parse_text, path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=edited_lines())
+def test_edited_text_beside_a_twin_loads_as_parsed(tmp_path_factory, lines):
+    # The twin was written for VALID. Once the text differs, whether the
+    # scan meets a fault or only a stale digest, the load gives the parse.
+    path = tmp_path_factory.mktemp("scan") / "m.txt"
+    save_matrices(path, {"P": [[1.0, 2.0], [3.0, 4.0]], "w": [0.5, 0.25, 0.125]}, {"d": 2})
+    assert path.read_text(encoding="utf-8") == "\n".join(VALID) + "\n"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert os.path.exists(str(path) + TWIN_SUFFIX)
+    assert_same_outcome(outcome(load_matrices, path), outcome(reference_parse_text, path))
 
 
 def test_header_claiming_too_many_rows_allocates_nothing(tmp_path):
