@@ -40,7 +40,7 @@ from .mathcore import (
 )
 from .rankers import (
     RankerHyper,
-    TrainBatchSource,
+    TrainingData,
     loss_pairwise,
     loss_pointwise,
     make_model,

@@ -190,8 +190,10 @@ def _load_dataset(cfg, out) -> InteractionLog:
     if kind == "behaviors":
         if not cfg["dataset.path"]:
             raise ConfigError("dataset.path required for dataset.kind=behaviors")
-        cap = cfg["dataset.max_users"] or None
-        return load_mind_behaviors(cfg["dataset.path"], max_users=cap)
+        cap = cfg["dataset.max_users"]
+        if cap < 0:
+            raise ConfigError(f"dataset.max_users={cap} must be >= 0 (0 = no cap)")
+        return load_mind_behaviors(cfg["dataset.path"], max_users=cap or None)
     raise ConfigError(f"unknown dataset.kind {kind!r}")
 
 
@@ -270,7 +272,7 @@ def stage_train_sim(cfg, out):
         ),
         stream.substream("sim/selection"),
     )
-    params = imp.merged_with(sel)
+    params = simulator.SimParams(*imp, *sel)
     simulator.save_sim_params(params, _artifact(out, "sim.txt"))
     return params
 
@@ -306,7 +308,9 @@ def _ranker_hyper(cfg, lr=None, epochs=None):
 def _trainer(objective):
     if objective == "pairwise":
         return rankers.train_pairwise
-    return rankers.train_pointwise
+    if objective == "pointwise":
+        return rankers.train_pointwise
+    raise ConfigError(f"unknown target.objective {objective!r}")
 
 
 def stage_train_target(cfg, out):
@@ -316,13 +320,14 @@ def stage_train_target(cfg, out):
     kind = cfg["target.kind"]
     if kind not in rankers.ALL_KINDS:
         raise ConfigError(f"unknown target.kind {kind!r}")
+    train_fn = _trainer(cfg["target.objective"])
     model = rankers.make_model(
         kind, train.n_users, train.n_items, cfg["target.d"], stream.substream("init")
     )
     if model.trainable:
-        source = rankers.TrainBatchSource.from_log(train)
-        _trainer(cfg["target.objective"])(
-            model, [source], _ranker_hyper(cfg), stream.substream("train")
+        train_fn(
+            model, rankers.TrainingData.from_log(train), _ranker_hyper(cfg),
+            stream.substream("train"),
         )
     else:
         model.fit(train)
@@ -337,6 +342,7 @@ def stage_intervene(cfg, out):
         raise ConfigError("intervene needs intervention.rounds >= 1")
     kind = cfg["target.kind"]
     mode = cfg["target.objective"]
+    train_fn = _trainer(mode)
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
     params = simulator.load_sim_params(_artifact(out, "sim.txt", must_exist=True))
@@ -346,7 +352,7 @@ def stage_intervene(cfg, out):
     target = rankers.load_model(_artifact(out, "target.txt", must_exist=True))
     if not target.trainable:
         raise ConfigError(f"target.kind {kind!r} cannot be retrained")
-    observed = rankers.TrainBatchSource.from_log(train)
+    observed = rankers.TrainingData.from_log(train)
     stream = RandomStream(cfg["seed"]).substream("intervene")
 
     list_source = cfg["intervention.mode"]
@@ -393,24 +399,20 @@ def stage_intervene(cfg, out):
             stream=stream.substream(f"round{rnd}"),
             explore_std=0.0,
             noise_control=cfg["intervention.noise_control"],
-            list_source=list_source,
             round_tag=f"r{rnd}",
         )
         all_batches.extend(batch)
         if len(batch) == 0:
             continue
-        cf_source = rankers.TrainBatchSource(origin="counterfactual", rows=batch.rows())
-        mix_stream = stream.substream(f"mix{rnd}")
         take = min(len(batch), n_pos)
-        picked = mix_stream.choice(n_pos, size=take, replace=False)
-        obs_sample = rankers.TrainBatchSource(
-            origin="observed",
-            positives=observed.positives[np.sort(picked)],
-            user_positives=observed.user_positives,
-        )
-        _trainer(mode)(
+        picked = stream.substream(f"mix{rnd}").choice(n_pos, size=take, replace=False)
+        train_fn(
             target,
-            [cf_source, obs_sample],
+            rankers.TrainingData(
+                positives=observed.positives[np.sort(picked)],
+                user_positives=observed.user_positives,
+                rows=batch.rows(),
+            ),
             _ranker_hyper(
                 cfg,
                 lr=cfg["intervention.finetune_lr"],

@@ -64,7 +64,7 @@ class InteractionLog:
     Which consumer reads which column:
     - `validate` and `save_native_log` read all four;
     - `positives_by_user`, `coldness_buckets` and, in `rankers`,
-      `TrainBatchSource.from_log`, `ItemPop.fit` and `ItemKnn.fit` read
+      `TrainingData.from_log`, `ItemPop.fit` and `ItemKnn.fit` read
       `users`, `items` and `labels`;
     - `leave_one_out_split` reads the same three; its training log gets a
       new `labels` column and shares the other three with its input;

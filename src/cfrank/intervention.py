@@ -317,13 +317,9 @@ def reinforce_update(policy: GaussianPolicy, episodes, lr: float) -> GaussianPol
 # Episode generation
 
 
-def _check_round(policy, params, users, actions_per_user, mode, k, list_source):
+def _check_round(params, users, actions_per_user, mode, k):
     """Reject bad round arguments before anything is drawn; returns the
     users as an int array."""
-    if list_source not in ("policy", "random"):
-        raise ValueError(f"unknown list source {list_source!r}")
-    if list_source == "policy" and policy is None:
-        raise ValueError("list_source='policy' needs a policy")
     if mode not in SAMPLE_MODES:
         raise ValueError(f"unknown sample mode {mode!r}")
     if actions_per_user < 0:
@@ -354,17 +350,17 @@ def run_intervention_round(
     stream: RandomStream,
     explore_std: float = 0.0,
     noise_control: bool = True,
-    list_source: str = "policy",
     round_tag: str = "round",
 ):
     """Generate counterfactual samples for each user and score their reward.
 
     For every user and action: draw alpha and beta from their posteriors,
-    propose a center (policy) or a uniform list (random ablation), label the
-    realized list with the simulator, assemble samples (noise-controlled at
-    level k, or all selected-vs-rest when noise_control is off), and set the
-    episode reward to the target model's loss on those samples. Returns the
-    merged batch and the episode list, in (user, action) order.
+    propose a center from `policy`, or a uniform list when `policy` is None
+    (the random ablation), label the realized list with the simulator,
+    assemble samples (noise-controlled at level k, or all selected-vs-rest
+    when noise_control is off), and set the episode reward to the target
+    model's loss on those samples. Returns the merged batch and the episode
+    list, in (user, action) order.
 
     Episodes run in blocks of BLOCK_ENTRIES // n_items. A policy block makes
     one draw, stream.normal((b, n_items + d [+ d] + K)): row e holds episode
@@ -377,17 +373,15 @@ def run_intervention_round(
     `realize_list`, the slot softmax, `_block_samples`, and one `loss_*`
     call whose per-episode sums are the rewards.
     """
-    users = _check_round(
-        policy, params, users, actions_per_user, mode, k, list_source
-    )
+    users = _check_round(params, users, actions_per_user, mode, k)
     n_items, list_len = params.n_items, params.list_len
     n_alpha, n_beta = posterior.mu_alpha.shape[0], posterior.mu_beta.shape[0]
     d = params.P.shape[1]
-    explore = list_source == "policy" and explore_std > 0
+    explore = policy is not None and explore_std > 0
     # column offsets of the action, exploration and beta noise in a block draw
     cuts = np.cumsum([n_alpha, d, d if explore else 0])
     ep_users = np.repeat(users, actions_per_user)
-    if list_source == "policy":
+    if policy is not None:
         tags = [
             f"{round_tag}/u{u}/t{t}" for u in users.tolist()
             for t in range(actions_per_user)
@@ -403,7 +397,7 @@ def run_intervention_round(
         block_tags = tags[start : start + block]
         b = len(block_users)
         embeds = params.P[block_users]
-        if list_source == "policy":
+        if policy is not None:
             noise = stream.normal((b, cuts[2] + n_beta))
             alphas = posterior.mu_alpha + posterior.sigma_alpha * noise[:, : cuts[0]]
             mu = policy.mean(embeds)
@@ -506,6 +500,10 @@ def save_policy(policy: GaussianPolicy, path) -> None:
 
 def load_policy(path) -> GaussianPolicy:
     arrays, meta = textio.load_matrices(path)
+    textio.require(
+        path, arrays, meta, blocks=("W1", "b1", "W2", "b2", "log_std"),
+        keys=("d", "hidden"),
+    )
     policy = GaussianPolicy(int(meta["d"]), int(meta["hidden"]), RandomStream(0))
     policy.set_params(
         {

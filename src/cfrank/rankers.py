@@ -2,8 +2,9 @@
 
 Gradient-trainable kinds (bpr-mf, gmf, mlp, neumf) carry hand-derived
 backward passes. `train_pairwise` and `train_pointwise` are two entries
-into one trainer: it assembles each epoch's rows from the training sources
-and runs the shared minibatch Adam loop of `mathcore`. itempop is fit from
+into one trainer over one `TrainingData`: each epoch it gives the data's
+fixed rows, then its observed positives with fresh negatives, to the
+shared minibatch Adam loop of `mathcore`. itempop is fit from
 selection counts and itemknn from item-item cosine similarity. The pairwise
 objective is the log-sigmoid margin loss and the pointwise one is sigmoid
 cross-entropy; `loss_pairwise`/`loss_pointwise` evaluate them without an
@@ -31,7 +32,7 @@ grid through `score_batch` over the cross product, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,26 +61,25 @@ class RankerHyper:
 
 
 @dataclass
-class TrainBatchSource:
-    """One origin of training data: observed positives or synthesized samples.
+class TrainingData:
+    """Everything one training call fits, in one record.
 
-    Observed sources carry (user, item) positives and, when they have any,
-    `user_positives` (each user's selected items); negatives are resampled
-    every epoch from the items outside that set. Counterfactual sources
-    carry ready-made rows: (user, pos, neg) triplets for pairwise training,
-    (user, item, label) points for pointwise training.
+    `rows` are ready-made: (user, pos, neg) triplets for pairwise training,
+    (user, item, label) points for pointwise training. `positives` are
+    observed (user, item) pairs whose negatives are resampled every epoch
+    from the items outside the user's `user_positives`, which the trained
+    model also records. Each epoch gives `rows` first, then the positives
+    with their fresh negatives.
     """
 
-    origin: str  # "observed" | "counterfactual"
-    positives: np.ndarray | None = None  # (n, 2) user, item
-    rows: np.ndarray | None = None  # (n, 3) triplets or points
+    positives: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), np.int64))
     user_positives: list | None = None
+    rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), np.int64))
 
     @classmethod
-    def from_log(cls, log: InteractionLog) -> "TrainBatchSource":
+    def from_log(cls, log: InteractionLog) -> "TrainingData":
         rows, slots = np.nonzero(log.labels == 1)
         return cls(
-            origin="observed",
             positives=np.stack([log.users[rows], log.items[rows, slots]], axis=1),
             user_positives=log.positives_by_user(),
         )
@@ -523,70 +523,62 @@ def _sample_negatives(keys, users, n_items, stream):
     )
 
 
-def train_pairwise(model, sources, hyper: RankerHyper, stream: RandomStream):
-    """Minimize the pairwise margin loss over all sources, in place.
-
-    Observed sources contribute (u, i, j) with j resampled uniformly from
-    the user's never-selected items each epoch; counterfactual sources
-    contribute their triplets verbatim.
-    """
-    return _train(model, sources, hyper, stream, "pairwise")
+def train_pairwise(model, data: TrainingData, hyper: RankerHyper, stream: RandomStream):
+    """Minimize the pairwise margin loss over `data`, in place: its triplet
+    rows verbatim, and (u, i, j) per positive with j resampled uniformly
+    from the user's never-selected items each epoch."""
+    return _train(model, data, hyper, stream, "pairwise")
 
 
-def train_pointwise(model, sources, hyper: RankerHyper, stream: RandomStream):
-    """Minimize the pointwise cross-entropy over all sources, in place;
-    observed positives are labeled 1 and their resampled negatives 0."""
-    return _train(model, sources, hyper, stream, "pointwise")
+def train_pointwise(model, data: TrainingData, hyper: RankerHyper, stream: RandomStream):
+    """Minimize the pointwise cross-entropy over `data`, in place; its
+    points verbatim, positives labeled 1 and their resampled negatives 0."""
+    return _train(model, data, hyper, stream, "pointwise")
 
 
-def _train(model, sources, hyper, stream, mode):
+def _epoch_rows(data, keys, mode, neg_per_pos, n_items, stream):
+    """One epoch's int64 rows: `data.rows`, then the positives (pointwise
+    only) and `neg_per_pos` rounds of negatives drawn against `keys`, the
+    `_positive_keys` of the data (None when it has no positives)."""
+    parts = [data.rows]
+    if keys is not None:
+        pos = data.positives
+        users = pos[:, 0]
+        if mode == "pointwise":  # the positives, then the negatives
+            parts.append(np.column_stack([pos, np.ones_like(users)]))
+        for _ in range(neg_per_pos):
+            neg = _sample_negatives(keys, users, n_items, stream)
+            if mode == "pairwise":
+                parts.append(np.column_stack([users, pos[:, 1], neg]))
+            else:
+                parts.append(np.column_stack([users, neg, np.zeros_like(users)]))
+    return np.concatenate(parts).astype(np.int64)
+
+
+def _train(model, data, hyper, stream, mode):
     if not model.trainable:
         raise ValueError(f"{model.kind} does not support gradient training")
     if hyper.neg_per_pos < 1:
         raise ValueError(f"neg_per_pos={hyper.neg_per_pos} must be >= 1")
-    sources = list(sources)
-    keys = {}  # the negatives' exclusion keys per observed source, built once
-    for n, src in enumerate(sources):
-        if src.origin != "observed":
-            continue
-        if src.positives is not None and len(src.positives) > 0:
-            if src.user_positives is None:
-                raise ValueError(
-                    "an observed TrainBatchSource with positives needs user_positives"
-                )
-            keys[n] = _positive_keys(src.user_positives, model.n_items)
-        if src.user_positives is not None:
-            model.user_positives = src.user_positives
-
-    def epoch_rows(epoch):
-        parts = []
-        for n, src in enumerate(sources):
-            if src.origin != "observed":
-                if src.rows is not None and len(src.rows) > 0:
-                    parts.append(src.rows)
-                continue
-            if n not in keys:
-                continue
-            pos = src.positives
-            users = pos[:, 0]
-            if mode == "pointwise":  # the positives, then the negatives
-                parts.append(np.column_stack([pos, np.ones_like(users)]))
-            for _ in range(hyper.neg_per_pos):
-                neg = _sample_negatives(keys[n], users, model.n_items, stream)
-                if mode == "pairwise":
-                    parts.append(np.column_stack([users, pos[:, 1], neg]))
-                else:
-                    parts.append(np.column_stack([users, neg, np.zeros_like(users)]))
-        return np.concatenate(parts or [np.zeros((0, 3))]).astype(np.int64)
-
+    keys = None  # the negatives' exclusion keys, built once
+    if len(data.positives) > 0:
+        if data.user_positives is None:
+            raise ValueError("TrainingData with positives needs user_positives")
+        keys = _positive_keys(data.user_positives, model.n_items)
+    if data.user_positives is not None:
+        model.user_positives = data.user_positives
     fn = pairwise_loss_grad if mode == "pairwise" else pointwise_loss_grad
 
     def loss_grad(params, batch):
         return fn(model, batch[:, 0], batch[:, 1], batch[:, 2], l2=hyper.l2)
 
     minibatch_adam(
-        model.params(), epoch_rows, loss_grad, hyper.lr, hyper.batch_size,
-        hyper.epochs, stream, "ranker training",
+        model.params(),
+        lambda epoch: _epoch_rows(
+            data, keys, mode, hyper.neg_per_pos, model.n_items, stream
+        ),
+        loss_grad, hyper.lr, hyper.batch_size, hyper.epochs, stream,
+        "ranker training",
     )
     return model
 
@@ -607,19 +599,23 @@ def save_model(model, path) -> None:
 def load_model(path):
     """Rebuild a model from a checkpoint; training positives are not stored."""
     arrays, meta = textio.load_matrices(path)
+    textio.require(path, arrays, meta, keys=("kind", "n_users", "n_items"))
     kind = meta["kind"]
     n_users, n_items = int(meta["n_users"]), int(meta["n_items"])
     if kind == "itempop":
+        textio.require(path, arrays, meta, blocks=("counts",))
         model = ItemPop(n_users, n_items)
         model.counts = arrays["counts"].ravel()
         return model
     if kind == "itemknn":
+        textio.require(path, arrays, meta, blocks=("sim",), keys=("neighborhood",))
         model = ItemKnn(n_users, n_items, int(meta["neighborhood"]))
         model.sim = arrays["sim"]
         return model
-    d_key = "P" if "P" in arrays else "Pg"
-    d = arrays[d_key].shape[1]
-    model = make_model(kind, n_users, n_items, d, RandomStream(0))
+    d_key = "Pg" if kind == "neumf" else "P"
+    textio.require(path, arrays, meta, blocks=(d_key,))
+    model = make_model(kind, n_users, n_items, arrays[d_key].shape[1], RandomStream(0))
+    textio.require(path, arrays, meta, blocks=model.params())
     flat = {k for k, v in model.params().items() if v.ndim == 1}
     model.set_params(
         {k: (v.ravel() if k in flat else v) for k, v in arrays.items()}

@@ -13,11 +13,12 @@ posteriors over alpha and beta recover the environment that produced the
 log, and counterfactual selection replays the learned response on lists
 that were never shown.
 
-The posterior's two likelihood terms are softmax log-normalizers over
-frozen logit rows plus a per-draw shift (w_r * alpha over the catalog,
-w_s * beta over the slots). Since exp(b + shift) = exp(b) * exp(shift),
+The posterior's two likelihood terms have one shape, `_PosteriorHalf`, and
+one kernel, `_loglik_grads`: softmax log-normalizers over frozen logit rows
+plus a per-draw shift (w_r * alpha over the catalog for exposure, w_s * beta
+over the slots for selection). Since exp(b + shift) = exp(b) * exp(shift),
 the rows are exponentiated once per fit, and all Monte-Carlo draws of an
-ELBO evaluation share two matrix products per term; a draw whose row sums
+ELBO evaluation share two matrix products per half; a draw whose row sums
 would underflow rebuilds the logits and normalizes them directly.
 
 All gradients are derived by hand and checked against finite differences
@@ -54,42 +55,30 @@ SIGMA_FLOOR = 1e-4
 
 @dataclass
 class SimParams:
-    """Learned simulator parameters; either half may be absent until trained.
+    """Learned simulator parameters, both halves.
 
     P, Q, w_r parameterize the exposure model; X, Y, w_s the selection
     model. w_s has one weight per list slot, w_r one per item.
     """
 
-    P: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    w_r: np.ndarray | None = None
-    X: np.ndarray | None = None
-    Y: np.ndarray | None = None
-    w_s: np.ndarray | None = None
+    P: np.ndarray
+    Q: np.ndarray
+    w_r: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    w_s: np.ndarray
 
     @property
     def n_items(self):
-        ref = self.Q if self.Q is not None else self.Y
-        return ref.shape[0]
+        return self.Q.shape[0]
 
     @property
     def n_users(self):
-        ref = self.P if self.P is not None else self.X
-        return ref.shape[0]
+        return self.P.shape[0]
 
     @property
     def list_len(self):
         return self.w_s.shape[0]
-
-    def merged_with(self, other: "SimParams") -> "SimParams":
-        return SimParams(
-            P=self.P if self.P is not None else other.P,
-            Q=self.Q if self.Q is not None else other.Q,
-            w_r=self.w_r if self.w_r is not None else other.w_r,
-            X=self.X if self.X is not None else other.X,
-            Y=self.Y if self.Y is not None else other.Y,
-            w_s=self.w_s if self.w_s is not None else other.w_s,
-        )
 
 
 @dataclass
@@ -285,10 +274,10 @@ def _mean_over_draws(n_draws, draw_loss_grads, params):
 
 def train_impression_model(
     log: InteractionLog, hyper: ImpressionHyper, stream: RandomStream
-) -> SimParams:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit the exposure half (P, Q, w_r) by negative-sampled maximum
-    likelihood; the exogenous alpha is redrawn per batch and the loss is
-    averaged over `alpha_draws` draws."""
+    likelihood and return those three arrays; the exogenous alpha is
+    redrawn per batch and the loss is averaged over `alpha_draws` draws."""
     _check_count("alpha_draws", hyper.alpha_draws)
     _check_count("neg_per_pos", hyper.neg_per_pos)
     arrays = _log_arrays(log)
@@ -320,7 +309,7 @@ def train_impression_model(
         lambda epoch: records, loss_grad, hyper.lr, hyper.batch_size,
         hyper.epochs, stream, "exposure training",
     )
-    return SimParams(P=params["P"], Q=params["Q"], w_r=params["w"])
+    return params["P"], params["Q"], params["w"]
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +339,9 @@ def _selection_loss_grads(X, Y, w_s, users, items, mask, sel, n_sel, beta):
 
 def train_selection_model(
     log: InteractionLog, hyper: SelectionHyper, stream: RandomStream
-) -> SimParams:
-    """Fit the selection half (X, Y, w_s) by exact in-list softmax likelihood.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit the selection half (X, Y, w_s) by exact in-list softmax likelihood
+    and return those three arrays.
 
     Records with no selected item contribute no likelihood term and are
     skipped; beta is redrawn per batch, averaged over `beta_draws`.
@@ -383,7 +373,7 @@ def train_selection_model(
         lambda epoch: kept, loss_grad, hyper.lr, hyper.batch_size,
         hyper.epochs, stream, "selection training",
     )
-    return SimParams(X=params["X"], Y=params["Y"], w_s=params["w"])
+    return params["X"], params["Y"], params["w"]
 
 
 # ---------------------------------------------------------------------------
@@ -444,42 +434,51 @@ def _weighted_log_normalizers(rows: _SoftmaxRows, shifts):
 
 
 @dataclass
-class _PosteriorTerms:
-    """The parts of the log-likelihood that do not depend on alpha or beta.
+class _PosteriorHalf:
+    """One likelihood term of the ELBO with its noise factored out.
 
-    Simulator parameters are frozen while the posterior is fit, so these are
-    built once per fit and shared by every epoch and Monte-Carlo draw.
+    Simulator parameters are frozen while the posterior is fit, so both
+    halves are built once per fit and shared by every epoch and Monte-Carlo
+    draw. A draw of the noise v adds w * v to every logit row; the term's
+    value is score + (w * v) @ counts minus the rows' weighted
+    log-normalizers.
 
-    Exposure: each shown slot (u, j) scores base_r[u, j] + w_r[j] alpha[j]
-    against a softmax over the catalog, base_r = P[active] @ Q.T. Only its
-    exponentiated rows are kept (one n_active x n_items array), weighted by
-    the user's shown slots; the fallback recomputes the same product.
+    Exposure: each shown slot (u, j) scores P[u] . Q[j] + w_r[j] alpha[j]
+    against a softmax over the catalog. Its rows are P[active] @ Q.T, one
+    per user with a shown slot, weighted by the user's shown slots (one
+    n_active x n_items array); counts are the shows per item.
     Selection: a record without a click has sel = 0 on every slot and adds
-    nothing, so only clicked records are kept: their slot scores X[u] . Y[j]
-    (-inf on padding) raw for the fallback and exponentiated, weighted by
-    n_sel.
+    nothing, so its rows are the clicked records' slot scores X[u] . Y[j]
+    (-inf on padding), weighted by n_sel; counts are the selections per slot.
     """
 
-    w_r: np.ndarray
-    exposure: _SoftmaxRows  # active users over the catalog
-    shows_per_item: np.ndarray  # (n_items,)
-    slot_score: float  # sum of P[u] . Q[j] over the shown slots
-    w_s: np.ndarray
-    selection: _SoftmaxRows  # clicked records over the K slots
-    sel_per_slot: np.ndarray  # (K,) selected slots at each position
-    sel_score: float  # sum of X[u] . Y[j] over the selected slots
+    w: np.ndarray  # (cols,) noise weight per column: w_r or w_s
+    rows: _SoftmaxRows
+    counts: np.ndarray  # (cols,) likelihood terms per column
+    score: float  # sum of the frozen logits over the observed terms
 
 
-def _posterior_terms(params: SimParams, arrays: _LogArrays) -> _PosteriorTerms:
+def _posterior_terms(params: SimParams, arrays: _LogArrays):
+    """The (exposure, selection) halves of the log-likelihood."""
     k = arrays.list_len
     flat_mask = arrays.mask.ravel()
     slot_users = np.repeat(arrays.users, k)[flat_mask]
     slot_items = arrays.items.ravel()[flat_mask]
-    shows_per_user = np.bincount(slot_users, minlength=params.P.shape[0])
+    shows_per_user = np.bincount(slot_users, minlength=params.n_users)
     active = np.nonzero(shows_per_user)[0]
     user_emb, item_emb = params.P[active], params.Q
     base_r = user_emb @ item_emb.T
     slot_score = float(base_r[np.searchsorted(active, slot_users), slot_items].sum())
+    exposure = _PosteriorHalf(
+        w=params.w_r,
+        rows=_softmax_rows(
+            base_r,
+            shows_per_user[active].astype(np.float64),
+            lambda: user_emb @ item_emb.T,
+        ),
+        counts=np.bincount(slot_items, minlength=params.n_items).astype(np.float64),
+        score=slot_score,
+    )
 
     kept = np.nonzero(arrays.n_sel > 0)[0]
     sel = arrays.sel[kept]
@@ -487,40 +486,22 @@ def _posterior_terms(params: SimParams, arrays: _LogArrays) -> _PosteriorTerms:
         "bd,bkd->bk", params.X[arrays.users[kept]], params.Y[arrays.items[kept]]
     )
     base_s = np.where(arrays.mask[kept], scores, -np.inf)
-    return _PosteriorTerms(
-        w_r=params.w_r,
-        exposure=_softmax_rows(
-            base_r,
-            shows_per_user[active].astype(np.float64),
-            lambda: user_emb @ item_emb.T,
-        ),
-        shows_per_item=np.bincount(slot_items, minlength=params.n_items).astype(
-            np.float64
-        ),
-        slot_score=slot_score,
-        w_s=params.w_s[:k],
-        selection=_softmax_rows(base_s.copy(), arrays.n_sel[kept], lambda: base_s),
-        sel_per_slot=sel.sum(axis=0),
-        sel_score=float(np.sum(sel * scores)),
+    selection = _PosteriorHalf(
+        w=params.w_s[:k],
+        rows=_softmax_rows(base_s.copy(), arrays.n_sel[kept], lambda: base_s),
+        counts=sel.sum(axis=0),
+        score=float(np.sum(sel * scores)),
     )
+    return exposure, selection
 
 
-def _alpha_loglik_grads(terms: _PosteriorTerms, alphas):
-    """Exposure log-likelihood of the log and its gradient w.r.t. alpha,
-    one per row of `alphas` (draws x n_items)."""
-    wa = terms.w_r * alphas
-    lse, mass = _weighted_log_normalizers(terms.exposure, wa)
-    values = terms.slot_score + wa @ terms.shows_per_item - lse
-    return values, (terms.shows_per_item - mass) * terms.w_r
-
-
-def _beta_loglik_grads(terms: _PosteriorTerms, betas):
-    """Selection log-likelihood of the log and its gradient w.r.t. beta,
-    one per row of `betas` (draws x K)."""
-    wb = terms.w_s * betas
-    lse, mass = _weighted_log_normalizers(terms.selection, wb)
-    values = terms.sel_score + wb @ terms.sel_per_slot - lse
-    return values, (terms.sel_per_slot - mass) * terms.w_s
+def _loglik_grads(half: _PosteriorHalf, draws):
+    """One half's log-likelihood of the log and its gradient w.r.t. the
+    noise, one per row of `draws` (draws x cols)."""
+    shift = half.w * draws
+    lse, mass = _weighted_log_normalizers(half.rows, shift)
+    values = half.score + shift @ half.counts - lse
+    return values, (half.counts - mass) * half.w
 
 
 def elbo_value_and_grads(terms, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b):
@@ -531,7 +512,8 @@ def elbo_value_and_grads(terms, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b):
     draws, which makes the whole expression deterministic given them (as the
     finite-difference checks require). Returns (elbo, grads) where grads
     are gradients of the *negated* bound for the minimizer. `terms` are the
-    frozen likelihood terms of the simulator and log (`_posterior_terms`).
+    frozen (exposure, selection) halves of the simulator and log
+    (`_posterior_terms`).
     """
     sigma_a = np.exp(rho_a)
     sigma_b = np.exp(rho_b)
@@ -542,8 +524,9 @@ def elbo_value_and_grads(terms, mu_a, rho_a, mu_b, rho_b, eps_a, eps_b):
     entropy = np.sum(rho_a) + np.sum(rho_b) + 0.5 * dim * (1.0 + LOG_2PI)
 
     n_draws = eps_a.shape[0]
-    va, ga = _alpha_loglik_grads(terms, mu_a + sigma_a * eps_a)
-    vb, gb = _beta_loglik_grads(terms, mu_b + sigma_b * eps_b)
+    exposure, selection = terms
+    va, ga = _loglik_grads(exposure, mu_a + sigma_a * eps_a)
+    vb, gb = _loglik_grads(selection, mu_b + sigma_b * eps_b)
     elbo = float(prior + entropy + np.sum(va + vb) / n_draws)
     grads = {
         "mu_a": mu_a - ga.sum(axis=0) / n_draws,
@@ -643,36 +626,25 @@ def counterfactual_select(
 # Persistence
 
 
+SIM_BLOCKS = ("P", "Q", "w_r", "X", "Y", "w_s")
+
+
 def save_sim_params(params: SimParams, path) -> None:
-    arrays = {}
-    for name in ("P", "Q", "w_r", "X", "Y", "w_s"):
-        value = getattr(params, name)
-        if value is not None:
-            arrays[name] = value
     meta = {
         "n_users": params.n_users,
         "n_items": params.n_items,
-        "list_len": params.w_s.shape[0] if params.w_s is not None else 0,
-        "d_r": params.P.shape[1] if params.P is not None else 0,
-        "d_s": params.X.shape[1] if params.X is not None else 0,
+        "list_len": params.list_len,
+        "d_r": params.P.shape[1],
+        "d_s": params.X.shape[1],
     }
-    textio.save_matrices(path, arrays, meta)
+    textio.save_matrices(path, {name: getattr(params, name) for name in SIM_BLOCKS}, meta)
 
 
 def load_sim_params(path) -> SimParams:
-    arrays, _ = textio.load_matrices(path)
-    def get(name, flat=False):
-        if name not in arrays:
-            return None
-        return arrays[name].ravel() if flat else arrays[name]
-    return SimParams(
-        P=get("P"),
-        Q=get("Q"),
-        w_r=get("w_r", flat=True),
-        X=get("X"),
-        Y=get("Y"),
-        w_s=get("w_s", flat=True),
-    )
+    arrays, meta = textio.load_matrices(path)
+    textio.require(path, arrays, meta, blocks=SIM_BLOCKS)
+    P, Q, w_r, X, Y, w_s = (arrays[name] for name in SIM_BLOCKS)
+    return SimParams(P, Q, w_r.ravel(), X, Y, w_s.ravel())
 
 
 def save_posterior(post: VariationalPosterior, path) -> None:
@@ -688,7 +660,10 @@ def save_posterior(post: VariationalPosterior, path) -> None:
 
 
 def load_posterior(path) -> VariationalPosterior:
-    arrays, _ = textio.load_matrices(path)
+    arrays, meta = textio.load_matrices(path)
+    textio.require(
+        path, arrays, meta, blocks=("mu_alpha", "sigma_alpha", "mu_beta", "sigma_beta")
+    )
     return VariationalPosterior(
         mu_alpha=arrays["mu_alpha"].ravel(),
         sigma_alpha=arrays["sigma_alpha"].ravel(),

@@ -192,6 +192,18 @@ def _parse_text(path) -> tuple[dict, dict]:
     return _read_text(path, parse=True)[:2]
 
 
+def require(path, arrays, meta, blocks=(), keys=()) -> None:
+    """Raise ValueError naming `path` and the first of `keys` missing from
+    `meta`, else the first of `blocks` missing from `arrays`: a loader calls
+    this before it reads a checkpoint's contents."""
+    for key in keys:
+        if key not in meta:
+            raise ValueError(f"{path}: missing meta key {key!r}")
+    for name in blocks:
+        if name not in arrays:
+            raise ValueError(f"{path}: missing block {name!r}")
+
+
 def load_matrices(path) -> tuple[dict, dict]:
     """Returns (arrays, meta). 1xN blocks come back as 2-D; callers ravel.
 

@@ -303,9 +303,13 @@ class TestReportPins:
     shows here. The two gradient-trained cases also pin the simulator and
     ranker checkpoints and the counterfactual batches, fixed before the
     training-step kernels (gradient scatter, negative rejection, sigmoid)
-    were rewritten: those rewrites must not move a bit."""
+    were rewritten: those rewrites must not move a bit. Their posterior and
+    policy digests were fixed before the training data, the simulator
+    parameters and the posterior's two likelihood halves each took one
+    shape."""
 
     SIM = "219089200f1c1bd263b3176450c77cdbd5dd2481bda9f4b360ff740efefd4b28"
+    POSTERIOR = "d2821562651e48a91e5050e570fbf06a1f65cca89f42875be65ea8eff6b72a50"
 
     @pytest.mark.parametrize(
         "extra, digests",
@@ -318,6 +322,8 @@ class TestReportPins:
                     "target_cpr.txt": "1fb23948cf1d346d724dbf393705957a643466051db99bff0aee6003ef9c5e07",
                     "sim.txt": SIM,
                     "batches.tsv": "1324c5ef2b72e8836b5e0bfac4fe35a5dbd30e10d02478d32ea622973391b519",
+                    "posterior.txt": POSTERIOR,
+                    "policy.txt": "a91697e9d0ef848edde9d0478b1923e1011400049dec5278bbd77b01b9718af6",
                 },
             ),
             (
@@ -329,6 +335,8 @@ class TestReportPins:
                     "target_cpr.txt": "da2b7bb0cd2f2438d1b9f0fc2327d25b6a2aac51981fe116211aa0acb395cd60",
                     "sim.txt": SIM,
                     "batches.tsv": "9031ee0020ee0a72b2121309c1cb23b3ec372df0ac49921dce64132b1557fde5",
+                    "posterior.txt": POSTERIOR,
+                    "policy.txt": "6a1ff4754f451ca0466c5fd0345ec094ff9f6c632af387c6f40a09794324f4b2",
                 },
             ),
             (
@@ -450,6 +458,27 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "stage 'train-target' failed: neg_per_pos=0 must be >= 1" in err
         assert not (tmp_path / "target.txt").exists()
+
+    def test_unknown_objective_fails_before_training(self, tmp_path, capsys):
+        code = main(
+            ["pipeline", "--out", str(tmp_path)]
+            + [f"--set={k}={v}" for k, v in TINY.items()]
+            + ["--set=target.objective=listwise", "--set=intervention.rounds=0"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage 'train-target' failed: unknown target.objective 'listwise'" in err
+        assert not (tmp_path / "target.txt").exists()
+
+    def test_negative_max_users_is_a_config_error(self, tmp_path, capsys):
+        sample = os.path.join(os.path.dirname(__file__), "data", "behaviors_sample.tsv")
+        code = main(
+            ["train-sim", "--out", str(tmp_path), "--set=dataset.kind=behaviors",
+             f"--set=dataset.path={sample}", "--set=dataset.max_users=-1"]
+        )
+        assert code == 1
+        assert "dataset.max_users=-1 must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "sim.txt").exists()
 
     def test_stage_subcommand(self, tmp_path, capsys):
         code = main(

@@ -445,7 +445,6 @@ class TestInterventionRound:
             mode="pairwise",
             k=1,
             stream=RandomStream(2),
-            list_source="random",
         )
         assert all(src == "random" for src in batch.provenance)
         assert all(ep.logprob == 0.0 for ep in episodes)
@@ -715,11 +714,12 @@ class TestBatchedRound:
         extra = dict(
             explore_std=case["explore_std"],
             noise_control=case["noise_control"],
-            list_source=case["list_source"],
             round_tag="r3",
         )
         ref_stream, stream = RandomStream(case["seed"]), RandomStream(case["seed"])
-        want = reference_round(policy, *args, ref_stream, **extra)
+        want = reference_round(
+            policy, *args, ref_stream, list_source=case["list_source"], **extra
+        )
         saved = intervention.BLOCK_ENTRIES
         intervention.BLOCK_ENTRIES = case["block_rows"] * case["n_items"]
         try:

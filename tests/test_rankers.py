@@ -20,13 +20,14 @@ from cfrank.mathcore import (
 from cfrank.rankers import (
     ALL_KINDS,
     GRADIENT_KINDS,
+    _epoch_rows,
     _positive_keys,
     _sample_negatives,
     _tower_forward,
     ItemKnn,
     ItemPop,
     RankerHyper,
-    TrainBatchSource,
+    TrainingData,
     load_model,
     loss_pairwise,
     loss_pointwise,
@@ -171,43 +172,41 @@ class TestGradients:
 class TestTraining:
     def test_single_triplet_margin_grows(self):
         model = make_model("bpr-mf", 1, 2, 1, RandomStream(2))
-        source = TrainBatchSource(
-            origin="counterfactual", rows=np.array([[0, 0, 1]])
-        )
+        data = TrainingData(rows=np.array([[0, 0, 1]]))
         start = model.score(0, 0) - model.score(0, 1)
-        train_pairwise(model, [source], RankerHyper(lr=0.05, epochs=100, l2=0.0), RandomStream(1))
+        train_pairwise(model, data, RankerHyper(lr=0.05, epochs=100, l2=0.0), RandomStream(1))
         end = model.score(0, 0) - model.score(0, 1)
         assert end > start + 0.5
 
     def test_single_positive_pointwise(self):
         model = make_model("gmf", 1, 2, 2, RandomStream(2))
-        source = TrainBatchSource(origin="counterfactual", rows=np.array([[0, 0, 1]]))
-        train_pointwise(model, [source], RankerHyper(lr=0.05, epochs=200, l2=0.0), RandomStream(1))
+        data = TrainingData(rows=np.array([[0, 0, 1]]))
+        train_pointwise(model, data, RankerHyper(lr=0.05, epochs=200, l2=0.0), RandomStream(1))
         assert sigmoid(model.score(0, 0)) > 0.9
 
     def test_empty_batch_no_change(self):
         model = make_model("mlp", 2, 4, 4, RandomStream(5))
         before = {k: v.copy() for k, v in model.params().items()}
-        train_pairwise(model, [], RankerHyper(epochs=5), RandomStream(0))
+        train_pairwise(model, TrainingData(), RankerHyper(epochs=5), RandomStream(0))
         for k, v in model.params().items():
             assert np.array_equal(before[k], v)
 
     def test_all_positive_batch_loss_decreases(self):
         model = make_model("gmf", 2, 4, 3, RandomStream(7))
         points = np.array([[0, 1, 1], [1, 2, 1], [0, 3, 1]])
-        source = TrainBatchSource(origin="counterfactual", rows=points)
+        data = TrainingData(rows=points)
         losses = []
         for epochs in (0, 5, 20):
             m = make_model("gmf", 2, 4, 3, RandomStream(7))
-            train_pointwise(m, [source], RankerHyper(lr=0.05, epochs=epochs, l2=0.0), RandomStream(1))
+            train_pointwise(m, data, RankerHyper(lr=0.05, epochs=epochs, l2=0.0), RandomStream(1))
             losses.append(loss_pointwise(m, points))
         assert losses[1] < losses[0] and losses[2] < losses[1]
 
     def test_observed_source_training(self):
         log = small_log()
         model = make_model("bpr-mf", 3, 6, 8, RandomStream(1))
-        source = TrainBatchSource.from_log(log)
-        train_pairwise(model, [source], RankerHyper(lr=0.02, epochs=40), RandomStream(2))
+        data = TrainingData.from_log(log)
+        train_pairwise(model, data, RankerHyper(lr=0.02, epochs=40), RandomStream(2))
         assert model.user_positives == log.positives_by_user()
         # a trained model should rank the user's own positives above average
         pos_score = model.score(1, 1)
@@ -218,9 +217,9 @@ class TestTraining:
     def test_observed_positives_need_user_positives(self, train):
         model = make_model("bpr-mf", 3, 6, 4, RandomStream(1))
         before = {k: v.copy() for k, v in model.params().items()}
-        source = TrainBatchSource(origin="observed", positives=np.array([[0, 1], [2, 3]]))
+        data = TrainingData(positives=np.array([[0, 1], [2, 3]]))
         with pytest.raises(ValueError, match="needs user_positives"):
-            train(model, [source], RankerHyper(epochs=2), RandomStream(2))
+            train(model, data, RankerHyper(epochs=2), RandomStream(2))
         assert model.user_positives is None
         for k, v in model.params().items():
             assert np.array_equal(before[k], v)
@@ -229,16 +228,16 @@ class TestTraining:
     def test_observed_source_without_positives_is_skipped(self, train):
         model = make_model("gmf", 2, 4, 3, RandomStream(7))
         before = {k: v.copy() for k, v in model.params().items()}
-        empty = TrainBatchSource(origin="observed", positives=np.zeros((0, 2), np.int64))
-        train(model, [empty, TrainBatchSource(origin="observed")], RankerHyper(epochs=3),
-              RandomStream(1))
+        empty = TrainingData(positives=np.zeros((0, 2), np.int64))
+        train(model, empty, RankerHyper(epochs=3), RandomStream(1))
+        train(model, TrainingData(), RankerHyper(epochs=3), RandomStream(1))
         for k, v in model.params().items():
             assert np.array_equal(before[k], v)
 
     @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
     def test_exclusion_keys_built_once_per_call(self, train):
         log = small_log()
-        sources = [TrainBatchSource.from_log(log), TrainBatchSource.from_log(log)]
+        data = TrainingData.from_log(log)
         hyper = RankerHyper(epochs=4, neg_per_pos=3)
         calls = []
 
@@ -248,17 +247,17 @@ class TestTraining:
 
         with mock.patch("cfrank.rankers._positive_keys", counted):
             patched = make_model("bpr-mf", 3, 6, 4, RandomStream(5))
-            train(patched, sources, hyper, RandomStream(6))
-        assert calls == [6, 6]
+            train(patched, data, hyper, RandomStream(6))
+        assert calls == [6]
         plain = make_model("bpr-mf", 3, 6, 4, RandomStream(5))
-        train(plain, sources, hyper, RandomStream(6))
+        train(plain, data, hyper, RandomStream(6))
         for k, v in plain.params().items():
             assert np.array_equal(patched.params()[k], v)
 
     def test_untrainable_kind_rejected(self):
         model = ItemPop(2, 3)
         with pytest.raises(ValueError):
-            train_pairwise(model, [], RankerHyper(), RandomStream(0))
+            train_pairwise(model, TrainingData(), RankerHyper(), RandomStream(0))
 
     def test_reproducible(self):
         log = small_log()
@@ -266,11 +265,84 @@ class TestTraining:
         for _ in range(2):
             model = make_model("neumf", 3, 6, 4, RandomStream(9))
             train_pairwise(
-                model, [TrainBatchSource.from_log(log)], RankerHyper(epochs=5), RandomStream(4)
+                model, TrainingData.from_log(log), RankerHyper(epochs=5), RandomStream(4)
             )
             params.append({k: v.copy() for k, v in model.params().items()})
         for k in params[0]:
             assert np.array_equal(params[0][k], params[1][k])
+
+
+def reference_epoch_rows(sources, mode, neg_per_pos, n_items, stream):
+    """The multi-source row assembly that `TrainingData` replaced. Sources
+    come in list order: ("counterfactual", rows) gives its rows verbatim,
+    ("observed", (positives, user_positives)) its positives (pointwise
+    only) and then `neg_per_pos` rounds of negatives drawn against its own
+    exclusion keys; an empty source adds nothing."""
+    parts = []
+    for origin, data in sources:
+        if origin != "observed":
+            if len(data) > 0:
+                parts.append(data)
+            continue
+        pos, user_positives = data
+        if len(pos) == 0:
+            continue
+        keys = _positive_keys(user_positives, n_items)
+        users = pos[:, 0]
+        if mode == "pointwise":
+            parts.append(np.column_stack([pos, np.ones_like(users)]))
+        for _ in range(neg_per_pos):
+            neg = _sample_negatives(keys, users, n_items, stream)
+            if mode == "pairwise":
+                parts.append(np.column_stack([users, pos[:, 1], neg]))
+            else:
+                parts.append(np.column_stack([users, neg, np.zeros_like(users)]))
+    return np.concatenate(parts or [np.zeros((0, 3))]).astype(np.int64)
+
+
+@st.composite
+def training_data(draw):
+    """(mode, n_items, rows, positives, user_positives): every user keeps
+    at least one negative, and either side may be empty."""
+    mode = draw(st.sampled_from(["pairwise", "pointwise"]))
+    n_users = draw(st.integers(1, 4))
+    n_items = draw(st.integers(2, 7))
+    user_positives = [
+        draw(st.sets(st.integers(0, n_items - 1), max_size=n_items - 1))
+        for _ in range(n_users)
+    ]
+    owned = [(u, i) for u, items in enumerate(user_positives) for i in sorted(items)]
+    picks = draw(st.lists(st.sampled_from(owned), max_size=6)) if owned else []
+    positives = np.array(picks, dtype=np.int64).reshape(-1, 2)
+    third = st.integers(0, 1) if mode == "pointwise" else st.integers(0, n_items - 1)
+    rows = np.array(
+        draw(st.lists(
+            st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1), third),
+            max_size=6,
+        )),
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    return mode, n_items, rows, positives, user_positives
+
+
+class TestTrainingData:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=training_data(), neg_per_pos=st.integers(1, 3), seed=st.integers(0, 99))
+    def test_epoch_rows_match_the_source_list(self, drawn, neg_per_pos, seed):
+        mode, n_items, rows, positives, user_positives = drawn
+        data = TrainingData(positives, user_positives, rows)
+        keys = _positive_keys(user_positives, n_items) if len(positives) else None
+        got_stream, want_stream = RandomStream(seed), RandomStream(seed)
+        got = _epoch_rows(data, keys, mode, neg_per_pos, n_items, got_stream)
+        want = reference_epoch_rows(
+            [("counterfactual", rows), ("observed", (positives, user_positives))],
+            mode, neg_per_pos, n_items, want_stream,
+        )
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got_stream.integers(0, 2**62, 4).tolist() == (
+            want_stream.integers(0, 2**62, 4).tolist()
+        )
 
 
 class TestTrainingSizes:
@@ -288,16 +360,16 @@ class TestTrainingSizes:
     def test_bad_size_rejected(self, train, hyper, field):
         model = make_model("bpr-mf", 3, 6, 4, RandomStream(2))
         with pytest.raises(ValueError, match=f"^{field}="):
-            train(model, [TrainBatchSource.from_log(small_log())], hyper, RandomStream(3))
+            train(model, TrainingData.from_log(small_log()), hyper, RandomStream(3))
 
     @pytest.mark.parametrize("kind", ["bpr-mf", "neumf"])
     @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, kind, train):
         model = make_model(kind, 3, 6, 4, RandomStream(2))
-        source = TrainBatchSource.from_log(small_log())
+        data = TrainingData.from_log(small_log())
         with pytest.raises(TrainingError, match="ranker training diverged at epoch 1"):
-            train(model, [source], RankerHyper(lr=1e300, epochs=3), RandomStream(3))
+            train(model, data, RankerHyper(lr=1e300, epochs=3), RandomStream(3))
 
 
 class TestNeuMfConsistency:
@@ -532,12 +604,13 @@ class TestFitsMatchRecordLoop:
     def test_from_log_and_item_counts(self, drawn):
         n_users, n_items, records = drawn
         log = InteractionLog.from_records(n_users, n_items, records).validate()
-        source = TrainBatchSource.from_log(log)
+        data = TrainingData.from_log(log)
         want = reference_from_log(log)
-        assert source.positives.dtype == want.dtype
-        assert source.positives.shape == want.shape
-        assert np.array_equal(source.positives, want)
-        assert source.user_positives == log.positives_by_user()
+        assert data.positives.dtype == want.dtype
+        assert data.positives.shape == want.shape
+        assert np.array_equal(data.positives, want)
+        assert data.user_positives == log.positives_by_user()
+        assert data.rows.shape == (0, 3)
         pop = ItemPop(n_users, n_items).fit(log)
         assert pop.counts.dtype == np.float64
         assert np.array_equal(pop.counts, reference_interaction_counts(log))

@@ -21,11 +21,10 @@ from cfrank.simulator import (
     SelectionHyper,
     SimParams,
     VariationalPosterior,
-    _alpha_loglik_grads,
-    _beta_loglik_grads,
     _weighted_log_normalizers,
     _impression_loss_grads,
     _log_arrays,
+    _loglik_grads,
     _posterior_terms,
     _selection_loss_grads,
     _shown_keys,
@@ -101,7 +100,10 @@ class TestImpressionTraining:
     def test_separable_toy(self):
         log = always_item_zero_log()
         hyper = ImpressionHyper(d_r=2, lr=0.05, epochs=60, neg_per_pos=1, alpha_draws=1)
-        params = train_impression_model(log, hyper, RandomStream(3))
+        params = SimParams(
+            *train_impression_model(log, hyper, RandomStream(3)),
+            np.zeros((1, 1)), np.zeros((2, 1)), np.zeros(1),
+        )
         zero = np.zeros(2)
         s_pos = sigmoid(impression_logit(params, 0, 0, zero))
         s_neg = sigmoid(impression_logit(params, 0, 1, zero))
@@ -110,10 +112,10 @@ class TestImpressionTraining:
     def test_zero_epochs_returns_init(self):
         log = always_item_zero_log(5)
         hyper = ImpressionHyper(d_r=4, epochs=0)
-        a = train_impression_model(log, hyper, RandomStream(1))
-        b = train_impression_model(log, hyper, RandomStream(1))
-        assert np.array_equal(a.P, b.P) and np.array_equal(a.Q, b.Q)
-        assert np.array_equal(a.w_r, np.full(2, 0.1))
+        a_P, a_Q, a_w = train_impression_model(log, hyper, RandomStream(1))
+        b_P, b_Q, _ = train_impression_model(log, hyper, RandomStream(1))
+        assert np.array_equal(a_P, b_P) and np.array_equal(a_Q, b_Q)
+        assert np.array_equal(a_w, np.full(2, 0.1))
 
     def test_gradients_match_finite_differences(self):
         from gradcheck import finite_diff_check
@@ -143,9 +145,9 @@ class TestImpressionTraining:
     def test_reproducible(self):
         log = always_item_zero_log(10)
         hyper = ImpressionHyper(d_r=2, epochs=5)
-        a = train_impression_model(log, hyper, RandomStream(5))
-        b = train_impression_model(log, hyper, RandomStream(5))
-        assert np.array_equal(a.P, b.P) and np.array_equal(a.Q, b.Q)
+        a_P, a_Q, _ = train_impression_model(log, hyper, RandomStream(5))
+        b_P, b_Q, _ = train_impression_model(log, hyper, RandomStream(5))
+        assert np.array_equal(a_P, b_P) and np.array_equal(a_Q, b_Q)
 
 
 def slot_zero_log(n_records=30):
@@ -158,7 +160,10 @@ class TestSelectionTraining:
     def test_dominant_slot(self):
         log = slot_zero_log()
         hyper = SelectionHyper(d_s=2, lr=0.05, epochs=80, beta_draws=1)
-        params = train_selection_model(log, hyper, RandomStream(4))
+        params = SimParams(
+            np.zeros((1, 1)), np.zeros((3, 1)), np.zeros(3),
+            *train_selection_model(log, hyper, RandomStream(4)),
+        )
         probs = slot_probs(params, 0, [0, 1, 2], np.zeros(3))
         assert probs[0] > 0.9
 
@@ -182,8 +187,8 @@ class TestSelectionTraining:
             1, 3, [Record(0, [0, 1, 2], [0, 0, 0])] * 4 + [Record(0, [0, 1, 2], [1, 0, 0])]
         ).validate()
         hyper = SelectionHyper(d_s=2, epochs=3)
-        params = train_selection_model(log, hyper, RandomStream(1))
-        assert np.all(np.isfinite(params.X))
+        X, _, _ = train_selection_model(log, hyper, RandomStream(1))
+        assert np.all(np.isfinite(X))
 
     def test_gradients_match_finite_differences(self):
         from gradcheck import finite_diff_check
@@ -471,14 +476,12 @@ class TestLogArrays:
 
 
 class TestLossMonotone:
-    def eval_impression_loss(self, params, log):
+    def eval_impression_loss(self, exposure, log):
         arrays = _log_arrays(log)
         idx = np.arange(len(log.records))
         neg = RandomStream(999).integers(0, arrays.n_items, (len(idx), arrays.list_len))
         loss, _, _, _ = _impression_loss_grads(
-            params.P,
-            params.Q,
-            params.w_r,
+            *exposure,
             arrays.users,
             arrays.items,
             arrays.mask,
@@ -500,12 +503,12 @@ class TestLossMonotone:
         checkpoints = {0: [], 4: [], 12: []}
         for seed in range(5):
             for epochs in checkpoints:
-                params = train_impression_model(
+                exposure = train_impression_model(
                     world_log,
                     ImpressionHyper(d_r=3, epochs=epochs, alpha_draws=1),
                     RandomStream(seed),
                 )
-                checkpoints[epochs].append(self.eval_impression_loss(params, world_log))
+                checkpoints[epochs].append(self.eval_impression_loss(exposure, world_log))
         med = {e: float(np.median(v)) for e, v in checkpoints.items()}
         assert med[4] <= med[0] and med[12] <= med[4]
 
@@ -766,8 +769,8 @@ def count_fallbacks(terms):
     """Wrap both halves' logit rebuilds; the list grows by the half's name
     on each direct-fallback draw."""
     calls = []
-    for name in ("exposure", "selection"):
-        rows = getattr(terms, name)
+    for name, half in zip(("exposure", "selection"), terms):
+        rows = half.rows
         rows.logits = lambda f=rows.logits, name=name: calls.append(name) or f()
     return calls
 
@@ -781,8 +784,9 @@ def assert_terms_match(got, draws, direct):
 
 
 class TestFactorizedLikelihood:
-    """The posterior's factorized alpha and beta terms equal the direct
-    formulas, and draws that would underflow take the direct fallback."""
+    """The posterior's factorized exposure and selection halves equal the
+    direct alpha and beta formulas, and draws that would underflow take the
+    direct fallback."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -798,16 +802,16 @@ class TestFactorizedLikelihood:
         k = max(log.list_len, 1) + extra
         params = rand_params(n_users, n_items, k, seed=seed, scale=scale)
         arrays = _log_arrays(log, list_len=k)
-        terms = _posterior_terms(params, arrays)
+        exposure, selection = terms = _posterior_terms(params, arrays)
         fallbacks = count_fallbacks(terms)
         rs = RandomStream(seed + 1)
         alphas, betas = 2.0 * rs.normal((draws, n_items)), 2.0 * rs.normal((draws, k))
         assert_terms_match(
-            _alpha_loglik_grads(terms, alphas), alphas,
+            _loglik_grads(exposure, alphas), alphas,
             lambda alpha: direct_alpha_loglik_grad(params, arrays, alpha),
         )
         assert_terms_match(
-            _beta_loglik_grads(terms, betas), betas,
+            _loglik_grads(selection, betas), betas,
             lambda beta: direct_beta_loglik_grad(params, arrays, beta),
         )
         assert fallbacks == []
@@ -835,10 +839,10 @@ class TestFactorizedLikelihood:
 
     def test_underflow_takes_the_direct_formula_exactly(self):
         params, arrays, alphas, betas = self.huge_case()
-        terms = _posterior_terms(params, arrays)
+        exposure, selection = terms = _posterior_terms(params, arrays)
         fallbacks = count_fallbacks(terms)
         direct = lambda alpha: direct_alpha_loglik_grad(params, arrays, alpha)
-        got = _alpha_loglik_grads(terms, alphas)
+        got = _loglik_grads(exposure, alphas)
         assert fallbacks == ["exposure"]  # the first draw only
         assert_terms_match(got, alphas, direct)
         assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
@@ -847,12 +851,12 @@ class TestFactorizedLikelihood:
         z = params.P[active] @ params.Q.T + (params.w_r * alphas[0])[None, :]
         lse = logsumexp(z, axis=1)
         shows = np.array([3.0, 3.0])  # shown slots of users 0 and 1
-        totals, mass = _weighted_log_normalizers(terms.exposure, params.w_r * alphas)
+        totals, mass = _weighted_log_normalizers(exposure.rows, params.w_r * alphas)
         assert totals[0] == shows @ lse
         assert np.array_equal(mass[0], shows @ np.exp(z - lse[:, None]))
         assert np.array_equal(got[1][0], direct(alphas[0])[1])
 
-        got = _beta_loglik_grads(terms, betas)
+        got = _loglik_grads(selection, betas)
         assert fallbacks == ["exposure", "exposure", "selection"]
         assert_terms_match(
             got, betas, lambda beta: direct_beta_loglik_grad(params, arrays, beta)
@@ -860,11 +864,11 @@ class TestFactorizedLikelihood:
 
     def test_non_finite_shift_takes_the_direct_formula(self):
         params, arrays, _, _ = self.huge_case()
-        terms = _posterior_terms(params, arrays)
+        exposure, _ = terms = _posterior_terms(params, arrays)
         fallbacks = count_fallbacks(terms)
         alphas = np.array([[np.inf, 0.0, 0.0], [0.5, 0.0, -0.5]])
         with np.errstate(invalid="ignore"):
-            got = _alpha_loglik_grads(terms, alphas)
+            got = _loglik_grads(exposure, alphas)
             want = direct_alpha_loglik_grad(params, arrays, alphas[0])
         assert fallbacks == ["exposure"]
         np.testing.assert_array_equal(got[1][0], want[1])
@@ -876,12 +880,14 @@ class TestFactorizedLikelihood:
 
     def test_empty_log(self):
         params = rand_params(3, 5, 2, seed=4)
-        terms = _posterior_terms(params, _log_arrays(InteractionLog.from_records(3, 5, []), 2))
-        assert terms.exposure.scaled.shape == (0, 5)
-        assert terms.selection.scaled.shape == (0, 2)
-        values, grads = _alpha_loglik_grads(terms, np.ones((2, 5)))
+        exposure, selection = _posterior_terms(
+            params, _log_arrays(InteractionLog.from_records(3, 5, []), 2)
+        )
+        assert exposure.rows.scaled.shape == (0, 5)
+        assert selection.rows.scaled.shape == (0, 2)
+        values, grads = _loglik_grads(exposure, np.ones((2, 5)))
         assert np.array_equal(values, np.zeros(2)) and np.array_equal(grads, np.zeros((2, 5)))
-        values, grads = _beta_loglik_grads(terms, np.ones((2, 2)))
+        values, grads = _loglik_grads(selection, np.ones((2, 2)))
         assert np.array_equal(values, np.zeros(2)) and np.array_equal(grads, np.zeros((2, 2)))
 
     def test_keeps_only_clicked_records(self):
@@ -889,10 +895,10 @@ class TestFactorizedLikelihood:
             2, 4, [Record(0, [0, 1], [0, 0]), Record(1, [2, 3, 0], [0, 1, 1]),
                    Record(0, [3], [0])],
         ).validate()
-        terms = _posterior_terms(rand_params(2, 4, 3, seed=6), _log_arrays(log))
-        assert terms.selection.scaled.shape == (1, 3)
-        assert terms.selection.weight.tolist() == [2.0]
-        assert terms.sel_per_slot.tolist() == [0.0, 1.0, 1.0]
+        _, selection = _posterior_terms(rand_params(2, 4, 3, seed=6), _log_arrays(log))
+        assert selection.rows.scaled.shape == (1, 3)
+        assert selection.rows.weight.tolist() == [2.0]
+        assert selection.counts.tolist() == [0.0, 1.0, 1.0]
 
     def test_fit_posterior_never_calls_logsumexp(self, monkeypatch):
         from cfrank import mathcore, simulator

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cfrank import textio
+from cfrank import intervention, rankers, simulator, textio
+from cfrank.mathcore import RandomStream
 from cfrank.textio import FORMAT_VERSION, TWIN_SUFFIX, load_matrices, save_matrices
 
 
@@ -420,3 +421,55 @@ def test_text_parse_peak_memory(tmp_path):
         tracemalloc.stop()
     assert_same_bits(got, arrays)
     assert peak < 2 * result, (peak, result)
+
+
+def saved_checkpoint(kind, path):
+    """A valid checkpoint of `kind` at `path`, and the loader that reads it."""
+    stream = RandomStream(1)
+    if kind == "sim":
+        simulator.save_sim_params(
+            simulator.SimParams(
+                stream.normal((3, 2)), stream.normal((5, 2)), stream.normal(5),
+                stream.normal((3, 2)), stream.normal((5, 2)), stream.normal(2),
+            ),
+            path,
+        )
+        return simulator.load_sim_params
+    if kind == "posterior":
+        simulator.save_posterior(simulator.VariationalPosterior.prior(5, 2), path)
+        return simulator.load_posterior
+    if kind == "policy":
+        intervention.save_policy(intervention.GaussianPolicy(2, 4, stream), path)
+        return intervention.load_policy
+    rankers.save_model(rankers.make_model(kind, 3, 5, 2, stream, neighborhood=2), path)
+    return rankers.load_model
+
+
+@pytest.mark.parametrize(
+    "kind, drop, missing",
+    [
+        ("sim", "w_s", "block 'w_s'"),
+        ("sim", None, "block 'P'"),  # no blocks at all
+        ("posterior", "sigma_beta", "block 'sigma_beta'"),
+        ("policy", "d", "meta key 'd'"),
+        ("policy", "log_std", "block 'log_std'"),
+        ("bpr-mf", "kind", "meta key 'kind'"),
+        ("bpr-mf", "Q", "block 'Q'"),
+        ("neumf", "Pg", "block 'Pg'"),
+        ("neumf", "w_fuse", "block 'w_fuse'"),
+        ("itempop", "counts", "block 'counts'"),
+        ("itemknn", "neighborhood", "meta key 'neighborhood'"),
+    ],
+)
+def test_loaders_name_a_missing_block_or_meta_key(tmp_path, kind, drop, missing):
+    path = tmp_path / "checkpoint.txt"
+    loader = saved_checkpoint(kind, path)
+    loader(path)  # the whole checkpoint loads
+    arrays, meta = load_matrices(path)
+    if drop is None:
+        arrays = {}
+    arrays.pop(drop, None)
+    meta.pop(drop, None)
+    save_matrices(path, arrays, meta)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing {missing}$"):
+        loader(path)
