@@ -1,8 +1,20 @@
-"""`python -m cfrank`: the same command line as the `cfrank` script."""
+"""The `cfrank` command, also run as `python -m cfrank`.
 
+OpenBLAS gets one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
+set: the pipeline's matrix products are small, more threads made them
+slower, and `cli.run_pipeline` overlaps two stages only with one BLAS
+thread per process. The default must be in the environment before numpy
+loads, so it is set here, before `cli` is imported; importing the package
+as a library sets nothing.
+"""
+
+import os
 import sys
 
-from .cli import main
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .cli import main  # noqa: E402
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -9,13 +9,26 @@ byte-identical results to the one-shot pipeline. Each matrix checkpoint
 `target_cpr.txt`) has a binary twin `<name>.f64` beside it, which the next
 stage reads in place of parsing the text while it matches the text's sha256
 (see `textio`); the text stays the artifact of record.
+
+`run_pipeline` runs the stages in order, with one overlap: train-target
+reads only the dataset, so its fit and save can run in a forked worker
+process beside train-sim and fit-posterior, and the train-target stage then
+waits for that worker. Both branches write only their own files from their
+own substreams, so every artifact is the same byte for byte either way. The
+overlap needs Linux with `fork`, at least two usable CPUs, single-threaded
+BLAS (`OPENBLAS_NUM_THREADS=1`, or it unset and `OMP_NUM_THREADS=1`; the
+`cfrank` command sets the former by default) and no other thread in the
+process; otherwise the stages run one after another. Stages run by hand
+through their subcommands are unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import os
+import pickle
 import re
 import sys
 
@@ -313,16 +326,21 @@ def _trainer(objective):
     raise ConfigError(f"unknown target.objective {objective!r}")
 
 
-def stage_train_target(cfg, out):
-    log = _load_dataset(cfg, out)
-    train = _split(cfg, log).train
-    stream = RandomStream(cfg["seed"]).substream("target")
+def _target_trainer(cfg):
+    """The trainer for target.objective, once target.kind is known to exist."""
     kind = cfg["target.kind"]
     if kind not in rankers.ALL_KINDS:
         raise ConfigError(f"unknown target.kind {kind!r}")
-    train_fn = _trainer(cfg["target.objective"])
+    return _trainer(cfg["target.objective"])
+
+
+def _fit_target(cfg, out, train):
+    """train-target's work on the split's training log: fit and save."""
+    train_fn = _target_trainer(cfg)
+    stream = RandomStream(cfg["seed"]).substream("target")
     model = rankers.make_model(
-        kind, train.n_users, train.n_items, cfg["target.d"], stream.substream("init")
+        cfg["target.kind"], train.n_users, train.n_items, cfg["target.d"],
+        stream.substream("init"),
     )
     if model.trainable:
         train_fn(
@@ -333,6 +351,21 @@ def stage_train_target(cfg, out):
         model.fit(train)
     rankers.save_model(model, _artifact(out, "target.txt"))
     return model
+
+
+def stage_train_target(cfg, out, worker=None):
+    """Fits the target ranker and writes target.txt; returns the model.
+
+    `run_pipeline` may pass the `_TargetWorker` already doing this; the stage
+    then waits for it, raises what its fit raised, and returns None.
+    """
+    if worker is not None:
+        error = worker.join()
+        if error is not None:
+            raise error
+        return None
+    log = _load_dataset(cfg, out)
+    return _fit_target(cfg, out, _split(cfg, log).train)
 
 
 def stage_intervene(cfg, out):
@@ -500,12 +533,99 @@ PIPELINE_STAGES = (
 )
 
 
-def run_stage(name, cfg, out):
+def run_stage(name, cfg, out, **kwargs):
     """One stage by name; any error it raises comes out as a StageError."""
     try:
-        return dict(PIPELINE_STAGES)[name](cfg, out)
+        return dict(PIPELINE_STAGES)[name](cfg, out, **kwargs)
     except Exception as exc:
         raise StageError(name, exc) from exc
+
+
+class _TargetWorker:
+    """train-target's fit and save in a forked child process.
+
+    The child writes target.txt and its twin and nothing else, then sends
+    back one pickled value: None, or the exception its fit raised. It leaves
+    through `os._exit`, so it never returns into the parent's stack.
+    """
+
+    def __init__(self, cfg, out, train):
+        read_fd, write_fd = os.pipe()
+        for stream in (sys.stdout, sys.stderr):
+            stream.flush()  # or the child would write the parent's buffer again
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _target_worker_main(write_fd, cfg, out, train)
+        os.close(write_fd)
+        self._reader = os.fdopen(read_fd, "rb")
+        self._error = None
+
+    def join(self):
+        """Waits for the child to end; returns the exception its fit raised,
+        or None. Later calls return the same value at once."""
+        if self._reader.closed:
+            return self._error
+        with self._reader:
+            payload = self._reader.read()
+        _, status = os.waitpid(self.pid, 0)
+        if payload:
+            self._error = pickle.loads(payload)
+        else:
+            code = os.waitstatus_to_exitcode(status)
+            self._error = RuntimeError(
+                f"the train-target worker ended without a result (exit code {code})"
+            )
+        return self._error
+
+
+def _target_worker_main(write_fd, cfg, out, train):
+    code = 1
+    try:
+        try:
+            _fit_target(cfg, out, train)
+            error = None
+        except Exception as exc:  # the parent re-raises it in the stage's slot
+            error = exc
+        payload = pickle.dumps(error)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            stream.flush()
+        os._exit(code)
+
+
+def _overlap_possible():
+    """Whether a forked train-target worker can run beside the main process:
+    Linux with fork, two usable CPUs, one BLAS thread per process, and no
+    thread here that the fork would copy in the middle of its work."""
+    if not sys.platform.startswith("linux") or not hasattr(os, "fork"):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    return blas == "1" and len(os.listdir("/proc/self/task")) == 1
+
+
+def _start_target_worker(cfg, out):
+    """A `_TargetWorker` for this run, or None when train-target's config or
+    dataset is bad or no process can be forked. The stages then run one
+    after another, and a bad config or dataset fails a stage in its own
+    slot, as without a worker. The dataset is loaded and split here, in the
+    parent, so the parent still makes one load per stage that reads it."""
+    try:
+        _target_trainer(cfg)
+        train = _split(cfg, _load_dataset(cfg, out)).train
+        return _TargetWorker(cfg, out, train)
+    except Exception:  # the stages then run one after another
+        return None
 
 
 def run_pipeline(cfg, out):
@@ -513,17 +633,36 @@ def run_pipeline(cfg, out):
 
     Returns the last stage's result. Earlier results are dropped as soon
     as their stage ends: the next stage reads them back from `out`.
+
+    Where `_overlap_possible()` holds and the stage table's train-target
+    entry is `stage_train_target` (seen through wrappers), train-target's fit
+    runs in a forked worker started in train-sim's slot, beside train-sim and
+    fit-posterior; the train-target stage, still called in its own slot,
+    waits for the worker and raises what its fit raised. Every stage of the
+    table is called once, in order, in this process. The worker is waited
+    for, never killed, before this function returns or raises, so a failing
+    train-sim or fit-posterior still leaves a whole target.txt.
     """
     os.makedirs(out, exist_ok=True)
+    train_target = dict(PIPELINE_STAGES).get("train-target")
+    overlap = inspect.unwrap(train_target) is stage_train_target
+    worker = None
     result = None
-    for name, _ in PIPELINE_STAGES:
-        if name == "synth-gen" and cfg["dataset.kind"] != "synthetic":
-            continue
-        if name == "intervene" and cfg["intervention.rounds"] == 0:
-            continue
-        result = None  # not held while the next stage runs
-        result = run_stage(name, cfg, out)
-    return result
+    try:
+        for name, _ in PIPELINE_STAGES:
+            if name == "synth-gen" and cfg["dataset.kind"] != "synthetic":
+                continue
+            if name == "intervene" and cfg["intervention.rounds"] == 0:
+                continue
+            if name == "train-sim" and overlap and _overlap_possible():
+                worker = _start_target_worker(cfg, out)
+            result = None  # not held while the next stage runs
+            waits = name == "train-target" and worker is not None
+            result = run_stage(name, cfg, out, **({"worker": worker} if waits else {}))
+        return result
+    finally:
+        if worker is not None:
+            worker.join()
 
 
 # ---------------------------------------------------------------------------

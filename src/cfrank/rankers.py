@@ -119,6 +119,13 @@ class RankingModel:
             setattr(self, name, np.asarray(arr, dtype=np.float64))
 
 
+def _decayed(grad, l2, param):
+    """grad + l2 * param. With l2 == 0 (the pairwise negative pass) the zero
+    product is not formed: adding +0.0 changes no bit of a gradient table,
+    whose entries start at +0.0 and so are never -0.0."""
+    return grad + l2 * param if l2 else grad
+
+
 class BprMF(RankingModel):
     kind = "bpr-mf"
     trainable = True
@@ -142,8 +149,8 @@ class BprMF(RankingModel):
 
     def backward(self, acts, ds, grads, l2=0.0):
         u, i, pu, qi = acts
-        scatter_add(grads["P"], u, ds[:, None] * qi + l2 * pu)
-        scatter_add(grads["Q"], i, ds[:, None] * pu + l2 * qi)
+        scatter_add(grads["P"], u, _decayed(ds[:, None] * qi, l2, pu))
+        scatter_add(grads["Q"], i, _decayed(ds[:, None] * pu, l2, qi))
 
 
 class Gmf(RankingModel):
@@ -169,9 +176,9 @@ class Gmf(RankingModel):
 
     def backward(self, acts, ds, grads, l2=0.0):
         u, i, pu, qi, g = acts
-        grads["h"] += g.T @ ds + l2 * self.h
-        scatter_add(grads["P"], u, ds[:, None] * (self.h * qi) + l2 * pu)
-        scatter_add(grads["Q"], i, ds[:, None] * (self.h * pu) + l2 * qi)
+        grads["h"] += _decayed(g.T @ ds, l2, self.h)
+        scatter_add(grads["P"], u, _decayed(ds[:, None] * (self.h * qi), l2, pu))
+        scatter_add(grads["Q"], i, _decayed(ds[:, None] * (self.h * pu), l2, qi))
 
 
 def _tower_init(d, stream):
@@ -213,11 +220,11 @@ def _tower_grid(p, q, W1, b1, W2, b2, w):
 
 def _tower_backward(dh2, x, a1, h1, a2, W1, W2, grads, l2=0.0):
     da2 = dh2 * (a2 > 0)
-    grads["W2"] += da2.T @ h1 + l2 * W2
+    grads["W2"] += _decayed(da2.T @ h1, l2, W2)
     grads["b2"] += da2.sum(axis=0)
     dh1 = da2 @ W2
     da1 = dh1 * (a1 > 0)
-    grads["W1"] += da1.T @ x + l2 * W1
+    grads["W1"] += _decayed(da1.T @ x, l2, W1)
     grads["b1"] += da1.sum(axis=0)
     return da1 @ W1  # gradient w.r.t. the concatenated embedding input
 
@@ -263,13 +270,13 @@ class Mlp(RankingModel):
 
     def backward(self, acts, ds, grads, l2=0.0):
         u, i, x, a1, h1, a2, h2 = acts
-        grads["w_out"] += h2.T @ ds + l2 * self.w_out
+        grads["w_out"] += _decayed(h2.T @ ds, l2, self.w_out)
         grads["b_out"] += ds.sum(keepdims=True)
         dh2 = ds[:, None] * self.w_out[None, :]
         dx = _tower_backward(dh2, x, a1, h1, a2, self.W1, self.W2, grads, l2)
         d = self.d
-        scatter_add(grads["P"], u, dx[:, :d] + l2 * x[:, :d])
-        scatter_add(grads["Q"], i, dx[:, d:] + l2 * x[:, d:])
+        scatter_add(grads["P"], u, _decayed(dx[:, :d], l2, x[:, :d]))
+        scatter_add(grads["Q"], i, _decayed(dx[:, d:], l2, x[:, d:]))
 
 
 class NeuMf(RankingModel):
@@ -325,16 +332,16 @@ class NeuMf(RankingModel):
 
     def backward(self, acts, ds, grads, l2=0.0):
         u, i, pu, qi, x, a1, h1, a2, z = acts
-        grads["w_fuse"] += z.T @ ds + l2 * self.w_fuse
+        grads["w_fuse"] += _decayed(z.T @ ds, l2, self.w_fuse)
         grads["b_fuse"] += ds.sum(keepdims=True)
         dz = ds[:, None] * self.w_fuse[None, :]
         d = self.d
         dg, dh2 = dz[:, :d], dz[:, d:]
-        scatter_add(grads["Pg"], u, dg * qi + l2 * pu)
-        scatter_add(grads["Qg"], i, dg * pu + l2 * qi)
+        scatter_add(grads["Pg"], u, _decayed(dg * qi, l2, pu))
+        scatter_add(grads["Qg"], i, _decayed(dg * pu, l2, qi))
         dx = _tower_backward(dh2, x, a1, h1, a2, self.W1, self.W2, grads, l2)
-        scatter_add(grads["Pm"], u, dx[:, :d] + l2 * x[:, :d])
-        scatter_add(grads["Qm"], i, dx[:, d:] + l2 * x[:, d:])
+        scatter_add(grads["Pm"], u, _decayed(dx[:, :d], l2, x[:, :d]))
+        scatter_add(grads["Qm"], i, _decayed(dx[:, d:], l2, x[:, d:]))
 
 
 class ItemPop(RankingModel):

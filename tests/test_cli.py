@@ -1,5 +1,7 @@
 import hashlib
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -151,9 +153,17 @@ class TestPipeline:
 
             return run
 
+        def no_fork():
+            raise AssertionError("a worker started for a substituted train-target")
+
         monkeypatch.setattr(
             cli, "PIPELINE_STAGES", tuple((name, stage(name)) for name, _ in cli.PIPELINE_STAGES)
         )
+        # The overlap gate holds and a dataset is there to load, but
+        # train-target is not the real stage.
+        monkeypatch.setattr(cli, "_overlap_possible", lambda: True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        stage_synth_gen(tiny_cfg(), str(tmp_path))
         last = run_pipeline(tiny_cfg(), str(tmp_path))
         assert len(seen) == len(cli.PIPELINE_STAGES)
         assert seen[-1]() is last
@@ -295,6 +305,248 @@ class TestPipeline:
 
         with pytest.raises(StageError, match="intervene"):
             run_pipeline(cfg, str(tmp_path / "x"))
+
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "intervene",
+               "evaluate"]
+
+# Runs `cfrank pipeline` with the overlap gate forced on (argv[1] == "1"),
+# off ("0"), or on with a worker that dies before it reports ("die"), every
+# stage wrapped as a tracer wraps it. Prints one JSON line: the exit code,
+# the forks made, the stages this process called, and whether a child
+# process is left, running or unreaped.
+OVERLAP_DRIVER = """
+import functools, json, os, sys
+from cfrank import cli
+
+forks, called = [], []
+fork = os.fork
+
+def counting_fork():
+    forks.append(os.getpid())
+    return fork()
+
+def traced(name, stage):
+    @functools.wraps(stage)
+    def run(*args, **kwargs):
+        called.append(name)
+        return stage(*args, **kwargs)
+    return run
+
+os.fork = counting_fork
+cli._overlap_possible = lambda: sys.argv[1] != "0"
+if sys.argv[1] == "die":
+    cli._fit_target = lambda *args: os._exit(9)
+cli.PIPELINE_STAGES = tuple((n, traced(n, s)) for n, s in cli.PIPELINE_STAGES)
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child = True
+except ChildProcessError:
+    child = False
+print(json.dumps({"code": code, "forks": len(forks), "stages": called, "child": child}))
+"""
+
+
+def clean_env(**blas):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(PYTHONPATH=SRC, **blas)
+    return env
+
+
+def forced_pipeline(overlap, out, *settings):
+    """(driver result, stderr) of a pipeline in a fresh process. One BLAS
+    thread keeps that process single-threaded, so its fork does not raise
+    Python 3.12's DeprecationWarning, which -W turns into an error."""
+    args = [f"--set={k}={v}" for k, v in TINY.items()] + [f"--set={s}" for s in settings]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", OVERLAP_DRIVER,
+         {True: "1", False: "0"}.get(overlap, overlap), "pipeline", "--out", str(out),
+         *args],
+        capture_output=True, text=True, env=clean_env(OPENBLAS_NUM_THREADS="1"),
+        timeout=120,
+    )
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+class TestOverlappedPipeline:
+    """train-target fitted in a forked worker beside train-sim and
+    fit-posterior, against the same stages run one after another."""
+
+    @pytest.mark.parametrize(
+        "settings",
+        [(), ("target.kind=neumf", "target.objective=pointwise")],
+        ids=["bpr-mf", "neumf-pointwise"],
+    )
+    def test_run_directory_identical_on_both_paths(self, tmp_path, settings):
+        files = {}
+        for overlap in (True, False):
+            out = tmp_path / str(overlap)
+            result, err = forced_pipeline(overlap, out, *settings)
+            assert result == {
+                "code": 0, "forks": int(overlap), "stages": STAGE_NAMES, "child": False
+            }, err
+            files[overlap] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "target.txt.f64" in files[True]
+        assert files[True] == files[False]
+
+    @pytest.mark.parametrize(
+        "setting, code, forks",
+        [
+            ("target.batch_size=-1", 2, 1),
+            ("target.negatives=0", 2, 1),
+            # checked before the fork: no worker starts
+            ("target.objective=listwise", 1, 0),
+        ],
+    )
+    def test_failing_fit_fails_alike_on_both_paths(self, tmp_path, setting, code, forks):
+        errors = {}
+        for overlap in (True, False):
+            out = tmp_path / str(overlap)
+            result, err = forced_pipeline(overlap, out, setting)
+            assert result == {
+                "code": code, "forks": forks if overlap else 0,
+                "stages": STAGE_NAMES[:4], "child": False,
+            }, err
+            assert not (out / "target.txt").exists()
+            errors[overlap] = [line for line in err.splitlines() if "error" in line]
+        assert errors[True] == errors[False]
+        assert len(errors[True]) == 1
+        assert errors[True][0].startswith("error: stage 'train-target' failed: ")
+
+    def test_failing_train_sim_waits_for_the_worker(self, tmp_path):
+        run, serial = tmp_path / "run", tmp_path / "serial"
+        result, err = forced_pipeline(True, run, "simulator.lr=1e300")
+        assert result == {
+            "code": 3, "forks": 1, "stages": STAGE_NAMES[:2], "child": False
+        }, err
+        assert "stage 'train-sim' failed: exposure training diverged" in err
+        # The worker was waited for, not killed: its target.txt is whole.
+        serial.mkdir()
+        stage_synth_gen(tiny_cfg(), str(serial))
+        stage_train_target(tiny_cfg(), str(serial))
+        assert (run / "target.txt").read_bytes() == (serial / "target.txt").read_bytes()
+
+
+    def test_worker_that_dies_fails_the_stage(self, tmp_path):
+        result, err = forced_pipeline("die", tmp_path)
+        assert result == {
+            "code": 2, "forks": 1, "stages": STAGE_NAMES[:4], "child": False
+        }, err
+        assert (
+            "error: stage 'train-target' failed: the train-target worker ended"
+            " without a result (exit code 9)" in err
+        )
+        assert not (tmp_path / "target.txt").exists()
+
+
+class TestOverlapGate:
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        """Sets every input of the gate to pass; a test then changes one."""
+        tasks = ["1"]
+        listdir = os.listdir
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(
+            os, "listdir", lambda path: tasks if path == "/proc/self/task" else listdir(path)
+        )
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        return monkeypatch, tasks
+
+    def test_all_conditions_met(self, gate):
+        from cfrank import cli
+
+        assert cli._overlap_possible()
+
+    @pytest.mark.parametrize(
+        "openblas, omp, expected",
+        [
+            (None, "1", True),
+            ("1", "4", True),
+            (None, None, False),
+            ("2", None, False),
+            ("2", "1", False),
+            ("0", None, False),
+        ],
+    )
+    def test_blas_threads(self, gate, openblas, omp, expected):
+        from cfrank import cli
+
+        monkeypatch, _ = gate
+        for var, value in zip(BLAS_VARS, (openblas, omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert cli._overlap_possible() is expected
+
+    def test_not_linux(self, gate):
+        from cfrank import cli
+
+        gate[0].setattr(sys, "platform", "darwin")
+        assert not cli._overlap_possible()
+
+    def test_one_usable_cpu(self, gate):
+        from cfrank import cli
+
+        gate[0].setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert not cli._overlap_possible()
+
+    def test_another_thread(self, gate):
+        from cfrank import cli
+
+        gate[1].append("2")
+        assert not cli._overlap_possible()
+
+
+class TestCommandBlasDefault:
+    """`cfrank` and `python -m cfrank` give BLAS one thread unless told
+    otherwise; importing the package as a library sets nothing."""
+
+    REPORT = (
+        "import json, os, sys; print(json.dumps([sys.modules.get('numpy') is not None,"
+        " [os.environ.get(v) for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')]]))"
+    )
+
+    def report(self, statement, **blas):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{statement}\n{self.REPORT}"],
+            capture_output=True, text=True, env=clean_env(**blas), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_library_import_loads_no_numpy_and_sets_nothing(self):
+        assert self.report("import cfrank") == [False, [None, None]]
+
+    @pytest.mark.parametrize(
+        "blas, expected",
+        [
+            ({}, ["1", None]),
+            ({"OPENBLAS_NUM_THREADS": "3"}, ["3", None]),
+            ({"OMP_NUM_THREADS": "2"}, [None, "2"]),
+        ],
+    )
+    def test_command_default(self, blas, expected):
+        with open(os.path.join(SRC, os.pardir, "pyproject.toml"), encoding="utf-8") as fh:
+            script = re.search(r'^cfrank = "(.+)"$', fh.read(), re.MULTILINE)
+        module, name = script.group(1).split(":")
+        assert module == "cfrank.__main__"
+        assert self.report(f"from {module} import {name}", **blas) == [True, expected]
+
+    def test_exports_load_on_first_use(self):
+        import cfrank
+        from cfrank import rankers
+
+        assert cfrank.train_pairwise is rankers.train_pairwise
+        assert set(cfrank.__all__) <= set(dir(cfrank))
+        with pytest.raises(AttributeError):
+            cfrank.no_such_name
 
 
 class TestReportPins:

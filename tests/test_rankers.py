@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfrank import mathcore
+from cfrank import mathcore, rankers
 from cfrank.corpus import InteractionLog, Record
 from log_strategies import valid_logs
 from gradcheck import finite_diff_check
@@ -154,6 +154,21 @@ class TestGradients:
     @pytest.mark.parametrize("kind", GRADIENT_KINDS)
     def test_pointwise(self, kind):
         self.check(kind, pointwise=True)
+
+    @pytest.mark.parametrize("kind", GRADIENT_KINDS)
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_skipped_zero_decay_keeps_every_bit(self, kind, scale, monkeypatch):
+        # The reference adds l2 * param also when l2 == 0, as the negative
+        # pass did before it skipped that sum. At scale 1e3 the margins
+        # saturate the sigmoid, and mlp and neumf get rows of signed zeros.
+        model = make_model(kind, 3, 6, 4, RandomStream(11))
+        model.set_params({k: scale * v for k, v in model.params().items()})
+        _, grads = pairwise_loss_grad(model, self.u, self.i, self.j, l2=1e-3)
+        monkeypatch.setattr(rankers, "_decayed", lambda grad, l2, param: grad + l2 * param)
+        _, reference = pairwise_loss_grad(model, self.u, self.i, self.j, l2=1e-3)
+        assert {k: v.tobytes() for k, v in grads.items()} == {
+            k: v.tobytes() for k, v in reference.items()
+        }
 
     @pytest.mark.parametrize("kind", ["mlp", "neumf"])
     @pytest.mark.parametrize("pointwise, towers", [(True, 1), (False, 2)])
