@@ -10,21 +10,29 @@ byte-identical results to the one-shot pipeline. Each matrix checkpoint
 stage reads in place of parsing the text while it matches the text's sha256
 (see `textio`); the text stays the artifact of record.
 
-`run_pipeline` runs the stages in order, with one overlap: train-target
-reads only the dataset, so its fit and save can run in a forked worker
-process beside train-sim and fit-posterior, and the train-target stage then
-waits for that worker. Both branches write only their own files from their
-own substreams, so every artifact is the same byte for byte either way. The
-overlap needs Linux with `fork`, at least two usable CPUs, single-threaded
-BLAS (`OPENBLAS_NUM_THREADS=1`, or it unset and `OMP_NUM_THREADS=1`; the
-`cfrank` command sets the former by default) and no other thread in the
-process; otherwise the stages run one after another. Stages run by hand
-through their subcommands are unchanged.
+`run_pipeline` runs the stages in order. Where a second CPU is free, three
+stages use it through a forked child process whose values come back
+pickled through a pipe: synth-gen emits the second half of the users'
+lists in a child while the main process emits the first half; train-target
+reads only the dataset, so its fit and save run in a child started in
+train-sim's slot, beside train-sim and fit-posterior, and the train-target
+stage waits for it; and intervene, after pretraining its policy, generates
+the rounds' counterfactual batches in a child while the main process
+fine-tunes on each batch as it arrives. Every branch draws only from its
+own labelled substreams, so every artifact is the same byte for byte
+either way. Forking needs Linux with `fork`, at least two usable CPUs,
+single-threaded BLAS (`OPENBLAS_NUM_THREADS=1`, or it unset and
+`OMP_NUM_THREADS=1`; the `cfrank` command sets the former by default) and
+no other thread in the process; otherwise the work runs in turn in the
+main process. Stages run by hand through their subcommands fork in
+synth-gen and intervene alike; train-target forks only in the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import inspect
 import os
@@ -34,7 +42,7 @@ import sys
 
 import numpy as np
 
-from . import evalkit, intervention, rankers, simulator, synthgen, theorylab
+from . import evalkit, intervention, rankers, simulator, synthgen, textio, theorylab
 from .corpus import (
     InteractionLog,
     coldness_buckets,
@@ -236,6 +244,12 @@ def _cpr_name(cfg):
 
 
 def stage_synth_gen(cfg, out):
+    """Draws the world and its log and writes world.txt and data.tsv.
+
+    A forked child (`_beside`) emits the lists of the second half of the
+    users while this process emits the first half; both halves draw from
+    the users' own substreams, so the joined log is the same either way.
+    """
     if cfg["dataset.kind"] != "synthetic":
         raise ConfigError("synth-gen only applies to dataset.kind=synthetic")
     stream = RandomStream(cfg["seed"]).substream("synth")
@@ -246,19 +260,33 @@ def stage_synth_gen(cfg, out):
         noise_std=cfg["synth.noise_std"],
         stream=stream.substream("world"),
     )
-    log = synthgen.emit_dataset(
+    emit = functools.partial(
+        synthgen.emit_dataset,
         world,
         cfg["synth.mode"],
         stream.substream("emit"),
         n_lists=cfg["synth.lists_per_user"],
         list_len=cfg["synth.list_len"],
     )
+    half = world.n_users // 2
+    with contextlib.closing(
+        _beside("synth-gen", _one, emit, users=range(half, world.n_users))
+    ) as rest:
+        first = emit(users=range(half))
+        (second,) = rest
+    log = InteractionLog.concat([first, second])
     synthgen.save_world(world, _artifact(out, "world.txt"))
     save_native_log(log, _artifact(out, "data.tsv"))
     return log
 
 
-def stage_train_sim(cfg, out):
+def stage_train_sim(cfg, out, worker=None):
+    """Fits the simulator and writes sim.txt; returns its parameters.
+
+    `run_pipeline` may pass the `_TargetWorker` for train-target, which this
+    stage starts first, so that its fork falls in this stage's slot."""
+    if worker is not None:
+        worker.start()
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
     stream = RandomStream(cfg["seed"])
@@ -334,8 +362,8 @@ def _target_trainer(cfg):
     return _trainer(cfg["target.objective"])
 
 
-def _fit_target(cfg, out, train):
-    """train-target's work on the split's training log: fit and save."""
+def _fit_target(cfg, train, path):
+    """train-target's work on the split's training log: fit, and save to path."""
     train_fn = _target_trainer(cfg)
     stream = RandomStream(cfg["seed"]).substream("target")
     model = rankers.make_model(
@@ -349,28 +377,56 @@ def _fit_target(cfg, out, train):
         )
     else:
         model.fit(train)
-    rankers.save_model(model, _artifact(out, "target.txt"))
+    rankers.save_model(model, path)
     return model
 
 
 def stage_train_target(cfg, out, worker=None):
     """Fits the target ranker and writes target.txt; returns the model.
 
-    `run_pipeline` may pass the `_TargetWorker` already doing this; the stage
-    then waits for it, raises what its fit raised, and returns None.
+    `run_pipeline` may pass the `_TargetWorker` that train-sim started; if
+    it did fork, the stage waits for it, raises what its fit raised, moves
+    its target.txt into place and returns None.
     """
-    if worker is not None:
-        error = worker.join()
-        if error is not None:
-            raise error
+    if worker is not None and worker.collect():
         return None
     log = _load_dataset(cfg, out)
-    return _fit_target(cfg, out, _split(cfg, log).train)
+    return _fit_target(cfg, _split(cfg, log).train, _artifact(out, "target.txt"))
+
+
+def _round_batches(cfg, policy, params, posterior, n_users, stream):
+    """The counterfactual batch of each intervention round, in round order.
+
+    A round's batch depends on the policy, the simulator and the posterior
+    only: the target enters a round through its episode rewards, which the
+    stage does not use, so no reward is scored.
+    """
+    for rnd in range(cfg["intervention.rounds"]):
+        batch, _ = intervention.run_intervention_round(
+            policy,
+            params,
+            posterior,
+            None,
+            range(n_users),
+            actions_per_user=cfg["intervention.actions"],
+            mode=cfg["target.objective"],
+            k=cfg["intervention.k"],
+            stream=stream.substream(f"round{rnd}"),
+            explore_std=0.0,
+            noise_control=cfg["intervention.noise_control"],
+            round_tag=f"r{rnd}",
+        )
+        yield batch
 
 
 def stage_intervene(cfg, out):
     """Generate counterfactual batches and retrain the target model on them,
-    mixed one-to-one with resampled observed positives per round."""
+    mixed one-to-one with resampled observed positives per round.
+
+    After the policy is pretrained, a forked child (`_beside`) generates the
+    rounds' batches in order while this process fine-tunes on each batch as
+    it arrives; rounds score no reward, so they do not wait for the target.
+    """
     if cfg["intervention.rounds"] < 1:
         raise ConfigError("intervene needs intervention.rounds >= 1")
     kind = cfg["target.kind"]
@@ -419,40 +475,34 @@ def stage_intervene(cfg, out):
 
     all_batches = intervention.CounterfactualBatch(mode=mode)
     n_pos = observed.positives.shape[0]
-    for rnd in range(cfg["intervention.rounds"]):
-        batch, _ = intervention.run_intervention_round(
-            policy,
-            params,
-            posterior,
-            target,
-            range(train.n_users),
-            actions_per_user=cfg["intervention.actions"],
-            mode=mode,
-            k=k,
-            stream=stream.substream(f"round{rnd}"),
-            explore_std=0.0,
-            noise_control=cfg["intervention.noise_control"],
-            round_tag=f"r{rnd}",
+    with contextlib.closing(
+        _beside(
+            "intervene", _round_batches, cfg, policy, params, posterior,
+            train.n_users, stream,
         )
-        all_batches.extend(batch)
-        if len(batch) == 0:
-            continue
-        take = min(len(batch), n_pos)
-        picked = stream.substream(f"mix{rnd}").choice(n_pos, size=take, replace=False)
-        train_fn(
-            target,
-            rankers.TrainingData(
-                positives=observed.positives[np.sort(picked)],
-                user_positives=observed.user_positives,
-                rows=batch.rows(),
-            ),
-            _ranker_hyper(
-                cfg,
-                lr=cfg["intervention.finetune_lr"],
-                epochs=cfg["intervention.finetune_epochs"],
-            ),
-            stream.substream(f"finetune{rnd}"),
-        )
+    ) as batches:
+        for rnd, batch in enumerate(batches):
+            all_batches.extend(batch)
+            if len(batch) == 0:
+                continue
+            take = min(len(batch), n_pos)
+            picked = stream.substream(f"mix{rnd}").choice(
+                n_pos, size=take, replace=False
+            )
+            train_fn(
+                target,
+                rankers.TrainingData(
+                    positives=observed.positives[np.sort(picked)],
+                    user_positives=observed.user_positives,
+                    rows=batch.rows(),
+                ),
+                _ranker_hyper(
+                    cfg,
+                    lr=cfg["intervention.finetune_lr"],
+                    epochs=cfg["intervention.finetune_epochs"],
+                ),
+                stream.substream(f"finetune{rnd}"),
+            )
     all_batches.to_tsv(_artifact(out, "batches.tsv"))
     rankers.save_model(target, _artifact(out, "target_cpr.txt"))
     return target
@@ -541,15 +591,22 @@ def run_stage(name, cfg, out, **kwargs):
         raise StageError(name, exc) from exc
 
 
-class _TargetWorker:
-    """train-target's fit and save in a forked child process.
+class _Forked:
+    """An iterator over the values of `generate(*args, **kwargs)`, run in a
+    forked child process.
 
-    The child writes target.txt and its twin and nothing else, then sends
-    back one pickled value: None, or the exception its fit raised. It leaves
-    through `os._exit`, so it never returns into the parent's stack.
+    The child pickles each value it yields into a pipe, then an end mark;
+    an exception its generator raises is sent in place of the mark and
+    re-raised here by `__next__`, so it fails the reading stage as it would
+    have in this process. The child leaves through `os._exit`, so it never
+    returns into this process's stack. `close` closes the read end before
+    it waits for the child: a child blocked on a full pipe then fails its
+    write and ends. The child is never killed, and it is reaped once its end
+    mark or exception is read, or by `close`.
     """
 
-    def __init__(self, cfg, out, train):
+    def __init__(self, name, generate, *args, **kwargs):
+        self.name = name
         read_fd, write_fd = os.pipe()
         for stream in (sys.stdout, sys.stderr):
             stream.flush()  # or the child would write the parent's buffer again
@@ -561,40 +618,57 @@ class _TargetWorker:
             raise
         if self.pid == 0:
             os.close(read_fd)
-            _target_worker_main(write_fd, cfg, out, train)
+            _child_main(write_fd, generate, args, kwargs)
         os.close(write_fd)
         self._reader = os.fdopen(read_fd, "rb")
-        self._error = None
+        self._code = None
 
-    def join(self):
-        """Waits for the child to end; returns the exception its fit raised,
-        or None. Later calls return the same value at once."""
+    def __iter__(self):
+        return self
+
+    def __next__(self):
         if self._reader.closed:
-            return self._error
-        with self._reader:
-            payload = self._reader.read()
-        _, status = os.waitpid(self.pid, 0)
-        if payload:
-            self._error = pickle.loads(payload)
-        else:
-            code = os.waitstatus_to_exitcode(status)
-            self._error = RuntimeError(
-                f"the train-target worker ended without a result (exit code {code})"
-            )
-        return self._error
+            raise StopIteration
+        try:
+            kind, value = pickle.load(self._reader)
+        except (EOFError, pickle.UnpicklingError):  # no message, or a cut one
+            code = self.close()
+            raise RuntimeError(
+                f"the {self.name} worker ended without a result (exit code {code})"
+            ) from None
+        if kind == "value":
+            return value
+        self.close()
+        if kind == "error":
+            raise value
+        raise StopIteration
+
+    def close(self):
+        """Closes the read end, waits for the child and returns its exit
+        code. Later calls return the same code at once."""
+        if not self._reader.closed:
+            self._reader.close()
+            _, status = os.waitpid(self.pid, 0)
+            self._code = os.waitstatus_to_exitcode(status)
+        return self._code
 
 
-def _target_worker_main(write_fd, cfg, out, train):
+def _child_main(write_fd, generate, args, kwargs):
     code = 1
     try:
-        try:
-            _fit_target(cfg, out, train)
-            error = None
-        except Exception as exc:  # the parent re-raises it in the stage's slot
-            error = exc
-        payload = pickle.dumps(error)
         with os.fdopen(write_fd, "wb") as fh:
-            fh.write(payload)
+
+            def send(kind, value):
+                pickle.dump((kind, value), fh, pickle.HIGHEST_PROTOCOL)
+                fh.flush()
+
+            try:
+                for value in generate(*args, **kwargs):
+                    send("value", value)
+                end = ("end", None)
+            except Exception as exc:  # re-raised in the parent
+                end = ("error", exc)
+            send(*end)
         code = 0
     finally:
         for stream in (sys.stdout, sys.stderr):
@@ -603,9 +677,9 @@ def _target_worker_main(write_fd, cfg, out, train):
 
 
 def _overlap_possible():
-    """Whether a forked train-target worker can run beside the main process:
-    Linux with fork, two usable CPUs, one BLAS thread per process, and no
-    thread here that the fork would copy in the middle of its work."""
+    """Whether a forked child can run beside the main process: Linux with
+    fork, two usable CPUs, one BLAS thread per process, and no thread here
+    that the fork would copy in the middle of its work."""
     if not sys.platform.startswith("linux") or not hasattr(os, "fork"):
         return False
     if len(os.sched_getaffinity(0)) < 2:
@@ -614,18 +688,80 @@ def _overlap_possible():
     return blas == "1" and len(os.listdir("/proc/self/task")) == 1
 
 
-def _start_target_worker(cfg, out):
-    """A `_TargetWorker` for this run, or None when train-target's config or
-    dataset is bad or no process can be forked. The stages then run one
-    after another, and a bad config or dataset fails a stage in its own
-    slot, as without a worker. The dataset is loaded and split here, in the
-    parent, so the parent still makes one load per stage that reads it."""
-    try:
-        _target_trainer(cfg)
-        train = _split(cfg, _load_dataset(cfg, out)).train
-        return _TargetWorker(cfg, out, train)
-    except Exception:  # the stages then run one after another
-        return None
+def _beside(name, generate, *args, **kwargs):
+    """The values of `generate(*args, **kwargs)`: a `_Forked` child that
+    computes them while this process goes on, where `_overlap_possible()`
+    holds and the fork succeeds; otherwise the generator itself, which
+    computes each value here when it is read. Either way, close it when
+    done."""
+    if _overlap_possible():
+        try:
+            return _Forked(name, generate, *args, **kwargs)
+        except OSError:
+            pass
+    return generate(*args, **kwargs)
+
+
+def _one(fn, *args, **kwargs):
+    """A generator of the one value fn(*args, **kwargs), for `_beside`."""
+    yield fn(*args, **kwargs)
+
+
+class _TargetWorker:
+    """train-target's fit and save in a forked child, beside train-sim and
+    fit-posterior.
+
+    `run_pipeline` makes one and passes it to both stages: train-sim
+    `start`s it, train-target `collect`s it. The child writes target.txt and
+    its twin under a temporary name, and `collect` moves them into place,
+    so a run that fails before train-target leaves no target.txt, as when
+    the stages run one after another. `close` waits for the child and
+    removes what it left.
+    """
+
+    def __init__(self, cfg, out):
+        self.cfg = cfg
+        self.out = out
+        self.path = _artifact(out, "target.txt")
+        self.part = self.path + ".part"
+        self.child = None
+
+    def start(self):
+        """Forks the child where `_overlap_possible()` holds. A bad
+        train-target config or dataset, or a failed fork, starts nothing:
+        train-target then runs in its own slot and fails there. The dataset
+        is loaded and split here, so this process still makes one load per
+        stage that reads it."""
+        if not _overlap_possible():
+            return
+        try:
+            _target_trainer(self.cfg)
+            train = _split(self.cfg, _load_dataset(self.cfg, self.out)).train
+            self.child = _Forked("train-target", self._fit, train)
+        except Exception:  # train-target then runs in its slot
+            self.child = None
+
+    def _fit(self, train):
+        _fit_target(self.cfg, train, self.part)
+        return ()
+
+    def collect(self):
+        """Whether a child was started; if so, waits for it, raises what its
+        fit raised, and moves its target.txt and twin into place."""
+        if self.child is None:
+            return False
+        for _ in self.child:
+            pass
+        for suffix in ("", textio.TWIN_SUFFIX):
+            os.replace(self.part + suffix, self.path + suffix)
+        return True
+
+    def close(self):
+        if self.child is not None:
+            self.child.close()
+            for suffix in ("", textio.TWIN_SUFFIX):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(self.part + suffix)
 
 
 def run_pipeline(cfg, out):
@@ -634,19 +770,24 @@ def run_pipeline(cfg, out):
     Returns the last stage's result. Earlier results are dropped as soon
     as their stage ends: the next stage reads them back from `out`.
 
-    Where `_overlap_possible()` holds and the stage table's train-target
-    entry is `stage_train_target` (seen through wrappers), train-target's fit
-    runs in a forked worker started in train-sim's slot, beside train-sim and
-    fit-posterior; the train-target stage, still called in its own slot,
-    waits for the worker and raises what its fit raised. Every stage of the
-    table is called once, in order, in this process. The worker is waited
-    for, never killed, before this function returns or raises, so a failing
-    train-sim or fit-posterior still leaves a whole target.txt.
+    Where `_overlap_possible()` holds, three stages fork a child process
+    (`_Forked`): synth-gen and intervene do so on their own (also when run
+    by hand), and when the stage table's train-sim and train-target entries
+    are `stage_train_sim` and `stage_train_target` (seen through wrappers),
+    this function hands both a `_TargetWorker`, so that train-target's fit
+    runs beside train-sim and fit-posterior. Every stage of the table is
+    called once, in order, in this process, and every fork falls inside a
+    stage's call. Each child is waited for, never killed, before its stage
+    (or, for the train-target worker, this function) returns or raises.
     """
     os.makedirs(out, exist_ok=True)
-    train_target = dict(PIPELINE_STAGES).get("train-target")
-    overlap = inspect.unwrap(train_target) is stage_train_target
+    stages = dict(PIPELINE_STAGES)
     worker = None
+    if (
+        inspect.unwrap(stages.get("train-sim")) is stage_train_sim
+        and inspect.unwrap(stages.get("train-target")) is stage_train_target
+    ):
+        worker = _TargetWorker(cfg, out)
     result = None
     try:
         for name, _ in PIPELINE_STAGES:
@@ -654,15 +795,13 @@ def run_pipeline(cfg, out):
                 continue
             if name == "intervene" and cfg["intervention.rounds"] == 0:
                 continue
-            if name == "train-sim" and overlap and _overlap_possible():
-                worker = _start_target_worker(cfg, out)
             result = None  # not held while the next stage runs
-            waits = name == "train-target" and worker is not None
-            result = run_stage(name, cfg, out, **({"worker": worker} if waits else {}))
+            hands = worker is not None and name in ("train-sim", "train-target")
+            result = run_stage(name, cfg, out, **({"worker": worker} if hands else {}))
         return result
     finally:
         if worker is not None:
-            worker.join()
+            worker.close()
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,21 @@ class InteractionLog:
             item_ids,
         )
 
+    @classmethod
+    def concat(cls, logs) -> "InteractionLog":
+        """The records of `logs`, in order, as one log. The logs share
+        n_users, n_items and slot count, and carry no id maps."""
+        first = logs[0]
+        shape = (first.n_users, first.n_items)
+        if any((log.n_users, log.n_items) != shape for log in logs):
+            raise ValueError("cannot join logs of different shapes")
+        columns = ("users", "items", "labels", "lengths")
+        return cls(
+            first.n_users,
+            first.n_items,
+            *(np.concatenate([getattr(log, c) for log in logs]) for c in columns),
+        )
+
     @property
     def records(self) -> list:
         """The log as a list of `Record`s (a copy, for tests and inspection)."""

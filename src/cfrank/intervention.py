@@ -360,7 +360,9 @@ def run_intervention_round(
     assemble samples (noise-controlled at level k, or all selected-vs-rest
     when noise_control is off), and set the episode reward to the target
     model's loss on those samples. Returns the merged batch and the episode
-    list, in (user, action) order.
+    list, in (user, action) order. With `target_model` None no reward is
+    scored and the episode list is empty; the stream is drawn the same way
+    and the batch is the same.
 
     Episodes run in blocks of BLOCK_ENTRIES // n_items. A policy block makes
     one draw, stream.normal((b, n_items + d [+ d] + K)): row e holds episode
@@ -424,12 +426,14 @@ def run_intervention_round(
         ) + params.w_s * betas[:, :list_len]
         probs = softmax(logits)
         order = top_k(probs, list_len)
-        selected = _take(items, np.sort(order[:, :k], axis=1))
         rows, conf = _block_samples(
             block_users, items, probs, order, mode, k, noise_control
         )
-        rewards = loss(target_model, rows)
         merged.extend(_batch_from_block(mode, rows, conf, block_tags))
+        if target_model is None:
+            continue
+        selected = _take(items, np.sort(order[:, :k], axis=1))
+        rewards = loss(target_model, rows)
         for e, tag in enumerate(block_tags):
             episodes.append(
                 Episode(

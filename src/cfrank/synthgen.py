@@ -209,7 +209,12 @@ def user_feedback(world: SyntheticWorld, u: int, j: int, mode: str, stream=None)
 
 
 def emit_dataset(
-    world: SyntheticWorld, mode: str, stream: RandomStream, n_lists=25, list_len=5
+    world: SyntheticWorld,
+    mode: str,
+    stream: RandomStream,
+    n_lists=25,
+    list_len=5,
+    users: range | None = None,
 ) -> InteractionLog:
     """Sample every user's impression lists and label each shown item.
 
@@ -221,14 +226,21 @@ def emit_dataset(
     (n_lists, list_len) normal draw, in the slot order a per-slot loop would
     draw it. The item half of the kappa features is computed once for all
     users.
+
+    `users`, a range of user ids (default: all), limits the log to those
+    users' records. Each user's records are the same whatever the range, so
+    the logs of consecutive ranges, joined in order
+    (`InteractionLog.concat`), equal the log of all users.
     """
     _check_mode(mode)
     _check_list_shape(world, n_lists, list_len)
+    if users is None:
+        users = range(world.n_users)
     tables = _kappa_tables(world)
-    n = world.n_users * n_lists
+    n = len(users) * n_lists
     item_col = np.empty((n, list_len), dtype=np.int64)
     label_col = np.empty((n, list_len), dtype=np.int64)
-    for u in range(world.n_users):
+    for row, u in enumerate(users):
         imp_stream = stream.substream(f"impressions/{u}")
         x1, x2 = _scores(world, u, tables)
         base = softmax(1.0 - sigmoid(x1))
@@ -237,13 +249,13 @@ def emit_dataset(
         if world.noise_std > 0:
             noise_stream = stream.substream(f"labels/{u}")
             shown = shown + world.noise_std * noise_stream.normal((n_lists, list_len))
-        block = slice(u * n_lists, (u + 1) * n_lists)
+        block = slice(row * n_lists, (row + 1) * n_lists)
         item_col[block] = items
         label_col[block] = shown - 0.5 > 0
     return InteractionLog(
         world.n_users,
         world.n_items,
-        np.repeat(np.arange(world.n_users, dtype=np.int64), n_lists),
+        np.repeat(np.asarray(users, dtype=np.int64), n_lists),
         item_col,
         label_col,
         np.full(n, list_len, dtype=np.int64),

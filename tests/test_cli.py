@@ -156,6 +156,7 @@ class TestPipeline:
         def no_fork():
             raise AssertionError("a worker started for a substituted train-target")
 
+        stage_synth_gen(tiny_cfg(), str(tmp_path))
         monkeypatch.setattr(
             cli, "PIPELINE_STAGES", tuple((name, stage(name)) for name, _ in cli.PIPELINE_STAGES)
         )
@@ -163,7 +164,6 @@ class TestPipeline:
         # train-target is not the real stage.
         monkeypatch.setattr(cli, "_overlap_possible", lambda: True)
         monkeypatch.setattr(os, "fork", no_fork)
-        stage_synth_gen(tiny_cfg(), str(tmp_path))
         last = run_pipeline(tiny_cfg(), str(tmp_path))
         assert len(seen) == len(cli.PIPELINE_STAGES)
         assert seen[-1]() is last
@@ -312,10 +312,11 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "intervene",
                "evaluate"]
 
-# Runs `cfrank pipeline` with the overlap gate forced on (argv[1] == "1"),
-# off ("0"), or on with a worker that dies before it reports ("die"), every
-# stage wrapped as a tracer wraps it. Prints one JSON line: the exit code,
-# the forks made, the stages this process called, and whether a child
+# Runs a `cfrank` command with the overlap gate forced on (argv[1] == "1"),
+# off ("0"), or on with a child that dies before it reports: the
+# train-target worker ("die") or the intervene child ("die-intervene"),
+# every stage wrapped as a tracer wraps it. Prints one JSON line: the exit
+# code, the forks made, the stages this process called, and whether a child
 # process is left, running or unreaped.
 OVERLAP_DRIVER = """
 import functools, json, os, sys
@@ -339,6 +340,8 @@ os.fork = counting_fork
 cli._overlap_possible = lambda: sys.argv[1] != "0"
 if sys.argv[1] == "die":
     cli._fit_target = lambda *args: os._exit(9)
+if sys.argv[1] == "die-intervene":
+    cli._round_batches = lambda *args: os._exit(9)
 cli.PIPELINE_STAGES = tuple((n, traced(n, s)) for n, s in cli.PIPELINE_STAGES)
 code = cli.main(sys.argv[2:])
 try:
@@ -356,15 +359,18 @@ def clean_env(**blas):
     return env
 
 
-def forced_pipeline(overlap, out, *settings):
-    """(driver result, stderr) of a pipeline in a fresh process. One BLAS
-    thread keeps that process single-threaded, so its fork does not raise
-    Python 3.12's DeprecationWarning, which -W turns into an error."""
-    args = [f"--set={k}={v}" for k, v in TINY.items()] + [f"--set={s}" for s in settings]
+def config_args(*settings):
+    return [f"--set={k}={v}" for k, v in TINY.items()] + [f"--set={s}" for s in settings]
+
+
+def forced_command(overlap, command, out, *settings):
+    """(driver result, stderr) of a `cfrank` command in a fresh process. One
+    BLAS thread keeps that process single-threaded, so its fork does not
+    raise Python 3.12's DeprecationWarning, which -W turns into an error."""
     proc = subprocess.run(
         [sys.executable, "-W", "error::DeprecationWarning", "-c", OVERLAP_DRIVER,
-         {True: "1", False: "0"}.get(overlap, overlap), "pipeline", "--out", str(out),
-         *args],
+         {True: "1", False: "0"}.get(overlap, overlap), command, "--out", str(out),
+         *config_args(*settings)],
         capture_output=True, text=True, env=clean_env(OPENBLAS_NUM_THREADS="1"),
         timeout=120,
     )
@@ -372,9 +378,21 @@ def forced_pipeline(overlap, out, *settings):
     return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
 
+def forced_pipeline(overlap, out, *settings):
+    return forced_command(overlap, "pipeline", out, *settings)
+
+
+def run_files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if "error" in line]
+
+
 class TestOverlappedPipeline:
-    """train-target fitted in a forked worker beside train-sim and
-    fit-posterior, against the same stages run one after another."""
+    """synth-gen, train-target and intervene each with a forked child,
+    against the same stages run one after another in one process."""
 
     @pytest.mark.parametrize(
         "settings",
@@ -387,19 +405,33 @@ class TestOverlappedPipeline:
             out = tmp_path / str(overlap)
             result, err = forced_pipeline(overlap, out, *settings)
             assert result == {
-                "code": 0, "forks": int(overlap), "stages": STAGE_NAMES, "child": False
+                "code": 0, "forks": 3 * overlap, "stages": STAGE_NAMES, "child": False
             }, err
-            files[overlap] = {p.name: p.read_bytes() for p in out.iterdir()}
+            files[overlap] = run_files(out)
+            # By hand: synth-gen and intervene fork on their own.
+            hand = tmp_path / f"hand-{overlap}"
+            for stage in STAGE_NAMES:
+                if stage in ("synth-gen", "intervene"):
+                    result, err = forced_command(overlap, stage, hand, *settings)
+                    assert result == {
+                        "code": 0, "forks": int(overlap), "stages": [stage],
+                        "child": False,
+                    }, err
+                else:
+                    assert main([stage, "--out", str(hand), *config_args(*settings)]) == 0
+            files[f"hand-{overlap}"] = run_files(hand)
         assert "target.txt.f64" in files[True]
-        assert files[True] == files[False]
+        assert "batches.tsv" in files[True]
+        for other in (False, "hand-True", "hand-False"):
+            assert files[other] == files[True], other
 
     @pytest.mark.parametrize(
         "setting, code, forks",
         [
-            ("target.batch_size=-1", 2, 1),
-            ("target.negatives=0", 2, 1),
-            # checked before the fork: no worker starts
-            ("target.objective=listwise", 1, 0),
+            ("target.batch_size=-1", 2, 2),
+            ("target.negatives=0", 2, 2),
+            # checked before the fork: no worker starts, only synth-gen forks
+            ("target.objective=listwise", 1, 1),
         ],
     )
     def test_failing_fit_fails_alike_on_both_paths(self, tmp_path, setting, code, forks):
@@ -412,35 +444,84 @@ class TestOverlappedPipeline:
                 "stages": STAGE_NAMES[:4], "child": False,
             }, err
             assert not (out / "target.txt").exists()
-            errors[overlap] = [line for line in err.splitlines() if "error" in line]
+            errors[overlap] = error_lines(err)
         assert errors[True] == errors[False]
         assert len(errors[True]) == 1
         assert errors[True][0].startswith("error: stage 'train-target' failed: ")
 
     def test_failing_train_sim_waits_for_the_worker(self, tmp_path):
-        run, serial = tmp_path / "run", tmp_path / "serial"
-        result, err = forced_pipeline(True, run, "simulator.lr=1e300")
-        assert result == {
-            "code": 3, "forks": 1, "stages": STAGE_NAMES[:2], "child": False
-        }, err
-        assert "stage 'train-sim' failed: exposure training diverged" in err
-        # The worker was waited for, not killed: its target.txt is whole.
-        serial.mkdir()
-        stage_synth_gen(tiny_cfg(), str(serial))
-        stage_train_target(tiny_cfg(), str(serial))
-        assert (run / "target.txt").read_bytes() == (serial / "target.txt").read_bytes()
-
+        files, errors = {}, {}
+        for overlap in (True, False):
+            out = tmp_path / str(overlap)
+            result, err = forced_pipeline(overlap, out, "simulator.lr=1e300")
+            assert result == {
+                "code": 3, "forks": 2 * overlap, "stages": STAGE_NAMES[:2],
+                "child": False,
+            }, err
+            files[overlap] = run_files(out)
+            errors[overlap] = error_lines(err)
+        assert errors[True] == errors[False]
+        assert errors[True] == [
+            "error: stage 'train-sim' failed: exposure training diverged at epoch 0"
+        ]
+        # The worker was waited for, not killed, and what it wrote under a
+        # temporary name was removed: the serial run's directory.
+        assert "target.txt" not in files[True]
+        assert files[True] == files[False]
 
     def test_worker_that_dies_fails_the_stage(self, tmp_path):
         result, err = forced_pipeline("die", tmp_path)
         assert result == {
-            "code": 2, "forks": 1, "stages": STAGE_NAMES[:4], "child": False
+            "code": 2, "forks": 2, "stages": STAGE_NAMES[:4], "child": False
         }, err
         assert (
             "error: stage 'train-target' failed: the train-target worker ended"
             " without a result (exit code 9)" in err
         )
         assert not (tmp_path / "target.txt").exists()
+
+    def test_intervene_child_that_dies_fails_the_stage(self, tmp_path):
+        result, err = forced_pipeline("die-intervene", tmp_path)
+        assert result == {
+            "code": 2, "forks": 3, "stages": STAGE_NAMES[:5], "child": False
+        }, err
+        assert error_lines(err) == [
+            "error: stage 'intervene' failed: the intervene worker ended"
+            " without a result (exit code 9)"
+        ]
+        assert (tmp_path / "policy.txt").exists()
+        assert not (tmp_path / "batches.tsv").exists()
+        assert not (tmp_path / "target_cpr.txt").exists()
+
+    @pytest.mark.parametrize(
+        "settings, code",
+        [
+            # The parent's first fine-tune diverges while the child still
+            # produces rounds: each round's pickle (about 190 KB) is larger
+            # than the pipe holds, so the child is blocked writing.
+            (("intervention.finetune_lr=1e300", "intervention.rounds=4",
+              "intervention.actions=40"), 3),
+            # Round 0 raises in the child; pretraining takes one action.
+            (("intervention.actions=-1",), 2),
+        ],
+        ids=["parent-fails", "round-raises"],
+    )
+    def test_failing_intervene_fails_alike_on_both_paths(self, tmp_path, settings, code):
+        files, errors = {}, {}
+        for overlap in (True, False):
+            out = tmp_path / str(overlap)
+            result, err = forced_pipeline(overlap, out, *settings)
+            assert result == {
+                "code": code, "forks": 3 * overlap, "stages": STAGE_NAMES[:5],
+                "child": False,
+            }, err
+            files[overlap] = run_files(out)
+            errors[overlap] = error_lines(err)
+        assert errors[True] == errors[False]
+        assert len(errors[True]) == 1
+        assert errors[True][0].startswith("error: stage 'intervene' failed: ")
+        assert "batches.tsv" not in files[True]
+        assert files[True] == files[False]
 
 
 class TestOverlapGate:

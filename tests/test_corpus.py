@@ -90,6 +90,21 @@ MIND_SAMPLE = (
 )
 
 
+class TestConcat:
+    def test_records_in_order(self):
+        a = InteractionLog.from_records(3, 5, [Record(2, [1, 4], [0, 1])])
+        b = InteractionLog.from_records(
+            3, 5, [Record(0, [3, 0], [1, 0]), Record(1, [2, 1], [0, 0])]
+        )
+        assert InteractionLog.concat([a, b]).records == a.records + b.records
+
+    def test_different_shapes_rejected(self):
+        a = InteractionLog.from_records(3, 5, [Record(2, [1, 4], [0, 1])])
+        b = InteractionLog.from_records(3, 6, [Record(0, [3, 0], [1, 0])])
+        with pytest.raises(ValueError, match="different shapes"):
+            InteractionLog.concat([a, b])
+
+
 class TestBehaviorsLog:
     def test_token_parse(self, tmp_path):
         path = write(tmp_path, "behaviors.tsv", MIND_SAMPLE)

@@ -3,7 +3,9 @@
 Every name a module imports is used in that module, and only `mathcore`
 sorts or partitions for a ranking (its `top_k` holds the tie rule; a
 `sorted(..., key=...)` call counts as a ranking sort) or scatters with a
-`ufunc.at` call (its `scatter_add` takes the flat fast path). No linter
+`ufunc.at` call (its `scatter_add` takes the flat fast path). Only the
+fork helper in `cli` (`_Forked`) forks a process, and only `cli` pickles,
+for what a child sends back through its pipe. No linter
 ships with the project, so this parses each module with `ast`.
 The package `__init__` is skipped by the import check: its imports are the
 public exports.
@@ -127,3 +129,92 @@ def test_detects_a_ufunc_at_call():
         "fine = x.attr(1) + np.add(a, b)\n"
     )
     assert ufunc_at_calls(source) == [3, 4, 5]
+
+
+FORKS = {"fork", "forkpty"}
+
+
+def fork_calls(source: str) -> list:
+    """(line, enclosing class or function) of every `os.fork(...)`,
+    `os.forkpty(...)` or bare `fork(...)` call; the module scope is ""."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name if not scope else f"{scope}.{child.name}"
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", None) or getattr(func, "id", None)
+                if name in FORKS:
+                    found.append((child.lineno, scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def pickle_uses(source: str) -> list:
+    """Lines that import `pickle` (or `_pickle`) or name it."""
+    tree = ast.parse(source)
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if any(name.split(".")[0] in ("pickle", "_pickle") for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_fork_only_in_the_cli_helper(path):
+    calls = fork_calls(path.read_text(encoding="utf-8"))
+    if path.name == "cli.py":
+        assert [scope for _, scope in calls] == ["_Forked.__init__"]
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py"),
+    ids=lambda p: p.name,
+)
+def test_pickle_only_in_cli(path):
+    assert pickle_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_fork_outside_the_helper():
+    source = (
+        "import os\n"
+        "from os import fork\n"
+        "pid = os.fork()\n"
+        "class _Forked:\n"
+        "    def __init__(self):\n"
+        "        self.pid = os.fork()\n"
+        "def worker():\n"
+        "    def inner():\n"
+        "        return fork()\n"
+        "    return os.forkpty()\n"
+        "fine = os.getpid() + forked(1)\n"
+    )
+    assert fork_calls(source) == [
+        (3, ""), (6, "_Forked.__init__"), (9, "worker.inner"), (10, "worker")
+    ]
+
+
+def test_detects_pickle_use():
+    source = (
+        "import os, pickle\n"
+        "from pickle import dumps\n"
+        "import _pickle as fast\n"
+        "data = pickle.dumps(x)\n"
+        "fine = unpickle(x) + os.pickled\n"
+    )
+    assert pickle_uses(source) == [1, 2, 3, 4]

@@ -449,6 +449,23 @@ class TestInterventionRound:
         assert all(src == "random" for src in batch.provenance)
         assert all(ep.logprob == 0.0 for ep in episodes)
 
+    @pytest.mark.parametrize("source", ["policy", "random"])
+    @pytest.mark.parametrize("mode", ["pairwise", "pointwise"])
+    def test_no_target_scores_no_reward(self, source, mode):
+        policy = self.policy if source == "policy" else None
+        outs = []
+        for target in (self.target, None):
+            stream = RandomStream(11)
+            batch, episodes = run_intervention_round(
+                policy, self.params, self.posterior, target, [0, 1, 0],
+                actions_per_user=2, mode=mode, k=2, stream=stream,
+            )
+            outs.append((batch, episodes, stream.normal(3)))
+        (batch, episodes, after), (bare, none, bare_after) = outs
+        assert len(episodes) == 6 and none == []
+        assert bare == batch
+        np.testing.assert_array_equal(bare_after, after)  # same draws made
+
     def test_pointwise_mode(self):
         batch, episodes = run_intervention_round(
             self.policy,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrank.cli import load_config, stage_synth_gen
-from cfrank.corpus import Record
+from cfrank.corpus import InteractionLog, Record
 from cfrank.mathcore import RandomStream, sigmoid, softmax
 from cfrank.synthgen import (
     SyntheticWorld,
@@ -172,6 +172,23 @@ class TestEmitDataset:
         non = emit_dataset(world, "nonlinear", RandomStream(9))
         assert [r.items for r in lin.records] == [r.items for r in non.records]
         assert [r.labels for r in lin.records] != [r.labels for r in non.records]
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.3])
+    def test_user_ranges_join_to_the_whole_log(self, noise_std):
+        world = make_world(7, 20, d=4, noise_std=noise_std, stream=RandomStream(1))
+        whole = emit_dataset(world, "nonlinear", RandomStream(4), 3, 4)
+        parts = [
+            emit_dataset(world, "nonlinear", RandomStream(4), 3, 4, users=users)
+            for users in (range(0, 3), range(3, 3), range(3, 7))
+        ]
+        assert parts[0].users.tolist() == [0] * 3 + [1] * 3 + [2] * 3
+        assert parts[1].n_records == 0
+        joined = InteractionLog.concat(parts)
+        assert (joined.n_users, joined.n_items) == (whole.n_users, whole.n_items)
+        for column in ("users", "items", "labels", "lengths"):
+            np.testing.assert_array_equal(
+                getattr(joined, column), getattr(whole, column)
+            )
 
     def test_noise_changes_labels(self):
         quiet = make_world(6, 20, d=4, noise_std=0.0, stream=RandomStream(1))
