@@ -429,6 +429,9 @@ def stage_intervene(cfg, out):
     """
     if cfg["intervention.rounds"] < 1:
         raise ConfigError("intervene needs intervention.rounds >= 1")
+    actions = cfg["intervention.actions"]
+    if actions < 0:
+        raise ConfigError(f"intervention.actions={actions} must be >= 0")
     kind = cfg["target.kind"]
     mode = cfg["target.objective"]
     train_fn = _trainer(mode)

@@ -207,25 +207,100 @@ def _validated(log: InteractionLog, path, linenos) -> InteractionLog:
     return log
 
 
-def _native_header(path, lineno, line):
-    """(n_users, n_items) of a "#users N items M" line, None for any other
-    comment, ParseError for a header whose sizes are not counts."""
+def _native_header(path, lineno, line, pinned):
+    """The id-space sizes after comment line `line`: the largest of `pinned`
+    (None before any header) and a "#users N items M" header's sizes, or
+    `pinned` for any other comment. ParseError for a header whose sizes are
+    not counts."""
     parts = line[1:].split()
     if not (len(parts) == 4 and parts[0] == "users" and parts[2] == "items"):
-        return None
+        return pinned
     try:
         sizes = int(parts[1]), int(parts[3])
     except ValueError:
         sizes = (-1, -1)
     if min(sizes) < 0:
         raise ParseError(f"{path}:{lineno}: malformed header {line!r}")
-    return sizes
+    return sizes if pinned is None else tuple(map(max, pinned, sizes))
+
+
+# Every id of at most this many digits fits int64.
+_MAX_DIGITS = 18
+_TO_COMMAS = bytes.maketrans(b"\t\n", b",,")
+
+
+def _bulk_native(path, raw: bytes):
+    """(pinned sizes, users, items, labels, lengths, linenos) of a canonical
+    native file, or None for any other.
+
+    Canonical: ASCII without carriage returns, every line empty, a "#"
+    comment, or 3 tab-separated fields of comma-separated tokens of 1 to
+    _MAX_DIGITS digits, with as many labels as items and every label 0 or 1.
+    Tabs, commas and newlines are found with numpy, and one
+    `np.fromstring` converts every token.
+    """
+    if not raw.isascii() or b"\r" in raw:
+        return None
+    text = np.frombuffer(raw, np.uint8)
+    breaks = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [len(raw)]))
+    empty = starts == ends
+    comment = np.zeros(len(starts), bool)
+    comment[~empty] = text[starts[~empty]] == ord("#")
+    pinned = None
+    for n in np.flatnonzero(comment).tolist():
+        line = raw[starts[n] : ends[n]].decode()
+        try:
+            pinned = _native_header(path, n + 1, line, pinned)
+        except ParseError:  # the walk names it, or an earlier bad line
+            return None
+    data = ~(empty | comment)
+    if not data.any():
+        return pinned, *(np.zeros(0, np.int64) for _ in range(4)), []
+    # Runs of consecutive data lines, joined into one buffer that ends in a
+    # newline.
+    edges = np.flatnonzero(np.diff(data, prepend=False, append=False)).tolist()
+    body = b"\n".join(
+        [raw[starts[a] : ends[b - 1]] for a, b in zip(edges[::2], edges[1::2])] + [b""]
+    )
+    if body.translate(None, b"0123456789\t,\n"):
+        return None
+    buf = np.frombuffer(body, np.uint8)
+    seps = np.flatnonzero(buf < ord("0"))  # token k ends at seps[k]
+    digits = np.diff(seps, prepend=-1) - 1
+    if digits.min() < 1 or digits.max() > _MAX_DIGITS:
+        return None
+    kinds = buf[seps]
+    tabs = np.flatnonzero(kinds == ord("\t"))
+    line_ends = np.flatnonzero(kinds == ord("\n"))
+    n = len(line_ends)
+    if len(tabs) != 2 * n or not np.array_equal(
+        np.searchsorted(tabs, line_ends), 2 * np.arange(1, n + 1)
+    ):
+        return None
+    first, second = tabs[0::2], tabs[1::2]
+    lengths = second - first
+    if not np.array_equal(lengths, line_ends - second):
+        return None
+    values = np.fromstring(body[:-1].translate(_TO_COMMAS), np.int64, sep=",")
+    # field of each token: 0 user, 1 item, 2 label
+    step = np.zeros(len(seps), np.int8)
+    step[first + 1] = 1
+    step[second + 1] = 1
+    step[line_ends[:-1] + 1] = -2
+    field = np.cumsum(step, dtype=np.int8)
+    labels = values[field == 2]
+    if labels.max() > 1:
+        return None
+    linenos = (np.flatnonzero(data) + 1).tolist()
+    return pinned, values[first], values[field == 1], labels, lengths, linenos
 
 
 def _raise_native_error(path, lines):
     """Walks the file line by line and raises the first line's ParseError.
 
-    The bulk parse in `load_native_log` only finds that some line is bad;
+    The column parse of `_walk_native` only finds that some line is bad;
     this walk makes the same checks in file order, so the error names the
     first bad line and, within it, the first failing check.
     """
@@ -233,7 +308,7 @@ def _raise_native_error(path, lines):
         if not line:
             continue
         if line.startswith("#"):
-            _native_header(path, lineno, line)
+            _native_header(path, lineno, line, None)
             continue
         fields = line.split("\t")
         if len(fields) != 3:
@@ -254,40 +329,22 @@ def _raise_native_error(path, lines):
         for i in [user, *items]:
             if not -(2**63) <= i < 2**63:
                 raise ParseError(f"{path}:{lineno}: id {i} out of range")
-    raise AssertionError(f"{path}: bulk parse failed but no line is bad")
+    raise AssertionError(f"{path}: column parse failed but no line is bad")
 
 
 def _int_tokens(fields) -> np.ndarray:
     """int() of every comma-separated token of `fields`, in order, as int64.
-
-    When every token is one character (a label column) the values are read
-    straight from the bytes; otherwise each token goes through int(). Raises
-    ValueError or OverflowError where int() or int64 would.
-    """
+    Raises ValueError or OverflowError where int() or int64 would."""
     joined = ",".join(fields)
     count = joined.count(",") + 1 if fields else 0
-    if len(joined) == 2 * count - 1 and joined.isascii():
-        chars = np.frombuffer(joined.encode("ascii"), np.uint8)
-        if (chars[1::2] == ord(",")).all():
-            values = chars[::2].astype(np.int64) - ord("0")
-            if ((values < 0) | (values > 9)).any():
-                raise ValueError("token is not a digit")
-            return values
     return np.fromiter(map(int, joined.split(",")), np.int64, count)
 
 
-def load_native_log(path) -> InteractionLog:
-    """Parse the native 3-column TSV: user, comma-joined items, 0/1 labels.
-
-    Ids in a native file are already dense integers, so they are used as-is.
-    An optional "#users N items M" header pins the id-space sizes: an id at
-    or beyond them is an error. Without one the sizes are inferred from the
-    maxima.
-
-    The data lines are split into three columns at once and each column is
+def _walk_native(path):
+    """What `_bulk_native` returns, for any native file read as text: the
+    data lines are split into three columns at once and each column is
     converted in bulk; any failure re-walks the file (`_raise_native_error`)
-    to name its first bad line.
-    """
+    to name its first bad line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     pinned = None
@@ -296,12 +353,10 @@ def load_native_log(path) -> InteractionLog:
         for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
-            if line[0] != "#":
+            if line[0] == "#":
+                pinned = _native_header(path, lineno, line, pinned)
+            else:
                 linenos.append(lineno)
-                continue
-            sizes = _native_header(path, lineno, line)
-            if sizes is not None:
-                pinned = sizes if pinned is None else tuple(map(max, pinned, sizes))
         data = [lines[lineno - 1] for lineno in linenos]
         if any(line.count("\t") != 2 for line in data):
             raise ValueError("field count")
@@ -317,7 +372,29 @@ def load_native_log(path) -> InteractionLog:
             raise ValueError("label not in {0,1}")
     except (ValueError, OverflowError):
         _raise_native_error(path, lines)
-    lengths = np.array(lengths, dtype=np.int64)
+    return pinned, users, items, labels, np.array(lengths, dtype=np.int64), linenos
+
+
+def load_native_log(path) -> InteractionLog:
+    """Parse the native 3-column TSV: user, comma-joined items, 0/1 labels.
+
+    Ids in a native file are already dense integers, so they are used as-is.
+    An optional "#users N items M" header pins the id-space sizes: an id at
+    or beyond them is an error. Without one the sizes are inferred from the
+    maxima.
+
+    A canonical file (ASCII digits, tabs, commas and newlines in its data
+    lines, as every file `save_native_log` writes) is parsed from its bytes
+    in bulk (`_bulk_native`). Any other file, and every file with a line
+    that does not parse, is read as text and walked line by line
+    (`_walk_native`), which names the first bad line. Both give the same
+    columns, which are then checked record by record (`_validated`).
+    """
+    with open(path, "rb") as fh:
+        parsed = _bulk_native(path, fh.read())
+    if parsed is None:
+        parsed = _walk_native(path)
+    pinned, users, items, labels, lengths, linenos = parsed
     if pinned is not None:
         n_users, n_items = pinned
     else:

@@ -130,12 +130,17 @@ class CounterfactualBatch:
             if self.mode == "pairwise"
             else "user\titem\tlabel\tconfidence\tprovenance"
         )
+        rows = self.triplets if self.mode == "pairwise" else self.points
+        n = min(len(rows), len(self.confidences), len(self.provenance))
+        # The cells of every line in order, formatted in one operation.
+        cells = [None] * (5 * n)
+        for j, column in enumerate(zip(*rows[:n])):
+            cells[j::5] = column
+        cells[3::5] = self.confidences[:n]
+        cells[4::5] = self.provenance[:n]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"#mode {self.mode}\n{header}\n")
-            rows = self.triplets if self.mode == "pairwise" else self.points
-            for row, conf, src in zip(rows, self.confidences, self.provenance):
-                fields = "\t".join(str(x) for x in row)
-                fh.write(f"{fields}\t{conf:.6f}\t{src}\n")
+            fh.write(("%s\t%s\t%s\t%.6f\t%s\n" * n) % tuple(cells))
 
     @classmethod
     def from_tsv(cls, path) -> "CounterfactualBatch":

@@ -186,28 +186,37 @@ def _log_arrays(log: InteractionLog, list_len=None) -> _LogArrays:
     )
 
 
-def _embedding_grads(E_user, E_item, users, items, dz):
-    """Gradients of sum_{b,k} dz[b,k] * E_user[users[b]] . E_item[items[b,k]]
-    with respect to both embedding tables.
+def _embedding_grads(E_user, E_item, users, items):
+    """The gradient map dz -> (g_user, g_item) of
+    sum_{b,k} dz[b,k] * E_user[users[b]] . E_item[items[b,k]] with respect
+    to both embedding tables, for one batch and any number of dz.
 
     Both scatters are dense matmuls. One bincount sums dz per (item, batch
     row) into C (n_items x B), so the item gradient is C @ E_user[users].
     The user gradient sums the rows of C.T @ E_item per user through a
     one-hot matrix over the batch's distinct users, which keeps it
-    batch x batch however many users the log has.
+    batch x batch however many users the log has. Everything that does not
+    depend on dz (the gathered user rows, the bincount index, the distinct
+    users and the one-hot matrix) is built once, here; a call of the map
+    runs the bincount and the three products.
     """
     b = len(users)
     n_items = E_item.shape[0]
     flat = (items * b + np.arange(b)[:, None]).ravel()
-    C = np.bincount(flat, weights=dz.ravel(), minlength=n_items * b)
-    C = C.reshape(n_items, b)
-    g_item = C @ E_user[users]
+    user_rows = E_user[users]
     distinct, row = np.unique(users, return_inverse=True)
     U = np.zeros((len(distinct), b))
     U[row, np.arange(b)] = 1.0
-    g_user = np.zeros_like(E_user)
-    g_user[distinct] = U @ (C.T @ E_item)
-    return g_user, g_item
+
+    def grads(dz):
+        C = np.bincount(flat, weights=dz.ravel(), minlength=n_items * b)
+        C = C.reshape(n_items, b)
+        g_item = C @ user_rows
+        g_user = np.zeros_like(E_user)
+        g_user[distinct] = U @ (C.T @ E_item)
+        return g_user, g_item
+
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -215,32 +224,37 @@ def _embedding_grads(E_user, E_item, users, items, dz):
 # negatives sampled from each record's unshown items
 
 
-def _impression_loss_grads(P, Q, w_r, users, pos_items, pos_mask, neg_items, alpha):
-    """Negated exposure objective and its gradients for one batch.
+def _impression_batch(P, Q, w_r, users, pos_items, pos_mask, neg_items):
+    """The negated exposure objective of one batch and its gradients, as a
+    function of the noise: alpha -> (loss, gP, gQ, gw).
 
     pos_items/(pos_mask): (B, K) shown slots; neg_items: (B, m) sampled
-    unshown items (mask repeated along columns as needed).
+    unshown items (mask repeated along columns as needed). The embedding
+    scores, the w_r rows, the joined item matrix and the masks are built
+    once per batch; a call runs only the operations that depend on alpha.
     """
-    b, k = pos_items.shape
-    reps = neg_items.shape[1] // k
-    neg_mask = np.tile(pos_mask, reps)
-
-    def logits(item_mat):
-        return (
-            np.einsum("bd,bkd->bk", P[users], Q[item_mat])
-            + w_r[item_mat] * alpha[item_mat]
-        )
-
-    z_pos = logits(pos_items)
-    z_neg = logits(neg_items)
-    loss = float(
-        np.sum(softplus(-z_pos) * pos_mask) + np.sum(softplus(z_neg) * neg_mask)
-    )
+    k = pos_items.shape[1]
+    neg_mask = np.tile(pos_mask, neg_items.shape[1] // k)
+    user_rows = P[users]
+    score_pos = np.einsum("bd,bkd->bk", user_rows, Q[pos_items])
+    score_neg = np.einsum("bd,bkd->bk", user_rows, Q[neg_items])
+    w_pos, w_neg = w_r[pos_items], w_r[neg_items]
     items = np.hstack([pos_items, neg_items])
-    dz = np.hstack([-sigmoid(-z_pos) * pos_mask, sigmoid(z_neg) * neg_mask])
-    gP, gQ = _embedding_grads(P, Q, users, items, dz)
-    gw = np.bincount(items.ravel(), weights=dz.ravel(), minlength=len(w_r)) * alpha
-    return loss, gP, gQ, gw
+    embedding_grads = _embedding_grads(P, Q, users, items)
+    flat_items = items.ravel()
+
+    def loss_grads(alpha):
+        z_pos = score_pos + w_pos * alpha[pos_items]
+        z_neg = score_neg + w_neg * alpha[neg_items]
+        loss = float(
+            np.sum(softplus(-z_pos) * pos_mask) + np.sum(softplus(z_neg) * neg_mask)
+        )
+        dz = np.hstack([-sigmoid(-z_pos) * pos_mask, sigmoid(z_neg) * neg_mask])
+        gP, gQ = embedding_grads(dz)
+        gw = np.bincount(flat_items, weights=dz.ravel(), minlength=len(w_r)) * alpha
+        return loss, gP, gQ, gw
+
+    return loss_grads
 
 
 def _shown_keys(arrays: _LogArrays) -> np.ndarray:
@@ -291,13 +305,12 @@ def train_impression_model(
             (len(idx), hyper.neg_per_pos * arrays.list_len), stream,
             "a record shows every item",
         )
-        batch = (arrays.users[idx], arrays.items[idx], arrays.mask[idx], neg)
+        batch = _impression_batch(
+            p["P"], p["Q"], p["w"],
+            arrays.users[idx], arrays.items[idx], arrays.mask[idx], neg,
+        )
         return _mean_over_draws(
-            hyper.alpha_draws,
-            lambda: _impression_loss_grads(
-                p["P"], p["Q"], p["w"], *batch, stream.normal(arrays.n_items)
-            ),
-            p,
+            hyper.alpha_draws, lambda: batch(stream.normal(arrays.n_items)), p
         )
 
     params = minibatch_adam(
@@ -328,13 +341,22 @@ def _selection_nll(scores, w_s, beta, mask, sel, n_sel):
     return loss, n_sel[:, None] * np.exp(logp) - sel
 
 
-def _selection_loss_grads(X, Y, w_s, users, items, mask, sel, n_sel, beta):
-    """Negated selection likelihood and gradients for one padded batch."""
+def _selection_batch(X, Y, w_s, users, items, mask, sel, n_sel):
+    """The negated selection likelihood of one padded batch and its
+    gradients, as a function of the noise: beta -> (loss, gX, gY, gw). The
+    slot scores are built once per batch; a call runs only the operations
+    that depend on beta."""
+    k = items.shape[1]
     scores = np.where(mask, np.einsum("bd,bkd->bk", X[users], Y[items]), -np.inf)
-    loss, dz = _selection_nll(scores, w_s, beta, mask, sel, n_sel)
-    gX, gY = _embedding_grads(X, Y, users, items, dz)
-    gw = (dz * beta[: items.shape[1]][None, :]).sum(axis=0)
-    return loss, gX, gY, gw
+    embedding_grads = _embedding_grads(X, Y, users, items)
+
+    def loss_grads(beta):
+        loss, dz = _selection_nll(scores, w_s, beta, mask, sel, n_sel)
+        gX, gY = embedding_grads(dz)
+        gw = (dz * beta[:k][None, :]).sum(axis=0)
+        return loss, gX, gY, gw
+
+    return loss_grads
 
 
 def train_selection_model(
@@ -352,16 +374,12 @@ def train_selection_model(
     kept = np.nonzero(arrays.n_sel > 0)[0]
 
     def loss_grad(p, idx):
-        batch = (
-            arrays.users[idx], arrays.items[idx], arrays.mask[idx],
-            arrays.sel[idx], arrays.n_sel[idx],
+        batch = _selection_batch(
+            p["X"], p["Y"], p["w"], arrays.users[idx], arrays.items[idx],
+            arrays.mask[idx], arrays.sel[idx], arrays.n_sel[idx],
         )
         return _mean_over_draws(
-            hyper.beta_draws,
-            lambda: _selection_loss_grads(
-                p["X"], p["Y"], p["w"], *batch, stream.normal(arrays.list_len)
-            ),
-            p,
+            hyper.beta_draws, lambda: batch(stream.normal(arrays.list_len)), p
         )
 
     params = minibatch_adam(

@@ -299,6 +299,16 @@ class TestPipeline:
         tsv = (out / "report.tsv").read_text()
         assert tsv.count("@") >= 2  # bucket rows were written for both models
 
+    def test_negative_actions_fail_before_anything_loads(self, tmp_path, capsys):
+        setting = config_args("intervention.actions=-1")
+        assert main(["intervene", "--out", str(tmp_path / "empty"), *setting]) == 1
+        out = tmp_path / "run"
+        assert main(["pipeline", "--out", str(out), *setting]) == 1
+        assert (out / "target.txt").exists()
+        assert not (out / "policy.txt").exists()
+        message = "failed: intervention.actions=-1 must be >= 0"
+        assert capsys.readouterr().err.count(message) == 2
+
     def test_untrainable_target_cannot_intervene(self, tmp_path):
         cfg = tiny_cfg(**{"target.kind": "itempop"})
         from cfrank.cli import StageError
@@ -312,10 +322,11 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "intervene",
                "evaluate"]
 
-# Runs a `cfrank` command with the overlap gate forced on (argv[1] == "1"),
-# off ("0"), or on with a child that dies before it reports: the
-# train-target worker ("die") or the intervene child ("die-intervene"),
-# every stage wrapped as a tracer wraps it. Prints one JSON line: the exit
+# Runs a `cfrank` command with the overlap gate forced on (argv[1] == "1:")
+# or off ("0:"). A mode after the colon makes a child die before it reports,
+# the train-target worker ("1:die") or the intervene child
+# ("1:die-intervene"), or makes intervene's round 0 raise on either path
+# ("raise-round"). Every stage is wrapped as a tracer wraps it. Prints one JSON line: the exit
 # code, the forks made, the stages this process called, and whether a child
 # process is left, running or unreaped.
 OVERLAP_DRIVER = """
@@ -336,12 +347,19 @@ def traced(name, stage):
         return stage(*args, **kwargs)
     return run
 
+def raise_in_round_0(*args):
+    raise ValueError("round 0 raised")
+    yield
+
+gate, _, mode = sys.argv[1].partition(":")
 os.fork = counting_fork
-cli._overlap_possible = lambda: sys.argv[1] != "0"
-if sys.argv[1] == "die":
+cli._overlap_possible = lambda: gate == "1"
+if mode == "die":
     cli._fit_target = lambda *args: os._exit(9)
-if sys.argv[1] == "die-intervene":
+if mode == "die-intervene":
     cli._round_batches = lambda *args: os._exit(9)
+if mode == "raise-round":
+    cli._round_batches = raise_in_round_0
 cli.PIPELINE_STAGES = tuple((n, traced(n, s)) for n, s in cli.PIPELINE_STAGES)
 code = cli.main(sys.argv[2:])
 try:
@@ -363,13 +381,13 @@ def config_args(*settings):
     return [f"--set={k}={v}" for k, v in TINY.items()] + [f"--set={s}" for s in settings]
 
 
-def forced_command(overlap, command, out, *settings):
+def forced_command(overlap, command, out, *settings, mode=""):
     """(driver result, stderr) of a `cfrank` command in a fresh process. One
     BLAS thread keeps that process single-threaded, so its fork does not
     raise Python 3.12's DeprecationWarning, which -W turns into an error."""
     proc = subprocess.run(
         [sys.executable, "-W", "error::DeprecationWarning", "-c", OVERLAP_DRIVER,
-         {True: "1", False: "0"}.get(overlap, overlap), command, "--out", str(out),
+         f"{int(overlap)}:{mode}", command, "--out", str(out),
          *config_args(*settings)],
         capture_output=True, text=True, env=clean_env(OPENBLAS_NUM_THREADS="1"),
         timeout=120,
@@ -378,8 +396,8 @@ def forced_command(overlap, command, out, *settings):
     return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
 
-def forced_pipeline(overlap, out, *settings):
-    return forced_command(overlap, "pipeline", out, *settings)
+def forced_pipeline(overlap, out, *settings, mode=""):
+    return forced_command(overlap, "pipeline", out, *settings, mode=mode)
 
 
 def run_files(out):
@@ -470,7 +488,7 @@ class TestOverlappedPipeline:
         assert files[True] == files[False]
 
     def test_worker_that_dies_fails_the_stage(self, tmp_path):
-        result, err = forced_pipeline("die", tmp_path)
+        result, err = forced_pipeline(True, tmp_path, mode="die")
         assert result == {
             "code": 2, "forks": 2, "stages": STAGE_NAMES[:4], "child": False
         }, err
@@ -481,7 +499,7 @@ class TestOverlappedPipeline:
         assert not (tmp_path / "target.txt").exists()
 
     def test_intervene_child_that_dies_fails_the_stage(self, tmp_path):
-        result, err = forced_pipeline("die-intervene", tmp_path)
+        result, err = forced_pipeline(True, tmp_path, mode="die-intervene")
         assert result == {
             "code": 2, "forks": 3, "stages": STAGE_NAMES[:5], "child": False
         }, err
@@ -494,23 +512,25 @@ class TestOverlappedPipeline:
         assert not (tmp_path / "target_cpr.txt").exists()
 
     @pytest.mark.parametrize(
-        "settings, code",
+        "settings, mode, code",
         [
             # The parent's first fine-tune diverges while the child still
             # produces rounds: each round's pickle (about 190 KB) is larger
             # than the pipe holds, so the child is blocked writing.
             (("intervention.finetune_lr=1e300", "intervention.rounds=4",
-              "intervention.actions=40"), 3),
-            # Round 0 raises in the child; pretraining takes one action.
-            (("intervention.actions=-1",), 2),
+              "intervention.actions=40"), "", 3),
+            # Round 0 raises, in the child or in process, after pretraining.
+            ((), "raise-round", 2),
         ],
         ids=["parent-fails", "round-raises"],
     )
-    def test_failing_intervene_fails_alike_on_both_paths(self, tmp_path, settings, code):
+    def test_failing_intervene_fails_alike_on_both_paths(
+        self, tmp_path, settings, mode, code
+    ):
         files, errors = {}, {}
         for overlap in (True, False):
             out = tmp_path / str(overlap)
-            result, err = forced_pipeline(overlap, out, *settings)
+            result, err = forced_pipeline(overlap, out, *settings, mode=mode)
             assert result == {
                 "code": code, "forks": 3 * overlap, "stages": STAGE_NAMES[:5],
                 "child": False,

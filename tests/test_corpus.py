@@ -1,6 +1,7 @@
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from log_strategies import any_logs, valid_logs
 
+from cfrank import corpus
 from cfrank.corpus import (
     InteractionLog,
     ParseError,
@@ -288,6 +290,12 @@ class TestNativeHeader:
         with pytest.raises(ParseError, match=re.escape(expected)):
             load_native_log(path)
 
+    def test_bad_line_before_a_malformed_header_is_named(self, tmp_path):
+        path = write(tmp_path, "log.tsv", "0\t1\t2\n#users x items 3\n0\t1\t1\n")
+        expected = f"{path}:1: label 2 not in {{0,1}}"
+        with pytest.raises(ParseError, match=re.escape(expected)):
+            load_native_log(path)
+
     def test_user_beyond_header_size(self, tmp_path):
         path = write(tmp_path, "log.tsv", "#users 1 items 3\n4\t7,2\t1,0\n")
         expected = f"{path}:2: record 0: user 4 out of range"
@@ -365,6 +373,9 @@ def reference_load_native(path):
             for y in labels:
                 if y not in (0, 1):
                     raise ParseError(f"{path}:{lineno}: label {y} not in {{0,1}}")
+            for i in [user, *items]:
+                if not -(2**63) <= i < 2**63:
+                    raise ParseError(f"{path}:{lineno}: id {i} out of range")
             records.append(Record(user, items, labels))
             n_users = max(n_users, user + 1)
             n_items = max(n_items, max(items) + 1)
@@ -425,14 +436,18 @@ def reference_coldness_counts(n_items, records):
 
 
 # Native lines the fuzz test draws from: valid ones (some only as int()
-# reads them: padded, signed, non-ASCII digits, leading zeros) and one of
-# each kind of bad line.
+# reads them: padded, signed, non-ASCII digits, leading zeros; one ending in
+# CRLF) and one of each kind of bad line (an id of 20 digits is beyond
+# int64).
 NATIVE_LINES = (
     "0\t1,2\t1,0",
     "1\t2\t1",
     "2\t0,3,1\t0,0,1",
     " 1\t+2\t01",
     "1\t٣\t 1",
+    "0\t007,1\t1,0",
+    "1\t3,0\t0,1\r",
+    "2\t12345678901234567890\t1",
     "",
     "# note",
     "#users 9 items 9",
@@ -450,6 +465,81 @@ NATIVE_LINES = (
 )
 
 
+def assert_loads_as_reference(path, lines):
+    """load_native_log(path) gives the log, or the error text, that
+    reference_load_native gives for the file of `lines`."""
+    try:
+        n_users, n_items, records = reference_load_native(path)
+        want = None
+    except ValueError as exc:
+        want = str(exc)
+    if want is not None and want.startswith("record "):
+        data_lines = [
+            n for n, line in enumerate(lines, 1) if line and not line.startswith("#")
+        ]
+        idx = int(want.split(":")[0].split()[1])
+        want = f"{path}:{data_lines[idx]}: {want}"
+    if want is None:
+        log = load_native_log(path)
+        assert (log.n_users, log.n_items) == (n_users, n_items)
+        assert log.records == records
+    else:
+        with pytest.raises(ParseError) as info:
+            load_native_log(path)
+        assert str(info.value) == want
+
+
+class TestBulkNativeParse:
+    """Canonical files are parsed from their bytes in bulk, with the same
+    result as the record loop; every error still comes from the line walk."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=valid_logs())
+    def test_saved_logs_take_the_bulk_path(self, drawn):
+        n_users, n_items, records = drawn
+        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.tsv"
+            save_native_log(log, path)
+            # with the line walk failing, a load that succeeds was parsed in bulk
+            walk_fails = AssertionError("line walk taken")
+            with mock.patch.object(corpus, "_walk_native", side_effect=walk_fails):
+                again = load_native_log(path)
+        assert (again.n_users, again.n_items) == (n_users, n_items)
+        for name in ("users", "items", "labels", "lengths"):
+            assert np.array_equal(getattr(again, name), getattr(log, name))
+            assert getattr(again, name).dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "lines, bulk",
+        [
+            (["#users 4 items 5", "0\t1,2\t1,0", "# note", "1\t3\t1", ""], True),
+            (["0\t1\t1", "", "", "1\t2,0\t0,1", ""], True),
+            (["#users 3 items 4", "0\t1\t1", "2\t3,2\t0,1"], True),
+            (["#users 3 items 4", ""], True),
+            (["#users 3 items 4"], True),
+            (["# only a comment", "", ""], True),
+            ([], True),
+            (["0\t999999999999999999\t1", ""], True),
+            # record errors, raised after the bulk parse
+            (["#users 2 items 3", "0\t1\t1", "# note", "1\t2,2\t0,1", ""], True),
+            (["0\t1,1\t0,1", ""], True),
+            # line errors, named by the line walk
+            (["0\t1\t1", "# note", "1\t2\t2", ""], False),
+            (["0\t1,2\t1", ""], False),
+            (["0\t1,\t1,0"], False),
+            (["0\t\t1", ""], False),
+            (["0\t1\t1\t", ""], False),
+            (["#users 2 items", "0\t1\t1", ""], True),  # a comment, not a header
+        ],
+    )
+    def test_canonical_files_match_the_record_loop(self, tmp_path, lines, bulk):
+        text = "\n".join(lines)
+        path = write(tmp_path, "log.tsv", text)
+        assert (corpus._bulk_native(path, text.encode()) is not None) == bulk
+        assert_loads_as_reference(path, lines)
+
+
 class TestColumnarMatchesRecordLoop:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -460,27 +550,7 @@ class TestColumnarMatchesRecordLoop:
             path = Path(tmp) / "log.tsv"
             text = "\n".join(lines) + ("\n" if newline else "")
             path.write_text(text, encoding="utf-8")
-            try:
-                n_users, n_items, records = reference_load_native(path)
-                want = None
-            except ValueError as exc:
-                want = str(exc)
-            if want is not None and want.startswith("record "):
-                data_lines = [
-                    n
-                    for n, line in enumerate(lines, 1)
-                    if line and not line.startswith("#")
-                ]
-                idx = int(want.split(":")[0].split()[1])
-                want = f"{path}:{data_lines[idx]}: {want}"
-            if want is None:
-                log = load_native_log(path)
-                assert (log.n_users, log.n_items) == (n_users, n_items)
-                assert log.records == records
-            else:
-                with pytest.raises(ParseError) as info:
-                    load_native_log(path)
-                assert str(info.value) == want
+            assert_loads_as_reference(path, lines)
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=any_logs())

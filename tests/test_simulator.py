@@ -22,11 +22,11 @@ from cfrank.simulator import (
     SimParams,
     VariationalPosterior,
     _weighted_log_normalizers,
-    _impression_loss_grads,
+    _impression_batch,
     _log_arrays,
     _loglik_grads,
     _posterior_terms,
-    _selection_loss_grads,
+    _selection_batch,
     _shown_keys,
     counterfactual_select,
     elbo_value_and_grads,
@@ -137,9 +137,9 @@ class TestImpressionTraining:
             P2 = v[: nu * d].reshape(nu, d)
             Q2 = v[nu * d : nu * d + ni * d].reshape(ni, d)
             w2 = v[nu * d + ni * d :]
-            return _impression_loss_grads(P2, Q2, w2, users, pos, mask, neg, alpha)[0]
+            return _impression_batch(P2, Q2, w2, users, pos, mask, neg)(alpha)[0]
 
-        _, gP, gQ, gw = _impression_loss_grads(P, Q, w, users, pos, mask, neg, alpha)
+        _, gP, gQ, gw = _impression_batch(P, Q, w, users, pos, mask, neg)(alpha)
         assert finite_diff_check(loss, pack(P, Q, w), pack(gP, gQ, gw)) < 1e-4
 
     def test_reproducible(self):
@@ -168,8 +168,6 @@ class TestSelectionTraining:
         assert probs[0] > 0.9
 
     def test_all_selected_gradient_zero_at_uniform(self):
-        from cfrank.simulator import _selection_loss_grads
-
         nu, ni, d, k = 1, 3, 2, 3
         X, Y = np.zeros((nu, d)), np.zeros((ni, d))
         w_s = np.zeros(k)
@@ -177,9 +175,9 @@ class TestSelectionTraining:
         items = np.array([[0, 1, 2]])
         mask = np.ones((1, 3), bool)
         sel = np.ones((1, 3))
-        _, gX, gY, gw = _selection_loss_grads(
-            X, Y, w_s, users, items, mask, sel, sel.sum(1), np.zeros(k)
-        )
+        _, gX, gY, gw = _selection_batch(
+            X, Y, w_s, users, items, mask, sel, sel.sum(1)
+        )(np.zeros(k))
         assert np.allclose(gX, 0) and np.allclose(gY, 0) and np.allclose(gw, 0)
 
     def test_empty_selection_records_skipped(self):
@@ -192,7 +190,6 @@ class TestSelectionTraining:
 
     def test_gradients_match_finite_differences(self):
         from gradcheck import finite_diff_check
-        from cfrank.simulator import _selection_loss_grads
 
         rs = RandomStream(23)
         nu, ni, d, k = 2, 6, 3, 3
@@ -210,13 +207,13 @@ class TestSelectionTraining:
             X2 = v[: nu * d].reshape(nu, d)
             Y2 = v[nu * d : nu * d + ni * d].reshape(ni, d)
             w2 = v[nu * d + ni * d :]
-            return _selection_loss_grads(
-                X2, Y2, w2, users, items, mask, sel, sel.sum(1), beta
+            return _selection_batch(X2, Y2, w2, users, items, mask, sel, sel.sum(1))(
+                beta
             )[0]
 
-        _, gX, gY, gw = _selection_loss_grads(
-            X, Y, w_s, users, items, mask, sel, sel.sum(1), beta
-        )
+        _, gX, gY, gw = _selection_batch(
+            X, Y, w_s, users, items, mask, sel, sel.sum(1)
+        )(beta)
         assert finite_diff_check(loss, pack(X, Y, w_s), pack(gX, gY, gw)) < 1e-4
 
 
@@ -341,7 +338,7 @@ class TestScatterFreeGradients:
         P, Q, w = rs.normal((n_users, d)), rs.normal((n_items, d)), rs.normal(n_items)
         neg = rs.integers(0, n_items, (batch, reps * k))
         alpha = rs.normal(n_items)
-        got = _impression_loss_grads(P, Q, w, users, items, mask, neg, alpha)
+        got = _impression_batch(P, Q, w, users, items, mask, neg)(alpha)
         want = reference_impression_loss_grads(P, Q, w, users, items, mask, neg, alpha)
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         assert_grads_match(got[1:], want[1:])
@@ -349,11 +346,123 @@ class TestScatterFreeGradients:
         sel = (rs.normal((batch, k)) > 0.3) & mask
         sel = sel.astype(np.float64)
         w_s, beta = rs.normal(k), rs.normal(k)
-        args = (P, Q, w_s, users, items, mask, sel, sel.sum(axis=1), beta)
-        got = _selection_loss_grads(*args)
-        want = reference_selection_loss_grads(*args)
+        args = (P, Q, w_s, users, items, mask, sel, sel.sum(axis=1))
+        got = _selection_batch(*args)(beta)
+        want = reference_selection_loss_grads(*args, beta)
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         assert_grads_match(got[1:], want[1:])
+
+
+def one_draw_embedding_grads(E_user, E_item, users, items, dz):
+    """Both embedding gradients of one dz, everything built in the call."""
+    b = len(users)
+    n_items = E_item.shape[0]
+    flat = (items * b + np.arange(b)[:, None]).ravel()
+    C = np.bincount(flat, weights=dz.ravel(), minlength=n_items * b)
+    C = C.reshape(n_items, b)
+    g_item = C @ E_user[users]
+    distinct, row = np.unique(users, return_inverse=True)
+    U = np.zeros((len(distinct), b))
+    U[row, np.arange(b)] = 1.0
+    g_user = np.zeros_like(E_user)
+    g_user[distinct] = U @ (C.T @ E_item)
+    return g_user, g_item
+
+
+def one_draw_impression(P, Q, w_r, users, pos_items, pos_mask, neg_items, alpha):
+    """The exposure loss and gradients of one alpha draw, every term of the
+    batch recomputed for it."""
+    b, k = pos_items.shape
+    reps = neg_items.shape[1] // k
+    neg_mask = np.tile(pos_mask, reps)
+
+    def logits(item_mat):
+        return (
+            np.einsum("bd,bkd->bk", P[users], Q[item_mat])
+            + w_r[item_mat] * alpha[item_mat]
+        )
+
+    z_pos = logits(pos_items)
+    z_neg = logits(neg_items)
+    loss = float(
+        np.sum(softplus(-z_pos) * pos_mask) + np.sum(softplus(z_neg) * neg_mask)
+    )
+    items = np.hstack([pos_items, neg_items])
+    dz = np.hstack([-sigmoid(-z_pos) * pos_mask, sigmoid(z_neg) * neg_mask])
+    gP, gQ = one_draw_embedding_grads(P, Q, users, items, dz)
+    gw = np.bincount(items.ravel(), weights=dz.ravel(), minlength=len(w_r)) * alpha
+    return loss, gP, gQ, gw
+
+
+def one_draw_selection(X, Y, w_s, users, items, mask, sel, n_sel, beta):
+    """The selection loss and gradients of one beta draw, every term of the
+    batch recomputed for it."""
+    scores = np.where(mask, np.einsum("bd,bkd->bk", X[users], Y[items]), -np.inf)
+    k = scores.shape[1]
+    z = scores + (w_s[:k] * beta[:k])[None, :]
+    logp = z - logsumexp(z, axis=1)[:, None]
+    loss = -float(np.sum(sel * np.where(mask, logp, 0.0)))
+    dz = n_sel[:, None] * np.exp(logp) - sel
+    gX, gY = one_draw_embedding_grads(X, Y, users, items, dz)
+    gw = (dz * beta[: items.shape[1]][None, :]).sum(axis=0)
+    return loss, gX, gY, gw
+
+
+class TestPerBatchKernels:
+    """A batch kernel built once and called for several noise draws gives,
+    bit for bit, what the one-draw formula gives for each draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_users=st.integers(1, 4),
+        n_items=st.integers(1, 7),
+        batch=st.integers(1, 9),
+        k=st.integers(1, 4),
+        reps=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # a batch of one; one user repeated over the batch; padding in most rows
+    @example(n_users=1, n_items=1, batch=1, k=1, reps=1, seed=0)
+    @example(n_users=3, n_items=6, batch=1, k=4, reps=2, seed=11)
+    @example(n_users=1, n_items=5, batch=6, k=3, reps=1, seed=3)
+    @example(n_users=2, n_items=7, batch=9, k=4, reps=3, seed=5)
+    def test_draws_match_one_draw_formula(self, n_users, n_items, batch, k, reps, seed):
+        rs = RandomStream(seed)
+        d = 3
+        users = rs.integers(0, n_users, batch)
+        lengths = rs.integers(1, k + 1, batch)
+        mask = np.arange(k)[None, :] < lengths[:, None]
+        items = np.where(mask, rs.integers(0, n_items, (batch, k)), 0)
+        neg = rs.integers(0, n_items, (batch, reps * k))
+        sel = ((rs.normal((batch, k)) > 0.3) & mask).astype(np.float64)
+        P, Q, w_r = rs.normal((n_users, d)), rs.normal((n_items, d)), rs.normal(n_items)
+        X, Y, w_s = rs.normal((n_users, d)), rs.normal((n_items, d)), rs.normal(k)
+        cases = [
+            (
+                _impression_batch(P, Q, w_r, users, items, mask, neg),
+                lambda alpha: one_draw_impression(
+                    P, Q, w_r, users, items, mask, neg, alpha
+                ),
+                n_items,
+            ),
+            (
+                _selection_batch(X, Y, w_s, users, items, mask, sel, sel.sum(axis=1)),
+                lambda beta: one_draw_selection(
+                    X, Y, w_s, users, items, mask, sel, sel.sum(axis=1), beta
+                ),
+                k,
+            ),
+        ]
+        for kernel, one_draw, width in cases:
+            draws = [rs.normal(width) for _ in range(4)]
+            # every draw first, so a buffer shared between calls would show
+            got = [kernel(noise) for noise in draws]
+            for noise, (loss, *grads) in zip(draws, got):
+                want_loss, *want_grads = one_draw(noise)
+                assert loss == want_loss
+                for g, w in zip(grads, want_grads):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
 
 
 def reference_sample_record_negatives(shown_lookup, rows, n_neg, n_items, stream):
@@ -480,14 +589,9 @@ class TestLossMonotone:
         arrays = _log_arrays(log)
         idx = np.arange(len(log.records))
         neg = RandomStream(999).integers(0, arrays.n_items, (len(idx), arrays.list_len))
-        loss, _, _, _ = _impression_loss_grads(
-            *exposure,
-            arrays.users,
-            arrays.items,
-            arrays.mask,
-            neg,
-            np.zeros(arrays.n_items),
-        )
+        loss, _, _, _ = _impression_batch(
+            *exposure, arrays.users, arrays.items, arrays.mask, neg
+        )(np.zeros(arrays.n_items))
         return loss
 
     def test_median_loss_nonincreasing(self):
