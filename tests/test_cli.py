@@ -326,9 +326,10 @@ STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "inter
 # or off ("0:"). A mode after the colon makes a child die before it reports,
 # the train-target worker ("1:die") or the intervene child
 # ("1:die-intervene"), or makes intervene's round 0 raise on either path
-# ("raise-round"). Every stage is wrapped as a tracer wraps it. Prints one JSON line: the exit
-# code, the forks made, the stages this process called, and whether a child
-# process is left, running or unreaped.
+# ("1:raise-round", "0:raise-round"). Every stage is wrapped as a tracer
+# wraps it. Prints one JSON line: the exit code, the forks made, the stages
+# this process called, and whether a child process is left, running or
+# unreaped.
 OVERLAP_DRIVER = """
 import functools, json, os, sys
 from cfrank import cli
