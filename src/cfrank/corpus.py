@@ -234,8 +234,9 @@ def _bulk_native(path, raw: bytes):
     native file, or None for any other.
 
     Canonical: ASCII without carriage returns, every line empty, a "#"
-    comment, or 3 tab-separated fields of comma-separated tokens of 1 to
-    _MAX_DIGITS digits, with as many labels as items and every label 0 or 1.
+    comment, or 3 tab-separated fields: one user token, then comma-separated
+    item tokens and as many comma-separated label tokens, every token of 1
+    to _MAX_DIGITS digits and every label 0 or 1.
     Tabs, commas and newlines are found with numpy, and one
     `np.fromstring` converts every token.
     """
@@ -280,6 +281,9 @@ def _bulk_native(path, raw: bytes):
     ):
         return None
     first, second = tabs[0::2], tabs[1::2]
+    # the user field is one token: each line's first tab ends its first token
+    if not np.array_equal(first, np.concatenate(([0], line_ends[:-1] + 1))):
+        return None
     lengths = second - first
     if not np.array_equal(lengths, line_ends - second):
         return None
@@ -297,82 +301,46 @@ def _bulk_native(path, raw: bytes):
     return pinned, values[first], values[field == 1], labels, lengths, linenos
 
 
-def _raise_native_error(path, lines):
-    """Walks the file line by line and raises the first line's ParseError.
-
-    The column parse of `_walk_native` only finds that some line is bad;
-    this walk makes the same checks in file order, so the error names the
-    first bad line and, within it, the first failing check.
-    """
+def _walk_native(path):
+    """What `_bulk_native` returns, for any native file read as text and
+    walked line by line. The checks run in file order, so a ParseError
+    names the first bad line and, within it, the first failing check."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    pinned = None
+    users, items, labels, lengths, linenos = [], [], [], [], []
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         if line.startswith("#"):
-            _native_header(path, lineno, line, None)
+            pinned = _native_header(path, lineno, line, pinned)
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
         try:
             user = int(fields[0])
-            items = [int(x) for x in fields[1].split(",")]
-            labels = [int(x) for x in fields[2].split(",")]
+            row = [int(x) for x in fields[1].split(",")]
+            row_labels = [int(x) for x in fields[2].split(",")]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if len(items) != len(labels):
+        if len(row) != len(row_labels):
             raise ParseError(
-                f"{path}:{lineno}: {len(items)} items but {len(labels)} labels"
+                f"{path}:{lineno}: {len(row)} items but {len(row_labels)} labels"
             )
-        for y in labels:
+        for y in row_labels:
             if y not in (0, 1):
                 raise ParseError(f"{path}:{lineno}: label {y} not in {{0,1}}")
-        for i in [user, *items]:
+        for i in [user, *row]:
             if not -(2**63) <= i < 2**63:
                 raise ParseError(f"{path}:{lineno}: id {i} out of range")
-    raise AssertionError(f"{path}: column parse failed but no line is bad")
-
-
-def _int_tokens(fields) -> np.ndarray:
-    """int() of every comma-separated token of `fields`, in order, as int64.
-    Raises ValueError or OverflowError where int() or int64 would."""
-    joined = ",".join(fields)
-    count = joined.count(",") + 1 if fields else 0
-    return np.fromiter(map(int, joined.split(",")), np.int64, count)
-
-
-def _walk_native(path):
-    """What `_bulk_native` returns, for any native file read as text: the
-    data lines are split into three columns at once and each column is
-    converted in bulk; any failure re-walks the file (`_raise_native_error`)
-    to name its first bad line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    pinned = None
-    linenos = []
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            if line[0] == "#":
-                pinned = _native_header(path, lineno, line, pinned)
-            else:
-                linenos.append(lineno)
-        data = [lines[lineno - 1] for lineno in linenos]
-        if any(line.count("\t") != 2 for line in data):
-            raise ValueError("field count")
-        fields = "\t".join(data).split("\t") if data else []
-        user_col, item_col, label_col = fields[0::3], fields[1::3], fields[2::3]
-        lengths = [f.count(",") + 1 for f in item_col]
-        if lengths != [f.count(",") + 1 for f in label_col]:
-            raise ValueError("items/labels length mismatch")
-        users = np.fromiter(map(int, user_col), np.int64, len(user_col))
-        items = _int_tokens(item_col)
-        labels = _int_tokens(label_col)
-        if ((labels != 0) & (labels != 1)).any():
-            raise ValueError("label not in {0,1}")
-    except (ValueError, OverflowError):
-        _raise_native_error(path, lines)
-    return pinned, users, items, labels, np.array(lengths, dtype=np.int64), linenos
+        users.append(user)
+        items += row
+        labels += row_labels
+        lengths.append(len(row))
+        linenos.append(lineno)
+    columns = (np.array(c, dtype=np.int64) for c in (users, items, labels, lengths))
+    return pinned, *columns, linenos
 
 
 def load_native_log(path) -> InteractionLog:

@@ -95,6 +95,10 @@ class Episode:
     episode_id: str = ""
 
 
+# Lines `CounterfactualBatch.to_tsv` formats at once.
+_TSV_CHUNK = 4096
+
+
 @dataclass
 class CounterfactualBatch:
     """Synthesized training samples with per-sample confidence and provenance."""
@@ -132,15 +136,18 @@ class CounterfactualBatch:
         )
         rows = self.triplets if self.mode == "pairwise" else self.points
         n = min(len(rows), len(self.confidences), len(self.provenance))
-        # The cells of every line in order, formatted in one operation.
-        cells = [None] * (5 * n)
-        for j, column in enumerate(zip(*rows[:n])):
-            cells[j::5] = column
-        cells[3::5] = self.confidences[:n]
-        cells[4::5] = self.provenance[:n]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"#mode {self.mode}\n{header}\n")
-            fh.write(("%s\t%s\t%s\t%.6f\t%s\n" * n) % tuple(cells))
+            # The cells of each chunk's lines in order, formatted in one
+            # operation; chunks keep the text's memory small.
+            for a in range(0, n, _TSV_CHUNK):
+                b = min(a + _TSV_CHUNK, n)
+                cells = [None] * (5 * (b - a))
+                for j, column in enumerate(zip(*rows[a:b])):
+                    cells[j::5] = column
+                cells[3::5] = self.confidences[a:b]
+                cells[4::5] = self.provenance[a:b]
+                fh.write(("%s\t%s\t%s\t%.6f\t%s\n" * (b - a)) % tuple(cells))
 
     @classmethod
     def from_tsv(cls, path) -> "CounterfactualBatch":

@@ -232,12 +232,16 @@ def _impression_batch(P, Q, w_r, users, pos_items, pos_mask, neg_items):
     unshown items (mask repeated along columns as needed). The embedding
     scores, the w_r rows, the joined item matrix and the masks are built
     once per batch; a call runs only the operations that depend on alpha.
+
+    The negatives' gather (B x m x d, the batch's largest array) comes
+    first, before anything that outlives it is allocated, so the allocator
+    can reuse the block the previous batch's gather freed rather than grow
+    the heap.
     """
-    k = pos_items.shape[1]
-    neg_mask = np.tile(pos_mask, neg_items.shape[1] // k)
     user_rows = P[users]
-    score_pos = np.einsum("bd,bkd->bk", user_rows, Q[pos_items])
     score_neg = np.einsum("bd,bkd->bk", user_rows, Q[neg_items])
+    score_pos = np.einsum("bd,bkd->bk", user_rows, Q[pos_items])
+    neg_mask = np.tile(pos_mask, neg_items.shape[1] // pos_items.shape[1])
     w_pos, w_neg = w_r[pos_items], w_r[neg_items]
     items = np.hstack([pos_items, neg_items])
     embedding_grads = _embedding_grads(P, Q, users, items)

@@ -438,7 +438,7 @@ def reference_coldness_counts(n_items, records):
 # Native lines the fuzz test draws from: valid ones (some only as int()
 # reads them: padded, signed, non-ASCII digits, leading zeros; one ending in
 # CRLF) and one of each kind of bad line (an id of 20 digits is beyond
-# int64).
+# int64; a user field of two tokens, or of one and an empty one).
 NATIVE_LINES = (
     "0\t1,2\t1,0",
     "1\t2\t1",
@@ -454,6 +454,8 @@ NATIVE_LINES = (
     "0\t1\t1\t",
     "0\t1",
     "x\t1\t1",
+    "0,1\t2\t1",
+    "1,\t2\t1",
     "1\ta,2\t1,0",
     "1\t3,\t0,1",
     "1\t1,2\t1",
@@ -530,6 +532,8 @@ class TestBulkNativeParse:
             (["0\t1,\t1,0"], False),
             (["0\t\t1", ""], False),
             (["0\t1\t1\t", ""], False),
+            (["0\t1\t1", "0,1\t2\t1", ""], False),
+            (["1,\t2\t1", ""], False),
             (["#users 2 items", "0\t1\t1", ""], True),  # a comment, not a header
         ],
     )

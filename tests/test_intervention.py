@@ -511,6 +511,21 @@ class TestBatchIO:
         assert again.triplets == batch.triplets
         assert again.provenance == batch.provenance
 
+    def test_tsv_lines_across_chunks(self, tmp_path):
+        n = 2 * intervention._TSV_CHUNK + 3
+        points = [(u % 7, u % 11 + 1, u % 2) for u in range(n)]
+        confidences = [u / 3 for u in range(n)]
+        provenance = [f"r{u % 5}" for u in range(n)]
+        batch = CounterfactualBatch("pointwise", [], points, confidences, provenance)
+        path = tmp_path / "batch.tsv"
+        batch.to_tsv(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == n + 3 and lines[-1] == ""
+        assert lines[2:-1] == [
+            f"{u}\t{i}\t{y}\t{c:.6f}\t{r}"
+            for (u, i, y), c, r in zip(points, confidences, provenance)
+        ]
+
     @pytest.mark.parametrize(
         "text, lineno, message",
         [
