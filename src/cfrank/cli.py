@@ -10,22 +10,29 @@ byte-identical results to the one-shot pipeline. Each matrix checkpoint
 stage reads in place of parsing the text while it matches the text's sha256
 (see `textio`); the text stays the artifact of record.
 
-`run_pipeline` runs the stages in order. Where a second CPU is free, three
-stages use it through a forked child process whose values come back
-pickled through a pipe: synth-gen emits the second half of the users'
-lists in a child while the main process emits the first half; train-target
-reads only the dataset, so its fit and save run in a child started in
-train-sim's slot, beside train-sim and fit-posterior, and the train-target
-stage waits for it; and intervene, after pretraining its policy, generates
-the rounds' counterfactual batches in a child while the main process
-fine-tunes on each batch as it arrives. Every branch draws only from its
-own labelled substreams, so every artifact is the same byte for byte
-either way. Forking needs Linux with `fork`, at least two usable CPUs,
-single-threaded BLAS (`OPENBLAS_NUM_THREADS=1`, or it unset and
-`OMP_NUM_THREADS=1`; the `cfrank` command sets the former by default) and
-no other thread in the process; otherwise the work runs in turn in the
-main process. Stages run by hand through their subcommands fork in
-synth-gen and intervene alike; train-target forks only in the pipeline.
+`run_pipeline` runs the stages in order and hands the target ranker
+forward in memory: train-target's model goes to intervene, which
+fine-tunes it instead of loading target.txt, and the fine-tuned model goes
+to evaluate, which scores it instead of loading target_cpr.txt. Where a
+second CPU is free, the stages also use it through forked child processes
+whose values come back pickled through a pipe: synth-gen emits the second
+half of the users' lists in a child while the main process emits the
+first half; train-target reads only the dataset, so its fit runs in a
+child started in train-sim's slot, beside train-sim and fit-posterior,
+which sends the model to the train-target stage and then writes
+target.txt beside intervene; intervene, after pretraining its policy,
+generates the rounds' counterfactual batches in a child while the main
+process fine-tunes on each batch as it arrives, and then leaves
+target_cpr.txt to a child that writes it while evaluate scores the model.
+Evaluate waits for both checkpoints before it writes the reports. Every
+branch draws only from its own labelled substreams, so every artifact is
+the same byte for byte either way. Forking needs Linux with `fork`, at
+least two usable CPUs, single-threaded BLAS (`OPENBLAS_NUM_THREADS=1`, or
+it unset and `OMP_NUM_THREADS=1`; the `cfrank` command sets the former by
+default) and no other thread in the process; otherwise the work runs in
+turn in the main process. Stages run by hand through their subcommands
+fork in synth-gen and intervene alike and write every checkpoint in their
+own slot; train-target forks only in the pipeline.
 """
 
 from __future__ import annotations
@@ -362,8 +369,8 @@ def _target_trainer(cfg):
     return _trainer(cfg["target.objective"])
 
 
-def _fit_target(cfg, train, path):
-    """train-target's work on the split's training log: fit, and save to path."""
+def _fit_target(cfg, train):
+    """The target ranker fitted on the split's training log."""
     train_fn = _target_trainer(cfg)
     stream = RandomStream(cfg["seed"]).substream("target")
     model = rankers.make_model(
@@ -377,7 +384,6 @@ def _fit_target(cfg, train, path):
         )
     else:
         model.fit(train)
-    rankers.save_model(model, path)
     return model
 
 
@@ -385,13 +391,15 @@ def stage_train_target(cfg, out, worker=None):
     """Fits the target ranker and writes target.txt; returns the model.
 
     `run_pipeline` may pass the `_TargetWorker` that train-sim started; if
-    it did fork, the stage waits for it, raises what its fit raised, moves
-    its target.txt into place and returns None.
+    it did fork, the stage returns the model its child fitted, or raises
+    what the fit raised, and the child goes on to write target.txt.
     """
-    if worker is not None and worker.collect():
-        return None
+    if worker is not None and worker.child is not None:
+        return worker.model()
     log = _load_dataset(cfg, out)
-    return _fit_target(cfg, _split(cfg, log).train, _artifact(out, "target.txt"))
+    model = _fit_target(cfg, _split(cfg, log).train)
+    rankers.save_model(model, _artifact(out, "target.txt"))
+    return model
 
 
 def _round_batches(cfg, policy, params, posterior, n_users, stream):
@@ -419,13 +427,19 @@ def _round_batches(cfg, policy, params, posterior, n_users, stream):
         yield batch
 
 
-def stage_intervene(cfg, out):
+def stage_intervene(cfg, out, target=None, writer=None):
     """Generate counterfactual batches and retrain the target model on them,
-    mixed one-to-one with resampled observed positives per round.
+    mixed one-to-one with resampled observed positives per round; writes
+    policy.txt, batches.tsv and target_cpr.txt and returns the model.
 
     After the policy is pretrained, a forked child (`_beside`) generates the
     rounds' batches in order while this process fine-tunes on each batch as
     it arrives; rounds score no reward, so they do not wait for the target.
+
+    `run_pipeline` passes the model train-target returned as `target`,
+    fine-tuned in place of loading target.txt, and the `_ForkedCheckpoint`
+    of target_cpr.txt as `writer`, whose child saves the fine-tuned model
+    while the next stage runs.
     """
     if cfg["intervention.rounds"] < 1:
         raise ConfigError("intervene needs intervention.rounds >= 1")
@@ -441,7 +455,8 @@ def stage_intervene(cfg, out):
     posterior = simulator.load_posterior(
         _artifact(out, "posterior.txt", must_exist=True)
     )
-    target = rankers.load_model(_artifact(out, "target.txt", must_exist=True))
+    if target is None:
+        target = rankers.load_model(_artifact(out, "target.txt", must_exist=True))
     if not target.trainable:
         raise ConfigError(f"target.kind {kind!r} cannot be retrained")
     observed = rankers.TrainingData.from_log(train)
@@ -506,12 +521,29 @@ def stage_intervene(cfg, out):
                 ),
                 stream.substream(f"finetune{rnd}"),
             )
+    forked = writer is not None and writer.write_in_child(
+        "target_cpr.txt", _one, rankers.save_model, target
+    )
     all_batches.to_tsv(_artifact(out, "batches.tsv"))
-    rankers.save_model(target, _artifact(out, "target_cpr.txt"))
+    if forked:
+        writer.keep = True
+    else:
+        rankers.save_model(target, _artifact(out, "target_cpr.txt"))
     return target
 
 
-def stage_evaluate(cfg, out):
+def stage_evaluate(cfg, out, cpr=None, target_write=None, cpr_write=None):
+    """Scores the target model (target.txt) and, after intervene, the CPR
+    model (target_cpr.txt); writes report.txt and report.tsv and returns
+    the reports.
+
+    `run_pipeline` passes the model intervene returned as `cpr`, scored in
+    place of loading target_cpr.txt, and the `_ForkedCheckpoint`s of
+    target.txt and target_cpr.txt: the stage finishes the first before it
+    loads target.txt and the second before it writes the reports.
+    """
+    if target_write is not None:
+        target_write.finish()
     log = _load_dataset(cfg, out)
     split = _split(cfg, log)
     stream = RandomStream(cfg["seed"]).substream("eval")
@@ -520,10 +552,12 @@ def stage_evaluate(cfg, out):
 
     reports = {}
     coldness = {}
-    names = [(_target_name(cfg), "target.txt")]
+    models = [(_target_name(cfg), "target.txt", None)]
     # A run directory reused with rounds=0 may hold an older run's model.
-    if cfg["intervention.rounds"] > 0 and os.path.exists(_artifact(out, "target_cpr.txt")):
-        names.append((_cpr_name(cfg), "target_cpr.txt"))
+    if cpr is not None or (
+        cfg["intervention.rounds"] > 0 and os.path.exists(_artifact(out, "target_cpr.txt"))
+    ):
+        models.append((_cpr_name(cfg), "target_cpr.txt", cpr))
     buckets = None
     if cfg["eval.coldness"]:
         buckets = coldness_buckets(
@@ -531,8 +565,9 @@ def stage_evaluate(cfg, out):
         )
     # Every model gets a fresh stream with the same label, so under
     # sampled candidates all models rank against the same negatives.
-    for name, artifact in names:
-        model = rankers.load_model(_artifact(out, artifact, must_exist=True))
+    for name, artifact, model in models:
+        if model is None:
+            model = rankers.load_model(_artifact(out, artifact, must_exist=True))
         model.user_positives = split.train.positives_by_user()
         reports[name] = evalkit.evaluate(
             model,
@@ -553,8 +588,8 @@ def stage_evaluate(cfg, out):
             )
 
     baselines = {}
-    if len(names) == 2:
-        baselines[names[1][0]] = names[0][0]
+    if len(models) == 2:
+        baselines[models[1][0]] = models[0][0]
 
     header = ["# resolved configuration"]
     header += [f"# {line}" for line in cfg.resolved_lines()]
@@ -569,6 +604,8 @@ def stage_evaluate(cfg, out):
         rows = {f"{name}@{bucket}": rep for bucket, rep in per_bucket.items()}
         tsv.append(evalkit.comparison_tsv(rows))
     report_text = "\n".join(header) + "\n\n" + "\n".join(body) + "\n"
+    if cpr_write is not None:
+        cpr_write.finish()
     with open(_artifact(out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report_text)
     with open(_artifact(out, "report.tsv"), "w", encoding="utf-8") as fh:
@@ -584,6 +621,7 @@ PIPELINE_STAGES = (
     ("intervene", stage_intervene),
     ("evaluate", stage_evaluate),
 )
+_REAL_STAGES = PIPELINE_STAGES  # `run_pipeline` hands models on only through these
 
 
 def run_stage(name, cfg, out, **kwargs):
@@ -710,24 +748,82 @@ def _one(fn, *args, **kwargs):
     yield fn(*args, **kwargs)
 
 
-class _TargetWorker:
+def _remove_with_twin(path):
+    """Removes the file at `path` and its binary twin, where they exist."""
+    for suffix in ("", textio.TWIN_SUFFIX):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path + suffix)
+
+
+class _ForkedCheckpoint:
+    """A checkpoint and its twin that a forked child writes under temporary
+    names (`path + ".part"`), so that an unfinished write leaves nothing at
+    `path`.
+
+    `write_in_child` starts the child; `finish` waits for it, raises what
+    it raised and moves its files into place. `keep` marks the checkpoint
+    of a stage that completed: `close` then moves the files into place if
+    the child wrote them, and otherwise removes them. Both are no-ops once
+    no child is left, so every path through a pipeline can end in `close`.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.part = path + ".part"
+        self.child = None
+        self.keep = False
+
+    def write_in_child(self, name, generate, *args):
+        """Runs generate(*args, temporary path) in a `_Forked` child where
+        `_overlap_possible()` holds and the fork succeeds; returns whether
+        it did."""
+        if _overlap_possible():
+            with contextlib.suppress(OSError):
+                self.child = _Forked(name, generate, *args, self.part)
+        return self.child is not None
+
+    def finish(self):
+        child, self.child = self.child, None
+        if child is None:
+            return
+        try:
+            for _ in child:
+                pass
+            for suffix in ("", textio.TWIN_SUFFIX):
+                os.replace(self.part + suffix, self.path + suffix)
+        finally:
+            child.close()
+            _remove_with_twin(self.part)
+
+    def close(self):
+        """Waits for the child. Never raises: a pipeline that has not
+        finished the checkpoint is failing already."""
+        if self.keep:
+            with contextlib.suppress(Exception):
+                self.finish()
+        elif self.child is not None:
+            self.child.close()  # a child blocked on the pipe fails and ends
+            self.child = None
+            _remove_with_twin(self.part)
+
+
+class _TargetWorker(_ForkedCheckpoint):
     """train-target's fit and save in a forked child, beside train-sim and
     fit-posterior.
 
-    `run_pipeline` makes one and passes it to both stages: train-sim
-    `start`s it, train-target `collect`s it. The child writes target.txt and
-    its twin under a temporary name, and `collect` moves them into place,
-    so a run that fails before train-target leaves no target.txt, as when
-    the stages run one after another. `close` waits for the child and
-    removes what it left.
+    `run_pipeline` makes one and passes it to three stages: train-sim
+    `start`s it; train-target takes the fitted `model`, which the child
+    sends as soon as its fit ends, before it writes target.txt and its twin
+    under a temporary name; evaluate `finish`es it before loading
+    target.txt. So a run that fails before train-target ends leaves no
+    target.txt, as when the stages run one after another, and one that
+    fails later keeps it.
     """
 
     def __init__(self, cfg, out):
+        super().__init__(_artifact(out, "target.txt"))
         self.cfg = cfg
         self.out = out
-        self.path = _artifact(out, "target.txt")
-        self.part = self.path + ".part"
-        self.child = None
 
     def start(self):
         """Forks the child where `_overlap_possible()` holds. A bad
@@ -740,71 +836,84 @@ class _TargetWorker:
         try:
             _target_trainer(self.cfg)
             train = _split(self.cfg, _load_dataset(self.cfg, self.out)).train
-            self.child = _Forked("train-target", self._fit, train)
         except Exception:  # train-target then runs in its slot
-            self.child = None
+            return
+        self.write_in_child("train-target", self._fit, train)
 
-    def _fit(self, train):
-        _fit_target(self.cfg, train, self.part)
-        return ()
+    def _fit(self, train, part):
+        model = _fit_target(self.cfg, train)
+        yield rankers.model_state(model)
+        rankers.save_model(model, part)
 
-    def collect(self):
-        """Whether a child was started; if so, waits for it, raises what its
-        fit raised, and moves its target.txt and twin into place."""
-        if self.child is None:
-            return False
-        for _ in self.child:
-            pass
-        for suffix in ("", textio.TWIN_SUFFIX):
-            os.replace(self.part + suffix, self.path + suffix)
-        return True
-
-    def close(self):
-        if self.child is not None:
-            self.child.close()
-            for suffix in ("", textio.TWIN_SUFFIX):
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(self.part + suffix)
+    def model(self):
+        """The child's fitted model, rebuilt from its state; raises what the
+        fit raised."""
+        model = rankers.model_from_state(*next(self.child))
+        self.keep = True
+        return model
 
 
 def run_pipeline(cfg, out):
     """All stages in order; completed artifacts survive a failing stage.
 
     Returns the last stage's result. Earlier results are dropped as soon
-    as their stage ends: the next stage reads them back from `out`.
+    as their stage ends, except that the two ranker models go forward in
+    memory when the stage table holds the real stages (seen through
+    wrappers): train-target's model is handed to intervene, which
+    fine-tunes it in place of loading target.txt, and intervene's to
+    evaluate, which scores it in place of loading target_cpr.txt. Each is
+    released when the stage it was handed to ends.
 
-    Where `_overlap_possible()` holds, three stages fork a child process
-    (`_Forked`): synth-gen and intervene do so on their own (also when run
-    by hand), and when the stage table's train-sim and train-target entries
-    are `stage_train_sim` and `stage_train_target` (seen through wrappers),
-    this function hands both a `_TargetWorker`, so that train-target's fit
-    runs beside train-sim and fit-posterior. Every stage of the table is
-    called once, in order, in this process, and every fork falls inside a
-    stage's call. Each child is waited for, never killed, before its stage
-    (or, for the train-target worker, this function) returns or raises.
+    Where `_overlap_possible()` holds, synth-gen and intervene fork a child
+    process (`_Forked`) on their own, also when run by hand. With the real
+    stages, this function also hands train-sim, train-target and evaluate
+    a `_TargetWorker`, so that train-target's fit runs beside train-sim and
+    fit-posterior and its target.txt is written beside intervene, and hands
+    intervene and evaluate a `_ForkedCheckpoint`, in whose child
+    target_cpr.txt is written while evaluate scores the model; evaluate
+    finishes both before it writes the reports. Otherwise every checkpoint
+    is written in its own stage. Every stage of the table is called once,
+    in order, in this process, and every fork falls inside a stage's call.
+    Each child is waited for, never killed, before its stage (or, for the
+    two checkpoints, evaluate or this function) returns or raises.
+
+    Skipping intervene (rounds=0) removes what an older run's intervene
+    left in `out`, so the directory ends as a fresh run's would.
     """
     os.makedirs(out, exist_ok=True)
-    stages = dict(PIPELINE_STAGES)
-    worker = None
-    if (
-        inspect.unwrap(stages.get("train-sim")) is stage_train_sim
-        and inspect.unwrap(stages.get("train-target")) is stage_train_target
-    ):
-        worker = _TargetWorker(cfg, out)
+    handoff = tuple((n, inspect.unwrap(fn)) for n, fn in PIPELINE_STAGES) == _REAL_STAGES
+    worker = _TargetWorker(cfg, out) if handoff else None
+    writer = _ForkedCheckpoint(_artifact(out, "target_cpr.txt")) if handoff else None
     result = None
     try:
         for name, _ in PIPELINE_STAGES:
             if name == "synth-gen" and cfg["dataset.kind"] != "synthetic":
                 continue
             if name == "intervene" and cfg["intervention.rounds"] == 0:
+                result = None  # no stage takes the target model
+                for artifact in ("policy.txt", "batches.tsv", "target_cpr.txt"):
+                    _remove_with_twin(_artifact(out, artifact))
                 continue
-            result = None  # not held while the next stage runs
-            hands = worker is not None and name in ("train-sim", "train-target")
-            result = run_stage(name, cfg, out, **({"worker": worker} if hands else {}))
+            handed = {}
+            if handoff:
+                handed = {
+                    "train-sim": {"worker": worker},
+                    "train-target": {"worker": worker},
+                    "intervene": {"target": result, "writer": writer},
+                    "evaluate": {
+                        "cpr": result,
+                        "target_write": worker,
+                        "cpr_write": writer,
+                    },
+                }.get(name, {})
+            result = None  # not held while the next stage runs, unless handed
+            result = run_stage(name, cfg, out, **handed)
+            handed = None
         return result
     finally:
-        if worker is not None:
-            worker.close()
+        for checkpoint in (worker, writer):
+            if checkpoint is not None:
+                checkpoint.close()
 
 
 # ---------------------------------------------------------------------------

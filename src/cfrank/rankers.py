@@ -590,8 +590,9 @@ def _train(model, data, hyper, stream, mode):
     return model
 
 
-def save_model(model, path) -> None:
-    """Checkpoint a model in the shared plain-text matrix format."""
+def model_state(model) -> tuple[dict, dict]:
+    """(arrays, meta) of a model: what its checkpoint holds and
+    `model_from_state` rebuilds it from. The arrays are the model's own."""
     meta = {"kind": model.kind, "n_users": model.n_users, "n_items": model.n_items}
     if model.kind == "itempop":
         arrays = {"counts": model.counts}
@@ -600,34 +601,45 @@ def save_model(model, path) -> None:
         arrays = {"sim": model.sim}
     else:
         arrays = model.params()
-    textio.save_matrices(path, arrays, meta)
+    return arrays, meta
 
 
-def load_model(path):
-    """Rebuild a model from a checkpoint; training positives are not stored."""
-    arrays, meta = textio.load_matrices(path)
-    textio.require(path, arrays, meta, keys=("kind", "n_users", "n_items"))
+def model_from_state(arrays, meta, source="model state"):
+    """Rebuild a model from `model_state`'s (arrays, meta) or a checkpoint's
+    (1-D blocks may come as 1xN); a missing entry raises ValueError naming
+    `source`. Training positives are not part of the state."""
+    textio.require(source, arrays, meta, keys=("kind", "n_users", "n_items"))
     kind = meta["kind"]
     n_users, n_items = int(meta["n_users"]), int(meta["n_items"])
     if kind == "itempop":
-        textio.require(path, arrays, meta, blocks=("counts",))
+        textio.require(source, arrays, meta, blocks=("counts",))
         model = ItemPop(n_users, n_items)
         model.counts = arrays["counts"].ravel()
         return model
     if kind == "itemknn":
-        textio.require(path, arrays, meta, blocks=("sim",), keys=("neighborhood",))
+        textio.require(source, arrays, meta, blocks=("sim",), keys=("neighborhood",))
         model = ItemKnn(n_users, n_items, int(meta["neighborhood"]))
         model.sim = arrays["sim"]
         return model
     d_key = "Pg" if kind == "neumf" else "P"
-    textio.require(path, arrays, meta, blocks=(d_key,))
+    textio.require(source, arrays, meta, blocks=(d_key,))
     model = make_model(kind, n_users, n_items, arrays[d_key].shape[1], RandomStream(0))
-    textio.require(path, arrays, meta, blocks=model.params())
+    textio.require(source, arrays, meta, blocks=model.params())
     flat = {k for k, v in model.params().items() if v.ndim == 1}
     model.set_params(
         {k: (v.ravel() if k in flat else v) for k, v in arrays.items()}
     )
     return model
+
+
+def save_model(model, path) -> None:
+    """Checkpoint a model in the shared plain-text matrix format."""
+    textio.save_matrices(path, *model_state(model))
+
+
+def load_model(path):
+    """Rebuild a model from a checkpoint; training positives are not stored."""
+    return model_from_state(*textio.load_matrices(path), source=path)
 
 
 def _check_ids(ids, limit, what):

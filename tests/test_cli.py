@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -156,6 +157,7 @@ class TestPipeline:
         def no_fork():
             raise AssertionError("a worker started for a substituted train-target")
 
+        real = cli.PIPELINE_STAGES
         stage_synth_gen(tiny_cfg(), str(tmp_path))
         monkeypatch.setattr(
             cli, "PIPELINE_STAGES", tuple((name, stage(name)) for name, _ in cli.PIPELINE_STAGES)
@@ -167,6 +169,32 @@ class TestPipeline:
         last = run_pipeline(tiny_cfg(), str(tmp_path))
         assert len(seen) == len(cli.PIPELINE_STAGES)
         assert seen[-1]() is last
+
+        # The real stages hand the ranker models forward, each until the
+        # stage it was handed to ends. intervene fine-tunes the model it
+        # was handed and returns it, so evaluate is handed the same object.
+        held = {"intervene": {"train-target"}, "evaluate": {"train-target", "intervene"}}
+        models = {}
+
+        def holding(name, stage):
+            @functools.wraps(stage)
+            def run(cfg, out, **kwargs):
+                alive = {n for n, ref in models.items() if ref() is not None}
+                assert alive == held.get(name, set()), name
+                result = stage(cfg, out, **kwargs)
+                if name in ("train-target", "intervene"):
+                    models[name] = weakref.ref(result)
+                return result
+
+            return run
+
+        monkeypatch.setattr(
+            cli, "PIPELINE_STAGES", tuple((name, holding(name, fn)) for name, fn in real)
+        )
+        monkeypatch.setattr(cli, "_overlap_possible", lambda: False)
+        run_pipeline(tiny_cfg(), str(tmp_path / "real"))
+        assert models.keys() == {"train-target", "intervene"}
+        assert all(ref() is None for ref in models.values())
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         cfg = tiny_cfg()
@@ -191,9 +219,8 @@ class TestPipeline:
         cfg = tiny_cfg(**{"intervention.rounds": 0, "target.epochs": 8})
         run_pipeline(cfg, str(reused))
         run_pipeline(cfg, str(fresh))
-        assert (reused / "target_cpr.txt").exists()
-        for name in ("report.txt", "report.tsv"):
-            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        # The older run's intervene artifacts are removed with the rest.
+        assert run_files(reused) == run_files(fresh)
 
     def test_random_mode_row_name(self, tmp_path):
         cfg = tiny_cfg(**{"intervention.mode": "random"})
@@ -324,18 +351,23 @@ STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "inter
 
 # Runs a `cfrank` command with the overlap gate forced on (argv[1] == "1:")
 # or off ("0:"). A mode after the colon makes a child die before it reports,
-# the train-target worker ("1:die") or the intervene child
-# ("1:die-intervene"), or makes intervene's round 0 raise on either path
-# ("1:raise-round", "0:raise-round"). Every stage is wrapped as a tracer
-# wraps it. Prints one JSON line: the exit code, the forks made, the stages
-# this process called, and whether a child process is left, running or
-# unreaped.
+# the train-target worker ("1:die"), the intervene child ("1:die-intervene")
+# or the target_cpr.txt writer ("1:die-writer"; with the gate off the save
+# runs in process and nothing dies), or makes intervene's round 0 raise on
+# either path ("1:raise-round", "0:raise-round"). Every stage is wrapped as
+# a tracer wraps it. Prints one JSON line: the exit code, the forks made,
+# the stages this process called, and whether a child process is left,
+# running or unreaped. Mode "handoff" adds the checkpoints this process
+# loaded and, per model handed to a stage ("target" to intervene, "cpr" to
+# evaluate), whether it equals its checkpoint array for array.
 OVERLAP_DRIVER = """
 import functools, json, os, sys
-from cfrank import cli
+import numpy as np
+from cfrank import cli, rankers
 
-forks, called = [], []
+forks, called, loads, handed = [], [], [], {}
 fork = os.fork
+load, save = rankers.load_model, rankers.save_model
 
 def counting_fork():
     forks.append(os.getpid())
@@ -345,8 +377,28 @@ def traced(name, stage):
     @functools.wraps(stage)
     def run(*args, **kwargs):
         called.append(name)
+        for key in ("target", "cpr"):
+            if kwargs.get(key) is not None:  # copied: intervene trains it in place
+                arrays, meta = rankers.model_state(kwargs[key])
+                handed[key] = ({k: v.copy() for k, v in arrays.items()}, meta)
         return stage(*args, **kwargs)
     return run
+
+def counting_load(path):
+    loads.append(os.path.basename(path))
+    return load(path)
+
+def dying_save(model, path):
+    if os.path.basename(path) == "target_cpr.txt.part":
+        os._exit(9)
+    save(model, path)
+
+def same(state, path):
+    arrays, meta = rankers.model_state(load(path))
+    got, got_meta = state
+    return got_meta == meta and got.keys() == arrays.keys() and all(
+        np.array_equal(got[k], arrays[k]) for k in arrays
+    )
 
 def raise_in_round_0(*args):
     raise ValueError("round 0 raised")
@@ -361,6 +413,10 @@ if mode == "die-intervene":
     cli._round_batches = lambda *args: os._exit(9)
 if mode == "raise-round":
     cli._round_batches = raise_in_round_0
+if mode == "die-writer":
+    rankers.save_model = dying_save
+if mode == "handoff":
+    rankers.load_model = counting_load
 cli.PIPELINE_STAGES = tuple((n, traced(n, s)) for n, s in cli.PIPELINE_STAGES)
 code = cli.main(sys.argv[2:])
 try:
@@ -368,7 +424,15 @@ try:
     child = True
 except ChildProcessError:
     child = False
-print(json.dumps({"code": code, "forks": len(forks), "stages": called, "child": child}))
+result = {"code": code, "forks": len(forks), "stages": called, "child": child}
+if mode == "handoff":
+    out = sys.argv[sys.argv.index("--out") + 1]
+    result["loads"] = loads
+    result["handed"] = {
+        key: same(handed[key], os.path.join(out, name))
+        for key, name in (("target", "target.txt"), ("cpr", "target_cpr.txt"))
+    }
+print(json.dumps(result))
 """
 
 
@@ -402,7 +466,9 @@ def forced_pipeline(overlap, out, *settings, mode=""):
 
 
 def run_files(out):
-    return {p.name: p.read_bytes() for p in out.iterdir()}
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert not [name for name in files if ".part" in name], sorted(files)
+    return files
 
 
 def error_lines(err):
@@ -423,8 +489,10 @@ class TestOverlappedPipeline:
         for overlap in (True, False):
             out = tmp_path / str(overlap)
             result, err = forced_pipeline(overlap, out, *settings)
+            # synth-gen, the train-target worker, intervene's rounds and the
+            # target_cpr.txt writer
             assert result == {
-                "code": 0, "forks": 3 * overlap, "stages": STAGE_NAMES, "child": False
+                "code": 0, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False
             }, err
             files[overlap] = run_files(out)
             # By hand: synth-gen and intervene fork on their own.
@@ -513,6 +581,60 @@ class TestOverlappedPipeline:
         assert not (tmp_path / "target_cpr.txt").exists()
 
     @pytest.mark.parametrize(
+        "settings",
+        [(), ("target.kind=neumf", "target.objective=pointwise")],
+        ids=["bpr-mf", "neumf-pointwise"],
+    )
+    def test_models_handed_forward_equal_their_checkpoints(self, tmp_path, settings):
+        for overlap in (True, False):
+            result, err = forced_pipeline(
+                overlap, tmp_path / str(overlap), *settings, mode="handoff"
+            )
+            # Only evaluate loads a model checkpoint: target.txt, which
+            # intervene's fine-tune left behind in memory.
+            assert result == {
+                "code": 0, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False,
+                "loads": ["target.txt"], "handed": {"target": True, "cpr": True},
+            }, err
+
+    def test_target_cpr_writer_that_dies_fails_evaluate(self, tmp_path):
+        for overlap in (True, False):
+            out = tmp_path / str(overlap)
+            result, err = forced_pipeline(overlap, out, mode="die-writer")
+            assert result == {
+                "code": 2 if overlap else 0, "forks": 4 * overlap,
+                "stages": STAGE_NAMES, "child": False,
+            }, err
+            files = run_files(out)
+            if overlap:
+                assert error_lines(err) == [
+                    "error: stage 'evaluate' failed: the target_cpr.txt worker ended"
+                    " without a result (exit code 9)"
+                ]
+                assert "target_cpr.txt" not in files and "report.tsv" not in files
+                assert {"target.txt", "batches.tsv"} <= files.keys()
+            else:
+                assert error_lines(err) == []
+                assert {"target_cpr.txt", "report.tsv"} <= files.keys()
+
+    def test_failing_evaluate_keeps_target_cpr(self, tmp_path):
+        files, errors = {}, {}
+        for overlap in (True, False):
+            out = tmp_path / str(overlap)
+            result, err = forced_pipeline(overlap, out, "eval.n=0")
+            assert result == {
+                "code": 2, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False
+            }, err
+            files[overlap] = run_files(out)
+            errors[overlap] = error_lines(err)
+        assert errors[True] == errors[False]
+        assert errors[True] == ["error: stage 'evaluate' failed: n=0 must be >= 1"]
+        # intervene completed, so the writer was waited for and its files kept
+        assert {"target_cpr.txt", "target_cpr.txt.f64"} <= files[True].keys()
+        assert "report.tsv" not in files[True]
+        assert files[True] == files[False]
+
+    @pytest.mark.parametrize(
         "settings, mode, code",
         [
             # The parent's first fine-tune diverges while the child still
@@ -542,6 +664,8 @@ class TestOverlappedPipeline:
         assert len(errors[True]) == 1
         assert errors[True][0].startswith("error: stage 'intervene' failed: ")
         assert "batches.tsv" not in files[True]
+        # train-target completed, so its model was handed on and its files kept
+        assert {"target.txt", "target.txt.f64"} <= files[True].keys()
         assert files[True] == files[False]
 
 
