@@ -172,29 +172,35 @@ class TestPipeline:
 
         # The real stages hand the ranker models forward, each until the
         # stage it was handed to ends. intervene fine-tunes the model it
-        # was handed and returns it, so evaluate is handed the same object.
-        held = {"intervene": {"train-target"}, "evaluate": {"train-target", "intervene"}}
-        models = {}
-
-        def holding(name, stage):
-            @functools.wraps(stage)
-            def run(cfg, out, **kwargs):
-                alive = {n for n, ref in models.items() if ref() is not None}
-                assert alive == held.get(name, set()), name
-                result = stage(cfg, out, **kwargs)
-                if name in ("train-target", "intervene"):
-                    models[name] = weakref.ref(result)
-                return result
-
-            return run
-
-        monkeypatch.setattr(
-            cli, "PIPELINE_STAGES", tuple((name, holding(name, fn)) for name, fn in real)
-        )
+        # was handed and returns it, so evaluate is handed the same object;
+        # without intervene, no stage takes train-target's model.
         monkeypatch.setattr(cli, "_overlap_possible", lambda: False)
-        run_pipeline(tiny_cfg(), str(tmp_path / "real"))
-        assert models.keys() == {"train-target", "intervene"}
-        assert all(ref() is None for ref in models.values())
+        for rounds, held in (
+            (1, {"intervene": {"train-target"}, "evaluate": {"train-target", "intervene"}}),
+            (0, {}),
+        ):
+            models = {}
+
+            def holding(name, stage, models=models, held=held):
+                @functools.wraps(stage)
+                def run(cfg, out, **kwargs):
+                    alive = {n for n, ref in models.items() if ref() is not None}
+                    assert alive == held.get(name, set()), name
+                    result = stage(cfg, out, **kwargs)
+                    if name in ("train-target", "intervene"):
+                        models[name] = weakref.ref(result)
+                    return result
+
+                return run
+
+            monkeypatch.setattr(
+                cli, "PIPELINE_STAGES", tuple((name, holding(name, fn)) for name, fn in real)
+            )
+            run_pipeline(
+                tiny_cfg(**{"intervention.rounds": rounds}), str(tmp_path / f"real{rounds}")
+            )
+            assert "train-target" in models
+            assert all(ref() is None for ref in models.values())
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         cfg = tiny_cfg()
