@@ -10,29 +10,27 @@ byte-identical results to the one-shot pipeline. Each matrix checkpoint
 stage reads in place of parsing the text while it matches the text's sha256
 (see `textio`); the text stays the artifact of record.
 
-`run_pipeline` runs the stages in order and hands the target ranker
-forward in memory: train-target's model goes to intervene, which
-fine-tunes it instead of loading target.txt, and the fine-tuned model goes
-to evaluate, which scores it instead of loading target_cpr.txt. Where a
-second CPU is free, the stages also use it through forked child processes
-whose values come back pickled through a pipe: synth-gen emits the second
-half of the users' lists in a child while the main process emits the
-first half; train-target reads only the dataset, so its fit runs in a
-child started in train-sim's slot, beside train-sim and fit-posterior,
-which sends the model to the train-target stage and then writes
-target.txt beside intervene; intervene, after pretraining its policy,
-generates the rounds' counterfactual batches in a child while the main
-process fine-tunes on each batch as it arrives, and then leaves
-target_cpr.txt to a child that writes it while evaluate scores the model.
-Evaluate waits for both checkpoints before it writes the reports. Every
-branch draws only from its own labelled substreams, so every artifact is
-the same byte for byte either way. Forking needs Linux with `fork`, at
-least two usable CPUs, single-threaded BLAS (`OPENBLAS_NUM_THREADS=1`, or
-it unset and `OMP_NUM_THREADS=1`; the `cfrank` command sets the former by
-default) and no other thread in the process; otherwise the work runs in
-turn in the main process. Stages run by hand through their subcommands
-fork in synth-gen and intervene alike and write every checkpoint in their
-own slot; train-target forks only in the pipeline.
+`run_pipeline` hands every stage one run record (`_Run`), which carries
+the target ranker forward in memory: train-target's model goes to
+intervene, which fine-tunes it instead of loading target.txt, and the
+fine-tuned model goes to evaluate, which scores it instead of loading
+target_cpr.txt. Where a second CPU is free, the stages also use it through
+forked child processes whose values come back pickled through a pipe:
+synth-gen emits the second half of the users' lists in a child while the
+main process emits the first half; train-target's fit runs in a child
+started in train-sim's slot, which sends the model to the train-target
+stage and then writes target.txt beside intervene; intervene generates the
+rounds' counterfactual batches in a child while the main process
+fine-tunes on each batch as it arrives, and then leaves target_cpr.txt to
+a child that writes it while evaluate scores the model. Every branch draws
+only from its own labelled substreams, so every artifact is the same byte
+for byte either way. Forking needs Linux with `fork`, at least two usable
+CPUs, single-threaded BLAS (`OPENBLAS_NUM_THREADS=1`, or it unset and
+`OMP_NUM_THREADS=1`; the `cfrank` command sets the former by default) and
+no other thread in the process; otherwise the work runs in turn in the
+main process. A stage run by hand makes its own record, which hands nothing
+on and forks no checkpoint child: synth-gen and intervene fork alike, and
+every checkpoint is written in its own stage.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import inspect
 import os
 import pickle
 import re
@@ -250,7 +247,7 @@ def _cpr_name(cfg):
 # Stages
 
 
-def stage_synth_gen(cfg, out):
+def stage_synth_gen(cfg, out, run=None):
     """Draws the world and its log and writes world.txt and data.tsv.
 
     A forked child (`_beside`) emits the lists of the second half of the
@@ -287,13 +284,12 @@ def stage_synth_gen(cfg, out):
     return log
 
 
-def stage_train_sim(cfg, out, worker=None):
+def stage_train_sim(cfg, out, run=None):
     """Fits the simulator and writes sim.txt; returns its parameters.
 
-    `run_pipeline` may pass the `_TargetWorker` for train-target, which this
-    stage starts first, so that its fork falls in this stage's slot."""
-    if worker is not None:
-        worker.start()
+    In a pipeline it first forks train-target's fit (`_fork_fit`), so that
+    the fork falls in this stage's slot."""
+    _fork_fit(run or _Run(cfg, out))
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
     stream = RandomStream(cfg["seed"])
@@ -325,7 +321,7 @@ def stage_train_sim(cfg, out, worker=None):
     return params
 
 
-def stage_fit_posterior(cfg, out):
+def stage_fit_posterior(cfg, out, run=None):
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
     params = simulator.load_sim_params(_artifact(out, "sim.txt", must_exist=True))
@@ -387,18 +383,44 @@ def _fit_target(cfg, train):
     return model
 
 
-def stage_train_target(cfg, out, worker=None):
-    """Fits the target ranker and writes target.txt; returns the model.
+def _fork_fit(run):
+    """Forks train-target's fit and save (`_fit_and_save`) into a pipeline's
+    `run` where `_overlap_possible()` holds. A bad train-target config or
+    dataset, or a failed fork, starts nothing: train-target then runs in its
+    own slot and fails there. The dataset is loaded and split here, so this
+    process still makes one load per stage that reads it."""
+    if not (run.pipeline and _overlap_possible()):
+        return
+    try:
+        _target_trainer(run.cfg)
+        train = _split(run.cfg, _load_dataset(run.cfg, run.out)).train
+    except Exception:  # train-target then runs in its slot
+        return
+    run.start_child(
+        "train-target", "target.txt", "train-target", _fit_and_save, run.cfg, train
+    )
 
-    `run_pipeline` may pass the `_TargetWorker` that train-sim started; if
-    it did fork, the stage returns the model its child fitted, or raises
-    what the fit raised, and the child goes on to write target.txt.
-    """
-    if worker is not None and worker.child is not None:
-        return worker.model()
-    log = _load_dataset(cfg, out)
-    model = _fit_target(cfg, _split(cfg, log).train)
-    rankers.save_model(model, _artifact(out, "target.txt"))
+
+def _fit_and_save(cfg, train, path):
+    """The fitted model's state, sent before the model is saved at `path`."""
+    model = _fit_target(cfg, train)
+    yield rankers.model_state(model)
+    rankers.save_model(model, path)
+
+
+def stage_train_target(cfg, out, run=None):
+    """Fits the target ranker and writes target.txt; returns the model and
+    hands it on in `run`. If train-sim forked the fit, the model comes from
+    the child, or what the fit raised is raised, and the child goes on to
+    write target.txt."""
+    run = run or _Run(cfg, out)
+    if "target.txt" in run.children:
+        model = rankers.model_from_state(*next(run.children["target.txt"][1]))
+    else:
+        log = _load_dataset(cfg, out)
+        model = _fit_target(cfg, _split(cfg, log).train)
+        rankers.save_model(model, _artifact(out, "target.txt"))
+    run.models["target.txt"] = model
     return model
 
 
@@ -427,7 +449,7 @@ def _round_batches(cfg, policy, params, posterior, n_users, stream):
         yield batch
 
 
-def stage_intervene(cfg, out, target=None, writer=None):
+def stage_intervene(cfg, out, run=None):
     """Generate counterfactual batches and retrain the target model on them,
     mixed one-to-one with resampled observed positives per round; writes
     policy.txt, batches.tsv and target_cpr.txt and returns the model.
@@ -436,11 +458,12 @@ def stage_intervene(cfg, out, target=None, writer=None):
     rounds' batches in order while this process fine-tunes on each batch as
     it arrives; rounds score no reward, so they do not wait for the target.
 
-    `run_pipeline` passes the model train-target returned as `target`,
-    fine-tuned in place of loading target.txt, and the `_ForkedCheckpoint`
-    of target_cpr.txt as `writer`, whose child saves the fine-tuned model
-    while the next stage runs.
+    It fine-tunes the model train-target handed on in `run`, if any, in
+    place of loading target.txt, and hands the result on to evaluate. In a
+    pipeline, a child forked into `run` writes target_cpr.txt while the
+    next stage runs.
     """
+    run = run or _Run(cfg, out)
     if cfg["intervention.rounds"] < 1:
         raise ConfigError("intervene needs intervention.rounds >= 1")
     actions = cfg["intervention.actions"]
@@ -455,8 +478,7 @@ def stage_intervene(cfg, out, target=None, writer=None):
     posterior = simulator.load_posterior(
         _artifact(out, "posterior.txt", must_exist=True)
     )
-    if target is None:
-        target = rankers.load_model(_artifact(out, "target.txt", must_exist=True))
+    target = run.take("target.txt")
     if not target.trainable:
         raise ConfigError(f"target.kind {kind!r} cannot be retrained")
     observed = rankers.TrainingData.from_log(train)
@@ -521,29 +543,26 @@ def stage_intervene(cfg, out, target=None, writer=None):
                 ),
                 stream.substream(f"finetune{rnd}"),
             )
-    forked = writer is not None and writer.write_in_child(
-        "target_cpr.txt", _one, rankers.save_model, target
+    forked = run.start_child(
+        "target_cpr.txt", "target_cpr.txt", "intervene", _one, rankers.save_model, target
     )
     all_batches.to_tsv(_artifact(out, "batches.tsv"))
-    if forked:
-        writer.keep = True
-    else:
+    if not forked:
         rankers.save_model(target, _artifact(out, "target_cpr.txt"))
+    run.models["target_cpr.txt"] = target
     return target
 
 
-def stage_evaluate(cfg, out, cpr=None, target_write=None, cpr_write=None):
+def stage_evaluate(cfg, out, run=None):
     """Scores the target model (target.txt) and, after intervene, the CPR
     model (target_cpr.txt); writes report.txt and report.tsv and returns
     the reports.
 
-    `run_pipeline` passes the model intervene returned as `cpr`, scored in
-    place of loading target_cpr.txt, and the `_ForkedCheckpoint`s of
-    target.txt and target_cpr.txt: the stage finishes the first before it
-    loads target.txt and the second before it writes the reports.
+    It scores the model intervene handed on in `run`, if any, in place of
+    loading target_cpr.txt, and finishes the child writing target_cpr.txt
+    before it writes the reports.
     """
-    if target_write is not None:
-        target_write.finish()
+    run = run or _Run(cfg, out)
     log = _load_dataset(cfg, out)
     split = _split(cfg, log)
     stream = RandomStream(cfg["seed"]).substream("eval")
@@ -552,12 +571,12 @@ def stage_evaluate(cfg, out, cpr=None, target_write=None, cpr_write=None):
 
     reports = {}
     coldness = {}
-    models = [(_target_name(cfg), "target.txt", None)]
+    models = [(_target_name(cfg), "target.txt")]
     # A run directory reused with rounds=0 may hold an older run's model.
-    if cpr is not None or (
+    if "target_cpr.txt" in run.models or (
         cfg["intervention.rounds"] > 0 and os.path.exists(_artifact(out, "target_cpr.txt"))
     ):
-        models.append((_cpr_name(cfg), "target_cpr.txt", cpr))
+        models.append((_cpr_name(cfg), "target_cpr.txt"))
     buckets = None
     if cfg["eval.coldness"]:
         buckets = coldness_buckets(
@@ -565,9 +584,8 @@ def stage_evaluate(cfg, out, cpr=None, target_write=None, cpr_write=None):
         )
     # Every model gets a fresh stream with the same label, so under
     # sampled candidates all models rank against the same negatives.
-    for name, artifact, model in models:
-        if model is None:
-            model = rankers.load_model(_artifact(out, artifact, must_exist=True))
+    for name, artifact in models:
+        model = run.take(artifact)
         model.user_positives = split.train.positives_by_user()
         reports[name] = evalkit.evaluate(
             model,
@@ -604,8 +622,7 @@ def stage_evaluate(cfg, out, cpr=None, target_write=None, cpr_write=None):
         rows = {f"{name}@{bucket}": rep for bucket, rep in per_bucket.items()}
         tsv.append(evalkit.comparison_tsv(rows))
     report_text = "\n".join(header) + "\n\n" + "\n".join(body) + "\n"
-    if cpr_write is not None:
-        cpr_write.finish()
+    run.finish("target_cpr.txt")
     with open(_artifact(out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report_text)
     with open(_artifact(out, "report.tsv"), "w", encoding="utf-8") as fh:
@@ -621,13 +638,12 @@ PIPELINE_STAGES = (
     ("intervene", stage_intervene),
     ("evaluate", stage_evaluate),
 )
-_REAL_STAGES = PIPELINE_STAGES  # `run_pipeline` hands models on only through these
 
 
-def run_stage(name, cfg, out, **kwargs):
+def run_stage(name, cfg, out, run=None):
     """One stage by name; any error it raises comes out as a StageError."""
     try:
-        return dict(PIPELINE_STAGES)[name](cfg, out, **kwargs)
+        return dict(PIPELINE_STAGES)[name](cfg, out, run=run)
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -755,165 +771,109 @@ def _remove_with_twin(path):
             os.remove(path + suffix)
 
 
-class _ForkedCheckpoint:
-    """A checkpoint and its twin that a forked child writes under temporary
-    names (`path + ".part"`), so that an unfinished write leaves nothing at
-    `path`.
+class _Run:
+    """What one pipeline run hands from stage to stage.
 
-    `write_in_child` starts the child; `finish` waits for it, raises what
-    it raised and moves its files into place. `keep` marks the checkpoint
-    of a stage that completed: `close` then moves the files into place if
-    the child wrote them, and otherwise removes them. Both are no-ops once
-    no child is left, so every path through a pipeline can end in `close`.
+    `models` holds, by checkpoint name, the ranker train-target fitted until
+    intervene takes it and the one intervene fine-tuned until evaluate
+    takes it. `children` holds, by checkpoint name, the forked children that
+    write a checkpoint and its twin under `path + ".part"`, so that an
+    unfinished write leaves nothing at `path`, each with the stage that
+    owns it: train-target for its fit, intervene for the target_cpr.txt
+    writer. A child's files are kept only if its owner is in `completed`,
+    which `run_pipeline` fills. A stage run by hand makes its own record
+    (`pipeline=False`), which forks nothing.
     """
 
-    def __init__(self, path):
-        self.path = path
-        self.part = path + ".part"
-        self.child = None
-        self.keep = False
+    def __init__(self, cfg, out, pipeline=False):
+        self.cfg, self.out, self.pipeline = cfg, out, pipeline
+        self.models = {}
+        self.children = {}  # checkpoint name -> (owning stage, _Forked)
+        self.completed = set()
 
-    def write_in_child(self, name, generate, *args):
-        """Runs generate(*args, temporary path) in a `_Forked` child where
-        `_overlap_possible()` holds and the fork succeeds; returns whether
-        it did."""
-        if _overlap_possible():
+    def start_child(self, label, name, owner, generate, *args):
+        """Runs generate(*args, temporary path of checkpoint `name`) in a
+        `_Forked` child named `label` and owned by stage `owner`, where this
+        is a pipeline's record, `_overlap_possible()` holds and the fork
+        succeeds; returns whether it did."""
+        if self.pipeline and _overlap_possible():
             with contextlib.suppress(OSError):
-                self.child = _Forked(name, generate, *args, self.part)
-        return self.child is not None
+                part = _artifact(self.out, name + ".part")
+                self.children[name] = (owner, _Forked(label, generate, *args, part))
+        return name in self.children
 
-    def finish(self):
-        child, self.child = self.child, None
+    def take(self, name):
+        """The model handed on for checkpoint `name`, which the record then
+        drops; otherwise the checkpoint, loaded once its child finished."""
+        model = self.models.pop(name, None)
+        if model is None:
+            self.finish(name)
+            model = rankers.load_model(_artifact(self.out, name, must_exist=True))
+        return model
+
+    def finish(self, name):
+        """Waits for the child writing checkpoint `name`, if one is left.
+        If its owner completed, reads it to the end, raises what it raised
+        and moves its files into place; otherwise closes the pipe first, so
+        a child blocked on it fails and ends. No temporary file is left."""
+        owner, child = self.children.pop(name, (None, None))
         if child is None:
             return
+        part = _artifact(self.out, name + ".part")
         try:
-            for _ in child:
-                pass
-            for suffix in ("", textio.TWIN_SUFFIX):
-                os.replace(self.part + suffix, self.path + suffix)
+            if owner in self.completed:
+                for _ in child:
+                    pass
+                for suffix in ("", textio.TWIN_SUFFIX):
+                    os.replace(part + suffix, _artifact(self.out, name + suffix))
         finally:
             child.close()
-            _remove_with_twin(self.part)
+            _remove_with_twin(part)
 
     def close(self):
-        """Waits for the child. Never raises: a pipeline that has not
-        finished the checkpoint is failing already."""
-        if self.keep:
+        """Finishes every child left. Never raises: a pipeline that has not
+        finished a checkpoint is failing already."""
+        for name in list(self.children):
             with contextlib.suppress(Exception):
-                self.finish()
-        elif self.child is not None:
-            self.child.close()  # a child blocked on the pipe fails and ends
-            self.child = None
-            _remove_with_twin(self.part)
-
-
-class _TargetWorker(_ForkedCheckpoint):
-    """train-target's fit and save in a forked child, beside train-sim and
-    fit-posterior.
-
-    `run_pipeline` makes one and passes it to three stages: train-sim
-    `start`s it; train-target takes the fitted `model`, which the child
-    sends as soon as its fit ends, before it writes target.txt and its twin
-    under a temporary name; evaluate `finish`es it before loading
-    target.txt. So a run that fails before train-target ends leaves no
-    target.txt, as when the stages run one after another, and one that
-    fails later keeps it.
-    """
-
-    def __init__(self, cfg, out):
-        super().__init__(_artifact(out, "target.txt"))
-        self.cfg = cfg
-        self.out = out
-
-    def start(self):
-        """Forks the child where `_overlap_possible()` holds. A bad
-        train-target config or dataset, or a failed fork, starts nothing:
-        train-target then runs in its own slot and fails there. The dataset
-        is loaded and split here, so this process still makes one load per
-        stage that reads it."""
-        if not _overlap_possible():
-            return
-        try:
-            _target_trainer(self.cfg)
-            train = _split(self.cfg, _load_dataset(self.cfg, self.out)).train
-        except Exception:  # train-target then runs in its slot
-            return
-        self.write_in_child("train-target", self._fit, train)
-
-    def _fit(self, train, part):
-        model = _fit_target(self.cfg, train)
-        yield rankers.model_state(model)
-        rankers.save_model(model, part)
-
-    def model(self):
-        """The child's fitted model, rebuilt from its state; raises what the
-        fit raised."""
-        model = rankers.model_from_state(*next(self.child))
-        self.keep = True
-        return model
+                self.finish(name)
 
 
 def run_pipeline(cfg, out):
     """All stages in order; completed artifacts survive a failing stage.
 
     Returns the last stage's result. Earlier results are dropped as soon
-    as their stage ends, except that the two ranker models go forward in
-    memory when the stage table holds the real stages (seen through
-    wrappers): train-target's model is handed to intervene, which
-    fine-tunes it in place of loading target.txt, and intervene's to
-    evaluate, which scores it in place of loading target_cpr.txt. Each is
-    released when the stage it was handed to ends.
-
-    Where `_overlap_possible()` holds, synth-gen and intervene fork a child
-    process (`_Forked`) on their own, also when run by hand. With the real
-    stages, this function also hands train-sim, train-target and evaluate
-    a `_TargetWorker`, so that train-target's fit runs beside train-sim and
-    fit-posterior and its target.txt is written beside intervene, and hands
-    intervene and evaluate a `_ForkedCheckpoint`, in whose child
-    target_cpr.txt is written while evaluate scores the model; evaluate
-    finishes both before it writes the reports. Otherwise every checkpoint
-    is written in its own stage. Every stage of the table is called once,
+    as their stage ends. Every stage is handed one `_Run`, which carries
+    train-target's model to intervene and intervene's to evaluate, each
+    until the stage that takes it ends, and the children that write
+    target.txt and target_cpr.txt. Every stage of the table is called once,
     in order, in this process, and every fork falls inside a stage's call.
-    Each child is waited for, never killed, before its stage (or, for the
-    two checkpoints, evaluate or this function) returns or raises.
+    Each child is waited for, never killed, before its stage, evaluate or
+    this function returns or raises; this function records each stage that
+    completes, and a checkpoint child's files are kept only if the stage
+    that owns it completed.
 
-    Skipping intervene (rounds=0) removes what an older run's intervene
-    left in `out`, so the directory ends as a fresh run's would.
+    Skipping intervene (rounds=0) drops train-target's model and removes
+    what an older run's intervene left in `out`, so the directory ends as a
+    fresh run's would.
     """
     os.makedirs(out, exist_ok=True)
-    handoff = tuple((n, inspect.unwrap(fn)) for n, fn in PIPELINE_STAGES) == _REAL_STAGES
-    worker = _TargetWorker(cfg, out) if handoff else None
-    writer = _ForkedCheckpoint(_artifact(out, "target_cpr.txt")) if handoff else None
+    run = _Run(cfg, out, pipeline=True)
     result = None
     try:
         for name, _ in PIPELINE_STAGES:
             if name == "synth-gen" and cfg["dataset.kind"] != "synthetic":
                 continue
             if name == "intervene" and cfg["intervention.rounds"] == 0:
-                result = None  # no stage takes the target model
+                run.models.clear()  # no stage takes the target model
                 for artifact in ("policy.txt", "batches.tsv", "target_cpr.txt"):
                     _remove_with_twin(_artifact(out, artifact))
                 continue
-            handed = {}
-            if handoff:
-                handed = {
-                    "train-sim": {"worker": worker},
-                    "train-target": {"worker": worker},
-                    "intervene": {"target": result, "writer": writer},
-                    "evaluate": {
-                        "cpr": result,
-                        "target_write": worker,
-                        "cpr_write": writer,
-                    },
-                }.get(name, {})
-            result = None  # not held while the next stage runs, unless handed
-            result = run_stage(name, cfg, out, **handed)
-            handed = None
+            result = None  # not held while the next stage runs
+            result = run_stage(name, cfg, out, run=run)
+            run.completed.add(name)
         return result
     finally:
-        for checkpoint in (worker, writer):
-            if checkpoint is not None:
-                checkpoint.close()
+        run.close()
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +901,10 @@ def _resolve(args):
         overrides[key.strip()] = value
     cfg = load_config(args.config, overrides)
     out = args.out or cfg["out.dir"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"run directory {out!r}: {exc.strerror}") from None
     return cfg, out
 
 

@@ -484,6 +484,10 @@ def pretrain_policy(
     intervention per user with exploration noise whose std decays linearly
     from `explore_start` to zero, and takes one policy-gradient step.
     """
+    if episodes < 0:
+        raise ValueError(f"episodes={episodes} must be >= 0")
+    if steps_per_episode < 1:
+        raise ValueError(f"steps_per_episode={steps_per_episode} must be >= 1")
     for ep in range(episodes):
         decay = 1.0 - (ep / max(episodes - 1, 1))
         explore = explore_start * decay

@@ -411,6 +411,8 @@ class ItemKnn(RankingModel):
 
 
 def make_model(kind, n_users, n_items, d=64, stream=None, neighborhood=20):
+    if kind in GRADIENT_KINDS and d < 1:
+        raise ValueError(f"d={d} must be >= 1")
     if kind == "bpr-mf":
         return BprMF(n_users, n_items, d, stream)
     if kind == "gmf":

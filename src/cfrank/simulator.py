@@ -296,6 +296,7 @@ def train_impression_model(
     """Fit the exposure half (P, Q, w_r) by negative-sampled maximum
     likelihood and return those three arrays; the exogenous alpha is
     redrawn per batch and the loss is averaged over `alpha_draws` draws."""
+    _check_count("d_r", hyper.d_r)
     _check_count("alpha_draws", hyper.alpha_draws)
     _check_count("neg_per_pos", hyper.neg_per_pos)
     arrays = _log_arrays(log)
@@ -372,6 +373,7 @@ def train_selection_model(
     Records with no selected item contribute no likelihood term and are
     skipped; beta is redrawn per batch, averaged over `beta_draws`.
     """
+    _check_count("d_s", hyper.d_s)
     _check_count("beta_draws", hyper.beta_draws)
     arrays = _log_arrays(log)
     init = stream.substream("init")

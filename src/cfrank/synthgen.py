@@ -57,6 +57,8 @@ class SyntheticWorld:
 def make_world(
     n_users=600, n_items=300, d=16, noise_std=0.0, stream: RandomStream | None = None
 ) -> SyntheticWorld:
+    if d < 1:
+        raise ValueError(f"d={d} must be >= 1")
     noise_std = float(noise_std)
     if not (np.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")

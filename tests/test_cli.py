@@ -146,7 +146,7 @@ class TestPipeline:
         seen = []
 
         def stage(name):
-            def run(cfg, out):
+            def run(cfg, out, **kwargs):
                 assert all(ref() is None for ref in seen), name
                 result = Result()
                 seen.append(weakref.ref(result))
@@ -201,6 +201,29 @@ class TestPipeline:
             )
             assert "train-target" in models
             assert all(ref() is None for ref in models.values())
+
+    def test_plain_wrappers_keep_the_handoff(self, tmp_path, monkeypatch):
+        # Stages wrapped without functools.wraps still hand their models on:
+        # only evaluate loads a model checkpoint, target.txt.
+        from cfrank import cli, rankers
+
+        loads = []
+        load = rankers.load_model
+
+        def counting_load(path):
+            loads.append(os.path.basename(path))
+            return load(path)
+
+        def plain(fn):
+            return lambda cfg, out, **kw: fn(cfg, out, **kw)
+
+        monkeypatch.setattr(rankers, "load_model", counting_load)
+        monkeypatch.setattr(cli, "_overlap_possible", lambda: False)
+        monkeypatch.setattr(
+            cli, "PIPELINE_STAGES", tuple((n, plain(fn)) for n, fn in cli.PIPELINE_STAGES)
+        )
+        run_pipeline(tiny_cfg(), str(tmp_path))
+        assert loads == ["target.txt"]
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         cfg = tiny_cfg()
@@ -360,7 +383,8 @@ STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "inter
 # the train-target worker ("1:die"), the intervene child ("1:die-intervene")
 # or the target_cpr.txt writer ("1:die-writer"; with the gate off the save
 # runs in process and nothing dies), or makes intervene's round 0 raise on
-# either path ("1:raise-round", "0:raise-round"). Every stage is wrapped as
+# either path ("1:raise-round", "0:raise-round"), or makes intervene's
+# batches.tsv write fail ("fail-batches"). Every stage is wrapped as
 # a tracer wraps it. Prints one JSON line: the exit code, the forks made,
 # the stages this process called, and whether a child process is left,
 # running or unreaped. Mode "handoff" adds the checkpoints this process
@@ -369,7 +393,7 @@ STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "inter
 OVERLAP_DRIVER = """
 import functools, json, os, sys
 import numpy as np
-from cfrank import cli, rankers
+from cfrank import cli, intervention, rankers
 
 forks, called, loads, handed = [], [], [], {}
 fork = os.fork
@@ -383,9 +407,10 @@ def traced(name, stage):
     @functools.wraps(stage)
     def run(*args, **kwargs):
         called.append(name)
-        for key in ("target", "cpr"):
-            if kwargs.get(key) is not None:  # copied: intervene trains it in place
-                arrays, meta = rankers.model_state(kwargs[key])
+        models = getattr(kwargs.get("run"), "models", {})
+        for key, checkpoint in (("target", "target.txt"), ("cpr", "target_cpr.txt")):
+            if checkpoint in models:  # copied: intervene trains it in place
+                arrays, meta = rankers.model_state(models[checkpoint])
                 handed[key] = ({k: v.copy() for k, v in arrays.items()}, meta)
         return stage(*args, **kwargs)
     return run
@@ -398,6 +423,9 @@ def dying_save(model, path):
     if os.path.basename(path) == "target_cpr.txt.part":
         os._exit(9)
     save(model, path)
+
+def failing_to_tsv(batch, path):
+    raise OSError(f"cannot write {os.path.basename(path)}")
 
 def same(state, path):
     arrays, meta = rankers.model_state(load(path))
@@ -423,6 +451,8 @@ if mode == "die-writer":
     rankers.save_model = dying_save
 if mode == "handoff":
     rankers.load_model = counting_load
+if mode == "fail-batches":
+    intervention.CounterfactualBatch.to_tsv = failing_to_tsv
 cli.PIPELINE_STAGES = tuple((n, traced(n, s)) for n, s in cli.PIPELINE_STAGES)
 code = cli.main(sys.argv[2:])
 try:
@@ -638,6 +668,24 @@ class TestOverlappedPipeline:
         # intervene completed, so the writer was waited for and its files kept
         assert {"target_cpr.txt", "target_cpr.txt.f64"} <= files[True].keys()
         assert "report.tsv" not in files[True]
+        assert files[True] == files[False]
+
+    def test_failing_batches_write_removes_the_target_cpr_writer(self, tmp_path):
+        files, errors = {}, {}
+        for overlap in (True, False):
+            out = tmp_path / str(overlap)
+            result, err = forced_pipeline(overlap, out, mode="fail-batches")
+            assert result == {
+                "code": 2, "forks": 4 * overlap, "stages": STAGE_NAMES[:5], "child": False
+            }, err
+            files[overlap] = run_files(out)
+            errors[overlap] = error_lines(err)
+        assert errors[True] == errors[False]
+        assert errors[True] == ["error: stage 'intervene' failed: cannot write batches.tsv"]
+        # The writer had forked, but intervene did not complete: its files
+        # were removed, and train-target's were kept.
+        assert not {"batches.tsv", "target_cpr.txt", "target_cpr.txt.f64"} & files[True].keys()
+        assert {"target.txt", "target.txt.f64", "policy.txt"} <= files[True].keys()
         assert files[True] == files[False]
 
     @pytest.mark.parametrize(
@@ -963,6 +1011,32 @@ class TestMainEntry:
         assert code == 1
         assert "dataset.max_users=-1 must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "sim.txt").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "train-sim"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(
+        self, tmp_path, capsys, command
+    ):
+        existing = tmp_path / "file"
+        existing.write_text("")
+        for out in (existing, existing / "run"):  # FileExistsError, NotADirectoryError
+            assert main([command, "--out", str(out), *config_args()]) == 1
+            (line,) = error_lines(capsys.readouterr().err)
+            assert line.startswith(f"config error: run directory {str(out)!r}: ")
+        assert existing.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            ("synth-gen", "synth.d=0", "stage 'synth-gen' failed: d=0 must be >= 1"),
+            ("pipeline", "simulator.d_s=-1", "stage 'train-sim' failed: d_s=-1 must be >= 1"),
+            ("pipeline", "target.d=0", "stage 'train-target' failed: d=0 must be >= 1"),
+            ("pipeline", "intervention.pretrain_episodes=-1",
+             "stage 'intervene' failed: episodes=-1 must be >= 0"),
+        ],
+    )
+    def test_bad_size_fails_its_stage(self, tmp_path, capsys, command, setting, message):
+        assert main([command, "--out", str(tmp_path), *config_args(setting)]) == 2
+        assert error_lines(capsys.readouterr().err) == [f"error: {message}"]
 
     def test_stage_subcommand(self, tmp_path, capsys):
         code = main(

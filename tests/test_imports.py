@@ -4,8 +4,9 @@ Every name a module imports is used in that module, and only `mathcore`
 sorts or partitions for a ranking (its `top_k` holds the tie rule; a
 `sorted(..., key=...)` call counts as a ranking sort) or scatters with a
 `ufunc.at` call (its `scatter_add` takes the flat fast path). Only the
-fork helper in `cli` (`_Forked`) forks a process, and only `cli` pickles,
-for what a child sends back through its pipe. No linter
+fork helper in `cli` (`_Forked`) forks a process, only the two functions
+that check the overlap gate start one, and only `cli` pickles, for what a
+child sends back through its pipe. No linter
 ships with the project, so this parses each module with `ast`.
 The package `__init__` is skipped by the import check: its imports are the
 public exports.
@@ -134,9 +135,10 @@ def test_detects_a_ufunc_at_call():
 FORKS = {"fork", "forkpty"}
 
 
-def fork_calls(source: str) -> list:
-    """(line, enclosing class or function) of every `os.fork(...)`,
-    `os.forkpty(...)` or bare `fork(...)` call; the module scope is ""."""
+def fork_calls(source: str, names=FORKS) -> list:
+    """(line, enclosing class or function) of every call of a name in
+    `names`, as `x.name(...)` or a bare `name(...)`: by default `os.fork`,
+    `os.forkpty` or `fork`. The module scope is ""."""
     found = []
 
     def visit(node, scope):
@@ -147,7 +149,7 @@ def fork_calls(source: str) -> list:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "attr", None) or getattr(func, "id", None)
-                if name in FORKS:
+                if name in names:
                     found.append((child.lineno, scope))
             visit(child, inner)
 
@@ -180,6 +182,13 @@ def test_fork_only_in_the_cli_helper(path):
         assert [scope for _, scope in calls] == ["_Forked.__init__"]
     else:
         assert calls == []
+
+
+def test_children_start_only_behind_the_overlap_gate():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    starts = {scope for _, scope in fork_calls(source, {"_Forked"})}
+    assert starts == {"_beside", "_Run.start_child"}
+    assert starts <= {scope for _, scope in fork_calls(source, {"_overlap_possible"})}
 
 
 @pytest.mark.parametrize(

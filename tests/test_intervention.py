@@ -500,6 +500,18 @@ class TestInterventionRound:
         )
         assert changed
 
+    @pytest.mark.parametrize(
+        "episodes, steps, field",
+        [(-1, 4, "episodes"), (3, 0, "steps_per_episode"), (0, -1, "steps_per_episode")],
+    )
+    def test_pretrain_bad_size_rejected(self, episodes, steps, field):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            pretrain_policy(
+                self.policy, self.params, self.posterior, self.target, n_users=2,
+                episodes=episodes, steps_per_episode=steps, mode="pairwise", k=1,
+                lr=0.01, stream=RandomStream(6),
+            )
+
 
 class TestBatchIO:
     def test_tsv_round_trip(self, tmp_path):

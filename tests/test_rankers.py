@@ -377,6 +377,14 @@ class TestTrainingSizes:
         with pytest.raises(ValueError, match=f"^{field}="):
             train(model, TrainingData.from_log(small_log()), hyper, RandomStream(3))
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_bad_dimension_rejected(self, d):
+        for kind in GRADIENT_KINDS:
+            with pytest.raises(ValueError, match=f"^d={d} must be >= 1"):
+                make_model(kind, 3, 6, d, RandomStream(2))
+        for kind in set(ALL_KINDS) - set(GRADIENT_KINDS):  # d is not used
+            assert make_model(kind, 3, 6, d).n_items == 6
+
     @pytest.mark.parametrize("kind", ["bpr-mf", "neumf"])
     @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -231,6 +231,10 @@ class TestTrainingSizes:
             (train_selection_model, SelectionHyper(beta_draws=0), "beta_draws"),
             (train_impression_model, ImpressionHyper(neg_per_pos=0), "neg_per_pos"),
             (train_impression_model, ImpressionHyper(neg_per_pos=-1), "neg_per_pos"),
+            (train_impression_model, ImpressionHyper(d_r=0), "d_r"),
+            (train_impression_model, ImpressionHyper(d_r=-1), "d_r"),
+            (train_selection_model, SelectionHyper(d_s=0), "d_s"),
+            (train_selection_model, SelectionHyper(d_s=-1), "d_s"),
         ],
     )
     def test_bad_size_rejected(self, train, hyper, field):

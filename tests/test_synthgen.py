@@ -345,6 +345,11 @@ class TestBadInput:
         with pytest.raises(ValueError, match="noise_std"):
             make_world(2, 3, d=2, noise_std=noise_std)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_make_world_d(self, d):
+        with pytest.raises(ValueError, match=f"^d={d} must be >= 1"):
+            make_world(2, 3, d=d, stream=RandomStream(0))
+
     @pytest.mark.parametrize("arg", ["n_lists", "list_len"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_list_shape(self, arg, value):
