@@ -1,36 +1,28 @@
 """Experiment driver: a flat key=value config, one subcommand per pipeline
-stage, and an end-to-end pipeline that composes them through file artifacts.
+stage, and an end-to-end pipeline that composes them.
 
 Every stage reads its inputs from the run directory (or the configured
 dataset path), derives all randomness from labeled substreams of the config
 seed, and writes plain-text artifacts, so composing stages by hand produces
-byte-identical results to the one-shot pipeline. Each matrix checkpoint
-(`world.txt`, `sim.txt`, `posterior.txt`, `target.txt`, `policy.txt`,
-`target_cpr.txt`) has a binary twin `<name>.f64` beside it, which the next
-stage reads in place of parsing the text while it matches the text's sha256
-(see `textio`); the text stays the artifact of record.
+byte-identical results to the one-shot pipeline.
 
 `run_pipeline` hands every stage one run record (`_Run`), which carries
-the target ranker forward in memory: train-target's model goes to
-intervene, which fine-tunes it instead of loading target.txt, and the
-fine-tuned model goes to evaluate, which scores it instead of loading
-target_cpr.txt. Where a second CPU is free, the stages also use it through
-forked child processes whose values come back pickled through a pipe:
-synth-gen emits the second half of the users' lists in a child while the
-main process emits the first half; train-target's fit runs in a child
-started in train-sim's slot, which sends the model to the train-target
-stage and then writes target.txt beside intervene; intervene generates the
-rounds' counterfactual batches in a child while the main process
-fine-tunes on each batch as it arrives, and then leaves target_cpr.txt to
-a child that writes it while evaluate scores the model. Every branch draws
-only from its own labelled substreams, so every artifact is the same byte
-for byte either way. Forking needs Linux with `fork`, at least two usable
+forward in memory each checkpoint a later stage reads: the simulator, the
+posterior and both target models. Where a second CPU is free, forked
+children also use it and send their values back pickled through a pipe:
+synth-gen emits half the users' lists in a child; train-target's fit runs
+in a child started in train-sim's slot, which sends the model to
+train-target, writes target.txt and sends the model again for evaluate;
+intervene generates each round's counterfactual batch in a child while
+this process fine-tunes on the last, and leaves target_cpr.txt to a child
+that writes it while evaluate scores the model. Every branch draws only
+from its own labelled substreams, so every artifact is the same byte for
+byte either way. Forking needs Linux with `fork`, at least two usable
 CPUs, single-threaded BLAS (`OPENBLAS_NUM_THREADS=1`, or it unset and
 `OMP_NUM_THREADS=1`; the `cfrank` command sets the former by default) and
-no other thread in the process; otherwise the work runs in turn in the
-main process. A stage run by hand makes its own record, which hands nothing
-on and forks no checkpoint child: synth-gen and intervene fork alike, and
-every checkpoint is written in its own stage.
+no other thread in the process; otherwise the work runs in turn in this
+process, and evaluate reads target.txt. A stage run by hand hands nothing
+on and forks no checkpoint child: it loads every checkpoint it reads.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ import sys
 
 import numpy as np
 
-from . import evalkit, intervention, rankers, simulator, synthgen, textio, theorylab
+from . import evalkit, intervention, rankers, simulator, synthgen, theorylab
 from .corpus import (
     InteractionLog,
     coldness_buckets,
@@ -234,10 +226,6 @@ def _split(cfg, log):
     return leave_one_out_split(log, RandomStream(cfg["seed"]).substream("split"))
 
 
-def _target_name(cfg):
-    return cfg["target.kind"]
-
-
 def _cpr_name(cfg):
     suffix = "-r" if cfg["intervention.mode"] == "random" else ""
     return f"cpr-{cfg['target.kind']}{suffix}"
@@ -285,11 +273,12 @@ def stage_synth_gen(cfg, out, run=None):
 
 
 def stage_train_sim(cfg, out, run=None):
-    """Fits the simulator and writes sim.txt; returns its parameters.
+    """Fits and writes sim.txt; returns it and hands it on in `run`.
 
     In a pipeline it first forks train-target's fit (`_fork_fit`), so that
     the fork falls in this stage's slot."""
-    _fork_fit(run or _Run(cfg, out))
+    run = run or _Run(cfg, out)
+    _fork_fit(run)
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
     stream = RandomStream(cfg["seed"])
@@ -318,13 +307,16 @@ def stage_train_sim(cfg, out, run=None):
     )
     params = simulator.SimParams(*imp, *sel)
     simulator.save_sim_params(params, _artifact(out, "sim.txt"))
+    run.models["sim.txt"] = params
     return params
 
 
 def stage_fit_posterior(cfg, out, run=None):
+    """Fits and writes posterior.txt; hands it and the simulator on in `run`."""
+    run = run or _Run(cfg, out)
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
-    params = simulator.load_sim_params(_artifact(out, "sim.txt", must_exist=True))
+    params = run.take("sim.txt", simulator.load_sim_params)
     posterior = simulator.fit_posterior(
         params,
         train,
@@ -336,6 +328,7 @@ def stage_fit_posterior(cfg, out, run=None):
         RandomStream(cfg["seed"]).substream("posterior"),
     )
     simulator.save_posterior(posterior, _artifact(out, "posterior.txt"))
+    run.models.update({"sim.txt": params, "posterior.txt": posterior})
     return posterior
 
 
@@ -402,10 +395,13 @@ def _fork_fit(run):
 
 
 def _fit_and_save(cfg, train, path):
-    """The fitted model's state, sent before the model is saved at `path`."""
+    """The fitted model's state, sent before the model is saved at `path`
+    and again after it, for evaluate."""
     model = _fit_target(cfg, train)
-    yield rankers.model_state(model)
+    state = rankers.model_state(model)
+    yield state
     rankers.save_model(model, path)
+    yield state
 
 
 def stage_train_target(cfg, out, run=None):
@@ -458,10 +454,10 @@ def stage_intervene(cfg, out, run=None):
     rounds' batches in order while this process fine-tunes on each batch as
     it arrives; rounds score no reward, so they do not wait for the target.
 
-    It fine-tunes the model train-target handed on in `run`, if any, in
-    place of loading target.txt, and hands the result on to evaluate. In a
-    pipeline, a child forked into `run` writes target_cpr.txt while the
-    next stage runs.
+    It takes the simulator, posterior and model handed on in `run`,
+    loading each one that is not there, and hands the fine-tuned model on
+    to evaluate. In a pipeline, a child forked into `run` writes
+    target_cpr.txt while the next stage runs.
     """
     run = run or _Run(cfg, out)
     if cfg["intervention.rounds"] < 1:
@@ -474,11 +470,9 @@ def stage_intervene(cfg, out, run=None):
     train_fn = _trainer(mode)
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
-    params = simulator.load_sim_params(_artifact(out, "sim.txt", must_exist=True))
-    posterior = simulator.load_posterior(
-        _artifact(out, "posterior.txt", must_exist=True)
-    )
-    target = run.take("target.txt")
+    params = run.take("sim.txt", simulator.load_sim_params)
+    posterior = run.take("posterior.txt", simulator.load_posterior)
+    target = run.take("target.txt", rankers.load_model)
     if not target.trainable:
         raise ConfigError(f"target.kind {kind!r} cannot be retrained")
     observed = rankers.TrainingData.from_log(train)
@@ -558,9 +552,10 @@ def stage_evaluate(cfg, out, run=None):
     model (target_cpr.txt); writes report.txt and report.tsv and returns
     the reports.
 
-    It scores the model intervene handed on in `run`, if any, in place of
-    loading target_cpr.txt, and finishes the child writing target_cpr.txt
-    before it writes the reports.
+    It scores the models handed on in `run`, loading each one that is not
+    there, and finishes the child writing target_cpr.txt before it writes
+    the reports. report.txt records the BLAS thread settings, on which the
+    simulator and policy bytes depend.
     """
     run = run or _Run(cfg, out)
     log = _load_dataset(cfg, out)
@@ -571,7 +566,7 @@ def stage_evaluate(cfg, out, run=None):
 
     reports = {}
     coldness = {}
-    models = [(_target_name(cfg), "target.txt")]
+    models = [(cfg["target.kind"], "target.txt")]
     # A run directory reused with rounds=0 may hold an older run's model.
     if "target_cpr.txt" in run.models or (
         cfg["intervention.rounds"] > 0 and os.path.exists(_artifact(out, "target_cpr.txt"))
@@ -585,7 +580,7 @@ def stage_evaluate(cfg, out, run=None):
     # Every model gets a fresh stream with the same label, so under
     # sampled candidates all models rank against the same negatives.
     for name, artifact in models:
-        model = run.take(artifact)
+        model = run.take(artifact, rankers.load_model)
         model.user_positives = split.train.positives_by_user()
         reports[name] = evalkit.evaluate(
             model,
@@ -614,6 +609,9 @@ def stage_evaluate(cfg, out, run=None):
     if cfg["dataset.kind"] != "synthetic":
         header.append(f"# dataset.sha256 = {_file_sha256(cfg['dataset.path'])}")
     header.append(f"# test users: {len(split.test)} (degenerate: {split.n_degenerate})")
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    blas = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in blas_vars)
+    header.append(f"# blas threads: {blas}")
     body = [evalkit.comparison_table(reports, baselines)]
     tsv = [evalkit.comparison_tsv(reports, baselines)]
     for name, per_bucket in coldness.items():
@@ -764,23 +762,20 @@ def _one(fn, *args, **kwargs):
     yield fn(*args, **kwargs)
 
 
-def _remove_with_twin(path):
-    """Removes the file at `path` and its binary twin, where they exist."""
-    for suffix in ("", textio.TWIN_SUFFIX):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path + suffix)
+def _remove(path):
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
 
 
 class _Run:
     """What one pipeline run hands from stage to stage.
 
-    `models` holds, by checkpoint name, the ranker train-target fitted until
-    intervene takes it and the one intervene fine-tuned until evaluate
-    takes it. `children` holds, by checkpoint name, the forked children that
-    write a checkpoint and its twin under `path + ".part"`, so that an
+    `models` holds, by checkpoint name, what a stage made until a later
+    stage takes it. `children` holds, by checkpoint name, the forked
+    children that write a checkpoint under `path + ".part"`, so that an
     unfinished write leaves nothing at `path`, each with the stage that
     owns it: train-target for its fit, intervene for the target_cpr.txt
-    writer. A child's files are kept only if its owner is in `completed`,
+    writer. A child's file is kept only if its owner is in `completed`,
     which `run_pipeline` fills. A stage run by hand makes its own record
     (`pipeline=False`), which forks nothing.
     """
@@ -802,33 +797,37 @@ class _Run:
                 self.children[name] = (owner, _Forked(label, generate, *args, part))
         return name in self.children
 
-    def take(self, name):
-        """The model handed on for checkpoint `name`, which the record then
-        drops; otherwise the checkpoint, loaded once its child finished."""
-        model = self.models.pop(name, None)
-        if model is None:
-            self.finish(name)
-            model = rankers.load_model(_artifact(self.out, name, must_exist=True))
-        return model
+    def take(self, name, load):
+        """What was handed on for checkpoint `name`, which the record then
+        drops; else the model rebuilt from the state its child sent last
+        (`_fit_and_save`); else load(path) once its child finished."""
+        if name in self.models:
+            return self.models.pop(name)
+        state = self.finish(name)
+        if state is not None:
+            return rankers.model_from_state(*state)
+        return load(_artifact(self.out, name, must_exist=True))
 
     def finish(self, name):
         """Waits for the child writing checkpoint `name`, if one is left.
-        If its owner completed, reads it to the end, raises what it raised
-        and moves its files into place; otherwise closes the pipe first, so
-        a child blocked on it fails and ends. No temporary file is left."""
+        If its owner completed, reads it to the end, raises what it raised,
+        moves its file into place and returns the last value it sent;
+        otherwise closes the pipe first, so a child blocked on it fails and
+        ends. No temporary file is left."""
         owner, child = self.children.pop(name, (None, None))
         if child is None:
-            return
+            return None
         part = _artifact(self.out, name + ".part")
+        sent = None
         try:
             if owner in self.completed:
-                for _ in child:
+                for sent in child:
                     pass
-                for suffix in ("", textio.TWIN_SUFFIX):
-                    os.replace(part + suffix, _artifact(self.out, name + suffix))
+                os.replace(part, _artifact(self.out, name))
         finally:
             child.close()
-            _remove_with_twin(part)
+            _remove(part)
+        return sent
 
     def close(self):
         """Finishes every child left. Never raises: a pipeline that has not
@@ -843,16 +842,16 @@ def run_pipeline(cfg, out):
 
     Returns the last stage's result. Earlier results are dropped as soon
     as their stage ends. Every stage is handed one `_Run`, which carries
-    train-target's model to intervene and intervene's to evaluate, each
-    until the stage that takes it ends, and the children that write
-    target.txt and target_cpr.txt. Every stage of the table is called once,
-    in order, in this process, and every fork falls inside a stage's call.
+    what each stage makes to the stages that take it, each until the last
+    of them ends, and the children that write target.txt and target_cpr.txt.
+    Every stage of the table is called once, in order, in this process,
+    and every fork falls inside a stage's call.
     Each child is waited for, never killed, before its stage, evaluate or
     this function returns or raises; this function records each stage that
-    completes, and a checkpoint child's files are kept only if the stage
-    that owns it completed.
+    completes, and a checkpoint child's file is kept only if the stage that
+    owns it completed.
 
-    Skipping intervene (rounds=0) drops train-target's model and removes
+    Skipping intervene (rounds=0) drops what was handed to it and removes
     what an older run's intervene left in `out`, so the directory ends as a
     fresh run's would.
     """
@@ -864,9 +863,9 @@ def run_pipeline(cfg, out):
             if name == "synth-gen" and cfg["dataset.kind"] != "synthetic":
                 continue
             if name == "intervene" and cfg["intervention.rounds"] == 0:
-                run.models.clear()  # no stage takes the target model
+                run.models.clear()  # no later stage takes them
                 for artifact in ("policy.txt", "batches.tsv", "target_cpr.txt"):
-                    _remove_with_twin(_artifact(out, artifact))
+                    _remove(_artifact(out, artifact))
                 continue
             result = None  # not held while the next stage runs
             result = run_stage(name, cfg, out, run=run)

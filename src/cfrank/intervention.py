@@ -488,6 +488,10 @@ def pretrain_policy(
         raise ValueError(f"episodes={episodes} must be >= 0")
     if steps_per_episode < 1:
         raise ValueError(f"steps_per_episode={steps_per_episode} must be >= 1")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr={lr} must be finite and > 0")
+    if not 0 <= explore_start < np.inf:
+        raise ValueError(f"explore_start={explore_start} must be finite and >= 0")
     for ep in range(episodes):
         decay = 1.0 - (ep / max(episodes - 1, 1))
         explore = explore_start * decay

@@ -137,6 +137,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params, lr=1e-3):
+        if not 0 < lr < np.inf:
+            raise ValueError(f"lr={lr} must be finite and > 0")
         p = np.asarray(params, dtype=np.float64)
         return cls(m=np.zeros_like(p), v=np.zeros_like(p), lr=lr)
 

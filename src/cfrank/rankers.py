@@ -569,6 +569,8 @@ def _train(model, data, hyper, stream, mode):
         raise ValueError(f"{model.kind} does not support gradient training")
     if hyper.neg_per_pos < 1:
         raise ValueError(f"neg_per_pos={hyper.neg_per_pos} must be >= 1")
+    if not 0 <= hyper.l2 < np.inf:
+        raise ValueError(f"l2={hyper.l2} must be finite and >= 0")
     keys = None  # the negatives' exclusion keys, built once
     if len(data.positives) > 0:
         if data.user_positives is None:

@@ -119,23 +119,10 @@ class TestPipeline:
             stage_evaluate,
         ):
             stage(cfg, str(manual))
-        checkpoints = ("world.txt", "sim.txt", "posterior.txt", "target.txt",
-                       "policy.txt", "target_cpr.txt")
-        for name in ("data.tsv", "batches.tsv", "report.txt", "report.tsv",
-                     *checkpoints, *(name + ".f64" for name in checkpoints)):
+        for name in ("data.tsv", "batches.tsv", "report.txt", "report.tsv", "world.txt",
+                     "sim.txt", "posterior.txt", "target.txt", "policy.txt",
+                     "target_cpr.txt"):
             assert (auto / name).read_bytes() == (manual / name).read_bytes(), name
-
-    def test_checkpoints_load_through_twins(self, tmp_path, monkeypatch):
-        # Every checkpoint a stage reads was written by an earlier stage, so
-        # each load must take its values from the binary twin.
-        from cfrank import textio
-
-        def no_parse(path):
-            raise AssertionError(f"{path} was parsed as text")
-
-        monkeypatch.setattr(textio, "_parse_text", no_parse)
-        run_pipeline(tiny_cfg(**{"eval.coldness": True}), str(tmp_path))
-        assert (tmp_path / "report.tsv").exists()
 
     def test_stage_results_released_before_next_stage(self, tmp_path, monkeypatch):
         from cfrank import cli
@@ -273,6 +260,26 @@ class TestPipeline:
         assert "# seed = 5" in report
         assert "# target.kind = bpr-mf" in report
 
+    def test_report_records_blas_threads(self, tmp_path, monkeypatch):
+        # Neither setting is "1", so the overlap gate stays shut here.
+        reports = []
+        for openblas, omp in (("3", None), (None, "2")):
+            for var, value in zip(BLAS_VARS, (openblas, omp)):
+                if value is None:
+                    monkeypatch.delenv(var, raising=False)
+                else:
+                    monkeypatch.setenv(var, value)
+            out = tmp_path / f"{openblas}-{omp}"
+            run_pipeline(tiny_cfg(**{"intervention.rounds": 0}), str(out))
+            reports.append(((out / "report.txt").read_text().splitlines(),
+                            (out / "report.tsv").read_bytes()))
+        (txt3, tsv3), (txt2, tsv2) = reports
+        assert tsv3 == tsv2
+        assert len(txt3) == len(txt2)
+        (changed,) = [i for i, (a, b) in enumerate(zip(txt3, txt2)) if a != b]
+        assert txt3[changed] == "# blas threads: OPENBLAS_NUM_THREADS=3, OMP_NUM_THREADS=unset"
+        assert txt2[changed] == "# blas threads: OPENBLAS_NUM_THREADS=unset, OMP_NUM_THREADS=2"
+
     def test_behaviors_report_independent_of_location(self, tmp_path):
         sample = os.path.join(os.path.dirname(__file__), "data", "behaviors_sample.tsv")
         reports = []
@@ -389,15 +396,17 @@ STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "inter
 # the stages this process called, and whether a child process is left,
 # running or unreaped. Mode "handoff" adds the checkpoints this process
 # loaded and, per model handed to a stage ("target" to intervene, "cpr" to
-# evaluate), whether it equals its checkpoint array for array.
+# evaluate), whether it equals its checkpoint array for array. Mode "parse"
+# adds the files this process parsed with `textio.load_matrices`.
 OVERLAP_DRIVER = """
 import functools, json, os, sys
 import numpy as np
-from cfrank import cli, intervention, rankers
+from cfrank import cli, intervention, rankers, textio
 
-forks, called, loads, handed = [], [], [], {}
+forks, called, loads, handed, parses = [], [], [], {}, []
 fork = os.fork
 load, save = rankers.load_model, rankers.save_model
+load_matrices = textio.load_matrices
 
 def counting_fork():
     forks.append(os.getpid())
@@ -418,6 +427,10 @@ def traced(name, stage):
 def counting_load(path):
     loads.append(os.path.basename(path))
     return load(path)
+
+def counting_parse(path):
+    parses.append(os.path.basename(path))
+    return load_matrices(path)
 
 def dying_save(model, path):
     if os.path.basename(path) == "target_cpr.txt.part":
@@ -451,6 +464,8 @@ if mode == "die-writer":
     rankers.save_model = dying_save
 if mode == "handoff":
     rankers.load_model = counting_load
+if mode == "parse":
+    textio.load_matrices = counting_parse
 if mode == "fail-batches":
     intervention.CounterfactualBatch.to_tsv = failing_to_tsv
 cli.PIPELINE_STAGES = tuple((n, traced(n, s)) for n, s in cli.PIPELINE_STAGES)
@@ -461,6 +476,8 @@ try:
 except ChildProcessError:
     child = False
 result = {"code": code, "forks": len(forks), "stages": called, "child": child}
+if mode == "parse":
+    result["parses"] = parses
 if mode == "handoff":
     out = sys.argv[sys.argv.index("--out") + 1]
     result["loads"] = loads
@@ -520,7 +537,11 @@ class TestOverlappedPipeline:
         [(), ("target.kind=neumf", "target.objective=pointwise")],
         ids=["bpr-mf", "neumf-pointwise"],
     )
-    def test_run_directory_identical_on_both_paths(self, tmp_path, settings):
+    def test_run_directory_identical_on_both_paths(self, tmp_path, monkeypatch, settings):
+        # The stages run here by hand record the BLAS settings of the
+        # forced commands in report.txt.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         files = {}
         for overlap in (True, False):
             out = tmp_path / str(overlap)
@@ -543,7 +564,6 @@ class TestOverlappedPipeline:
                 else:
                     assert main([stage, "--out", str(hand), *config_args(*settings)]) == 0
             files[f"hand-{overlap}"] = run_files(hand)
-        assert "target.txt.f64" in files[True]
         assert "batches.tsv" in files[True]
         for other in (False, "hand-True", "hand-False"):
             assert files[other] == files[True], other
@@ -626,11 +646,25 @@ class TestOverlappedPipeline:
             result, err = forced_pipeline(
                 overlap, tmp_path / str(overlap), *settings, mode="handoff"
             )
-            # Only evaluate loads a model checkpoint: target.txt, which
-            # intervene's fine-tune left behind in memory.
+            # Only evaluate can load a model checkpoint: target.txt, which
+            # intervene's fine-tune left behind in memory. With the gate on,
+            # train-target's child sends that model again.
             assert result == {
                 "code": 0, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False,
-                "loads": ["target.txt"], "handed": {"target": True, "cpr": True},
+                "loads": [] if overlap else ["target.txt"],
+                "handed": {"target": True, "cpr": True},
+            }, err
+
+    def test_pipeline_parses_only_target_without_the_gate(self, tmp_path):
+        # Each checkpoint a stage reads is handed on in memory; with the gate
+        # off, evaluate parses target.txt, which intervene fine-tuned away.
+        for overlap in (True, False):
+            result, err = forced_pipeline(
+                overlap, tmp_path / str(overlap), "eval.coldness=true", mode="parse"
+            )
+            assert result == {
+                "code": 0, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False,
+                "parses": [] if overlap else ["target.txt"],
             }, err
 
     def test_target_cpr_writer_that_dies_fails_evaluate(self, tmp_path):
@@ -666,7 +700,7 @@ class TestOverlappedPipeline:
         assert errors[True] == errors[False]
         assert errors[True] == ["error: stage 'evaluate' failed: n=0 must be >= 1"]
         # intervene completed, so the writer was waited for and its files kept
-        assert {"target_cpr.txt", "target_cpr.txt.f64"} <= files[True].keys()
+        assert "target_cpr.txt" in files[True]
         assert "report.tsv" not in files[True]
         assert files[True] == files[False]
 
@@ -684,8 +718,8 @@ class TestOverlappedPipeline:
         assert errors[True] == ["error: stage 'intervene' failed: cannot write batches.tsv"]
         # The writer had forked, but intervene did not complete: its files
         # were removed, and train-target's were kept.
-        assert not {"batches.tsv", "target_cpr.txt", "target_cpr.txt.f64"} & files[True].keys()
-        assert {"target.txt", "target.txt.f64", "policy.txt"} <= files[True].keys()
+        assert not {"batches.tsv", "target_cpr.txt"} & files[True].keys()
+        assert {"target.txt", "policy.txt"} <= files[True].keys()
         assert files[True] == files[False]
 
     @pytest.mark.parametrize(
@@ -719,7 +753,7 @@ class TestOverlappedPipeline:
         assert errors[True][0].startswith("error: stage 'intervene' failed: ")
         assert "batches.tsv" not in files[True]
         # train-target completed, so its model was handed on and its files kept
-        assert {"target.txt", "target.txt.f64"} <= files[True].keys()
+        assert "target.txt" in files[True]
         assert files[True] == files[False]
 
 
@@ -1037,6 +1071,26 @@ class TestMainEntry:
     def test_bad_size_fails_its_stage(self, tmp_path, capsys, command, setting, message):
         assert main([command, "--out", str(tmp_path), *config_args(setting)]) == 2
         assert error_lines(capsys.readouterr().err) == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("simulator.lr=nan", "stage 'train-sim' failed: lr=nan must be finite and > 0"),
+            ("posterior.lr=-1", "stage 'fit-posterior' failed: lr=-1.0 must be finite and > 0"),
+            ("target.lr=inf", "stage 'train-target' failed: lr=inf must be finite and > 0"),
+            ("target.l2=-1", "stage 'train-target' failed: l2=-1.0 must be finite and >= 0"),
+            ("intervention.policy_lr=-1",
+             "stage 'intervene' failed: lr=-1.0 must be finite and > 0"),
+            ("intervention.explore_std=nan",
+             "stage 'intervene' failed: explore_start=nan must be finite and >= 0"),
+            ("intervention.finetune_lr=-1",
+             "stage 'intervene' failed: lr=-1.0 must be finite and > 0"),
+        ],
+    )
+    def test_bad_rate_fails_its_stage(self, tmp_path, capsys, setting, message):
+        assert main(["pipeline", "--out", str(tmp_path), *config_args(setting)]) == 2
+        assert error_lines(capsys.readouterr().err) == [f"error: {message}"]
+        assert not (tmp_path / "report.txt").exists()
 
     def test_stage_subcommand(self, tmp_path, capsys):
         code = main(

@@ -6,8 +6,10 @@ sorts or partitions for a ranking (its `top_k` holds the tie rule; a
 `ufunc.at` call (its `scatter_add` takes the flat fast path). Only the
 fork helper in `cli` (`_Forked`) forks a process, only the two functions
 that check the overlap gate start one, and only `cli` pickles, for what a
-child sends back through its pipe. No linter
-ships with the project, so this parses each module with `ast`.
+child sends back through its pipe. In `cli`, a checkpoint loader is only
+ever the `load` argument of `_Run.take`, so a pipeline reads no checkpoint
+it could be handed, and no module names the retired `.f64` twin. No
+linter ships with the project, so this parses each module with `ast`.
 The package `__init__` is skipped by the import check: its imports are the
 public exports.
 """
@@ -227,3 +229,61 @@ def test_detects_pickle_use():
         "fine = unpickle(x) + os.pickled\n"
     )
     assert pickle_uses(source) == [1, 2, 3, 4]
+
+
+CHECKPOINT_LOADERS = {"load_sim_params", "load_posterior", "load_model"}
+
+
+def loader_uses(source: str) -> list:
+    """(line, name) of every checkpoint loader named or imported anywhere
+    but as the `load` argument (the second) of a `.take(...)` call."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "take"
+        ):
+            allowed.update(id(arg) for arg in node.args[1:2])
+            allowed.update(id(kw.value) for kw in node.keywords if kw.arg == "load")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name in CHECKPOINT_LOADERS and id(node) not in allowed
+        ]
+    return sorted(found)
+
+
+def test_checkpoint_loaders_only_as_take_arguments():
+    assert loader_uses((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_loader_outside_take():
+    source = (
+        "from .rankers import load_model\n"
+        "a = run.take('sim.txt', simulator.load_sim_params)\n"
+        "b = run.take('target.txt', load=rankers.load_model)\n"
+        "c = simulator.load_posterior(path)\n"
+        "d = run.take(rankers.load_model, 'target.txt')\n"
+        "e = take('x', load_model)\n"
+        "fine = run.take('x', load) + simulator.load_posteriors\n"
+    )
+    assert loader_uses(source) == [
+        (1, "load_model"), (4, "load_posterior"), (5, "load_model"), (6, "load_model")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_binary_twin(path):
+    assert ".f64" not in path.read_text(encoding="utf-8")

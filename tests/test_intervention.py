@@ -512,6 +512,28 @@ class TestInterventionRound:
                 lr=0.01, stream=RandomStream(6),
             )
 
+    @pytest.mark.parametrize(
+        "lr, explore, message",
+        [
+            (0.0, 0.5, "lr=0.0 must be finite and > 0"),
+            (-0.01, 0.5, "lr=-0.01 must be finite and > 0"),
+            (math.nan, 0.5, "lr=nan must be finite and > 0"),
+            (math.inf, 0.5, "lr=inf must be finite and > 0"),
+            (0.01, -1.0, "explore_start=-1.0 must be finite and >= 0"),
+            (0.01, math.nan, "explore_start=nan must be finite and >= 0"),
+            (0.01, math.inf, "explore_start=inf must be finite and >= 0"),
+        ],
+    )
+    def test_pretrain_bad_rate_rejected(self, lr, explore, message):
+        before = {k: v.copy() for k, v in self.policy.params().items()}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pretrain_policy(
+                self.policy, self.params, self.posterior, self.target, n_users=2,
+                episodes=3, steps_per_episode=4, mode="pairwise", k=1, lr=lr,
+                stream=RandomStream(6), explore_start=explore,
+            )
+        assert all(np.array_equal(before[k], v) for k, v in self.policy.params().items())
+
 
 class TestBatchIO:
     def test_tsv_round_trip(self, tmp_path):

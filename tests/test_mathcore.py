@@ -135,6 +135,12 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(state, np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_bad_learning_rate_rejected(self, lr):
+        # Every simulator, posterior and ranker fit makes its states here.
+        with pytest.raises(ValueError, match=r"^lr=\S+ must be finite and > 0$"):
+            AdamState.for_params(np.zeros(3), lr=lr)
+
 
 def quadratic_loss_grad(params, batch):
     """sum over the batch of (x - target)^2 for one scalar parameter x."""

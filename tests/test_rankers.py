@@ -377,6 +377,15 @@ class TestTrainingSizes:
         with pytest.raises(ValueError, match=f"^{field}="):
             train(model, TrainingData.from_log(small_log()), hyper, RandomStream(3))
 
+    @pytest.mark.parametrize("l2", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
+    def test_bad_l2_rejected(self, train, l2):
+        model = make_model("bpr-mf", 3, 6, 4, RandomStream(2))
+        before = {k: v.copy() for k, v in model.params().items()}
+        with pytest.raises(ValueError, match=r"^l2=\S+ must be finite and >= 0$"):
+            train(model, TrainingData.from_log(small_log()), RankerHyper(l2=l2), RandomStream(3))
+        assert all(np.array_equal(before[k], v) for k, v in model.params().items())
+
     @pytest.mark.parametrize("d", [0, -1])
     def test_bad_dimension_rejected(self, d):
         for kind in GRADIENT_KINDS:

@@ -1,4 +1,3 @@
-import hashlib
 import os
 import re
 from pathlib import Path
@@ -9,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cfrank import intervention, rankers, simulator, textio
+from cfrank import intervention, rankers, simulator
 from cfrank.mathcore import RandomStream
-from cfrank.textio import FORMAT_VERSION, TWIN_SUFFIX, load_matrices, save_matrices
+from cfrank.textio import FORMAT_VERSION, load_matrices, save_matrices
 
 
 def joined_reference(arrays, meta=None) -> str:
@@ -106,7 +105,7 @@ def test_unreadable_name_leaves_existing_file(tmp_path, arrays, meta, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         save_matrices(path, arrays, meta)
     assert path.read_text() == "keep\n"
-    assert not os.path.exists(str(path) + TWIN_SUFFIX)
+    assert os.listdir(tmp_path) == ["m.txt"]
 
 
 VALID = [f"#{FORMAT_VERSION}", "#meta d=2", "P 2 2", "1.0 2.0", "3.0 4.0",
@@ -153,12 +152,7 @@ def test_malformed_block_names_line(tmp_path, lines, lineno, message):
 
 
 # ---------------------------------------------------------------------------
-# The binary twin against the text it mirrors
-
-
-def parsed_without_twin(path):
-    os.remove(str(path) + TWIN_SUFFIX)
-    return load_matrices(path)
+# Every float64 through a save and a load
 
 
 def assert_same_bits(got, want):
@@ -199,74 +193,22 @@ token = st.text(
     ),
     as_path=st.sampled_from([str, Path]),
 )
-def test_twin_loads_the_bits_the_text_parses_to(tmp_path_factory, arrays, meta, as_path):
-    path = as_path(tmp_path_factory.mktemp("twin") / "m.txt")
+def test_save_load_round_trips_every_float(tmp_path_factory, arrays, meta, as_path):
+    path = as_path(tmp_path_factory.mktemp("round") / "m.txt")
     save_matrices(path, arrays, meta)
-    via_twin = textio._load_twin(path)
-    assert via_twin is not None
-    got, got_meta = via_twin
-    want, want_meta = parsed_without_twin(path)
-    assert got_meta == want_meta == {str(k): str(v) for k, v in meta.items()}
+    got, got_meta = load_matrices(path)
+    assert got_meta == {str(k): str(v) for k, v in meta.items()}
+    # The text drops NaN sign and payload: every NaN reads back as np.nan.
+    want = {str(k): np.atleast_2d(np.where(np.isnan(a), np.nan, a)) for k, a in arrays.items()}
     assert_same_bits(got, want)
-    for name, a in arrays.items():
-        a = np.atleast_2d(a)
-        expected = np.where(np.isnan(a), np.nan, a)  # the text drops NaN sign and payload
-        assert got[name].tobytes() == expected.tobytes(), name
-
-
-def test_twin_holds_digest_then_values(tmp_path):
-    path = tmp_path / "m.txt"
-    save_matrices(path, {"v": EDGE, "m": np.arange(6).reshape(2, 3)}, {"d": 1})
-    twin = (tmp_path / ("m.txt" + TWIN_SUFFIX)).read_bytes()
-    assert twin[:32] == hashlib.sha256(path.read_bytes()).digest()
-    values = np.frombuffer(twin[32:], dtype="<f8")
-    assert values.tobytes() == np.concatenate([EDGE, np.arange(6.0)]).tobytes()
-
-
-def twin_case(tmp_path):
-    path = tmp_path / "m.txt"
-    arrays = {"P": np.array([[1.0, 2.0], [3.0, 4.0]]), "w": np.array([0.5, 0.25])}
-    save_matrices(path, arrays, {"d": 2})
-    return path, Path(str(path) + TWIN_SUFFIX)
-
-
-def test_stale_twin_after_hand_edit(tmp_path):
-    path, twin = twin_case(tmp_path)
-    path.write_text(path.read_text().replace("3.0 4.0", "3.0 9.5"))
-    assert twin.exists()
-    assert textio._load_twin(path) is None
-    arrays, meta = load_matrices(path)
-    np.testing.assert_array_equal(arrays["P"], [[1.0, 2.0], [3.0, 9.5]])
-    assert meta == {"d": "2"}
-
-
-def test_truncated_twin(tmp_path):
-    path, twin = twin_case(tmp_path)
-    twin.write_bytes(twin.read_bytes()[:-8])
-    assert textio._load_twin(path) is None
-    arrays, _ = load_matrices(path)
-    np.testing.assert_array_equal(arrays["w"], [[0.5, 0.25]])
-
-
-def test_missing_twin(tmp_path):
-    path, twin = twin_case(tmp_path)
-    twin.unlink()
-    arrays, meta = load_matrices(path)
-    np.testing.assert_array_equal(arrays["P"], [[1.0, 2.0], [3.0, 4.0]])
-    assert meta == {"d": "2"}
-
-
-def test_twin_hit_never_parses_text(tmp_path, monkeypatch):
-    path, _ = twin_case(tmp_path)
-    monkeypatch.setattr(textio, "_parse_text", None)  # any call fails
-    arrays, meta = load_matrices(path)
-    np.testing.assert_array_equal(arrays["P"], [[1.0, 2.0], [3.0, 4.0]])
-    assert meta == {"d": "2"}
 
 
 def test_malformed_text_with_twin_names_line(tmp_path):
-    # A twin never hides a fault in the text: the parser still reports it.
-    path, _ = twin_case(tmp_path)
+    # A `.f64` file an older version wrote beside the text is ignored: the
+    # parser still reports the fault.
+    path = tmp_path / "m.txt"
+    save_matrices(path, {"P": [[1.0, 2.0], [3.0, 4.0]], "w": [0.5, 0.25]}, {"d": 2})
+    (tmp_path / "m.txt.f64").write_bytes(bytes(64))
     path.write_text(path.read_text().replace("3.0 4.0\n", ""))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: "):
         load_matrices(path)
@@ -384,26 +326,13 @@ def assert_same_outcome(got, want):
 @given(lines=edited_lines())
 def test_streaming_parse_matches_whole_file_parse(tmp_path_factory, lines):
     path = load_lines(tmp_path_factory.mktemp("parse"), lines)
-    assert_same_outcome(outcome(textio._parse_text, path), outcome(reference_parse_text, path))
-
-
-@settings(max_examples=200, deadline=None)
-@given(lines=edited_lines())
-def test_edited_text_beside_a_twin_loads_as_parsed(tmp_path_factory, lines):
-    # The twin was written for VALID. Once the text differs, whether the
-    # scan meets a fault or only a stale digest, the load gives the parse.
-    path = tmp_path_factory.mktemp("scan") / "m.txt"
-    save_matrices(path, {"P": [[1.0, 2.0], [3.0, 4.0]], "w": [0.5, 0.25, 0.125]}, {"d": 2})
-    assert path.read_text(encoding="utf-8") == "\n".join(VALID) + "\n"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert os.path.exists(str(path) + TWIN_SUFFIX)
     assert_same_outcome(outcome(load_matrices, path), outcome(reference_parse_text, path))
 
 
 def test_header_claiming_too_many_rows_allocates_nothing(tmp_path):
     path = load_lines(tmp_path, VALID[:5] + ["w 99999999999 99999999"])
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: block 'w' ends"):
-        textio._parse_text(path)
+        load_matrices(path)
 
 
 def test_text_parse_peak_memory(tmp_path):
@@ -415,7 +344,7 @@ def test_text_parse_peak_memory(tmp_path):
     result = sum(a.nbytes for a in arrays.values())
     tracemalloc.start()
     try:
-        got, _ = parsed_without_twin(path)
+        got, _ = load_matrices(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
