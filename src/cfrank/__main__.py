@@ -4,8 +4,10 @@ OpenBLAS gets one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
 set: the pipeline's matrix products are small, more threads made them
 slower, and `cli.run_pipeline` overlaps two stages only with one BLAS
 thread per process. The default must be in the environment before numpy
-loads, so it is set here, before `cli` is imported; importing the package
-as a library sets nothing.
+loads, so it is set here, before `cli` is imported. `cli.main` then fixes
+glibc's mmap and trim thresholds for the process (see `cli`), so training
+steps reuse freed heap blocks instead of faulting in fresh pages. Importing
+the package as a library sets neither.
 """
 
 import os

@@ -102,6 +102,14 @@ def softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
+def softplus_sigmoid(x):
+    """(softplus(x), sigmoid(x)) from one shared exp(-|x|), bit for bit the
+    two separate calls."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.log1p(e) + np.maximum(x, 0.0), np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def scatter_add(out, index, values) -> None:
     """out[index[k]] += values[k] in place, for k in order, as
     `np.add.at(out, index, values)` does: each entry of `out` receives its
@@ -212,7 +220,7 @@ def minibatch_adam(
             loss, grads = loss_grad(params, rows[start : start + batch_size])
             epoch_loss += loss
             opt.step(params, grads)
-            del grads  # freed before the next batch allocates its own
+            del grads  # else two batches' gradient tables are alive at once
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"{what} diverged at epoch {epoch}")
     return params

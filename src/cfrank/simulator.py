@@ -43,9 +43,8 @@ from .mathcore import (
     logsumexp,
     minibatch_adam,
     sample_excluding,
-    sigmoid,
     softmax,
-    softplus,
+    softplus_sigmoid,
     top_k,
 )
 
@@ -234,9 +233,11 @@ def _impression_batch(P, Q, w_r, users, pos_items, pos_mask, neg_items):
     once per batch; a call runs only the operations that depend on alpha.
 
     The negatives' gather (B x m x d, the batch's largest array) comes
-    first, before anything that outlives it is allocated, so the allocator
-    can reuse the block the previous batch's gather freed rather than grow
-    the heap.
+    first, before anything that outlives it is allocated, so it reuses the
+    heap block the previous batch's gather freed: with `cfrank`'s mmap
+    threshold every block under 32 MiB comes from the heap, and gathered
+    after the shown slots it no longer fits there (mind-sample's peak RSS
+    +2.9 MB).
     """
     user_rows = P[users]
     score_neg = np.einsum("bd,bkd->bk", user_rows, Q[neg_items])
@@ -250,10 +251,12 @@ def _impression_batch(P, Q, w_r, users, pos_items, pos_mask, neg_items):
     def loss_grads(alpha):
         z_pos = score_pos + w_pos * alpha[pos_items]
         z_neg = score_neg + w_neg * alpha[neg_items]
-        loss = float(
-            np.sum(softplus(-z_pos) * pos_mask) + np.sum(softplus(z_neg) * neg_mask)
-        )
-        dz = np.hstack([-sigmoid(-z_pos) * pos_mask, sigmoid(z_neg) * neg_mask])
+        softplus_pos, sigmoid_pos = softplus_sigmoid(-z_pos)
+        loss_pos = np.sum(softplus_pos * pos_mask)
+        dz_pos = -sigmoid_pos * pos_mask
+        softplus_neg, sigmoid_neg = softplus_sigmoid(z_neg)
+        loss = float(loss_pos + np.sum(softplus_neg * neg_mask))
+        dz = np.hstack([dz_pos, sigmoid_neg * neg_mask])
         gP, gQ = embedding_grads(dz)
         gw = np.bincount(flat_items, weights=dz.ravel(), minlength=len(w_r)) * alpha
         return loss, gP, gQ, gw

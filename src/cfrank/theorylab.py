@@ -46,6 +46,11 @@ def exact_voting_failure(eta: float, n: int) -> float:
     )
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be >= 1")
+
+
 def simulate_voting(eta: float, n: int, trials: int, stream: RandomStream) -> float:
     """Empirical failure rate of majority voting over `trials` repetitions.
 
@@ -55,6 +60,7 @@ def simulate_voting(eta: float, n: int, trials: int, stream: RandomStream) -> fl
     """
     if n < 1:
         raise ValueError("need at least one vote")
+    _check_trials(trials)
     p = max(eta, 1.0 - eta)
     correct = (stream.uniform(size=(trials, n)) < p).sum(axis=1)
     return float(np.mean(2 * correct < n))
@@ -93,6 +99,7 @@ def simulate_noisy_erm(
     observations (ties to the lowest index), and records whether its true
     error exceeds eps.
     """
+    _check_trials(trials)
     n = bound_theorem2(n_hypotheses, delta, eps, zeta)
     if n > n_cap:
         raise ValueError(

@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import hashlib
 import json
@@ -6,11 +7,13 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 import weakref
 
 import numpy as np
 import pytest
 
+from cfrank import cli
 from cfrank.cli import (
     ConfigError,
     ExperimentConfig,
@@ -863,6 +866,159 @@ class TestCommandBlasDefault:
             cfrank.no_such_name
 
 
+class FakeLibcFunction:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return 1
+
+
+def refusing_cdll(name):
+    raise OSError(f"cannot open {name!r}")
+
+
+FAULTS_PER_STEP = """
+import resource
+from cfrank import cli, rankers
+from cfrank.mathcore import AdamGroup, RandomStream
+
+cli._pin_malloc_thresholds()
+stream = RandomStream(3)
+model = rankers.make_model("bpr-mf", 293, 719, d=64, stream=stream)
+opt = AdamGroup(model.params(), lr=1e-3)
+
+
+def step():
+    u = stream.integers(0, 293, 512)
+    i, j = stream.integers(0, 719, 512), stream.integers(0, 719, 512)
+    _, grads = rankers.pairwise_loss_grad(model, u, i, j)
+    opt.step(model.params(), grads)
+
+
+for _ in range(20):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+HEAP_RELEASE = """
+import json, os
+import numpy as np
+from cfrank import cli
+
+def resident_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+cli._pin_malloc_thresholds()
+block = np.ones(24 << 17)  # 24 MiB, under the mmap threshold: from the heap
+del block
+kept = resident_mb()
+cli._release_free_heap()
+print(json.dumps([kept, resident_mb()]))
+"""
+
+
+def has_glibc_malloc():
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return False
+    return all(hasattr(libc, name) for name in ("mallopt", "malloc_trim"))
+
+
+class TestMallocThresholds:
+    """`main` fixes glibc's mmap and trim thresholds once per process, so
+    training steps reuse freed heap blocks instead of faulting in fresh
+    pages, and a pipeline hands the heap's free pages back after each
+    stage; without glibc's functions both carry on, and importing sets
+    nothing."""
+
+    def test_main_sets_both_thresholds(self, monkeypatch, capsys):
+        libc = types.SimpleNamespace(mallopt=FakeLibcFunction())
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or libc)
+        assert main(["theory-check", "--theorem", "1", "--trials", "10"]) == 0
+        assert opened == [None]
+        assert libc.mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+    @pytest.mark.parametrize(
+        "cdll", [lambda name: types.SimpleNamespace(), refusing_cdll],
+        ids=["no-mallopt", "oserror"],
+    )
+    def test_main_works_without_mallopt(self, cdll, monkeypatch, capsys):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert main(["theory-check", "--theorem", "1", "--trials", "10"]) == 0
+        assert capsys.readouterr().out.startswith("bound N")
+
+    def test_release_trims_the_heap(self, monkeypatch):
+        libc = types.SimpleNamespace(malloc_trim=FakeLibcFunction())
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        cli._release_free_heap()
+        assert libc.malloc_trim.calls == [(0,)]
+        assert libc.malloc_trim.argtypes == (ctypes.c_size_t,)
+        for cdll in (lambda name: types.SimpleNamespace(), refusing_cdll):
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            cli._release_free_heap()
+
+    def test_pipeline_releases_after_every_stage(self, tmp_path, monkeypatch):
+        done = []
+        run_stage = cli.run_stage
+
+        def recording(name, *args, **kwargs):
+            result = run_stage(name, *args, **kwargs)
+            done.append(name)
+            return result
+
+        monkeypatch.setattr(cli, "run_stage", recording)
+        monkeypatch.setattr(cli, "_release_free_heap", lambda: done.append("release"))
+        run_pipeline(tiny_cfg(), str(tmp_path))
+        assert done == [x for name in STAGE_NAMES for x in (name, "release")]
+
+    @pytest.mark.skipif(not has_glibc_malloc(), reason="the C library is not glibc's")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="no /proc")
+    def test_release_returns_a_freed_block(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", HEAP_RELEASE],
+            capture_output=True, text=True, timeout=120, env=clean_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        kept, released = json.loads(proc.stdout)
+        assert kept - released > 16
+
+    @pytest.mark.parametrize("module", ["cfrank", "cfrank.cli"])
+    def test_import_sets_nothing(self, module):
+        spy = (
+            "import ctypes, json\n"
+            "opened, real = [], ctypes.CDLL\n"
+            "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or real(name, *a, **k)\n"
+            f"import {module}\n"
+            "print(json.dumps(opened))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", spy],
+            capture_output=True, text=True, env=clean_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    @pytest.mark.skipif(not has_glibc_malloc(), reason="the C library is not glibc's")
+    def test_ranker_steps_stop_faulting(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_STEP],
+            capture_output=True, text=True, timeout=300,
+            env=clean_env(OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 5
+
+
 class TestReportPins:
     """report.tsv digests of four tiny pipelines, fixed before evaluation
     ranked users in blocks: a ranking change that alters any HR/NDCG digit
@@ -945,6 +1101,22 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert code == 0
         assert "bound N\t" in out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--theorem", "1", "--trials", "0"], "trials=0 must be >= 1"),
+            (["--theorem", "1", "--trials", "-5"], "trials=-5 must be >= 1"),
+            (["--theorem", "2", "--trials", "0"], "trials=0 must be >= 1"),
+            (["--theorem", "2", "--trials", "-5"], "trials=-5 must be >= 1"),
+            (["--theorem", "1", "--eta", "0.5"], "eta must lie in (0,1) and differ from 1/2"),
+            (["--theorem", "2", "--zeta", "0.6"], "zeta must lie in [0, 0.5)"),
+        ],
+    )
+    def test_theory_check_bad_argument_is_a_config_error(self, args, message, capsys):
+        assert main(["theory-check", *args]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
     def test_python_m_entry_point(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

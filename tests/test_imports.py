@@ -8,10 +8,11 @@ fork helper in `cli` (`_Forked`) forks a process, only the two functions
 that check the overlap gate start one, and only `cli` pickles, for what a
 child sends back through its pipe. In `cli`, a checkpoint loader is only
 ever the `load` argument of `_Run.take`, so a pipeline reads no checkpoint
-it could be handed, and no module names the retired `.f64` twin. No
-linter ships with the project, so this parses each module with `ast`.
-The package `__init__` is skipped by the import check: its imports are the
-public exports.
+it could be handed, and no module names the retired `.f64` twin. Only `cli`
+touches `ctypes`, and only to call glibc's `mallopt` and `malloc_trim` in
+one helper each, which `main` and `run_pipeline` call. No linter ships with
+the project, so this parses each module with `ast`. The package `__init__`
+is skipped by the import check: its imports are the public exports.
 """
 
 import ast
@@ -159,8 +160,9 @@ def fork_calls(source: str, names=FORKS) -> list:
     return sorted(found)
 
 
-def pickle_uses(source: str) -> list:
-    """Lines that import `pickle` (or `_pickle`) or name it."""
+def name_uses(source: str, targets) -> list:
+    """Lines that import a module in `targets` or name one of `targets`, as
+    a bare name or an attribute."""
     tree = ast.parse(source)
     lines = set()
     for node in ast.walk(tree):
@@ -170,11 +172,23 @@ def pickle_uses(source: str) -> list:
             names = [node.module or ""]
         elif isinstance(node, ast.Name):
             names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
         else:
             continue
-        if any(name.split(".")[0] in ("pickle", "_pickle") for name in names):
+        if any(name.split(".")[0] in targets for name in names):
             lines.add(node.lineno)
     return sorted(lines)
+
+
+def pickle_uses(source: str) -> list:
+    """Lines that import `pickle` (or `_pickle`) or name it."""
+    return name_uses(source, {"pickle", "_pickle"})
+
+
+MALLOC = {"ctypes", "mallopt", "malloc_trim"}
+# the cli helpers that call glibc's malloc functions -> their one caller
+MALLOC_HELPERS = {"_pin_malloc_thresholds": "main", "_release_free_heap": "run_pipeline"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -199,6 +213,36 @@ def test_children_start_only_behind_the_overlap_gate():
 )
 def test_pickle_only_in_cli(path):
     assert pickle_uses(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py"),
+    ids=lambda p: p.name,
+)
+def test_ctypes_only_in_cli(path):
+    assert name_uses(path.read_text(encoding="utf-8"), MALLOC) == []
+
+
+def test_malloc_calls_only_in_the_cli_helpers():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    helpers = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in MALLOC_HELPERS
+    ]
+    imports = {
+        node.lineno for node in tree.body
+        if isinstance(node, ast.Import) and node.names[0].name == "ctypes"
+    }
+    outside = [
+        line for line in name_uses(source, MALLOC)
+        if line not in imports
+        and not any(f.lineno <= line <= f.end_lineno for f in helpers)
+    ]
+    assert len(helpers) == len(MALLOC_HELPERS)
+    assert len(imports) == 1 and outside == []
+    for helper, caller in MALLOC_HELPERS.items():
+        assert [scope for _, scope in fork_calls(source, {helper})] == [caller]
 
 
 def test_detects_a_fork_outside_the_helper():
@@ -229,6 +273,19 @@ def test_detects_pickle_use():
         "fine = unpickle(x) + os.pickled\n"
     )
     assert pickle_uses(source) == [1, 2, 3, 4]
+
+
+def test_detects_ctypes_use():
+    source = (
+        "import ctypes\n"
+        "from ctypes import CDLL\n"
+        "libc = CDLL(None)\n"
+        "libc.mallopt(-3, 1)\n"
+        "libc.malloc_trim(0)\n"
+        "size = ctypes.sizeof(x)\n"
+        "fine = malloc(1) + cfrank.ctypes_like\n"
+    )
+    assert name_uses(source, MALLOC) == [1, 2, 4, 5, 6]
 
 
 CHECKPOINT_LOADERS = {"load_sim_params", "load_posterior", "load_model"}

@@ -18,6 +18,8 @@ from cfrank.mathcore import (
     scatter_add,
     sigmoid,
     softmax,
+    softplus,
+    softplus_sigmoid,
     top_k,
 )
 
@@ -257,6 +259,15 @@ class TestSigmoid:
         got = sigmoid(x)
         assert got.shape == x.shape
         assert np.array_equal(got.view(np.int64), two_branch_sigmoid(x).view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, width=64), max_size=40))
+    @example(SIGMOID_EDGES)
+    def test_shared_exponential_matches_both_calls(self, values):
+        x = np.array(values, dtype=np.float64)
+        got_softplus, got_sigmoid = softplus_sigmoid(x)
+        assert np.array_equal(got_softplus.view(np.int64), softplus(x).view(np.int64))
+        assert np.array_equal(got_sigmoid.view(np.int64), sigmoid(x).view(np.int64))
 
     def test_scalar_and_nan(self):
         assert sigmoid(0.0).shape == ()

@@ -121,6 +121,14 @@ class TestNoisyErm:
         assert rate <= 0.12
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_simulations_need_a_trial(trials):
+    with pytest.raises(ValueError, match=f"trials={trials} must be >= 1"):
+        simulate_voting(0.75, 6, trials, RandomStream(0))
+    with pytest.raises(ValueError, match=f"trials={trials} must be >= 1"):
+        simulate_noisy_erm(0.25, 0.2, 0.1, 16, trials, RandomStream(0))
+
+
 class TestExactTail:
     def test_hand_computed_values(self):
         # P(Bin(6, .75) <= 2) for the strict minority event
