@@ -25,7 +25,7 @@ _EXPORTS = {
         "EvalReport", "coldness_report", "evaluate", "hr_at_n", "ndcg_at_n",
     ),
     "intervention": (
-        "CounterfactualBatch", "Episode", "GaussianPolicy", "pretrain_policy",
+        "CounterfactualBatch", "Episodes", "GaussianPolicy", "pretrain_policy",
         "random_list", "realize_list", "reinforce_update",
         "run_intervention_round",
     ),

@@ -327,7 +327,7 @@ def stage_fit_posterior(cfg, out, run=None):
     run = run or _Run(cfg, out)
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
-    params = run.take("sim.txt", simulator.load_sim_params)
+    params = run.take("sim.txt", simulator.load_sim_params, log)
     posterior = simulator.fit_posterior(
         params,
         train,
@@ -432,24 +432,17 @@ def stage_train_target(cfg, out, run=None):
 
 
 def _round_batches(cfg, policy, params, posterior, n_users, stream):
-    """The counterfactual batch of each intervention round, in round order.
-
-    A round's batch depends on the policy, the simulator and the posterior
-    only: the target enters a round through its episode rewards, which the
-    stage does not use, so no reward is scored.
-    """
+    """The counterfactual batch of each intervention round, in round order."""
     for rnd in range(cfg["intervention.rounds"]):
         batch, _ = intervention.run_intervention_round(
             policy,
             params,
             posterior,
-            None,
             range(n_users),
             actions_per_user=cfg["intervention.actions"],
             mode=cfg["target.objective"],
             k=cfg["intervention.k"],
             stream=stream.substream(f"round{rnd}"),
-            explore_std=0.0,
             noise_control=cfg["intervention.noise_control"],
             round_tag=f"r{rnd}",
         )
@@ -463,7 +456,8 @@ def stage_intervene(cfg, out, run=None):
 
     After the policy is pretrained, a forked child (`_beside`) generates the
     rounds' batches in order while this process fine-tunes on each batch as
-    it arrives; rounds score no reward, so they do not wait for the target.
+    it arrives; a round's batch depends on the policy, the simulator and the
+    posterior only, so the rounds do not wait for the target.
 
     It takes the simulator, posterior and model handed on in `run`,
     loading each one that is not there, and hands the fine-tuned model on
@@ -481,9 +475,9 @@ def stage_intervene(cfg, out, run=None):
     train_fn = _trainer(mode)
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
-    params = run.take("sim.txt", simulator.load_sim_params)
-    posterior = run.take("posterior.txt", simulator.load_posterior)
-    target = run.take("target.txt", rankers.load_model)
+    params = run.take("sim.txt", simulator.load_sim_params, log)
+    posterior = run.take("posterior.txt", simulator.load_posterior, log)
+    target = run.take("target.txt", rankers.load_model, log)
     if not target.trainable:
         raise ConfigError(f"target.kind {kind!r} cannot be retrained")
     observed = rankers.TrainingData.from_log(train)
@@ -559,9 +553,9 @@ def stage_intervene(cfg, out, run=None):
 
 
 def stage_evaluate(cfg, out, run=None):
-    """Scores the target model (target.txt) and, after intervene, the CPR
-    model (target_cpr.txt); writes report.txt and report.tsv and returns
-    the reports.
+    """Scores the target model (target.txt) and, when intervention.rounds
+    > 0, the CPR model (target_cpr.txt), which must then exist; writes
+    report.txt and report.tsv and returns the reports.
 
     It scores the models handed on in `run`, loading each one that is not
     there, and finishes the child writing target_cpr.txt before it writes
@@ -578,10 +572,7 @@ def stage_evaluate(cfg, out, run=None):
     reports = {}
     coldness = {}
     models = [(cfg["target.kind"], "target.txt")]
-    # A run directory reused with rounds=0 may hold an older run's model.
-    if "target_cpr.txt" in run.models or (
-        cfg["intervention.rounds"] > 0 and os.path.exists(_artifact(out, "target_cpr.txt"))
-    ):
+    if cfg["intervention.rounds"] > 0:
         models.append((_cpr_name(cfg), "target_cpr.txt"))
     buckets = None
     if cfg["eval.coldness"]:
@@ -591,7 +582,7 @@ def stage_evaluate(cfg, out, run=None):
     # Every model gets a fresh stream with the same label, so under
     # sampled candidates all models rank against the same negatives.
     for name, artifact in models:
-        model = run.take(artifact, rankers.load_model)
+        model = run.take(artifact, rankers.load_model, log)
         model.user_positives = split.train.positives_by_user()
         reports[name] = evalkit.evaluate(
             model,
@@ -808,16 +799,24 @@ class _Run:
                 self.children[name] = (owner, _Forked(label, generate, *args, part))
         return name in self.children
 
-    def take(self, name, load):
+    def take(self, name, load, log):
         """What was handed on for checkpoint `name`, which the record then
         drops; else the model rebuilt from the state its child sent last
-        (`_fit_and_save`); else load(path) once its child finished."""
+        (`_fit_and_save`); else load(path) once its child finished. A model
+        whose user or item count differs from `log`'s raises ValueError
+        naming the file and both counts."""
         if name in self.models:
-            return self.models.pop(name)
-        state = self.finish(name)
-        if state is not None:
-            return rankers.model_from_state(*state)
-        return load(_artifact(self.out, name, must_exist=True))
+            model = self.models.pop(name)
+        elif (state := self.finish(name)) is not None:
+            model = rankers.model_from_state(*state)
+        else:
+            model = load(_artifact(self.out, name, must_exist=True))
+        for what in ("users", "items"):
+            have, want = getattr(model, f"n_{what}", None), getattr(log, f"n_{what}")
+            if have not in (None, want):
+                path = _artifact(self.out, name)
+                raise ValueError(f"{path} holds {have} {what}, but the log has {want}")
+        return model
 
     def finish(self, name):
         """Waits for the child writing checkpoint `name`, if one is left.

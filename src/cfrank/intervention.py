@@ -3,8 +3,9 @@
 A small Gaussian policy proposes a continuous item center per user; the K
 catalog items scoring highest against that center form the intervened list,
 the simulator labels it, and the resulting samples (optionally filtered to
-the most- and least-confident slots) are scored by the target model's loss,
-which REINFORCE then pushes the policy to increase. Both rankings here, the
+the most- and least-confident slots) form a round's batch. Pretraining
+scores each episode's samples by the target model's loss, which REINFORCE
+then pushes the policy to increase. Both rankings here, the
 catalog items against a center and the slots of a labeled list, are
 `mathcore.top_k`, so ties break toward the lower id or slot.
 """
@@ -25,9 +26,14 @@ from .simulator import SimParams, VariationalPosterior
 LOG_2PI = math.log(2.0 * math.pi)
 SAMPLE_MODES = ("pairwise", "pointwise")
 # Entries of the (episodes x n_items) noise and score matrices per block:
-# run_intervention_round handles BLOCK_ENTRIES // n_items episodes at a
-# time, so its memory does not grow with the number of episodes.
+# run_intervention_round draws, and pretrain_policy scores, BLOCK_ENTRIES //
+# n_items episodes at a time, so memory does not grow with the episodes.
 BLOCK_ENTRIES = mathcore.BLOCK_ENTRIES
+
+
+def _block_episodes(n_items: int) -> int:
+    """Episodes per block, for drawing a round and for scoring its rewards."""
+    return max(1, BLOCK_ENTRIES // n_items)
 
 
 class GaussianPolicy:
@@ -81,18 +87,17 @@ class GaussianPolicy:
 
 
 @dataclass
-class Episode:
-    """One intervention: the action taken, the realized list, and its reward."""
+class Episodes:
+    """A round's interventions in (user, action) order, one row each: the
+    user's embedding and the policy's own draw, before exploration noise
+    (zeros for random lists). Every episode of a round gives the same r
+    samples, so episode e's are rows [e * r, (e + 1) * r) of its batch."""
 
-    user: int
-    user_embed: np.ndarray
-    action: np.ndarray  # the policy's own draw, before exploration noise
-    tau: np.ndarray  # action + exploration noise; the center actually used
-    logprob: float  # density of `action` under the policy
-    items: list
-    selected: list
-    reward: float
-    episode_id: str = ""
+    user_embed: np.ndarray  # (n, d)
+    action: np.ndarray  # (n, d)
+
+    def __len__(self):
+        return len(self.user_embed)
 
 
 # Lines `CounterfactualBatch.to_tsv` formats at once.
@@ -273,16 +278,13 @@ def _batch_from_block(mode, rows, conf, tags) -> CounterfactualBatch:
 # REINFORCE
 
 
-def surrogate_loss_grads(policy: GaussianPolicy, episodes, baseline: float):
+def surrogate_loss_grads(policy: GaussianPolicy, episodes, rewards, baseline: float):
     """Value and gradients of sum_t (reward_t - baseline) * logprob_t.
 
-    Episodes are stacked as rows, so each sum over episodes is a matmul or
-    a column sum.
+    Episodes are rows, so each sum over episodes is a matmul or a column sum.
     """
-    d = policy.d
-    x = np.array([ep.user_embed for ep in episodes], dtype=np.float64).reshape(-1, d)
-    a = np.array([ep.action for ep in episodes], dtype=np.float64).reshape(-1, d)
-    weight = np.array([ep.reward for ep in episodes], dtype=np.float64) - baseline
+    x, a = episodes.user_embed, episodes.action
+    weight = np.asarray(rewards, dtype=np.float64) - baseline
     pre, h, mu = policy._forward(x)
     std = np.exp(policy.log_std)
     z = (a - mu) / std
@@ -301,22 +303,23 @@ def surrogate_loss_grads(policy: GaussianPolicy, episodes, baseline: float):
     return value, grads
 
 
-def reinforce_update(policy: GaussianPolicy, episodes, lr: float) -> GaussianPolicy:
+def reinforce_update(policy: GaussianPolicy, episodes, rewards, lr: float):
     """One ascent step on the baseline-subtracted policy-gradient surrogate,
-    added to the policy's arrays in place.
+    added to the policy's arrays in place; `rewards` holds one per episode.
 
     The baseline is the mean episode reward; equal rewards therefore produce
     an exactly zero update. A non-finite gradient skips the update with a
     warning instead of corrupting the policy.
     """
-    episodes = list(episodes)
-    if not episodes:
+    if not len(episodes):
         raise ValueError("reinforce_update needs at least one episode")
-    rewards = np.array([ep.reward for ep in episodes], dtype=np.float64)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    if rewards.shape != (len(episodes),):
+        raise ValueError(f"{rewards.shape} rewards for {len(episodes)} episodes")
     if not np.all(np.isfinite(rewards)):
         raise ValueError("episode rewards must be finite")
     baseline = float(rewards.mean())
-    _, grads = surrogate_loss_grads(policy, episodes, baseline)
+    _, grads = surrogate_loss_grads(policy, episodes, rewards, baseline)
     if not all(np.all(np.isfinite(g)) for g in grads.values()):
         warnings.warn("non-finite policy gradient; update skipped", stacklevel=2)
         return policy
@@ -354,7 +357,6 @@ def run_intervention_round(
     policy: GaussianPolicy | None,
     params: SimParams,
     posterior: VariationalPosterior,
-    target_model,
     users,
     actions_per_user: int,
     mode: str,
@@ -364,19 +366,16 @@ def run_intervention_round(
     noise_control: bool = True,
     round_tag: str = "round",
 ):
-    """Generate counterfactual samples for each user and score their reward.
+    """Generate counterfactual samples for each user.
 
     For every user and action: draw alpha and beta from their posteriors,
     propose a center from `policy`, or a uniform list when `policy` is None
-    (the random ablation), label the realized list with the simulator,
+    (the random ablation), label the realized list with the simulator and
     assemble samples (noise-controlled at level k, or all selected-vs-rest
-    when noise_control is off), and set the episode reward to the target
-    model's loss on those samples. Returns the merged batch and the episode
-    list, in (user, action) order. With `target_model` None no reward is
-    scored and the episode list is empty; the stream is drawn the same way
-    and the batch is the same.
+    when noise_control is off). Returns the merged batch and the `Episodes`,
+    both in (user, action) order.
 
-    Episodes run in blocks of BLOCK_ENTRIES // n_items. A policy block makes
+    Episodes run in blocks of `_block_episodes(n_items)`. A policy block makes
     one draw, stream.normal((b, n_items + d [+ d] + K)): row e holds episode
     e's alpha noise, action noise, exploration noise (only if explore_std >
     0) and beta noise, the widths and order in which a per-episode loop
@@ -384,8 +383,7 @@ def run_intervention_round(
     draws of width w, so the stream is consumed exactly as by that loop.
     The random source draws alpha, list and beta per episode, since its
     `choice` sits between the normals. The rest is one kernel per block:
-    `realize_list`, the slot softmax, `_block_samples`, and one `loss_*`
-    call whose per-episode sums are the rewards.
+    `realize_list`, the slot softmax and `_block_samples`.
     """
     users = _check_round(params, users, actions_per_user, mode, k)
     n_items, list_len = params.n_items, params.list_len
@@ -402,25 +400,21 @@ def run_intervention_round(
         ]
     else:
         tags = ["random"] * len(ep_users)
-    loss = loss_pairwise if mode == "pairwise" else loss_pointwise
-    block = max(1, BLOCK_ENTRIES // n_items)
+    block = _block_episodes(n_items)
     merged = CounterfactualBatch(mode=mode)
-    episodes = []
+    episodes = Episodes(params.P[ep_users], np.zeros((len(ep_users), d)))
     for start in range(0, len(ep_users), block):
         block_users = ep_users[start : start + block]
-        block_tags = tags[start : start + block]
         b = len(block_users)
-        embeds = params.P[block_users]
         if policy is not None:
             noise = stream.normal((b, cuts[2] + n_beta))
             alphas = posterior.mu_alpha + posterior.sigma_alpha * noise[:, : cuts[0]]
-            mu = policy.mean(embeds)
-            std = np.exp(policy.log_std)
-            actions = mu + std * noise[:, cuts[0] : cuts[1]]
+            mu = policy.mean(episodes.user_embed[start : start + b])
+            actions = mu + np.exp(policy.log_std) * noise[:, cuts[0] : cuts[1]]
+            episodes.action[start : start + b] = actions
             taus = actions
             if explore:
                 taus = actions + explore_std * noise[:, cuts[1] : cuts[2]]
-            logprobs = policy._log_density((actions - mu) / std)
             items = realize_list(params, taus, alphas, list_len)
             beta_noise = noise[:, cuts[2] :]
         else:
@@ -430,8 +424,6 @@ def run_intervention_round(
                 stream.normal(n_alpha)  # alpha is unused but keeps the stream order
                 items[e] = random_list(n_items, list_len, stream)
                 beta_noise[e] = stream.normal(n_beta)
-            taus = actions = np.zeros((b, d))
-            logprobs = np.zeros(b)
         betas = posterior.mu_beta + posterior.sigma_beta * beta_noise
         logits = np.einsum(
             "bd,bkd->bk", params.X[block_users], params.Y[items]
@@ -441,25 +433,7 @@ def run_intervention_round(
         rows, conf = _block_samples(
             block_users, items, probs, order, mode, k, noise_control
         )
-        merged.extend(_batch_from_block(mode, rows, conf, block_tags))
-        if target_model is None:
-            continue
-        selected = _take(items, np.sort(order[:, :k], axis=1))
-        rewards = loss(target_model, rows)
-        for e, tag in enumerate(block_tags):
-            episodes.append(
-                Episode(
-                    user=int(block_users[e]),
-                    user_embed=embeds[e],
-                    action=actions[e],
-                    tau=taus[e],
-                    logprob=float(logprobs[e]),
-                    items=items[e].tolist(),
-                    selected=selected[e].tolist(),
-                    reward=float(rewards[e]),
-                    episode_id=tag,
-                )
-            )
+        merged.extend(_batch_from_block(mode, rows, conf, tags[start : start + block]))
     return merged, episodes
 
 
@@ -482,7 +456,10 @@ def pretrain_policy(
 
     Each episode samples `steps_per_episode` users uniformly, generates one
     intervention per user with exploration noise whose std decays linearly
-    from `explore_start` to zero, and takes one policy-gradient step.
+    from `explore_start` to zero, and takes one policy-gradient step. Its
+    reward is the target's loss on its samples, scored in the round's blocks
+    (`_block_episodes`): BLAS rounds mlp and neumf scores by the rows scored
+    together.
     """
     if episodes < 0:
         raise ValueError(f"episodes={episodes} must be >= 0")
@@ -492,15 +469,16 @@ def pretrain_policy(
         raise ValueError(f"lr={lr} must be finite and > 0")
     if not 0 <= explore_start < np.inf:
         raise ValueError(f"explore_start={explore_start} must be finite and >= 0")
+    loss = loss_pairwise if mode == "pairwise" else loss_pointwise
+    block = _block_episodes(params.n_items)
     for ep in range(episodes):
         decay = 1.0 - (ep / max(episodes - 1, 1))
         explore = explore_start * decay
         users = [int(u) for u in stream.integers(0, n_users, steps_per_episode)]
-        _, eps = run_intervention_round(
+        batch, eps = run_intervention_round(
             policy,
             params,
             posterior,
-            target_model,
             users,
             actions_per_user=1,
             mode=mode,
@@ -510,7 +488,11 @@ def pretrain_policy(
             noise_control=noise_control,
             round_tag=f"pretrain{ep}",
         )
-        reinforce_update(policy, eps, lr)
+        rows = batch.rows().reshape(len(eps), -1, 3)
+        rewards = np.concatenate(
+            [loss(target_model, rows[a : a + block]) for a in range(0, len(eps), block)]
+        )
+        reinforce_update(policy, eps, rewards, lr)
     return policy
 
 

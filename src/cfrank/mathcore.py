@@ -22,7 +22,9 @@ BLOCK_ENTRIES = 1 << 16
 
 
 class TrainingError(RuntimeError):
-    """Raised when an optimization loop produces non-finite values."""
+    """Raised when an optimization loop produces non-finite values, or when
+    negative sampling finds nothing left to draw (`sample_excluding`); the
+    `cfrank` command exits 3 on either."""
 
 
 class RandomStream:

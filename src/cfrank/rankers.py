@@ -8,7 +8,7 @@ shared minibatch Adam loop of `mathcore`. itempop is fit from
 selection counts and itemknn from item-item cosine similarity. The pairwise
 objective is the log-sigmoid margin loss and the pointwise one is sigmoid
 cross-entropy; `loss_pairwise`/`loss_pointwise` evaluate them without an
-update, which the intervention engine uses as episode rewards.
+update, which policy pretraining uses as episode rewards.
 
 Each gradient kind has one `forward(u, i) -> (scores, activations)`, and
 `score_batch` returns its scores. `backward(activations, ds, grads, l2)`
@@ -654,7 +654,9 @@ def _check_ids(ids, limit, what):
 
 def recommend_topn(model, users, candidates=None, n=10, exclude=None):
     """Top-n items by score, descending, ties to the lower id: one list for
-    a scalar user, one list per user for an array of users.
+    a scalar user, one list per user for an array of users. Only exactly
+    equal scores tie: under mlp and neumf, items with equal embeddings can
+    score apart in the last bit, since BLAS rounds equal rows by position.
 
     Explicit candidates (distinct ids, at least n of them) are ranked for
     every user. With candidates=None each user ranks the whole catalog

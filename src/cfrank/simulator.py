@@ -93,6 +93,10 @@ class VariationalPosterior:
         if np.any(self.sigma_alpha < 0) or np.any(self.sigma_beta < 0):
             raise ValueError("posterior sigmas must be nonnegative")
 
+    @property
+    def n_items(self):
+        return self.mu_alpha.shape[0]
+
     def sample_alpha(self, stream: RandomStream) -> np.ndarray:
         return self.mu_alpha + self.sigma_alpha * stream.normal(self.mu_alpha.shape)
 

@@ -862,6 +862,7 @@ class TestCommandBlasDefault:
 
         assert cfrank.train_pairwise is rankers.train_pairwise
         assert set(cfrank.__all__) <= set(dir(cfrank))
+        assert [n for n in cfrank.__all__ if not hasattr(cfrank, n)] == []
         with pytest.raises(AttributeError):
             cfrank.no_such_name
 
@@ -1185,6 +1186,55 @@ class TestMainEntry:
         assert main(["evaluate", "--set=eval.n=0"] + args) == 2
         assert "stage 'evaluate' failed: n=0 must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "report.tsv").exists()
+
+    def test_evaluate_without_intervene_names_target_cpr(self, tmp_path, capsys):
+        args = ["--out", str(tmp_path), *config_args("intervention.rounds=3")]
+        for stage in ("synth-gen", "train-target"):
+            assert main([stage] + args) == 0
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 2
+        (line,) = error_lines(capsys.readouterr().err)
+        assert line == (
+            "error: stage 'evaluate' failed: expected artifact "
+            f"{tmp_path / 'target_cpr.txt'}; run the earlier stage"
+        )
+        assert not (tmp_path / "report.txt").exists()
+        assert not (tmp_path / "report.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "key, first, then",
+        [("synth.n_items", 30, 40), ("synth.n_items", 40, 30), ("synth.n_users", 40, 30)],
+    )
+    def test_checkpoint_sized_for_another_log(self, tmp_path, capsys, key, first, then):
+        args = ["--out", str(tmp_path), *config_args()]
+        for stage in ("synth-gen", "train-sim", "fit-posterior", "train-target"):
+            assert main([stage, *args, f"--set={key}={first}"]) == 0
+        assert main(["synth-gen", *args, f"--set={key}={then}"]) == 0
+        before = run_files(tmp_path)
+        what = key.removeprefix("synth.n_")
+        for stage, name in (("fit-posterior", "sim.txt"), ("intervene", "sim.txt"),
+                            ("evaluate", "target.txt")):
+            capsys.readouterr()
+            assert main([stage, *args, f"--set={key}={then}"]) == 2
+            assert error_lines(capsys.readouterr().err) == [
+                f"error: stage {stage!r} failed: {tmp_path / name} holds {first} "
+                f"{what}, but the log has {then}"
+            ]
+        assert run_files(tmp_path) == before
+
+    def test_posterior_sized_for_another_log(self, tmp_path, capsys):
+        args = ["--out", str(tmp_path), *config_args()]
+        for stage in ("synth-gen", "train-sim", "fit-posterior", "train-target"):
+            assert main([stage] + args) == 0
+        assert main(["synth-gen", *args, "--set=synth.n_items=40"]) == 0
+        assert main(["train-sim", *args, "--set=synth.n_items=40"]) == 0
+        posterior = tmp_path / "posterior.txt"  # still the 30-item fit
+        capsys.readouterr()
+        assert main(["intervene", *args, "--set=synth.n_items=40"]) == 2
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: stage 'intervene' failed: {posterior} holds 30 items, "
+            "but the log has 40"
+        ]
 
     def test_zero_target_negatives_fails_the_stage(self, tmp_path, capsys):
         code = main(

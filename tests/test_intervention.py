@@ -12,7 +12,7 @@ from cfrank.cli import load_config, run_pipeline
 from cfrank.intervention import (
     SAMPLE_MODES,
     CounterfactualBatch,
-    Episode,
+    Episodes,
     GaussianPolicy,
     load_policy,
     pretrain_policy,
@@ -291,43 +291,30 @@ class TestBuildSamplesUnfiltered:
             build_samples_unfiltered(3, [0, 1], [5], "pairwise")
 
 
-def make_episodes(policy, rewards, seed=0):
+def make_episodes(policy, n, seed=0):
     rs = RandomStream(seed)
-    episodes = []
-    for idx, reward in enumerate(rewards):
-        x = rs.normal(policy.d)
-        tau, action, logprob = policy_sample(policy, x, rs)
-        episodes.append(
-            Episode(
-                user=idx,
-                user_embed=x,
-                action=action,
-                tau=tau,
-                logprob=logprob,
-                items=[],
-                selected=[],
-                reward=float(reward),
-            )
-        )
-    return episodes
+    embeds, actions = [], []
+    for _ in range(n):
+        embeds.append(rs.normal(policy.d))
+        actions.append(policy_sample(policy, embeds[-1], rs)[1])
+    return Episodes(np.array(embeds), np.array(actions))
 
 
 class TestReinforce:
     def test_equal_rewards_zero_update(self):
         policy = GaussianPolicy(3, 4, RandomStream(2))
         before = {k: v.copy() for k, v in policy.params().items()}
-        episodes = make_episodes(policy, [2.5, 2.5, 2.5])
-        reinforce_update(policy, episodes, lr=0.1)
+        reinforce_update(policy, make_episodes(policy, 3), [2.5, 2.5, 2.5], lr=0.1)
         for k, v in policy.params().items():
             assert np.array_equal(before[k], v)
 
     def test_positive_advantage_raises_logprob(self):
         policy = GaussianPolicy(3, 4, RandomStream(2))
-        episodes = make_episodes(policy, [0.0, 4.0])
-        target = episodes[1]
-        before = policy.log_prob(target.user_embed, target.action)
-        reinforce_update(policy, episodes, lr=1e-3)
-        after = policy.log_prob(target.user_embed, target.action)
+        episodes = make_episodes(policy, 2)
+        x, a = episodes.user_embed[1], episodes.action[1]
+        before = policy.log_prob(x, a)
+        reinforce_update(policy, episodes, [0.0, 4.0], lr=1e-3)
+        after = policy.log_prob(x, a)
         assert after > before
 
     def test_reward_shift_invariance(self):
@@ -335,16 +322,17 @@ class TestReinforce:
         results = []
         for shift in (0.0, 100.0):
             policy = GaussianPolicy(3, 4, RandomStream(2))
-            episodes = make_episodes(policy, [r + shift for r in base_rewards])
-            reinforce_update(policy, episodes, lr=0.01)
+            rewards = [r + shift for r in base_rewards]
+            reinforce_update(policy, make_episodes(policy, 3), rewards, lr=0.01)
             results.append({k: v.copy() for k, v in policy.params().items()})
         for k in results[0]:
             np.testing.assert_allclose(results[0][k], results[1][k], atol=1e-10)
 
     def test_surrogate_gradients_match_finite_differences(self):
         policy = GaussianPolicy(3, 4, RandomStream(6))
-        episodes = make_episodes(policy, [1.0, -0.5, 2.0], seed=3)
-        baseline = float(np.mean([e.reward for e in episodes]))
+        episodes = make_episodes(policy, 3, seed=3)
+        rewards = [1.0, -0.5, 2.0]
+        baseline = float(np.mean(rewards))
         names = list(policy.params())
         shapes = {k: v.shape for k, v in policy.params().items()}
 
@@ -360,11 +348,11 @@ class TestReinforce:
             return out
 
         base = pack(policy.params())
-        _, grads = surrogate_loss_grads(policy, episodes, baseline)
+        _, grads = surrogate_loss_grads(policy, episodes, rewards, baseline)
 
         def value(v):
             policy.set_params(unpack(v))
-            out = surrogate_loss_grads(policy, episodes, baseline)[0]
+            out = surrogate_loss_grads(policy, episodes, rewards, baseline)[0]
             policy.set_params(unpack(base))
             return out
 
@@ -373,7 +361,34 @@ class TestReinforce:
     def test_empty_episodes_rejected(self):
         policy = GaussianPolicy(2, 3, RandomStream(0))
         with pytest.raises(ValueError):
-            reinforce_update(policy, [], lr=0.1)
+            reinforce_update(policy, make_episodes(policy, 0), [], lr=0.1)
+
+    @pytest.mark.parametrize("rewards", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_one_reward_per_episode(self, rewards):
+        policy = GaussianPolicy(2, 3, RandomStream(0))
+        before = {k: v.copy() for k, v in policy.params().items()}
+        with pytest.raises(ValueError, match="rewards for 2 episodes"):
+            reinforce_update(policy, make_episodes(policy, 2), rewards, lr=0.1)
+        assert all(np.array_equal(before[k], v) for k, v in policy.params().items())
+
+
+def spy_pretraining(monkeypatch):
+    """Records, for each pretraining step, the round's (batch, episodes) and
+    the rewards its policy update was given."""
+    seen = []
+    real_round, real_update = run_intervention_round, reinforce_update
+
+    def round_spy(*args, **kwargs):
+        seen.append([real_round(*args, **kwargs)])
+        return seen[-1][0]
+
+    def update_spy(policy, episodes, rewards, lr):
+        seen[-1].append(np.array(rewards))
+        return real_update(policy, episodes, rewards, lr)
+
+    monkeypatch.setattr(intervention, "run_intervention_round", round_spy)
+    monkeypatch.setattr(intervention, "reinforce_update", update_spy)
+    return seen
 
 
 class TestInterventionRound:
@@ -388,14 +403,13 @@ class TestInterventionRound:
             self.policy,
             self.params,
             self.posterior,
-            self.target,
             [0, 1],
             actions_per_user=0,
             mode="pairwise",
             k=1,
             stream=RandomStream(1),
         )
-        assert len(batch) == 0 and episodes == []
+        assert len(batch) == 0 and len(episodes) == 0
 
     def test_deterministic(self):
         outs = []
@@ -404,7 +418,6 @@ class TestInterventionRound:
                 self.policy,
                 self.params,
                 self.posterior,
-                self.target,
                 [0, 1],
                 actions_per_user=2,
                 mode="pairwise",
@@ -414,32 +427,26 @@ class TestInterventionRound:
             outs.append(batch.triplets)
         assert outs[0] == outs[1]
 
-    def test_rewards_match_recomputed_loss(self):
-        batch, episodes = run_intervention_round(
-            self.policy,
-            self.params,
-            self.posterior,
-            self.target,
-            [0, 1],
-            actions_per_user=1,
-            mode="pairwise",
-            k=2,
+    def test_rewards_match_recomputed_loss(self, monkeypatch):
+        seen = spy_pretraining(monkeypatch)
+        pretrain_policy(
+            self.policy, self.params, self.posterior, self.target, n_users=2,
+            episodes=1, steps_per_episode=2, mode="pairwise", k=2, lr=0.01,
             stream=RandomStream(7),
         )
-        for ep in episodes:
+        ((batch, episodes), rewards), = seen
+        for e, tag in enumerate(["pretrain0/u0/t0", "pretrain0/u1/t0"]):
+            np.testing.assert_array_equal(episodes.user_embed[e], self.params.P[e])
             rows = [
-                t
-                for t, src in zip(batch.triplets, batch.provenance)
-                if src == ep.episode_id
+                t for t, src in zip(batch.triplets, batch.provenance) if src == tag
             ]
-            assert ep.reward == loss_pairwise(self.target, rows)
+            assert rewards[e] == loss_pairwise(self.target, rows)
 
     def test_random_source(self):
         batch, episodes = run_intervention_round(
             None,
             self.params,
             self.posterior,
-            self.target,
             [0, 1],
             actions_per_user=1,
             mode="pairwise",
@@ -447,31 +454,14 @@ class TestInterventionRound:
             stream=RandomStream(2),
         )
         assert all(src == "random" for src in batch.provenance)
-        assert all(ep.logprob == 0.0 for ep in episodes)
-
-    @pytest.mark.parametrize("source", ["policy", "random"])
-    @pytest.mark.parametrize("mode", ["pairwise", "pointwise"])
-    def test_no_target_scores_no_reward(self, source, mode):
-        policy = self.policy if source == "policy" else None
-        outs = []
-        for target in (self.target, None):
-            stream = RandomStream(11)
-            batch, episodes = run_intervention_round(
-                policy, self.params, self.posterior, target, [0, 1, 0],
-                actions_per_user=2, mode=mode, k=2, stream=stream,
-            )
-            outs.append((batch, episodes, stream.normal(3)))
-        (batch, episodes, after), (bare, none, bare_after) = outs
-        assert len(episodes) == 6 and none == []
-        assert bare == batch
-        np.testing.assert_array_equal(bare_after, after)  # same draws made
+        np.testing.assert_array_equal(episodes.user_embed, self.params.P[[0, 1]])
+        np.testing.assert_array_equal(episodes.action, np.zeros((2, 2)))
 
     def test_pointwise_mode(self):
         batch, episodes = run_intervention_round(
             self.policy,
             self.params,
             self.posterior,
-            self.target,
             [0],
             actions_per_user=1,
             mode="pointwise",
@@ -635,24 +625,24 @@ def reference_build_samples(user, items, slot_probs, mode, k, provenance):
 
 
 def reference_round(
-    policy, params, posterior, target, users, actions, mode, k, stream,
+    policy, params, posterior, users, actions, mode, k, stream,
     explore_std, noise_control, list_source, round_tag,
 ):
     """One episode at a time: policy_sample -> realize_list ->
-    counterfactual_select -> build_samples[_unfiltered] -> loss_*."""
+    counterfactual_select -> build_samples[_unfiltered]. Returns the merged
+    batch and each episode's user embedding and action."""
     merged = CounterfactualBatch(mode=mode)
-    episodes = []
+    embeds, taken = [], []
     for user in users:
         for t in range(actions):
             tag = f"{round_tag}/u{user}/t{t}"
             alpha = posterior.sample_alpha(stream)
             embed = params.P[user]
             if list_source == "policy":
-                tau, action, logprob = policy_sample(policy, embed, stream, explore_std)
+                tau, action, _ = policy_sample(policy, embed, stream, explore_std)
                 items = reference_realize_list(params, tau, alpha, params.list_len)
             else:
-                tau = action = np.zeros(params.P.shape[1])
-                logprob = 0.0
+                action = np.zeros(params.P.shape[1])
                 items = random_list(params.n_items, params.list_len, stream)
                 tag = "random"
             selected, probs = counterfactual_select(
@@ -664,20 +654,14 @@ def reference_round(
                 batch = build_samples_unfiltered(
                     user, items, selected, mode, slot_probs=probs, provenance=tag
                 )
-            loss = loss_pairwise if mode == "pairwise" else loss_pointwise
-            episodes.append(
-                Episode(
-                    user=user, user_embed=embed, action=action, tau=tau,
-                    logprob=logprob, items=items, selected=selected,
-                    reward=loss(target, batch.rows()), episode_id=tag,
-                )
-            )
+            embeds.append(embed)
+            taken.append(action)
             merged.extend(batch)
-    return merged, episodes
+    return merged, embeds, taken
 
 
 def random_world(seed, n_users, n_items, list_len, d, dup_items, zero_noise):
-    """Simulator, posterior, target and policy drawn from one seed. The first
+    """Simulator, posterior and policy drawn from one seed. The first
     `dup_items` items repeat item 0's exposure row with w_r = 0, so their
     list scores tie exactly; `zero_noise` collapses both posteriors."""
     rs = RandomStream(seed)
@@ -697,9 +681,8 @@ def random_world(seed, n_users, n_items, list_len, d, dup_items, zero_noise):
         mu_beta=rs.normal(list_len),
         sigma_beta=np.zeros(list_len) if zero_noise else rs.uniform(size=list_len),
     )
-    target = make_model("bpr-mf", n_users, n_items, 3, rs.substream("target"))
     policy = GaussianPolicy(d, 5, rs.substream("policy"))
-    return params, posterior, target, policy
+    return params, posterior, policy
 
 
 @st.composite
@@ -734,7 +717,7 @@ EDGE_CASE = {
 
 
 def assert_rounds_equal(got, want):
-    (batch, episodes), (ref_batch, ref_episodes) = got, want
+    (batch, episodes), (ref_batch, ref_embeds, ref_actions) = got, want
     assert batch.mode == ref_batch.mode
     assert batch.triplets == ref_batch.triplets
     assert batch.points == ref_batch.points
@@ -742,18 +725,14 @@ def assert_rounds_equal(got, want):
     np.testing.assert_allclose(
         batch.confidences, ref_batch.confidences, rtol=1e-12, atol=1e-15
     )
-    assert len(episodes) == len(ref_episodes)
-    for ep, ref in zip(episodes, ref_episodes):
-        assert (ep.user, ep.episode_id) == (ref.user, ref.episode_id)
-        assert ep.items == ref.items
-        assert ep.selected == ref.selected
-        assert ep.reward == ref.reward
-        np.testing.assert_array_equal(ep.user_embed, ref.user_embed)
-        for name in ("action", "tau"):
-            np.testing.assert_allclose(
-                getattr(ep, name), getattr(ref, name), rtol=1e-12, atol=1e-15
-            )
-        assert ep.logprob == pytest.approx(ref.logprob, rel=1e-12, abs=1e-15)
+    d = episodes.user_embed.shape[1]
+    assert len(episodes) == len(ref_embeds)
+    np.testing.assert_array_equal(
+        episodes.user_embed, np.reshape(ref_embeds, (-1, d))
+    )
+    np.testing.assert_allclose(
+        episodes.action, np.reshape(ref_actions, (-1, d)), rtol=1e-12, atol=1e-15
+    )
 
 
 class TestBatchedRound:
@@ -768,15 +747,14 @@ class TestBatchedRound:
          "list_source": "random", "explore_std": 0.0}
     )
     def test_matches_per_episode_loop(self, case):
-        params, posterior, target, policy = random_world(
+        params, posterior, policy = random_world(
             case["seed"], case["n_users"], case["n_items"], case["list_len"],
             case["d"], case["dup_items"], case["zero_noise"],
         )
         if case["list_source"] == "random":
             policy = None
         users = list(range(case["n_users"])) + [0]
-        args = (params, posterior, target, users, case["actions"], case["mode"],
-                case["k"])
+        args = (params, posterior, users, case["actions"], case["mode"], case["k"])
         extra = dict(
             explore_std=case["explore_std"],
             noise_control=case["noise_control"],
@@ -797,13 +775,13 @@ class TestBatchedRound:
         assert stream.normal(3).tolist() == ref_stream.normal(3).tolist()
 
     def test_ties_break_to_lower_id(self):
-        params, posterior, target, policy = random_world(3, 2, 9, 4, 2, 8, True)
+        params, posterior, policy = random_world(3, 2, 9, 4, 2, 8, True)
         items = realize_list(params, np.ones((3, 2)), np.zeros((3, 9)), 4)
         assert items.tolist() == [[0, 1, 2, 3]] * 3
         assert realize_list(params, np.ones(2), np.zeros(9), 4) == [0, 1, 2, 3]
 
     def test_block_equals_single_rows(self):
-        params, _, _, _ = random_world(4, 2, 30, 6, 3, 0, False)
+        params, _, _ = random_world(4, 2, 30, 6, 3, 0, False)
         rs = RandomStream(9)
         taus, alphas = rs.normal((7, 3)), rs.normal((7, 30))
         block = realize_list(params, taus, alphas, 6)
@@ -812,12 +790,12 @@ class TestBatchedRound:
             assert row.tolist() == reference_realize_list(params, tau, alpha, 6)
 
     def test_non_finite_scores_rejected(self):
-        params, _, _, _ = random_world(4, 2, 5, 3, 2, 0, False)
+        params, _, _ = random_world(4, 2, 5, 3, 2, 0, False)
         with pytest.raises(ValueError, match="finite"):
             realize_list(params, np.full(2, np.nan), np.zeros(5), 3)
 
     def test_rows_per_episode(self):
-        params, posterior, target, policy = random_world(5, 3, 7, 5, 2, 0, False)
+        params, posterior, policy = random_world(5, 3, 7, 5, 2, 0, False)
         expected = {
             ("pairwise", True): lambda k: k * k - max(0, 2 * k - 5),
             ("pointwise", True): lambda k: 2 * k,
@@ -827,23 +805,55 @@ class TestBatchedRound:
         for (mode, filtered), rows in expected.items():
             for k in range(1, 5):
                 batch, episodes = run_intervention_round(
-                    policy, params, posterior, target, [0, 1, 2], 2, mode, k,
+                    policy, params, posterior, [0, 1, 2], 2, mode, k,
                     RandomStream(k), noise_control=filtered,
                 )
                 assert len(episodes) == 6
                 assert len(batch) == 6 * rows(k), (mode, filtered, k)
 
 
+class TestPretrainRewards:
+    @pytest.mark.parametrize("mode", ["pairwise", "pointwise"])
+    @pytest.mark.parametrize("kind", ["bpr-mf", "neumf"])
+    def test_rewards_equal_per_episode_scores(self, kind, mode, monkeypatch):
+        """Rewards scored block by block from the round's batch equal each
+        episode's own rows scored alone, bit for bit, over four blocks."""
+        n_users, n_items, steps = 5, 9, 7
+        params, posterior, policy = random_world(21, n_users, n_items, 4, 3, 0, False)
+        target = make_model(kind, n_users, n_items, 4, RandomStream(8))
+        monkeypatch.setattr(intervention, "BLOCK_ENTRIES", 2 * n_items)
+        seen = spy_pretraining(monkeypatch)
+        loss = loss_pairwise if mode == "pairwise" else loss_pointwise
+        scored = []  # episodes per loss call
+
+        def loss_spy(model, rows):
+            scored.append(np.shape(rows)[0])
+            return loss(model, rows)
+
+        monkeypatch.setattr(intervention, loss.__name__, loss_spy)
+        pretrain_policy(
+            policy, params, posterior, target, n_users, episodes=3,
+            steps_per_episode=steps, mode=mode, k=2, lr=0.01, stream=RandomStream(9),
+        )
+        assert len(seen) == 3 and scored == [2, 2, 2, 1] * 3
+        for (batch, episodes), rewards in seen:
+            assert len(episodes) == steps
+            rows = batch.rows()
+            r = len(rows) // steps
+            want = [loss(target, rows[e * r : (e + 1) * r]) for e in range(steps)]
+            assert rewards.tolist() == want
+
+
 class TestRoundInputs:
     def setup_method(self):
-        self.params, self.posterior, self.target, self.policy = random_world(
+        self.params, self.posterior, self.policy = random_world(
             6, 3, 8, 4, 2, 0, False
         )
 
     def run(self, users=(0, 1), actions=1, k=2, params=None, stream=None):
         return run_intervention_round(
-            self.policy, params or self.params, self.posterior, self.target,
-            list(users), actions, "pairwise", k, stream or RandomStream(1),
+            self.policy, params or self.params, self.posterior, list(users),
+            actions, "pairwise", k, stream or RandomStream(1),
         )
 
     @pytest.mark.parametrize("users", [[-1], [3], [0, 5]])
@@ -873,35 +883,37 @@ class TestRoundInputs:
 
     def test_empty_users(self):
         batch, episodes = self.run(users=[])
-        assert len(batch) == 0 and episodes == []
+        assert len(batch) == 0 and len(episodes) == 0
+        assert episodes.user_embed.shape == episodes.action.shape == (0, 2)
 
 
-def reference_surrogate(policy, episodes, baseline):
+def reference_surrogate(policy, episodes, rewards, baseline):
     """Per-episode accumulation of the REINFORCE surrogate's gradients."""
     grads = {k: np.zeros_like(v) for k, v in policy.params().items()}
     value = 0.0
     std = np.exp(policy.log_std)
-    for ep in episodes:
-        weight = ep.reward - baseline
-        pre = policy.W1 @ ep.user_embed + policy.b1
+    for x, action, reward in zip(episodes.user_embed, episodes.action, rewards):
+        weight = reward - baseline
+        pre = policy.W1 @ x + policy.b1
         h = np.maximum(pre, 0.0)
         mu = policy.W2 @ h + policy.b2
-        value += weight * policy.log_prob(ep.user_embed, ep.action)
-        dmu = weight * (ep.action - mu) / std**2
+        value += weight * policy.log_prob(x, action)
+        dmu = weight * (action - mu) / std**2
         grads["W2"] += np.outer(dmu, h)
         grads["b2"] += dmu
         dpre = (policy.W2.T @ dmu) * (pre > 0)
-        grads["W1"] += np.outer(dpre, ep.user_embed)
+        grads["W1"] += np.outer(dpre, x)
         grads["b1"] += dpre
-        grads["log_std"] += weight * (((ep.action - mu) / std) ** 2 - 1.0)
+        grads["log_std"] += weight * (((action - mu) / std) ** 2 - 1.0)
     return value, grads
 
 
 def test_surrogate_matches_per_episode_sum():
     policy = GaussianPolicy(4, 6, RandomStream(3))
-    episodes = make_episodes(policy, RandomStream(4).normal(25), seed=5)
-    value, grads = surrogate_loss_grads(policy, episodes, 0.3)
-    ref_value, ref_grads = reference_surrogate(policy, episodes, 0.3)
+    episodes = make_episodes(policy, 25, seed=5)
+    rewards = RandomStream(4).normal(25)
+    value, grads = surrogate_loss_grads(policy, episodes, rewards, 0.3)
+    ref_value, ref_grads = reference_surrogate(policy, episodes, rewards, 0.3)
     assert value == pytest.approx(ref_value, rel=1e-12)
     for name, grad in ref_grads.items():
         np.testing.assert_allclose(grads[name], grad, rtol=1e-12, atol=1e-13)
