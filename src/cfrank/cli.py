@@ -3,26 +3,23 @@ stage, and an end-to-end pipeline that composes them.
 
 Every stage reads its inputs from the run directory (or the configured
 dataset path), derives all randomness from labeled substreams of the config
-seed, and writes plain-text artifacts, so composing stages by hand produces
-byte-identical results to the one-shot pipeline.
+seed, and writes its artifacts there: logs and reports as text, checkpoints
+in `textio`'s bit-exact format. A pipeline's stage loads every checkpoint
+it reads from the run directory, as a stage run by hand does, so composing
+stages by hand produces byte-identical results to the one-shot pipeline.
 
-`run_pipeline` hands every stage one run record (`_Run`), which carries
-forward in memory each checkpoint a later stage reads: the simulator, the
-posterior and both target models. Where a second CPU is free, forked
-children also use it and send their values back pickled through a pipe:
-synth-gen emits half the users' lists in a child; train-target's fit runs
-in a child started in train-sim's slot, which sends the model to
-train-target, writes target.txt and sends the model again for evaluate;
-intervene generates each round's counterfactual batch in a child while
-this process fine-tunes on the last, and leaves target_cpr.txt to a child
-that writes it while evaluate scores the model. Every branch draws only
-from its own labelled substreams, so every artifact is the same byte for
-byte either way. Forking needs Linux with `fork`, at least two usable
-CPUs, single-threaded BLAS (`OPENBLAS_NUM_THREADS=1`, or it unset and
-`OMP_NUM_THREADS=1`; the `cfrank` command sets the former by default) and
-no other thread in the process; otherwise the work runs in turn in this
-process, and evaluate reads target.txt. A stage run by hand hands nothing
-on and forks no checkpoint child: it loads every checkpoint it reads.
+Where a second CPU is free, forked children also use it and send their
+values back pickled through a pipe: synth-gen emits half the users' lists
+in a child; in a pipeline, train-target's fit runs in a child started in
+train-sim's slot, which sends the model to train-target; intervene
+generates each round's counterfactual batch in a child while this process
+fine-tunes on the last. Every branch draws only from its own labelled
+substreams, so every artifact is the same byte for byte either way. Forking
+needs Linux with `fork`, at least two usable CPUs, single-threaded BLAS
+(`OPENBLAS_NUM_THREADS=1`, or it unset and `OMP_NUM_THREADS=1`; the
+`cfrank` command sets the former by default) and no other thread in the
+process; otherwise the work runs in turn in this process. Every file is
+written by this process.
 
 `main` first fixes glibc's malloc thresholds for its process, which forked
 children inherit: mmap at 32 MiB, trim at 64 MiB (`mallopt`). Left to
@@ -207,6 +204,19 @@ def _artifact(out, name, must_exist=False):
     return path
 
 
+def _load_checkpoint(out, name, load, log):
+    """load(path) of checkpoint `name` in `out`, which must exist. A model
+    whose user or item count differs from `log`'s raises ValueError naming
+    the file and both counts."""
+    path = _artifact(out, name, must_exist=True)
+    model = load(path)
+    for what in ("users", "items"):
+        have, want = getattr(model, f"n_{what}", None), getattr(log, f"n_{what}")
+        if have not in (None, want):
+            raise ValueError(f"{path} holds {have} {what}, but the log has {want}")
+    return model
+
+
 def _load_dataset(cfg, out) -> InteractionLog:
     kind = cfg["dataset.kind"]
     if kind == "synthetic":
@@ -284,12 +294,12 @@ def stage_synth_gen(cfg, out, run=None):
 
 
 def stage_train_sim(cfg, out, run=None):
-    """Fits and writes sim.txt; returns it and hands it on in `run`.
+    """Fits, writes and returns sim.txt.
 
     In a pipeline it first forks train-target's fit (`_fork_fit`), so that
     the fork falls in this stage's slot."""
-    run = run or _Run(cfg, out)
-    _fork_fit(run)
+    if run is not None:
+        _fork_fit(cfg, out, run)
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
     stream = RandomStream(cfg["seed"])
@@ -318,16 +328,14 @@ def stage_train_sim(cfg, out, run=None):
     )
     params = simulator.SimParams(*imp, *sel)
     simulator.save_sim_params(params, _artifact(out, "sim.txt"))
-    run.models["sim.txt"] = params
     return params
 
 
 def stage_fit_posterior(cfg, out, run=None):
-    """Fits and writes posterior.txt; hands it and the simulator on in `run`."""
-    run = run or _Run(cfg, out)
+    """Fits, writes and returns posterior.txt."""
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
-    params = run.take("sim.txt", simulator.load_sim_params, log)
+    params = _load_checkpoint(out, "sim.txt", simulator.load_sim_params, log)
     posterior = simulator.fit_posterior(
         params,
         train,
@@ -339,7 +347,6 @@ def stage_fit_posterior(cfg, out, run=None):
         RandomStream(cfg["seed"]).substream("posterior"),
     )
     simulator.save_posterior(posterior, _artifact(out, "posterior.txt"))
-    run.models.update({"sim.txt": params, "posterior.txt": posterior})
     return posterior
 
 
@@ -387,47 +394,34 @@ def _fit_target(cfg, train):
     return model
 
 
-def _fork_fit(run):
-    """Forks train-target's fit and save (`_fit_and_save`) into a pipeline's
-    `run` where `_overlap_possible()` holds. A bad train-target config or
-    dataset, or a failed fork, starts nothing: train-target then runs in its
-    own slot and fails there. The dataset is loaded and split here, so this
-    process still makes one load per stage that reads it."""
-    if not (run.pipeline and _overlap_possible()):
+def _fork_fit(cfg, out, run):
+    """Forks train-target's fit into a pipeline's `run` where
+    `_overlap_possible()` holds. A bad train-target config or dataset, or a
+    failed fork, starts nothing: train-target then runs in its own slot and
+    fails there. The dataset is loaded and split here, so this process
+    still makes one load per stage that reads it."""
+    if not _overlap_possible():
         return
     try:
-        _target_trainer(run.cfg)
-        train = _split(run.cfg, _load_dataset(run.cfg, run.out)).train
+        _target_trainer(cfg)
+        train = _split(cfg, _load_dataset(cfg, out)).train
     except Exception:  # train-target then runs in its slot
         return
-    run.start_child(
-        "train-target", "target.txt", "train-target", _fit_and_save, run.cfg, train
-    )
-
-
-def _fit_and_save(cfg, train, path):
-    """The fitted model's state, sent before the model is saved at `path`
-    and again after it, for evaluate."""
-    model = _fit_target(cfg, train)
-    state = rankers.model_state(model)
-    yield state
-    rankers.save_model(model, path)
-    yield state
+    with contextlib.suppress(OSError):
+        run.fit = _Forked("train-target", _one, _fit_target, cfg, train)
 
 
 def stage_train_target(cfg, out, run=None):
-    """Fits the target ranker and writes target.txt; returns the model and
-    hands it on in `run`. If train-sim forked the fit, the model comes from
-    the child, or what the fit raised is raised, and the child goes on to
-    write target.txt."""
-    run = run or _Run(cfg, out)
-    if "target.txt" in run.children:
-        model = rankers.model_from_state(*next(run.children["target.txt"][1]))
+    """Fits the target ranker, writes target.txt and returns the model. If
+    train-sim forked the fit, the model comes from the child, or what the
+    fit raised is raised."""
+    if run is not None and run.fit is not None:
+        with contextlib.closing(run.fit) as fit:
+            (model,) = fit
     else:
         log = _load_dataset(cfg, out)
         model = _fit_target(cfg, _split(cfg, log).train)
-        rankers.save_model(model, _artifact(out, "target.txt"))
-    run.models["target.txt"] = model
+    rankers.save_model(model, _artifact(out, "target.txt"))
     return model
 
 
@@ -458,13 +452,7 @@ def stage_intervene(cfg, out, run=None):
     rounds' batches in order while this process fine-tunes on each batch as
     it arrives; a round's batch depends on the policy, the simulator and the
     posterior only, so the rounds do not wait for the target.
-
-    It takes the simulator, posterior and model handed on in `run`,
-    loading each one that is not there, and hands the fine-tuned model on
-    to evaluate. In a pipeline, a child forked into `run` writes
-    target_cpr.txt while the next stage runs.
     """
-    run = run or _Run(cfg, out)
     if cfg["intervention.rounds"] < 1:
         raise ConfigError("intervene needs intervention.rounds >= 1")
     actions = cfg["intervention.actions"]
@@ -475,9 +463,9 @@ def stage_intervene(cfg, out, run=None):
     train_fn = _trainer(mode)
     log = _load_dataset(cfg, out)
     train = _split(cfg, log).train
-    params = run.take("sim.txt", simulator.load_sim_params, log)
-    posterior = run.take("posterior.txt", simulator.load_posterior, log)
-    target = run.take("target.txt", rankers.load_model, log)
+    params = _load_checkpoint(out, "sim.txt", simulator.load_sim_params, log)
+    posterior = _load_checkpoint(out, "posterior.txt", simulator.load_posterior, log)
+    target = _load_checkpoint(out, "target.txt", rankers.load_model, log)
     if not target.trainable:
         raise ConfigError(f"target.kind {kind!r} cannot be retrained")
     observed = rankers.TrainingData.from_log(train)
@@ -542,27 +530,17 @@ def stage_intervene(cfg, out, run=None):
                 ),
                 stream.substream(f"finetune{rnd}"),
             )
-    forked = run.start_child(
-        "target_cpr.txt", "target_cpr.txt", "intervene", _one, rankers.save_model, target
-    )
     all_batches.to_tsv(_artifact(out, "batches.tsv"))
-    if not forked:
-        rankers.save_model(target, _artifact(out, "target_cpr.txt"))
-    run.models["target_cpr.txt"] = target
+    rankers.save_model(target, _artifact(out, "target_cpr.txt"))
     return target
 
 
 def stage_evaluate(cfg, out, run=None):
     """Scores the target model (target.txt) and, when intervention.rounds
     > 0, the CPR model (target_cpr.txt), which must then exist; writes
-    report.txt and report.tsv and returns the reports.
-
-    It scores the models handed on in `run`, loading each one that is not
-    there, and finishes the child writing target_cpr.txt before it writes
-    the reports. report.txt records the BLAS thread settings, on which the
-    simulator and policy bytes depend.
+    report.txt and report.tsv and returns the reports. report.txt records
+    the BLAS thread settings, on which the simulator and policy bytes depend.
     """
-    run = run or _Run(cfg, out)
     log = _load_dataset(cfg, out)
     split = _split(cfg, log)
     stream = RandomStream(cfg["seed"]).substream("eval")
@@ -582,7 +560,7 @@ def stage_evaluate(cfg, out, run=None):
     # Every model gets a fresh stream with the same label, so under
     # sampled candidates all models rank against the same negatives.
     for name, artifact in models:
-        model = run.take(artifact, rankers.load_model, log)
+        model = _load_checkpoint(out, artifact, rankers.load_model, log)
         model.user_positives = split.train.positives_by_user()
         reports[name] = evalkit.evaluate(
             model,
@@ -622,7 +600,6 @@ def stage_evaluate(cfg, out, run=None):
         rows = {f"{name}@{bucket}": rep for bucket, rep in per_bucket.items()}
         tsv.append(evalkit.comparison_tsv(rows))
     report_text = "\n".join(header) + "\n\n" + "\n".join(body) + "\n"
-    run.finish("target_cpr.txt")
     with open(_artifact(out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report_text)
     with open(_artifact(out, "report.tsv"), "w", encoding="utf-8") as fh:
@@ -770,81 +747,17 @@ def _remove(path):
 
 
 class _Run:
-    """What one pipeline run hands from stage to stage.
+    """What one pipeline run carries from stage to stage: train-target's
+    fit, if train-sim forked it (`_fork_fit`). A stage run by hand is
+    handed no record and forks no fit."""
 
-    `models` holds, by checkpoint name, what a stage made until a later
-    stage takes it. `children` holds, by checkpoint name, the forked
-    children that write a checkpoint under `path + ".part"`, so that an
-    unfinished write leaves nothing at `path`, each with the stage that
-    owns it: train-target for its fit, intervene for the target_cpr.txt
-    writer. A child's file is kept only if its owner is in `completed`,
-    which `run_pipeline` fills. A stage run by hand makes its own record
-    (`pipeline=False`), which forks nothing.
-    """
-
-    def __init__(self, cfg, out, pipeline=False):
-        self.cfg, self.out, self.pipeline = cfg, out, pipeline
-        self.models = {}
-        self.children = {}  # checkpoint name -> (owning stage, _Forked)
-        self.completed = set()
-
-    def start_child(self, label, name, owner, generate, *args):
-        """Runs generate(*args, temporary path of checkpoint `name`) in a
-        `_Forked` child named `label` and owned by stage `owner`, where this
-        is a pipeline's record, `_overlap_possible()` holds and the fork
-        succeeds; returns whether it did."""
-        if self.pipeline and _overlap_possible():
-            with contextlib.suppress(OSError):
-                part = _artifact(self.out, name + ".part")
-                self.children[name] = (owner, _Forked(label, generate, *args, part))
-        return name in self.children
-
-    def take(self, name, load, log):
-        """What was handed on for checkpoint `name`, which the record then
-        drops; else the model rebuilt from the state its child sent last
-        (`_fit_and_save`); else load(path) once its child finished. A model
-        whose user or item count differs from `log`'s raises ValueError
-        naming the file and both counts."""
-        if name in self.models:
-            model = self.models.pop(name)
-        elif (state := self.finish(name)) is not None:
-            model = rankers.model_from_state(*state)
-        else:
-            model = load(_artifact(self.out, name, must_exist=True))
-        for what in ("users", "items"):
-            have, want = getattr(model, f"n_{what}", None), getattr(log, f"n_{what}")
-            if have not in (None, want):
-                path = _artifact(self.out, name)
-                raise ValueError(f"{path} holds {have} {what}, but the log has {want}")
-        return model
-
-    def finish(self, name):
-        """Waits for the child writing checkpoint `name`, if one is left.
-        If its owner completed, reads it to the end, raises what it raised,
-        moves its file into place and returns the last value it sent;
-        otherwise closes the pipe first, so a child blocked on it fails and
-        ends. No temporary file is left."""
-        owner, child = self.children.pop(name, (None, None))
-        if child is None:
-            return None
-        part = _artifact(self.out, name + ".part")
-        sent = None
-        try:
-            if owner in self.completed:
-                for sent in child:
-                    pass
-                os.replace(part, _artifact(self.out, name))
-        finally:
-            child.close()
-            _remove(part)
-        return sent
+    fit = None
 
     def close(self):
-        """Finishes every child left. Never raises: a pipeline that has not
-        finished a checkpoint is failing already."""
-        for name in list(self.children):
-            with contextlib.suppress(Exception):
-                self.finish(name)
+        """Waits for the fit's child, if one was forked; a child blocked on
+        the pipe then fails its write and ends."""
+        if self.fit is not None:
+            self.fit.close()
 
 
 def run_pipeline(cfg, out):
@@ -852,36 +765,30 @@ def run_pipeline(cfg, out):
 
     Returns the last stage's result. Earlier results are dropped as soon
     as their stage ends. Every stage is handed one `_Run`, which carries
-    what each stage makes to the stages that take it, each until the last
-    of them ends, and the children that write target.txt and target_cpr.txt.
-    Every stage of the table is called once, in order, in this process,
-    and every fork falls inside a stage's call.
-    Each child is waited for, never killed, before its stage, evaluate or
-    this function returns or raises; this function records each stage that
-    completes, and a checkpoint child's file is kept only if the stage that
-    owns it completed.
+    train-target's forked fit. Every stage of the table is called once, in
+    order, in this process, and every fork falls inside a stage's call. The
+    fit's child is waited for, never killed, before this function returns
+    or raises.
 
-    Skipping intervene (rounds=0) drops what was handed to it and removes
-    what an older run's intervene left in `out`, so the directory ends as a
-    fresh run's would. After each stage the heap's free pages go back to
-    the system, so one stage's temporaries do not stay resident through
-    the next (`_release_free_heap`).
+    Skipping intervene (rounds=0) removes what an older run's intervene
+    left in `out`, so the directory ends as a fresh run's would. After each
+    stage the heap's free pages go back to the system, so one stage's
+    temporaries do not stay resident through the next
+    (`_release_free_heap`).
     """
     os.makedirs(out, exist_ok=True)
-    run = _Run(cfg, out, pipeline=True)
+    run = _Run()
     result = None
     try:
         for name, _ in PIPELINE_STAGES:
             if name == "synth-gen" and cfg["dataset.kind"] != "synthetic":
                 continue
             if name == "intervene" and cfg["intervention.rounds"] == 0:
-                run.models.clear()  # no later stage takes them
                 for artifact in ("policy.txt", "batches.tsv", "target_cpr.txt"):
                     _remove(_artifact(out, artifact))
                 continue
             result = None  # not held while the next stage runs
             result = run_stage(name, cfg, out, run=run)
-            run.completed.add(name)
             _release_free_heap()
         return result
     finally:

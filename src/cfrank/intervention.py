@@ -134,13 +134,21 @@ class CounterfactualBatch:
         )
 
     def to_tsv(self, path) -> None:
+        """Writes one line per sample. Rows, confidences and provenance of
+        different lengths raise ValueError naming the three lengths before
+        the file is opened, so an existing file is left untouched."""
         header = (
             "user\tpos_item\tneg_item\tconfidence\tprovenance"
             if self.mode == "pairwise"
             else "user\titem\tlabel\tconfidence\tprovenance"
         )
         rows = self.triplets if self.mode == "pairwise" else self.points
-        n = min(len(rows), len(self.confidences), len(self.provenance))
+        n = len(rows)
+        if not n == len(self.confidences) == len(self.provenance):
+            raise ValueError(
+                f"a batch of {n} rows, {len(self.confidences)} confidences "
+                f"and {len(self.provenance)} provenance entries"
+            )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"#mode {self.mode}\n{header}\n")
             # The cells of each chunk's lines in order, formatted in one

@@ -274,6 +274,9 @@ def save_world(world: SyntheticWorld, path) -> None:
 
 def load_world(path) -> SyntheticWorld:
     arrays, meta = textio.load_matrices(path)
+    textio.require(
+        path, arrays, meta, blocks=("user_vecs", "item_vecs"), keys=("d", "noise_std")
+    )
     d = int(meta["d"])
     return SyntheticWorld(
         user_vecs=arrays["user_vecs"],

@@ -1,11 +1,12 @@
-"""Versioned plain-text persistence for matrices and metadata.
+"""Versioned line-oriented persistence for matrices and metadata.
 
 One format serves every checkpoint in the package: a version line, `#meta`
-key=value lines, then named blocks of `name rows cols` followed by one
-space-separated row per line. Floats are written with repr-exact precision
-so saved and reloaded arrays compare equal bit for bit (NaN reads back as
-canonical `np.nan`). The writer and the reader each stream the file one
-line at a time.
+key=value lines, then named blocks of `name rows cols` followed by one row
+per line. A row is the hex of its values' little-endian float64 bytes, 16
+hex digits per value, so saved and reloaded arrays are equal bit for bit,
+NaN payloads and the sign of zero included, and a row costs one hex
+conversion each way rather than a decimal `repr` per value. The writer and
+the reader each stream the file one line at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import os
 
 import numpy as np
 
-FORMAT_VERSION = "cfrank-matrix v1"
+FORMAT_VERSION = "cfrank-matrix v2"
+ROW_DTYPE = np.dtype("<f8")  # a row's bytes, in the order its hex spells them
 
 
 def _check_names(arrays, meta) -> None:
@@ -44,7 +46,7 @@ def save_matrices(path, arrays: dict, meta: dict | None = None) -> None:
     """
     meta = meta or {}
     blocks = [
-        (name, np.atleast_2d(np.asarray(arr, dtype=np.float64)))
+        (name, np.atleast_2d(np.asarray(arr, dtype=ROW_DTYPE)))
         for name, arr in arrays.items()
     ]
     for name, a in blocks:
@@ -58,7 +60,7 @@ def save_matrices(path, arrays: dict, meta: dict | None = None) -> None:
         for name, a in blocks:
             fh.write(f"{name} {a.shape[0]} {a.shape[1]}\n")
             for row in a:
-                fh.write(" ".join(map(repr, row.tolist())) + "\n")
+                fh.write(row.tobytes().hex() + "\n")
 
 
 def _block_header(line):
@@ -81,11 +83,24 @@ def require(path, arrays, meta, blocks=(), keys=()) -> None:
             raise ValueError(f"{path}: missing block {name!r}")
 
 
+def _row_values(row, cols):
+    """The `cols` float64 values a row line spells; else ValueError saying
+    why not. `bytes.fromhex` skips whitespace, so the length is checked
+    before it and the byte count after it."""
+    if len(row) != 16 * cols:
+        raise ValueError(f"{len(row)} characters in a row of {cols} values")
+    data = bytes.fromhex(row)
+    if len(data) != 8 * cols:
+        raise ValueError("whitespace inside a row")
+    return np.frombuffer(data, dtype=ROW_DTYPE)
+
+
 def load_matrices(path) -> tuple[dict, dict]:
     """Returns (arrays, meta). 1xN blocks come back as 2-D; callers ravel.
 
     One pass reads each block's rows into its preallocated float64 array.
-    A malformed block raises ValueError naming `path:lineno`.
+    A file of another format version raises ValueError naming `path`, and
+    a malformed block one naming `path:lineno`.
     """
     arrays: dict = {}
     meta: dict = {}
@@ -97,7 +112,13 @@ def load_matrices(path) -> tuple[dict, dict]:
             return ValueError(f"{path}:{lineno}: {message}")
 
         lineno, line = next(lines, (1, ""))
-        if line.rstrip("\n") != f"#{FORMAT_VERSION}":
+        first = line.rstrip("\n")
+        if first != f"#{FORMAT_VERSION}":
+            if first.startswith("#cfrank-matrix "):
+                raise ValueError(
+                    f"{path}: a {first[1:]} file, but this version reads only "
+                    f"{FORMAT_VERSION}; run the stage that wrote it again"
+                )
             raise ValueError(f"{path}: not a {FORMAT_VERSION} file")
         heading = True  # `#meta` lines come first, before any block
         for lineno, line in lines:
@@ -113,21 +134,20 @@ def load_matrices(path) -> tuple[dict, dict]:
             if header is None:
                 raise fault(f"expected a 'name rows cols' block header, got {line!r}")
             name, rows, cols = header
-            # A row takes at least 2 bytes per value (1 when empty), so a
-            # header claiming more rows than the file holds allocates
-            # nothing: one of its rows is sure to fail.
-            fits = rows * max(2 * cols, 1) <= size + 1
+            # A row takes 16 bytes per value and its newline, so a header
+            # claiming more rows than the file holds allocates nothing: one
+            # of its rows is sure to fail.
+            fits = rows * (16 * cols + 1) <= size + 1
             block = np.empty((rows, cols)) if fits else None
             start = lineno
             for lineno, row in itertools.islice(lines, rows):
+                row = row.rstrip("\n")
                 try:
-                    values = [float(x) for x in row.split()]
+                    values = _row_values(row, cols)
                 except ValueError as exc:
                     if _block_header(row) is not None:
                         break  # the next block begins here
                     raise fault(f"block {name!r}: {exc}") from None
-                if len(values) != cols:
-                    raise fault(f"block {name!r}: {len(values)} values in a row of {cols}")
                 if fits:
                     block[lineno - start - 1] = values
             else:

@@ -160,22 +160,16 @@ class TestPipeline:
         assert len(seen) == len(cli.PIPELINE_STAGES)
         assert seen[-1]() is last
 
-        # The real stages hand the ranker models forward, each until the
-        # stage it was handed to ends. intervene fine-tunes the model it
-        # was handed and returns it, so evaluate is handed the same object;
-        # without intervene, no stage takes train-target's model.
+        # No ranker model of the real stages outlives its stage: a later
+        # stage loads its checkpoint from the run directory.
         monkeypatch.setattr(cli, "_overlap_possible", lambda: False)
-        for rounds, held in (
-            (1, {"intervene": {"train-target"}, "evaluate": {"train-target", "intervene"}}),
-            (0, {}),
-        ):
+        for rounds in (1, 0):
             models = {}
 
-            def holding(name, stage, models=models, held=held):
+            def holding(name, stage, models=models):
                 @functools.wraps(stage)
                 def run(cfg, out, **kwargs):
-                    alive = {n for n, ref in models.items() if ref() is not None}
-                    assert alive == held.get(name, set()), name
+                    assert all(ref() is None for ref in models.values()), name
                     result = stage(cfg, out, **kwargs)
                     if name in ("train-target", "intervene"):
                         models[name] = weakref.ref(result)
@@ -191,29 +185,6 @@ class TestPipeline:
             )
             assert "train-target" in models
             assert all(ref() is None for ref in models.values())
-
-    def test_plain_wrappers_keep_the_handoff(self, tmp_path, monkeypatch):
-        # Stages wrapped without functools.wraps still hand their models on:
-        # only evaluate loads a model checkpoint, target.txt.
-        from cfrank import cli, rankers
-
-        loads = []
-        load = rankers.load_model
-
-        def counting_load(path):
-            loads.append(os.path.basename(path))
-            return load(path)
-
-        def plain(fn):
-            return lambda cfg, out, **kw: fn(cfg, out, **kw)
-
-        monkeypatch.setattr(rankers, "load_model", counting_load)
-        monkeypatch.setattr(cli, "_overlap_possible", lambda: False)
-        monkeypatch.setattr(
-            cli, "PIPELINE_STAGES", tuple((n, plain(fn)) for n, fn in cli.PIPELINE_STAGES)
-        )
-        run_pipeline(tiny_cfg(), str(tmp_path))
-        assert loads == ["target.txt"]
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         cfg = tiny_cfg()
@@ -390,26 +361,19 @@ STAGE_NAMES = ["synth-gen", "train-sim", "fit-posterior", "train-target", "inter
 
 # Runs a `cfrank` command with the overlap gate forced on (argv[1] == "1:")
 # or off ("0:"). A mode after the colon makes a child die before it reports,
-# the train-target worker ("1:die"), the intervene child ("1:die-intervene")
-# or the target_cpr.txt writer ("1:die-writer"; with the gate off the save
-# runs in process and nothing dies), or makes intervene's round 0 raise on
-# either path ("1:raise-round", "0:raise-round"), or makes intervene's
-# batches.tsv write fail ("fail-batches"). Every stage is wrapped as
-# a tracer wraps it. Prints one JSON line: the exit code, the forks made,
-# the stages this process called, and whether a child process is left,
-# running or unreaped. Mode "handoff" adds the checkpoints this process
-# loaded and, per model handed to a stage ("target" to intervene, "cpr" to
-# evaluate), whether it equals its checkpoint array for array. Mode "parse"
-# adds the files this process parsed with `textio.load_matrices`.
+# the train-target worker ("1:die") or the intervene child
+# ("1:die-intervene"), or makes intervene's round 0 raise on either path
+# ("1:raise-round", "0:raise-round"), or makes intervene's batches.tsv
+# write fail ("fail-batches"). Every stage is wrapped as a tracer wraps it.
+# Prints one JSON line: the exit code, the forks made, the stages this
+# process called, and whether a child process is left, running or unreaped.
+# Mode "loads" adds, in order, the checkpoints this process loaded.
 OVERLAP_DRIVER = """
 import functools, json, os, sys
-import numpy as np
-from cfrank import cli, intervention, rankers, textio
+from cfrank import cli, intervention, rankers, simulator
 
-forks, called, loads, handed, parses = [], [], [], {}, []
+forks, called, loads = [], [], []
 fork = os.fork
-load, save = rankers.load_model, rankers.save_model
-load_matrices = textio.load_matrices
 
 def counting_fork():
     forks.append(os.getpid())
@@ -419,36 +383,17 @@ def traced(name, stage):
     @functools.wraps(stage)
     def run(*args, **kwargs):
         called.append(name)
-        models = getattr(kwargs.get("run"), "models", {})
-        for key, checkpoint in (("target", "target.txt"), ("cpr", "target_cpr.txt")):
-            if checkpoint in models:  # copied: intervene trains it in place
-                arrays, meta = rankers.model_state(models[checkpoint])
-                handed[key] = ({k: v.copy() for k, v in arrays.items()}, meta)
         return stage(*args, **kwargs)
     return run
 
-def counting_load(path):
-    loads.append(os.path.basename(path))
-    return load(path)
-
-def counting_parse(path):
-    parses.append(os.path.basename(path))
-    return load_matrices(path)
-
-def dying_save(model, path):
-    if os.path.basename(path) == "target_cpr.txt.part":
-        os._exit(9)
-    save(model, path)
+def counting(load):
+    def run(path):
+        loads.append(os.path.basename(path))
+        return load(path)
+    return run
 
 def failing_to_tsv(batch, path):
     raise OSError(f"cannot write {os.path.basename(path)}")
-
-def same(state, path):
-    arrays, meta = rankers.model_state(load(path))
-    got, got_meta = state
-    return got_meta == meta and got.keys() == arrays.keys() and all(
-        np.array_equal(got[k], arrays[k]) for k in arrays
-    )
 
 def raise_in_round_0(*args):
     raise ValueError("round 0 raised")
@@ -463,12 +408,10 @@ if mode == "die-intervene":
     cli._round_batches = lambda *args: os._exit(9)
 if mode == "raise-round":
     cli._round_batches = raise_in_round_0
-if mode == "die-writer":
-    rankers.save_model = dying_save
-if mode == "handoff":
-    rankers.load_model = counting_load
-if mode == "parse":
-    textio.load_matrices = counting_parse
+if mode == "loads":
+    for module, name in ((simulator, "load_sim_params"), (simulator, "load_posterior"),
+                         (rankers, "load_model")):
+        setattr(module, name, counting(getattr(module, name)))
 if mode == "fail-batches":
     intervention.CounterfactualBatch.to_tsv = failing_to_tsv
 cli.PIPELINE_STAGES = tuple((n, traced(n, s)) for n, s in cli.PIPELINE_STAGES)
@@ -479,15 +422,8 @@ try:
 except ChildProcessError:
     child = False
 result = {"code": code, "forks": len(forks), "stages": called, "child": child}
-if mode == "parse":
-    result["parses"] = parses
-if mode == "handoff":
-    out = sys.argv[sys.argv.index("--out") + 1]
+if mode == "loads":
     result["loads"] = loads
-    result["handed"] = {
-        key: same(handed[key], os.path.join(out, name))
-        for key, name in (("target", "target.txt"), ("cpr", "target_cpr.txt"))
-    }
 print(json.dumps(result))
 """
 
@@ -522,9 +458,7 @@ def forced_pipeline(overlap, out, *settings, mode=""):
 
 
 def run_files(out):
-    files = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert not [name for name in files if ".part" in name], sorted(files)
-    return files
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 def error_lines(err):
@@ -549,10 +483,9 @@ class TestOverlappedPipeline:
         for overlap in (True, False):
             out = tmp_path / str(overlap)
             result, err = forced_pipeline(overlap, out, *settings)
-            # synth-gen, the train-target worker, intervene's rounds and the
-            # target_cpr.txt writer
+            # synth-gen, the train-target worker and intervene's rounds
             assert result == {
-                "code": 0, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False
+                "code": 0, "forks": 3 * overlap, "stages": STAGE_NAMES, "child": False
             }, err
             files[overlap] = run_files(out)
             # By hand: synth-gen and intervene fork on their own.
@@ -610,8 +543,8 @@ class TestOverlappedPipeline:
         assert errors[True] == [
             "error: stage 'train-sim' failed: exposure training diverged at epoch 0"
         ]
-        # The worker was waited for, not killed, and what it wrote under a
-        # temporary name was removed: the serial run's directory.
+        # The worker was waited for, not killed, and wrote nothing: the
+        # serial run's directory.
         assert "target.txt" not in files[True]
         assert files[True] == files[False]
 
@@ -644,51 +577,19 @@ class TestOverlappedPipeline:
         [(), ("target.kind=neumf", "target.objective=pointwise")],
         ids=["bpr-mf", "neumf-pointwise"],
     )
-    def test_models_handed_forward_equal_their_checkpoints(self, tmp_path, settings):
+    def test_stages_load_checkpoints_on_both_paths(self, tmp_path, settings):
+        # Each stage loads what it reads from the run directory, as a stage
+        # run by hand does: fit-posterior the simulator, intervene the
+        # simulator, posterior and target, evaluate both rankers.
         for overlap in (True, False):
             result, err = forced_pipeline(
-                overlap, tmp_path / str(overlap), *settings, mode="handoff"
-            )
-            # Only evaluate can load a model checkpoint: target.txt, which
-            # intervene's fine-tune left behind in memory. With the gate on,
-            # train-target's child sends that model again.
-            assert result == {
-                "code": 0, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False,
-                "loads": [] if overlap else ["target.txt"],
-                "handed": {"target": True, "cpr": True},
-            }, err
-
-    def test_pipeline_parses_only_target_without_the_gate(self, tmp_path):
-        # Each checkpoint a stage reads is handed on in memory; with the gate
-        # off, evaluate parses target.txt, which intervene fine-tuned away.
-        for overlap in (True, False):
-            result, err = forced_pipeline(
-                overlap, tmp_path / str(overlap), "eval.coldness=true", mode="parse"
+                overlap, tmp_path / str(overlap), *settings, mode="loads"
             )
             assert result == {
-                "code": 0, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False,
-                "parses": [] if overlap else ["target.txt"],
+                "code": 0, "forks": 3 * overlap, "stages": STAGE_NAMES, "child": False,
+                "loads": ["sim.txt", "sim.txt", "posterior.txt", "target.txt",
+                          "target.txt", "target_cpr.txt"],
             }, err
-
-    def test_target_cpr_writer_that_dies_fails_evaluate(self, tmp_path):
-        for overlap in (True, False):
-            out = tmp_path / str(overlap)
-            result, err = forced_pipeline(overlap, out, mode="die-writer")
-            assert result == {
-                "code": 2 if overlap else 0, "forks": 4 * overlap,
-                "stages": STAGE_NAMES, "child": False,
-            }, err
-            files = run_files(out)
-            if overlap:
-                assert error_lines(err) == [
-                    "error: stage 'evaluate' failed: the target_cpr.txt worker ended"
-                    " without a result (exit code 9)"
-                ]
-                assert "target_cpr.txt" not in files and "report.tsv" not in files
-                assert {"target.txt", "batches.tsv"} <= files.keys()
-            else:
-                assert error_lines(err) == []
-                assert {"target_cpr.txt", "report.tsv"} <= files.keys()
 
     def test_failing_evaluate_keeps_target_cpr(self, tmp_path):
         files, errors = {}, {}
@@ -696,13 +597,13 @@ class TestOverlappedPipeline:
             out = tmp_path / str(overlap)
             result, err = forced_pipeline(overlap, out, "eval.n=0")
             assert result == {
-                "code": 2, "forks": 4 * overlap, "stages": STAGE_NAMES, "child": False
+                "code": 2, "forks": 3 * overlap, "stages": STAGE_NAMES, "child": False
             }, err
             files[overlap] = run_files(out)
             errors[overlap] = error_lines(err)
         assert errors[True] == errors[False]
         assert errors[True] == ["error: stage 'evaluate' failed: n=0 must be >= 1"]
-        # intervene completed, so the writer was waited for and its files kept
+        # intervene wrote target_cpr.txt before evaluate failed
         assert "target_cpr.txt" in files[True]
         assert "report.tsv" not in files[True]
         assert files[True] == files[False]
@@ -713,14 +614,14 @@ class TestOverlappedPipeline:
             out = tmp_path / str(overlap)
             result, err = forced_pipeline(overlap, out, mode="fail-batches")
             assert result == {
-                "code": 2, "forks": 4 * overlap, "stages": STAGE_NAMES[:5], "child": False
+                "code": 2, "forks": 3 * overlap, "stages": STAGE_NAMES[:5], "child": False
             }, err
             files[overlap] = run_files(out)
             errors[overlap] = error_lines(err)
         assert errors[True] == errors[False]
         assert errors[True] == ["error: stage 'intervene' failed: cannot write batches.tsv"]
-        # The writer had forked, but intervene did not complete: its files
-        # were removed, and train-target's were kept.
+        # intervene writes target_cpr.txt after batches.tsv, so neither is
+        # there; train-target's files were kept.
         assert not {"batches.tsv", "target_cpr.txt"} & files[True].keys()
         assert {"target.txt", "policy.txt"} <= files[True].keys()
         assert files[True] == files[False]
@@ -755,7 +656,7 @@ class TestOverlappedPipeline:
         assert len(errors[True]) == 1
         assert errors[True][0].startswith("error: stage 'intervene' failed: ")
         assert "batches.tsv" not in files[True]
-        # train-target completed, so its model was handed on and its files kept
+        # train-target completed, so its files were kept
         assert "target.txt" in files[True]
         assert files[True] == files[False]
 
@@ -1029,10 +930,11 @@ class TestReportPins:
     were rewritten: those rewrites must not move a bit. Their posterior and
     policy digests were fixed before the training data, the simulator
     parameters and the posterior's two likelihood halves each took one
-    shape."""
+    shape. The checkpoint digests are of the cfrank-matrix v2 files, whose
+    arrays and meta equal bit for bit those of the v1 files pinned before."""
 
-    SIM = "219089200f1c1bd263b3176450c77cdbd5dd2481bda9f4b360ff740efefd4b28"
-    POSTERIOR = "d2821562651e48a91e5050e570fbf06a1f65cca89f42875be65ea8eff6b72a50"
+    SIM = "37d8ce42a772f8c6bba467edf2563987f56df78f2d8b6f060b461cfd0744a0b7"
+    POSTERIOR = "03cbcf81db667042dee743c2cd75ddc6b0ae2f2048079020a7957b8800bdad5b"
 
     @pytest.mark.parametrize(
         "extra, digests",
@@ -1041,12 +943,12 @@ class TestReportPins:
                 {},
                 {
                     "report.tsv": "ea4d912ea827c978dbaa54cf6e5f8f69fbf6da8097f5646d80beba6d2d030974",
-                    "target.txt": "874c85140dce2815a0bb27cc9b03a4293144b64cbb0e78056c1e25d5b66f91c1",
-                    "target_cpr.txt": "1fb23948cf1d346d724dbf393705957a643466051db99bff0aee6003ef9c5e07",
+                    "target.txt": "66e057ce54f8cf42eb4af9b1e1f5deb489cd509e2a5b47a9b75b369693f3491d",
+                    "target_cpr.txt": "0de3cb20a2174455c50274e48ebcbd4209f5b291213f5643884162b1d3c6f52b",
                     "sim.txt": SIM,
                     "batches.tsv": "1324c5ef2b72e8836b5e0bfac4fe35a5dbd30e10d02478d32ea622973391b519",
                     "posterior.txt": POSTERIOR,
-                    "policy.txt": "a91697e9d0ef848edde9d0478b1923e1011400049dec5278bbd77b01b9718af6",
+                    "policy.txt": "1d4f85e750e47c12df55f8fbec5f127577a146385d963eae7e4d2adf23cdacaa",
                 },
             ),
             (
@@ -1054,12 +956,12 @@ class TestReportPins:
                  "eval.coldness": True},
                 {
                     "report.tsv": "9bbe64fb1913604070e660876623d553d9c3f14cbbcdb7b4ddef06e9d8674792",
-                    "target.txt": "996bee7aab370a348ee47091479fe3d194c67109377044a1f660b42655d3db31",
-                    "target_cpr.txt": "da2b7bb0cd2f2438d1b9f0fc2327d25b6a2aac51981fe116211aa0acb395cd60",
+                    "target.txt": "f7199fe631b54b917d728fbb0245f51deeaf052af01fcbab9d03360f273f99c4",
+                    "target_cpr.txt": "5b032089c7d211ff7d16a73af9a6ad57a869777c843a442ae59b10b83557f446",
                     "sim.txt": SIM,
                     "batches.tsv": "9031ee0020ee0a72b2121309c1cb23b3ec372df0ac49921dce64132b1557fde5",
                     "posterior.txt": POSTERIOR,
-                    "policy.txt": "6a1ff4754f451ca0466c5fd0345ec094ff9f6c632af387c6f40a09794324f4b2",
+                    "policy.txt": "572ca8119058a0c216978115fa4afccc2153c6753ce4af04fc13dfad5bdefac9",
                 },
             ),
             (
@@ -1235,6 +1137,20 @@ class TestMainEntry:
             f"error: stage 'intervene' failed: {posterior} holds 30 items, "
             "but the log has 40"
         ]
+
+    def test_v1_checkpoint_fails_its_stage(self, tmp_path, capsys):
+        # sim.txt as the decimal v1 format wrote it
+        args = ["--out", str(tmp_path), *config_args()]
+        assert main(["synth-gen"] + args) == 0
+        sim = tmp_path / "sim.txt"
+        sim.write_text("#cfrank-matrix v1\n#meta d_r=8\nP 1 2\n0.5 -0.25\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["fit-posterior"] + args) == 2
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: stage 'fit-posterior' failed: {sim}: a cfrank-matrix v1 file, but "
+            "this version reads only cfrank-matrix v2; run the stage that wrote it again"
+        ]
+        assert not (tmp_path / "posterior.txt").exists()
 
     def test_zero_target_negatives_fails_the_stage(self, tmp_path, capsys):
         code = main(

@@ -7,12 +7,13 @@ sorts or partitions for a ranking (its `top_k` holds the tie rule; a
 fork helper in `cli` (`_Forked`) forks a process, only the two functions
 that check the overlap gate start one, and only `cli` pickles, for what a
 child sends back through its pipe. In `cli`, a checkpoint loader is only
-ever the `load` argument of `_Run.take`, so a pipeline reads no checkpoint
-it could be handed, and no module names the retired `.f64` twin. Only `cli`
-touches `ctypes`, and only to call glibc's `mallopt` and `malloc_trim` in
-one helper each, which `main` and `run_pipeline` call. No linter ships with
-the project, so this parses each module with `ast`. The package `__init__`
-is skipped by the import check: its imports are the public exports.
+ever the `load` argument of `_load_checkpoint`, so every checkpoint a stage
+reads passes its user and item size check, and no module names the retired
+`.f64` twin. Only `cli` touches `ctypes`, and only to call glibc's
+`mallopt` and `malloc_trim` in one helper each, which `main` and
+`run_pipeline` call. No linter ships with the project, so this parses each
+module with `ast`. The package `__init__` is skipped by the import check:
+its imports are the public exports.
 """
 
 import ast
@@ -203,7 +204,7 @@ def test_fork_only_in_the_cli_helper(path):
 def test_children_start_only_behind_the_overlap_gate():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     starts = {scope for _, scope in fork_calls(source, {"_Forked"})}
-    assert starts == {"_beside", "_Run.start_child"}
+    assert starts == {"_beside", "_fork_fit"}
     assert starts <= {scope for _, scope in fork_calls(source, {"_overlap_possible"})}
 
 
@@ -293,16 +294,17 @@ CHECKPOINT_LOADERS = {"load_sim_params", "load_posterior", "load_model"}
 
 def loader_uses(source: str) -> list:
     """(line, name) of every checkpoint loader named or imported anywhere
-    but as the `load` argument (the second) of a `.take(...)` call."""
+    but as the `load` argument (the third) of a `_load_checkpoint(...)`
+    call."""
     tree = ast.parse(source)
     allowed = set()
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "take"
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_load_checkpoint"
         ):
-            allowed.update(id(arg) for arg in node.args[1:2])
+            allowed.update(id(arg) for arg in node.args[2:3])
             allowed.update(id(kw.value) for kw in node.keywords if kw.arg == "load")
     found = []
     for node in ast.walk(tree):
@@ -322,19 +324,19 @@ def loader_uses(source: str) -> list:
     return sorted(found)
 
 
-def test_checkpoint_loaders_only_as_take_arguments():
+def test_checkpoint_loaders_only_through_the_size_check():
     assert loader_uses((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
-def test_detects_a_loader_outside_take():
+def test_detects_a_loader_outside_the_size_check():
     source = (
         "from .rankers import load_model\n"
-        "a = run.take('sim.txt', simulator.load_sim_params)\n"
-        "b = run.take('target.txt', load=rankers.load_model)\n"
+        "a = _load_checkpoint(out, 'sim.txt', simulator.load_sim_params, log)\n"
+        "b = _load_checkpoint(out, 'target.txt', load=rankers.load_model, log=log)\n"
         "c = simulator.load_posterior(path)\n"
-        "d = run.take(rankers.load_model, 'target.txt')\n"
-        "e = take('x', load_model)\n"
-        "fine = run.take('x', load) + simulator.load_posteriors\n"
+        "d = _load_checkpoint(out, rankers.load_model, 'target.txt', log)\n"
+        "e = run._load_checkpoint(out, 'x', load_model, log)\n"
+        "fine = _load_checkpoint(out, 'x', load, log) + simulator.load_posteriors\n"
     )
     assert loader_uses(source) == [
         (1, "load_model"), (4, "load_posterior"), (5, "load_model"), (6, "load_model")

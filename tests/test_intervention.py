@@ -551,6 +551,29 @@ class TestBatchIO:
         ]
 
     @pytest.mark.parametrize(
+        "mode, rows, confidences, provenance",
+        [
+            ("pairwise", [(0, 1, 2), (0, 3, 4)], [0.5], ["r0", "r0"]),
+            ("pointwise", [(0, 1, 1)], [0.5, 0.25], ["r0"]),
+            ("pairwise", [(0, 1, 2)], [0.5], []),
+        ],
+    )
+    def test_mismatched_lengths_leave_existing_file(
+        self, tmp_path, mode, rows, confidences, provenance
+    ):
+        triplets, points = (rows, []) if mode == "pairwise" else ([], rows)
+        batch = CounterfactualBatch(mode, triplets, points, confidences, provenance)
+        path = tmp_path / "batches.tsv"
+        path.write_text("keep\n")
+        message = (
+            f"a batch of {len(rows)} rows, {len(confidences)} confidences "
+            f"and {len(provenance)} provenance entries"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            batch.to_tsv(path)
+        assert path.read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
         "text, lineno, message",
         [
             ("", 1, "expected '#mode pairwise' or '#mode pointwise', got ''"),

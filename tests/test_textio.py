@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cfrank import intervention, rankers, simulator
+from cfrank import intervention, rankers, simulator, synthgen
 from cfrank.mathcore import RandomStream
 from cfrank.textio import FORMAT_VERSION, load_matrices, save_matrices
 
 
+def hexrow(*values) -> str:
+    """A row line, value by value: each one's little-endian float64 bytes
+    in hex."""
+    return "".join(struct.pack("<d", v).hex() for v in values)
+
+
 def joined_reference(arrays, meta=None) -> str:
-    """The writer as it was: every line built first, then one joined string."""
+    """Every line built first, each value encoded on its own, then one
+    joined string."""
     lines = [f"#{FORMAT_VERSION}"]
     for key in sorted((meta or {})):
         lines.append(f"#meta {key}={meta[key]}")
@@ -22,7 +30,7 @@ def joined_reference(arrays, meta=None) -> str:
         a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
         lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
         for row in a:
-            lines.append(" ".join(repr(float(x)) for x in row))
+            lines.append(hexrow(*row.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -45,6 +53,9 @@ def test_matches_joined_writer(tmp_path, arrays, meta):
     path = tmp_path / "m.txt"
     save_matrices(path, arrays, meta)
     assert path.read_text(encoding="utf-8") == joined_reference(arrays, meta)
+    got, _ = load_matrices(path)
+    assert_same_bits(got, {k: np.atleast_2d(np.asarray(a, dtype=np.float64))
+                           for k, a in arrays.items()})
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,8 +119,8 @@ def test_unreadable_name_leaves_existing_file(tmp_path, arrays, meta, message):
     assert os.listdir(tmp_path) == ["m.txt"]
 
 
-VALID = [f"#{FORMAT_VERSION}", "#meta d=2", "P 2 2", "1.0 2.0", "3.0 4.0",
-         "w 1 3", "0.5 0.25 0.125"]
+VALID = [f"#{FORMAT_VERSION}", "#meta d=2", "P 2 2", hexrow(1.0, 2.0), hexrow(3.0, 4.0),
+         "w 1 3", hexrow(0.5, 0.25, 0.125)]
 
 
 def load_lines(tmp_path, lines):
@@ -133,16 +144,26 @@ def test_valid_lines_load(tmp_path):
         # a block cut short and followed by another block
         (VALID[:4] + VALID[5:], 5, "block 'P' ends after 1 of 2 rows"),
         # a ragged row
-        (VALID[:4] + ["3.0"] + VALID[5:], 5, "block 'P': 1 values in a row of 2"),
+        (VALID[:4] + [hexrow(3.0)] + VALID[5:], 5,
+         "block 'P': 16 characters in a row of 2 values"),
         # an over-wide row
-        (VALID[:3] + ["1.0 2.0 9.0"] + VALID[4:], 4, "block 'P': 3 values in a row of 2"),
-        # a non-numeric token
-        (VALID[:4] + ["3.0 x"] + VALID[5:], 5, "block 'P': could not convert"),
+        (VALID[:3] + [hexrow(1.0, 2.0, 9.0)] + VALID[4:], 4,
+         "block 'P': 48 characters in a row of 2 values"),
+        # a non-hex character
+        (VALID[:4] + [hexrow(3.0) + "x" * 16] + VALID[5:], 5,
+         "block 'P': non-hexadecimal number found in fromhex() arg at position 16"),
+        # whitespace inside a row of the right length, which `bytes.fromhex`
+        # would skip
+        (VALID[:4] + [hexrow(3.0, 4.0)[:14] + "  " + hexrow(3.0, 4.0)[16:]] + VALID[5:],
+         5, "block 'P': whitespace inside a row"),
+        # a row as the decimal v1 format wrote it
+        (VALID[:4] + ["3.0 4.0"] + VALID[5:], 5,
+         "block 'P': 7 characters in a row of 2 values"),
         # a 2-field block header
         (VALID[:5] + ["w 1"] + VALID[6:], 6, "expected a 'name rows cols' block header"),
     ],
     ids=["cut-short", "cut-short-then-block", "ragged", "over-wide", "non-numeric",
-         "two-field-header"],
+         "whitespace", "decimal-row", "two-field-header"],
 )
 def test_malformed_block_names_line(tmp_path, lines, lineno, message):
     path = load_lines(tmp_path, lines)
@@ -163,9 +184,23 @@ def assert_same_bits(got, want):
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-value = st.one_of(
-    st.floats(width=64),  # NaNs of either sign, subnormals, infinities
-    st.sampled_from(EDGE.tolist()),
+def bits(*values) -> list:
+    """The float64 bit patterns of `values`, as integers."""
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# Every float64 bit pattern: -0.0, infinities, subnormals and NaNs of either
+# sign with any payload, quiet or signalling.
+bit_pattern = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(bits(*EDGE) + [
+        0x7FF0000000000001,  # signalling NaN, smallest payload
+        0x7FF4000000000000,  # signalling NaN
+        0xFFF8000000000000,  # quiet NaN, sign set
+        0x7FFFFFFFFFFFFFFF,  # quiet NaN, full payload
+        0x000FFFFFFFFFFFFF,  # largest subnormal
+        0x8000000000000001,  # smallest negative subnormal
+    ]),
 )
 token = st.text(
     st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1
@@ -177,13 +212,13 @@ token = st.text(
     arrays=st.dictionaries(
         token.filter(lambda name: not name.startswith("#")),
         hnp.arrays(
-            np.float64,
+            np.uint64,
             st.one_of(
                 hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
                 st.sampled_from([(1, 7), (0, 3), (3, 0), (0, 0)]),
             ),
-            elements=value,
-        ),
+            elements=bit_pattern,
+        ).map(lambda a: a.view(np.float64)),
         max_size=4,
     ),
     meta=st.dictionaries(
@@ -198,9 +233,7 @@ def test_save_load_round_trips_every_float(tmp_path_factory, arrays, meta, as_pa
     save_matrices(path, arrays, meta)
     got, got_meta = load_matrices(path)
     assert got_meta == {str(k): str(v) for k, v in meta.items()}
-    # The text drops NaN sign and payload: every NaN reads back as np.nan.
-    want = {str(k): np.atleast_2d(np.where(np.isnan(a), np.nan, a)) for k, a in arrays.items()}
-    assert_same_bits(got, want)
+    assert_same_bits(got, {str(k): np.atleast_2d(a) for k, a in arrays.items()})
 
 
 def test_malformed_text_with_twin_names_line(tmp_path):
@@ -209,7 +242,7 @@ def test_malformed_text_with_twin_names_line(tmp_path):
     path = tmp_path / "m.txt"
     save_matrices(path, {"P": [[1.0, 2.0], [3.0, 4.0]], "w": [0.5, 0.25]}, {"d": 2})
     (tmp_path / "m.txt.f64").write_bytes(bytes(64))
-    path.write_text(path.read_text().replace("3.0 4.0\n", ""))
+    path.write_text(path.read_text().replace(hexrow(3.0, 4.0) + "\n", ""))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: "):
         load_matrices(path)
 
@@ -226,6 +259,17 @@ def reference_header(line):
     return fields[0], int(fields[1]), int(fields[2])
 
 
+def reference_row_error(row, cols):
+    """Why `row` is not `cols` hex-encoded values, else None."""
+    if len(row) != 16 * cols:
+        return f"{len(row)} characters in a row of {cols} values"
+    try:
+        data = bytes.fromhex(row)
+    except ValueError as exc:
+        return str(exc)
+    return None if len(data) == 8 * cols else "whitespace inside a row"
+
+
 def reference_block_error(path, lines, start, name, rows, cols) -> str:
     """`path:lineno: ...` for the first bad row of the block whose header is
     lines[start], found by walking the whole file again."""
@@ -234,15 +278,11 @@ def reference_block_error(path, lines, start, name, rows, cols) -> str:
         where = f"{path}:{lineno}: block {name!r}"
         if lineno > len(lines):
             return f"{where} ends after {r} of {rows} rows"
-        fields = lines[lineno - 1].split()
-        try:
-            [float(x) for x in fields]
-        except ValueError as exc:
+        error = reference_row_error(lines[lineno - 1], cols)
+        if error is not None:
             if reference_header(lines[lineno - 1]) is not None:
                 return f"{where} ends after {r} of {rows} rows"
-            return f"{where}: {exc}"
-        if len(fields) != cols:
-            return f"{where}: {len(fields)} values in a row of {cols}"
+            return f"{where}: {error}"
     raise AssertionError("a block that parses has no bad row")
 
 
@@ -252,6 +292,11 @@ def reference_parse_text(path):
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != f"#{FORMAT_VERSION}":
+        if lines and lines[0].startswith("#cfrank-matrix "):
+            raise ValueError(
+                f"{path}: a {lines[0][1:]} file, but this version reads only "
+                f"{FORMAT_VERSION}; run the stage that wrote it again"
+            )
         raise ValueError(f"{path}: not a {FORMAT_VERSION} file")
     i = 1
     while i < len(lines) and lines[i].startswith("#meta "):
@@ -270,12 +315,9 @@ def reference_parse_text(path):
             )
         name, rows, cols = header
         block = lines[i + 1 : i + 1 + rows]
-        try:
-            values = [[float(x) for x in row.split()] for row in block]
-        except ValueError:
-            values = None
-        if values is None or len(block) < rows or any(len(v) != cols for v in values):
+        if len(block) < rows or any(reference_row_error(row, cols) for row in block):
             raise ValueError(reference_block_error(path, lines, i, name, rows, cols))
+        values = [struct.unpack(f"<{cols}d", bytes.fromhex(row)) for row in block]
         arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
         i += 1 + rows
     return arrays, meta
@@ -290,8 +332,9 @@ def outcome(parse, path):
 
 stray_line = st.sampled_from([
     "", " ", "#meta k=v", "#cfrank-matrix v1", "x 1 2", "y 2 1", "z 0 3",
-    "big 99999999999 4", "v 3 0", "1.0 2.0", "1.0", "nan -inf", "1.0 x", "a b c",
-    "0.5 0.25 0.125", "1e308 -0.0 5e-324",
+    "big 99999999999 4", "v 3 0", hexrow(1.0, 2.0), hexrow(1.0), hexrow(np.nan, -np.inf),
+    hexrow(1.0) + "x" * 16, hexrow(1.0)[:6] + "  " + hexrow(1.0)[8:] + hexrow(2.0),
+    "1.0 2.0", "a b c", hexrow(0.5, 0.25, 0.125), hexrow(1e308, -0.0, 5e-324),
 ])
 
 
@@ -330,8 +373,26 @@ def test_streaming_parse_matches_whole_file_parse(tmp_path_factory, lines):
 
 
 def test_header_claiming_too_many_rows_allocates_nothing(tmp_path):
-    path = load_lines(tmp_path, VALID[:5] + ["w 99999999999 99999999"])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: block 'w' ends"):
+    import tracemalloc
+
+    for header in ("w 99999999999 99999999", "w 100000 100"):
+        path = load_lines(tmp_path, VALID[:5] + [header])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: block 'w' ends"):
+                load_matrices(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (header, peak)  # no block was made, not even 80 MB
+
+
+def test_v1_file_is_rejected(tmp_path):
+    path = load_lines(tmp_path, ["#cfrank-matrix v1", "#meta d=2", "P 1 2", "1.0 2.0"])
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))}: a cfrank-matrix v1 file, but this version reads only "
+        f"{re.escape(FORMAT_VERSION)}; run the stage that wrote it again$"
+    )):
         load_matrices(path)
 
 
@@ -370,6 +431,9 @@ def saved_checkpoint(kind, path):
     if kind == "policy":
         intervention.save_policy(intervention.GaussianPolicy(2, 4, stream), path)
         return intervention.load_policy
+    if kind == "world":
+        synthgen.save_world(synthgen.make_world(3, 5, d=2, stream=stream), path)
+        return synthgen.load_world
     rankers.save_model(rankers.make_model(kind, 3, 5, 2, stream, neighborhood=2), path)
     return rankers.load_model
 
@@ -388,6 +452,10 @@ def saved_checkpoint(kind, path):
         ("neumf", "w_fuse", "block 'w_fuse'"),
         ("itempop", "counts", "block 'counts'"),
         ("itemknn", "neighborhood", "meta key 'neighborhood'"),
+        ("world", "user_vecs", "block 'user_vecs'"),
+        ("world", "item_vecs", "block 'item_vecs'"),
+        ("world", "d", "meta key 'd'"),
+        ("world", "noise_std", "meta key 'noise_std'"),
     ],
 )
 def test_loaders_name_a_missing_block_or_meta_key(tmp_path, kind, drop, missing):
