@@ -17,9 +17,9 @@ import importlib
 # module -> the public names it exports here
 _EXPORTS = {
     "corpus": (
-        "ColdnessBuckets", "InteractionLog", "ParseError", "Record",
-        "SplitPair", "coldness_buckets", "leave_one_out_split",
-        "load_mind_behaviors", "load_native_log", "save_native_log",
+        "ColdnessBuckets", "InteractionLog", "ParseError", "SplitPair",
+        "coldness_buckets", "leave_one_out_split", "load_mind_behaviors",
+        "load_native_log", "save_native_log",
     ),
     "evalkit": (
         "EvalReport", "coldness_report", "evaluate", "hr_at_n", "ndcg_at_n",
@@ -42,8 +42,8 @@ _EXPORTS = {
         "slot_probs", "train_impression_model", "train_selection_model",
     ),
     "synthgen": (
-        "SyntheticWorld", "emit_dataset", "impression_score", "kappa1",
-        "kappa2", "kappa3", "make_world", "sample_impressions", "user_feedback",
+        "SyntheticWorld", "emit_dataset", "kappa1", "kappa2", "kappa3",
+        "make_world", "user_feedback",
     ),
     "theorylab": (
         "bound_theorem1", "bound_theorem2", "exact_voting_failure",

@@ -2,10 +2,7 @@
 
 A log is a sequence of records (user, shown item list, 0/1 selection labels),
 held as columns: `InteractionLog` documents the layout and which consumer
-reads which column. `Record` is only an input and view convenience:
-`InteractionLog.from_records` builds the columns from a list of records and
-`InteractionLog.records` lists them back. Nothing in the package reads
-`records`.
+reads which column.
 
 The native format is a 3-column TSV of exactly that; the news-behaviors
 format is the public 5-column TSV with "itemId-label" impression tokens,
@@ -28,18 +25,6 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass
-class Record:
-    user: int
-    items: list
-    labels: list
-
-    @property
-    def selected(self):
-        """Items with a positive label, in slot order."""
-        return [i for i, y in zip(self.items, self.labels) if y == 1]
-
-
 def _pad(flat, lengths) -> np.ndarray:
     """(n, K) int64 array whose row r holds the next `lengths[r]` values of
     `flat`, then PAD; K is the longest length (0 for no rows)."""
@@ -54,7 +39,7 @@ def _pad(flat, lengths) -> np.ndarray:
 class InteractionLog:
     """Columnar impression log.
 
-    Record r is user `users[r]` shown the `lengths[r]` items
+    The r-th record is user `users[r]` shown the `lengths[r]` items
     `items[r, :lengths[r]]` with 0/1 labels `labels[r, :lengths[r]]`. All four
     columns are int64: `users` and `lengths` are (n,); `items` and `labels`
     are (n, K) with K the longest list, and every slot past a record's
@@ -82,29 +67,6 @@ class InteractionLog:
     item_ids: list | None = None
 
     @classmethod
-    def from_records(
-        cls, n_users, n_items, records, user_ids=None, item_ids=None
-    ) -> "InteractionLog":
-        for idx, rec in enumerate(records):
-            if len(rec.items) != len(rec.labels):
-                raise ValueError(f"record {idx}: items/labels length mismatch")
-        n = len(records)
-        lengths = np.fromiter((len(r.items) for r in records), np.int64, n)
-        total = int(lengths.sum())
-        items = np.fromiter((i for r in records for i in r.items), np.int64, total)
-        labels = np.fromiter((y for r in records for y in r.labels), np.int64, total)
-        return cls(
-            n_users,
-            n_items,
-            np.fromiter((r.user for r in records), np.int64, n),
-            _pad(items, lengths),
-            _pad(labels, lengths),
-            lengths,
-            user_ids,
-            item_ids,
-        )
-
-    @classmethod
     def concat(cls, logs) -> "InteractionLog":
         """The records of `logs`, in order, as one log. The logs share
         n_users, n_items and slot count, and carry no id maps."""
@@ -120,15 +82,6 @@ class InteractionLog:
         )
 
     @property
-    def records(self) -> list:
-        """The log as a list of `Record`s (a copy, for tests and inspection)."""
-        items, labels = self.items.tolist(), self.labels.tolist()
-        return [
-            Record(u, items[r][:m], labels[r][:m])
-            for r, (u, m) in enumerate(zip(self.users.tolist(), self.lengths.tolist()))
-        ]
-
-    @property
     def n_records(self) -> int:
         return len(self.users)
 
@@ -136,10 +89,6 @@ class InteractionLog:
     def list_len(self) -> int:
         """Slot count: the longest impression list in the log."""
         return int(self.lengths.max(initial=0))
-
-    @property
-    def n_positives(self) -> int:
-        return int(self.labels.sum())
 
     def _first_problem(self):
         """(record index, message) for the first record failing a check, or None.

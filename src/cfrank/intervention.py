@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mathcore, textio
-from .mathcore import RandomStream, softmax, top_k
+from .mathcore import RandomStream, init_params, softmax, top_k
 from .rankers import loss_pairwise, loss_pointwise
 from .simulator import SimParams, VariationalPosterior
 
@@ -40,28 +40,28 @@ class GaussianPolicy:
     """Two-layer rectifier network emitting a Gaussian action distribution.
 
     The network maps a user embedding to the action mean; the log-std vector
-    is a free, state-independent parameter.
+    is a free, state-independent parameter. Without a stream the parameters
+    are left to `set_params`, as `load_policy` sets them: nothing is drawn.
     """
 
-    def __init__(self, d: int, hidden: int, stream: RandomStream):
+    def __init__(self, d: int, hidden: int, stream: RandomStream | None):
         if hidden <= 0:
             raise ValueError("hidden width must be positive")
         self.d = d
         self.hidden = hidden
-        self.W1 = stream.normal((hidden, d)) * np.sqrt(2.0 / d)
-        self.b1 = np.full(hidden, 0.01)  # off the rectifier kink at init
-        self.W2 = stream.normal((d, hidden)) * np.sqrt(2.0 / hidden)
-        self.b2 = np.zeros(d)
-        self.log_std = np.full(d, math.log(0.5))
+        layout = {
+            "W1": ((hidden, d), "normal", np.sqrt(2.0 / d)),
+            "b1": ((hidden,), "fill", 0.01),  # off the rectifier kink at init
+            "W2": ((d, hidden), "normal", np.sqrt(2.0 / hidden)),
+            "b2": ((d,), "fill", 0.0),
+            "log_std": ((d,), "fill", math.log(0.5)),
+        }
+        self.shapes = {name: shape for name, (shape, *_) in layout.items()}
+        if stream is not None:
+            self.set_params(init_params(layout, stream))
 
     def params(self) -> dict:
-        return {
-            "W1": self.W1,
-            "b1": self.b1,
-            "W2": self.W2,
-            "b2": self.b2,
-            "log_std": self.log_std,
-        }
+        return {name: getattr(self, name) for name in self.shapes}
 
     def set_params(self, values: dict) -> None:
         for name, arr in values.items():
@@ -102,6 +102,11 @@ class Episodes:
 
 # Lines `CounterfactualBatch.to_tsv` formats at once.
 _TSV_CHUNK = 4096
+# The column header of a batch file, by mode.
+_TSV_HEADERS = {
+    "pairwise": "user\tpos_item\tneg_item\tconfidence\tprovenance",
+    "pointwise": "user\titem\tlabel\tconfidence\tprovenance",
+}
 
 
 @dataclass
@@ -137,11 +142,6 @@ class CounterfactualBatch:
         """Writes one line per sample. Rows, confidences and provenance of
         different lengths raise ValueError naming the three lengths before
         the file is opened, so an existing file is left untouched."""
-        header = (
-            "user\tpos_item\tneg_item\tconfidence\tprovenance"
-            if self.mode == "pairwise"
-            else "user\titem\tlabel\tconfidence\tprovenance"
-        )
         rows = self.triplets if self.mode == "pairwise" else self.points
         n = len(rows)
         if not n == len(self.confidences) == len(self.provenance):
@@ -150,7 +150,7 @@ class CounterfactualBatch:
                 f"and {len(self.provenance)} provenance entries"
             )
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#mode {self.mode}\n{header}\n")
+            fh.write(f"#mode {self.mode}\n{_TSV_HEADERS[self.mode]}\n")
             # The cells of each chunk's lines in order, formatted in one
             # operation; chunks keep the text's memory small.
             for a in range(0, n, _TSV_CHUNK):
@@ -164,8 +164,8 @@ class CounterfactualBatch:
 
     @classmethod
     def from_tsv(cls, path) -> "CounterfactualBatch":
-        """Reads what `to_tsv` writes; a malformed line raises ValueError
-        naming `path:lineno`."""
+        """Reads what `to_tsv` writes; a malformed line, or a column header
+        other than the mode's, raises ValueError naming `path:lineno`."""
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
         first = lines[0] if lines else ""
@@ -175,6 +175,9 @@ class CounterfactualBatch:
                 f"{path}:1: expected '#mode pairwise' or '#mode pointwise', "
                 f"got {first!r}"
             )
+        header = lines[1] if len(lines) > 1 else ""
+        if header != _TSV_HEADERS[mode]:
+            raise ValueError(f"{path}:2: expected {_TSV_HEADERS[mode]!r}, got {header!r}")
         batch = cls(mode=mode)
         rows = batch.triplets if mode == "pairwise" else batch.points
         for lineno, line in enumerate(lines[2:], start=3):
@@ -514,18 +517,8 @@ def save_policy(policy: GaussianPolicy, path) -> None:
 
 def load_policy(path) -> GaussianPolicy:
     arrays, meta = textio.load_matrices(path)
-    textio.require(
-        path, arrays, meta, blocks=("W1", "b1", "W2", "b2", "log_std"),
-        keys=("d", "hidden"),
-    )
-    policy = GaussianPolicy(int(meta["d"]), int(meta["hidden"]), RandomStream(0))
-    policy.set_params(
-        {
-            "W1": arrays["W1"],
-            "b1": arrays["b1"].ravel(),
-            "W2": arrays["W2"],
-            "b2": arrays["b2"].ravel(),
-            "log_std": arrays["log_std"].ravel(),
-        }
-    )
+    textio.require(path, arrays, meta, keys=("d", "hidden"))
+    policy = GaussianPolicy(int(meta["d"]), int(meta["hidden"]), None)
+    textio.require(path, arrays, meta, blocks=policy.shapes)
+    policy.set_params({k: arrays[k].reshape(s) for k, s in policy.shapes.items()})
     return policy

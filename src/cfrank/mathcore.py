@@ -1,7 +1,8 @@
 """Deterministic numeric kernel shared by every learning module.
 
 Seeded counter-based random streams, stable softmax/sigmoid helpers,
-`scatter_add` (row-wise `np.add.at` through the flat 1-D fast path), a
+`scatter_add` (row-wise `np.add.at` through the flat 1-D fast path),
+`init_params` (a model's initial parameters from its layout), a
 lazy Adam optimizer for sparse embedding gradients with the one shuffled
 minibatch loop every trainer runs, and the item-set rules `top_k` (k best,
 ties to the lower id), `items_outside` and `sample_excluding` (uniform ids
@@ -64,6 +65,16 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed})"
+
+
+def init_params(layout: dict, stream: RandomStream) -> dict:
+    """Initial parameter values from `layout`, name -> (shape, how, value),
+    drawn in its order: "normal" scales a standard normal draw from
+    `stream` by value, "fill" fills the array with value."""
+    return {
+        name: value * stream.normal(shape) if how == "normal" else np.full(shape, value)
+        for name, (shape, how, value) in layout.items()
+    }
 
 
 def softmax(scores) -> np.ndarray:

@@ -40,6 +40,7 @@ from . import mathcore, textio
 from .corpus import InteractionLog
 from .mathcore import (
     RandomStream,
+    init_params,
     minibatch_adam,
     scatter_add,
     sigmoid,
@@ -94,9 +95,6 @@ class RankingModel:
         self.n_items = n_items
         self.user_positives: list | None = None
 
-    def score(self, u: int, i: int) -> float:
-        return float(self.score_batch(np.array([u]), np.array([i]))[0])
-
     def score_batch(self, u, i) -> np.ndarray:
         return self.forward(u, i)[0]
 
@@ -126,17 +124,38 @@ def _decayed(grad, l2, param):
     return grad + l2 * param if l2 else grad
 
 
-class BprMF(RankingModel):
-    kind = "bpr-mf"
+class _GradientModel(RankingModel):
+    """A gradient-trained kind. `layout(n_users, n_items, d)` maps each
+    parameter, in the order `params()` and checkpoints list them, to the
+    (shape, how, value) that `mathcore.init_params` draws it from. Without
+    a stream the values are left to `set_params`, as a checkpoint load
+    sets them: nothing is drawn."""
+
     trainable = True
 
-    def __init__(self, n_users, n_items, d, stream: RandomStream):
+    def __init__(self, n_users, n_items, d, stream: RandomStream | None):
         super().__init__(n_users, n_items)
-        self.P = 0.1 * stream.normal((n_users, d))
-        self.Q = 0.1 * stream.normal((n_items, d))
+        self.d = d
+        layout = self.layout(n_users, n_items, d)
+        self.shapes = {name: shape for name, (shape, *_) in layout.items()}
+        if stream is not None:
+            self.set_params(init_params(layout, stream))
 
     def params(self):
-        return {"P": self.P, "Q": self.Q}
+        return {name: getattr(self, name) for name in self.shapes}
+
+
+def _tables(user, item, n_users, n_items, d):
+    """The layout of a user and an item embedding table."""
+    return {user: ((n_users, d), "normal", 0.1), item: ((n_items, d), "normal", 0.1)}
+
+
+class BprMF(_GradientModel):
+    kind = "bpr-mf"
+
+    @staticmethod
+    def layout(n_users, n_items, d):
+        return _tables("P", "Q", n_users, n_items, d)
 
     def forward(self, u, i):
         pu, qi = self.P[u], self.Q[i]
@@ -153,18 +172,12 @@ class BprMF(RankingModel):
         scatter_add(grads["Q"], i, _decayed(ds[:, None] * pu, l2, qi))
 
 
-class Gmf(RankingModel):
+class Gmf(_GradientModel):
     kind = "gmf"
-    trainable = True
 
-    def __init__(self, n_users, n_items, d, stream: RandomStream):
-        super().__init__(n_users, n_items)
-        self.P = 0.1 * stream.normal((n_users, d))
-        self.Q = 0.1 * stream.normal((n_items, d))
-        self.h = np.ones(d)
-
-    def params(self):
-        return {"P": self.P, "Q": self.Q, "h": self.h}
+    @staticmethod
+    def layout(n_users, n_items, d):
+        return {**_tables("P", "Q", n_users, n_items, d), "h": ((d,), "fill", 1.0)}
 
     def forward(self, u, i):
         pu, qi = self.P[u], self.Q[i]
@@ -181,7 +194,7 @@ class Gmf(RankingModel):
         scatter_add(grads["Q"], i, _decayed(ds[:, None] * (self.h * pu), l2, qi))
 
 
-def _tower_init(d, stream):
+def _tower_layout(d):
     """Affine stack 2d -> d -> d//2 with rectifier activations.
 
     Biases start slightly positive so no unit sits exactly on the rectifier
@@ -189,10 +202,10 @@ def _tower_init(d, stream):
     """
     d2 = max(d // 2, 1)
     return {
-        "W1": stream.normal((d, 2 * d)) * np.sqrt(2.0 / (2 * d)),
-        "b1": np.full(d, 0.01),
-        "W2": stream.normal((d2, d)) * np.sqrt(2.0 / d),
-        "b2": np.full(d2, 0.01),
+        "W1": ((d, 2 * d), "normal", np.sqrt(2.0 / (2 * d))),
+        "b1": ((d,), "fill", 0.01),
+        "W2": ((d2, d), "normal", np.sqrt(2.0 / d)),
+        "b2": ((d2,), "fill", 0.01),
     }
 
 
@@ -229,32 +242,16 @@ def _tower_backward(dh2, x, a1, h1, a2, W1, W2, grads, l2=0.0):
     return da1 @ W1  # gradient w.r.t. the concatenated embedding input
 
 
-class Mlp(RankingModel):
+class Mlp(_GradientModel):
     kind = "mlp"
-    trainable = True
 
-    def __init__(self, n_users, n_items, d, stream: RandomStream):
-        super().__init__(n_users, n_items)
-        self.P = 0.1 * stream.normal((n_users, d))
-        self.Q = 0.1 * stream.normal((n_items, d))
-        tower = _tower_init(d, stream)
-        self.W1, self.b1 = tower["W1"], tower["b1"]
-        self.W2, self.b2 = tower["W2"], tower["b2"]
-        d2 = self.W2.shape[0]
-        self.w_out = 0.1 * stream.normal(d2)
-        self.b_out = np.zeros(1)
-        self.d = d
-
-    def params(self):
+    @staticmethod
+    def layout(n_users, n_items, d):
         return {
-            "P": self.P,
-            "Q": self.Q,
-            "W1": self.W1,
-            "b1": self.b1,
-            "W2": self.W2,
-            "b2": self.b2,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
+            **_tables("P", "Q", n_users, n_items, d),
+            **_tower_layout(d),
+            "w_out": ((max(d // 2, 1),), "normal", 0.1),
+            "b_out": ((1,), "fill", 0.0),
         }
 
     def forward(self, u, i):
@@ -279,39 +276,20 @@ class Mlp(RankingModel):
         scatter_add(grads["Q"], i, _decayed(dx[:, d:], l2, x[:, d:]))
 
 
-class NeuMf(RankingModel):
+class NeuMf(_GradientModel):
     """Two-branch scorer: elementwise-product branch and tower branch fused
     by one affine layer, each branch with its own embedding tables."""
 
     kind = "neumf"
-    trainable = True
 
-    def __init__(self, n_users, n_items, d, stream: RandomStream):
-        super().__init__(n_users, n_items)
-        self.Pg = 0.1 * stream.normal((n_users, d))
-        self.Qg = 0.1 * stream.normal((n_items, d))
-        self.Pm = 0.1 * stream.normal((n_users, d))
-        self.Qm = 0.1 * stream.normal((n_items, d))
-        tower = _tower_init(d, stream)
-        self.W1, self.b1 = tower["W1"], tower["b1"]
-        self.W2, self.b2 = tower["W2"], tower["b2"]
-        d2 = self.W2.shape[0]
-        self.w_fuse = 0.1 * stream.normal(d + d2)
-        self.b_fuse = np.zeros(1)
-        self.d = d
-
-    def params(self):
+    @staticmethod
+    def layout(n_users, n_items, d):
         return {
-            "Pg": self.Pg,
-            "Qg": self.Qg,
-            "Pm": self.Pm,
-            "Qm": self.Qm,
-            "W1": self.W1,
-            "b1": self.b1,
-            "W2": self.W2,
-            "b2": self.b2,
-            "w_fuse": self.w_fuse,
-            "b_fuse": self.b_fuse,
+            **_tables("Pg", "Qg", n_users, n_items, d),
+            **_tables("Pm", "Qm", n_users, n_items, d),
+            **_tower_layout(d),
+            "w_fuse": ((d + max(d // 2, 1),), "normal", 0.1),
+            "b_fuse": ((1,), "fill", 0.0),
         }
 
     def forward(self, u, i):
@@ -411,6 +389,8 @@ class ItemKnn(RankingModel):
 
 
 def make_model(kind, n_users, n_items, d=64, stream=None, neighborhood=20):
+    """A model of `kind`. A gradient kind draws its initial parameters from
+    `stream`; without one it has none until `set_params`."""
     if kind in GRADIENT_KINDS and d < 1:
         raise ValueError(f"d={d} must be >= 1")
     if kind == "bpr-mf":
@@ -610,29 +590,28 @@ def model_state(model) -> tuple[dict, dict]:
 
 def model_from_state(arrays, meta, source="model state"):
     """Rebuild a model from `model_state`'s (arrays, meta) or a checkpoint's
-    (1-D blocks may come as 1xN); a missing entry raises ValueError naming
-    `source`. Training positives are not part of the state."""
+    (1-D blocks may come as 1xN); a missing entry, or a block whose shape
+    disagrees with the meta, raises ValueError naming `source`. Training
+    positives are not part of the state."""
     textio.require(source, arrays, meta, keys=("kind", "n_users", "n_items"))
     kind = meta["kind"]
     n_users, n_items = int(meta["n_users"]), int(meta["n_items"])
     if kind == "itempop":
-        textio.require(source, arrays, meta, blocks=("counts",))
+        textio.require(source, arrays, meta, blocks={"counts": (n_items,)})
         model = ItemPop(n_users, n_items)
         model.counts = arrays["counts"].ravel()
         return model
     if kind == "itemknn":
-        textio.require(source, arrays, meta, blocks=("sim",), keys=("neighborhood",))
+        shapes = {"sim": (n_items, n_items)}
+        textio.require(source, arrays, meta, blocks=shapes, keys=("neighborhood",))
         model = ItemKnn(n_users, n_items, int(meta["neighborhood"]))
         model.sim = arrays["sim"]
         return model
     d_key = "Pg" if kind == "neumf" else "P"
     textio.require(source, arrays, meta, blocks=(d_key,))
-    model = make_model(kind, n_users, n_items, arrays[d_key].shape[1], RandomStream(0))
-    textio.require(source, arrays, meta, blocks=model.params())
-    flat = {k for k, v in model.params().items() if v.ndim == 1}
-    model.set_params(
-        {k: (v.ravel() if k in flat else v) for k, v in arrays.items()}
-    )
+    model = make_model(kind, n_users, n_items, arrays[d_key].shape[1])
+    textio.require(source, arrays, meta, blocks=model.shapes)
+    model.set_params({k: arrays[k].reshape(s) for k, s in model.shapes.items()})
     return model
 
 

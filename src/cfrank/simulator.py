@@ -103,15 +103,6 @@ class VariationalPosterior:
     def sample_beta(self, stream: RandomStream) -> np.ndarray:
         return self.mu_beta + self.sigma_beta * stream.normal(self.mu_beta.shape)
 
-    @classmethod
-    def prior(cls, n_items: int, list_len: int) -> "VariationalPosterior":
-        return cls(
-            mu_alpha=np.zeros(n_items),
-            sigma_alpha=np.ones(n_items),
-            mu_beta=np.zeros(list_len),
-            sigma_beta=np.ones(list_len),
-        )
-
 
 @dataclass
 class ImpressionHyper:
@@ -673,9 +664,15 @@ def save_sim_params(params: SimParams, path) -> None:
 
 def load_sim_params(path) -> SimParams:
     arrays, meta = textio.load_matrices(path)
-    textio.require(path, arrays, meta, blocks=SIM_BLOCKS)
-    P, Q, w_r, X, Y, w_s = (arrays[name] for name in SIM_BLOCKS)
-    return SimParams(P, Q, w_r.ravel(), X, Y, w_s.ravel())
+    keys = ("n_users", "n_items", "list_len", "d_r", "d_s")
+    textio.require(path, arrays, meta, keys=keys)
+    n_users, n_items, list_len, d_r, d_s = (int(meta[key]) for key in keys)
+    shapes = {
+        "P": (n_users, d_r), "Q": (n_items, d_r), "w_r": (n_items,),
+        "X": (n_users, d_s), "Y": (n_items, d_s), "w_s": (list_len,),
+    }
+    textio.require(path, arrays, meta, blocks=shapes)
+    return SimParams(**{name: arrays[name].reshape(s) for name, s in shapes.items()})
 
 
 def save_posterior(post: VariationalPosterior, path) -> None:
@@ -695,6 +692,8 @@ def load_posterior(path) -> VariationalPosterior:
     textio.require(
         path, arrays, meta, blocks=("mu_alpha", "sigma_alpha", "mu_beta", "sigma_beta")
     )
+    shapes = {f"sigma_{v}": arrays[f"mu_{v}"].shape for v in ("alpha", "beta")}
+    textio.require(path, arrays, meta, blocks=shapes)
     return VariationalPosterior(
         mu_alpha=arrays["mu_alpha"].ravel(),
         sigma_alpha=arrays["sigma_alpha"].ravel(),

@@ -101,10 +101,6 @@ def _scores(world: SyntheticWorld, u: int, tables=None):
     return t1 @ world.a + world.b, t2 @ world.a + world.b
 
 
-def _x1_all(world: SyntheticWorld, u: int):
-    return _scores(world, u)[0]
-
-
 def _response(x1, x2, mode: str):
     """Noiseless click probability sigmoid(x1) (linear) or sigmoid(x1 + x1 x2)."""
     return sigmoid(x1 if mode == "linear" else x1 + x1 * x2)
@@ -125,15 +121,6 @@ def _check_list_shape(world: SyntheticWorld, n_lists, list_len) -> None:
             f"list length exceeds item count: list_len={list_len}, "
             f"n_items={world.n_items}"
         )
-
-
-def impression_score(world: SyntheticWorld, u: int, j: int) -> float:
-    """Exposure propensity 1 - sigmoid(a^T kappa1(kappa2([p_u, q_j])) + b)."""
-    return float(impression_scores(world, u)[j])
-
-
-def impression_scores(world: SyntheticWorld, u: int) -> np.ndarray:
-    return 1.0 - sigmoid(_x1_all(world, u))
 
 
 _P_SUM_ATOL = np.sqrt(np.finfo(np.float64).eps)
@@ -175,24 +162,6 @@ def _draw_lists(base, draws) -> np.ndarray:
     return out
 
 
-def sample_impressions(
-    world: SyntheticWorld, u: int, n_lists=25, list_len=5, stream=None
-) -> list:
-    """Draw impression lists of distinct items, proportional to softmax scores.
-
-    Each list is built by sequential renormalized draws without replacement,
-    with per-item probability softmax(r_u.) at each step. All slots are
-    drawn in one block: one `stream.uniform` call reads an
-    (n_lists, list_len) array of the Philox doubles that one
-    `stream.choice(n_items, p=...)` call per slot would read, in the same
-    order, and `_draw_lists` repeats `choice`'s arithmetic on them, so the
-    lists equal those of the per-slot loop.
-    """
-    _check_list_shape(world, n_lists, list_len)
-    base = softmax(impression_scores(world, u))
-    return _draw_lists(base, stream.uniform(size=(n_lists, list_len))).tolist()
-
-
 def user_feedback(world: SyntheticWorld, u: int, j: int, mode: str, stream=None) -> int:
     """Simulated 0/1 response of user u to item j under the given mode.
 
@@ -220,14 +189,20 @@ def emit_dataset(
 ) -> InteractionLog:
     """Sample every user's impression lists and label each shown item.
 
-    Impressions and label noise draw from separate per-user substreams, so
-    the two feedback modes see identical impression lists for a given seed.
-    Per user, the lists come from one `_draw_lists` block (see
-    `sample_impressions`) and the labels from one array expression, both
-    written straight into the log's columns; the noise is one
-    (n_lists, list_len) normal draw, in the slot order a per-slot loop would
-    draw it. The item half of the kappa features is computed once for all
-    users.
+    Item j's exposure propensity for user u is
+    1 - sigmoid(a^T kappa1(kappa2([p_u, q_j])) + b), and each list holds
+    distinct items drawn by sequential renormalized sampling, with per-item
+    probability the softmax of the propensities over the catalog at each
+    step. Impressions and label noise draw from separate per-user
+    substreams, so the two feedback modes see identical impression lists
+    for a given seed. Per user, one `uniform` call reads the
+    (n_lists, list_len) doubles that one `choice(n_items, p=...)` call per
+    slot would read, in the same order, and `_draw_lists` repeats
+    `choice`'s arithmetic on them, so the lists equal those of the per-slot
+    loop. The items and the labels, the latter from one array expression,
+    go straight into the log's columns; the noise is one (n_lists, list_len)
+    normal draw, in the slot order a per-slot loop would draw it. The item
+    half of the kappa features is computed once for all users.
 
     `users`, a range of user ids (default: all), limits the log to those
     users' records. Each user's records are the same whatever the range, so
@@ -278,6 +253,8 @@ def load_world(path) -> SyntheticWorld:
         path, arrays, meta, blocks=("user_vecs", "item_vecs"), keys=("d", "noise_std")
     )
     d = int(meta["d"])
+    shapes = {name: (len(arrays[name]), d) for name in ("user_vecs", "item_vecs")}
+    textio.require(path, arrays, meta, blocks=shapes)
     return SyntheticWorld(
         user_vecs=arrays["user_vecs"],
         item_vecs=arrays["item_vecs"],

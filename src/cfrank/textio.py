@@ -73,14 +73,24 @@ def _block_header(line):
 
 def require(path, arrays, meta, blocks=(), keys=()) -> None:
     """Raise ValueError naming `path` and the first of `keys` missing from
-    `meta`, else the first of `blocks` missing from `arrays`: a loader calls
-    this before it reads a checkpoint's contents."""
+    `meta`, else the first of `blocks` missing from `arrays`, else, when
+    `blocks` maps each name to its shape, the first block of another shape
+    (a 1-D shape (n,) is a 1xn block): a loader calls this before it reads
+    a checkpoint's contents."""
     for key in keys:
         if key not in meta:
             raise ValueError(f"{path}: missing meta key {key!r}")
     for name in blocks:
         if name not in arrays:
             raise ValueError(f"{path}: missing block {name!r}")
+    if isinstance(blocks, dict):
+        for name, shape in blocks.items():
+            got, want = np.atleast_2d(arrays[name]).shape, (1, *shape)[-2:]
+            if got != want:
+                raise ValueError(
+                    f"{path}: block {name!r} is {got[0]}x{got[1]}, "
+                    f"expected {want[0]}x{want[1]}"
+                )
 
 
 def _row_values(row, cols):

@@ -1,13 +1,51 @@
-"""Hypothesis strategies for impression logs given as record lists.
+"""Impression logs given as record lists: the row type, its conversions to
+and from the columnar `InteractionLog`, and hypothesis strategies.
 
 Catalogs and user counts are small, so draws often hold users with zero or
 one positive, the same item in several of a user's lists, and lists of
 every length from one slot to the whole catalog; the empty log is drawn too.
 """
 
+from dataclasses import dataclass
+
+import numpy as np
 from hypothesis import strategies as st
 
-from cfrank.corpus import Record
+from cfrank.corpus import InteractionLog, _pad
+
+
+@dataclass
+class Record:
+    user: int
+    items: list
+    labels: list
+
+    @property
+    def selected(self):
+        """Items with a positive label, in slot order."""
+        return [i for i, y in zip(self.items, self.labels) if y == 1]
+
+
+def log_from_records(n_users, n_items, records) -> InteractionLog:
+    """The columnar log of `records`, in order (not validated)."""
+    n = len(records)
+    lengths = np.fromiter((len(r.items) for r in records), np.int64, n)
+    total = int(lengths.sum())
+    items = np.fromiter((i for r in records for i in r.items), np.int64, total)
+    labels = np.fromiter((y for r in records for y in r.labels), np.int64, total)
+    users = np.fromiter((r.user for r in records), np.int64, n)
+    return InteractionLog(
+        n_users, n_items, users, _pad(items, lengths), _pad(labels, lengths), lengths
+    )
+
+
+def records_of(log: InteractionLog) -> list:
+    """The log's records as a list of `Record`s."""
+    items, labels = log.items.tolist(), log.labels.tolist()
+    return [
+        Record(u, items[r][:m], labels[r][:m])
+        for r, (u, m) in enumerate(zip(log.users.tolist(), log.lengths.tolist()))
+    ]
 
 
 @st.composite

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from log_strategies import any_logs, valid_logs
+from log_strategies import Record, any_logs, log_from_records, records_of, valid_logs
 
 from cfrank import corpus
 from cfrank.corpus import (
     InteractionLog,
     ParseError,
-    Record,
     coldness_buckets,
     leave_one_out_split,
     load_mind_behaviors,
@@ -33,7 +32,7 @@ class TestNativeLog:
     def test_direct_parse(self, tmp_path):
         path = write(tmp_path, "log.tsv", "7\t3,9,4,1,5\t0,1,0,0,1\n")
         log = load_native_log(path)
-        rec = log.records[0]
+        rec = records_of(log)[0]
         assert rec.user == 7
         assert rec.items == [3, 9, 4, 1, 5]
         assert set(rec.selected) == {9, 5}
@@ -52,7 +51,7 @@ class TestNativeLog:
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "log.tsv", "")
         log = load_native_log(path)
-        assert log.records == [] and log.n_users == 0 and log.n_items == 0
+        assert records_of(log) == [] and log.n_users == 0 and log.n_items == 0
 
     def test_comments_and_header(self, tmp_path):
         path = write(tmp_path, "log.tsv", "#users 5 items 9\n# note\n0\t1,2\t1,0\n")
@@ -65,7 +64,7 @@ class TestNativeLog:
             load_native_log(path)
 
     def test_round_trip_exact(self, tmp_path):
-        log = InteractionLog.from_records(
+        log = log_from_records(
             3,
             6,
             [
@@ -78,7 +77,7 @@ class TestNativeLog:
         save_native_log(log, path)
         again = load_native_log(path)
         assert again.n_users == log.n_users and again.n_items == log.n_items
-        assert again.records == log.records
+        assert records_of(again) == records_of(log)
         path2 = tmp_path / "log2.tsv"
         save_native_log(again, path2)
         assert path.read_bytes() == path2.read_bytes()
@@ -94,15 +93,15 @@ MIND_SAMPLE = (
 
 class TestConcat:
     def test_records_in_order(self):
-        a = InteractionLog.from_records(3, 5, [Record(2, [1, 4], [0, 1])])
-        b = InteractionLog.from_records(
+        a = log_from_records(3, 5, [Record(2, [1, 4], [0, 1])])
+        b = log_from_records(
             3, 5, [Record(0, [3, 0], [1, 0]), Record(1, [2, 1], [0, 0])]
         )
-        assert InteractionLog.concat([a, b]).records == a.records + b.records
+        assert records_of(InteractionLog.concat([a, b])) == records_of(a) + records_of(b)
 
     def test_different_shapes_rejected(self):
-        a = InteractionLog.from_records(3, 5, [Record(2, [1, 4], [0, 1])])
-        b = InteractionLog.from_records(3, 6, [Record(0, [3, 0], [1, 0])])
+        a = log_from_records(3, 5, [Record(2, [1, 4], [0, 1])])
+        b = log_from_records(3, 6, [Record(0, [3, 0], [1, 0])])
         with pytest.raises(ValueError, match="different shapes"):
             InteractionLog.concat([a, b])
 
@@ -111,8 +110,8 @@ class TestBehaviorsLog:
     def test_token_parse(self, tmp_path):
         path = write(tmp_path, "behaviors.tsv", MIND_SAMPLE)
         log = load_mind_behaviors(path)
-        assert len(log.records) == 4
-        rec = log.records[0]
+        assert len(records_of(log)) == 4
+        rec = records_of(log)[0]
         assert len(rec.items) == 3 and len(rec.selected) == 1
         assert log.n_users == 3 and log.n_items == 5
         assert log.user_ids == ["U7", "U9", "U2"]
@@ -122,7 +121,7 @@ class TestBehaviorsLog:
         log = load_mind_behaviors(path, max_users=2)
         # U7 and U9 admitted; U7's later line kept, U2's line skipped
         assert log.n_users == 2
-        assert len(log.records) == 3
+        assert len(records_of(log)) == 3
         assert log.user_ids == ["U7", "U9"]
 
     def test_missing_label_suffix(self, tmp_path):
@@ -148,14 +147,14 @@ class TestBehaviorsLog:
     def test_bundled_sample_counts(self):
         sample = Path(__file__).parent / "data" / "behaviors_sample.tsv"
         log = load_mind_behaviors(sample)
-        assert len(log.records) == 1000
+        assert len(records_of(log)) == 1000
         assert log.n_users == 293
         assert log.n_items == 719
-        assert log.n_positives == 4492
+        assert int(log.labels.sum()) == 4492
 
 
 def toy_log():
-    return InteractionLog.from_records(
+    return log_from_records(
         3,
         8,
         [
@@ -190,7 +189,7 @@ class TestLeaveOneOut:
         a = leave_one_out_split(toy_log(), RandomStream(11))
         b = leave_one_out_split(toy_log(), RandomStream(11))
         assert a.test == b.test
-        assert a.train.records == b.train.records
+        assert records_of(a.train) == records_of(b.train)
 
     def test_conservation_of_distinct_positives(self):
         log = toy_log()
@@ -204,7 +203,7 @@ class TestLeaveOneOut:
             assert not (after[user] & held)
 
     def test_all_occurrences_removed(self):
-        log = InteractionLog.from_records(
+        log = log_from_records(
             1,
             4,
             [
@@ -215,13 +214,13 @@ class TestLeaveOneOut:
         ).validate()
         split = leave_one_out_split(log, RandomStream(2))
         held = dict(split.test)[0]
-        for rec in split.train.records:
+        for rec in records_of(split.train):
             for item, label in zip(rec.items, rec.labels):
                 assert not (item == held and label == 1)
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            leave_one_out_split(InteractionLog.from_records(0, 0, []), RandomStream(0))
+            leave_one_out_split(log_from_records(0, 0, []), RandomStream(0))
 
 
 class TestColdness:
@@ -232,7 +231,7 @@ class TestColdness:
             for _ in range(count):
                 other = (item + 1) % len(counts)
                 records.append(Record(0, [item, other], [1, 0]))
-        return InteractionLog.from_records(1, len(counts), records).validate()
+        return log_from_records(1, len(counts), records).validate()
 
     def test_boundaries(self):
         log = self.make_log([0, 4, 5, 10, 15, 16])
@@ -484,7 +483,7 @@ def assert_loads_as_reference(path, lines):
     if want is None:
         log = load_native_log(path)
         assert (log.n_users, log.n_items) == (n_users, n_items)
-        assert log.records == records
+        assert records_of(log) == records
     else:
         with pytest.raises(ParseError) as info:
             load_native_log(path)
@@ -499,7 +498,7 @@ class TestBulkNativeParse:
     @given(drawn=valid_logs())
     def test_saved_logs_take_the_bulk_path(self, drawn):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.tsv"
             save_native_log(log, path)
@@ -561,7 +560,7 @@ class TestColumnarMatchesRecordLoop:
     def test_validate(self, drawn):
         n_users, n_items, records = drawn
         want = reference_validate(n_users, n_items, records)
-        log = InteractionLog.from_records(n_users, n_items, records)
+        log = log_from_records(n_users, n_items, records)
         if want is None:
             assert log.validate() is log
         else:
@@ -573,8 +572,8 @@ class TestColumnarMatchesRecordLoop:
     @given(drawn=valid_logs())
     def test_save_load_round_trip(self, drawn):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
-        assert log.records == records
+        log = log_from_records(n_users, n_items, records).validate()
+        assert records_of(log) == records
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.tsv"
             save_native_log(log, path)
@@ -583,7 +582,7 @@ class TestColumnarMatchesRecordLoop:
             )
             again = load_native_log(path)
         assert (again.n_users, again.n_items) == (n_users, n_items)
-        assert again.records == records
+        assert records_of(again) == records
         for name in ("users", "items", "labels", "lengths"):
             assert np.array_equal(getattr(again, name), getattr(log, name))
             assert getattr(again, name).dtype == np.int64
@@ -592,7 +591,7 @@ class TestColumnarMatchesRecordLoop:
     @given(drawn=valid_logs(), seed=st.integers(0, 2**32 - 1))
     def test_split(self, drawn, seed):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         ours, theirs = RandomStream(seed), RandomStream(seed)
         if not records:
             with pytest.raises(ValueError, match="empty log"):
@@ -600,7 +599,7 @@ class TestColumnarMatchesRecordLoop:
             return
         split = leave_one_out_split(log, ours)
         train, test, n_degenerate = reference_split(n_users, records, theirs)
-        assert split.train.records == train
+        assert records_of(split.train) == train
         assert split.test == test
         assert all(type(u) is int and type(i) is int for u, i in split.test)
         assert split.n_degenerate == n_degenerate
@@ -612,7 +611,7 @@ class TestColumnarMatchesRecordLoop:
     @given(drawn=valid_logs(), low_max=st.integers(0, 3), gap=st.integers(0, 3))
     def test_positives_and_coldness(self, drawn, low_max, gap):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         assert log.positives_by_user() == reference_positives_by_user(n_users, records)
         buckets = coldness_buckets(log, low_max, low_max + gap)
         counts = reference_coldness_counts(n_items, records)
@@ -621,4 +620,4 @@ class TestColumnarMatchesRecordLoop:
         want[counts < low_max] = 0
         want[counts > low_max + gap] = 2
         assert np.array_equal(buckets.bucket_of, want)
-        assert log.n_positives == sum(sum(r.labels) for r in records)
+        assert int(log.labels.sum()) == sum(sum(r.labels) for r in records)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfrank.corpus import InteractionLog, Record, coldness_buckets, leave_one_out_split
+from cfrank.corpus import coldness_buckets, leave_one_out_split
 from cfrank.evalkit import (
     _candidate_sets,
     comparison_table,
@@ -20,7 +20,7 @@ from cfrank import evalkit, mathcore
 from cfrank.mathcore import RandomStream
 from cfrank.rankers import ALL_KINDS, ItemPop, make_model, recommend_topn
 from cfrank.corpus import SplitPair
-from log_strategies import valid_logs
+from log_strategies import Record, log_from_records, valid_logs
 from ranking_refs import drawn_model, reference_recommend
 
 
@@ -61,7 +61,7 @@ def simple_split(n_users=5, n_items=30):
     records = []
     for u in range(n_users):
         records.append(Record(u, [2 * u, 2 * u + 1, 2 * u + 2], [1, 1, 0]))
-    log = InteractionLog.from_records(n_users, n_items, records).validate()
+    log = log_from_records(n_users, n_items, records).validate()
     return leave_one_out_split(log, RandomStream(10))
 
 
@@ -86,7 +86,7 @@ class TestEvaluate:
         assert report.hr == 0.0 and report.ndcg == 0.0
 
     def test_empty_test_flagged(self):
-        log = InteractionLog.from_records(2, 4, [Record(0, [0, 1], [1, 0])]).validate()
+        log = log_from_records(2, 4, [Record(0, [0, 1], [1, 0])]).validate()
         split = leave_one_out_split(log, RandomStream(1))
         model = FixedScorer(2, 4, np.zeros(4))
         report = evaluate(model, split, n=2)
@@ -124,7 +124,7 @@ class TestEvaluate:
         records = [
             Record(u, [u % n_items, (u + 1) % n_items], [1, 1]) for u in range(n_users)
         ]
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         split = leave_one_out_split(log, RandomStream(42))
         model = make_model("bpr-mf", n_users, n_items, 8, RandomStream(77))
         report = evaluate(model, split, 10, "sampled:99", RandomStream(11))
@@ -173,7 +173,7 @@ class TestCandidateSets:
                    [1, 1] + [u % 2] * (1 + u % 6))
             for u in range(12)
         ]
-        log = InteractionLog.from_records(12, 30, records).validate()
+        log = log_from_records(12, 30, records).validate()
         split = leave_one_out_split(log, RandomStream(3))
         ours, theirs = RandomStream(21), RandomStream(21)
         got = _candidate_sets(split, policy, ours)
@@ -208,7 +208,7 @@ class TestBlockEvaluate:
         entries=st.sampled_from([1, 7, 30, mathcore.BLOCK_ENTRIES]),
     )
     def test_matches_per_user_loop(self, drawn, kind, seed, n, policy, entries):
-        log = InteractionLog.from_records(*drawn).validate()
+        log = log_from_records(*drawn).validate()
         assume(log.n_records > 0)
         split = leave_one_out_split(log, RandomStream(seed))
         model = drawn_model(kind, split.train, seed)
@@ -284,7 +284,7 @@ class TestColdnessReuse:
     )
     def test_matches_per_bucket_evaluation(self, drawn, kind, n, seed):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         assume(log.n_records > 0)
         split = leave_one_out_split(log, RandomStream(seed))
         model = drawn_model(kind, split.train, seed)

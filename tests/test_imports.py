@@ -11,12 +11,15 @@ ever the `load` argument of `_load_checkpoint`, so every checkpoint a stage
 reads passes its user and item size check, and no module names the retired
 `.f64` twin. Only `cli` touches `ctypes`, and only to call glibc's
 `mallopt` and `malloc_trim` in one helper each, which `main` and
-`run_pipeline` call. No linter ships with the project, so this parses each
-module with `ast`. The package `__init__` is skipped by the import check:
-its imports are the public exports.
+`run_pipeline` call. Every class and function is reached: code that runs,
+in the package or the benchmark, names it. No linter ships with the
+project, so this parses each module with `ast`. The package `__init__` is
+skipped by the import check, its imports being the public exports, and its
+export table names nothing that counts.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -346,3 +349,167 @@ def test_detects_a_loader_outside_the_size_check():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_binary_twin(path):
     assert ".f64" not in path.read_text(encoding="utf-8")
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+# Definitions no `cfrank` command calls that stay, each for its reason. The
+# tracer's `LAYERS` entry already counts as a use of the first three; they
+# are listed so that they leave with that entry.
+UNREACHED_ALLOWED = {
+    "counterfactual_select": "pinned by perfbench: the tracer wraps it by name",
+    "slot_probs": "pinned by perfbench: only counterfactual_select calls it",
+    "sample_beta": "pinned by perfbench: only counterfactual_select calls it",
+    "sample_alpha": "the tests' per-episode reference round draws alpha with it",
+    "log_prob": "the tests' per-episode policy references score actions with it",
+}
+
+
+def _owned_uses(node, nested=False):
+    """(names, attrs, calls) that `node` names, outside the definitions
+    nested in it unless `nested`: bare and attribute names; attribute names;
+    and called attribute names. Each part of a string constant that is a
+    dotted name counts in all three, so `("cfrank.mathcore",
+    "RandomStream.normal")` names `RandomStream` and `normal`."""
+    names, attrs, calls = set(), set(), set()
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, DEFINITIONS) and not nested:
+            # decorators and defaults run where the definition stands
+            stack += child.decorator_list
+            if not isinstance(child, ast.ClassDef):
+                args = child.args
+                stack += args.defaults + [d for d in args.kw_defaults if d is not None]
+            continue
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+            attrs.add(child.attr)
+        elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            calls.add(child.func.attr)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            if DOTTED.fullmatch(child.value):
+                for part in (names, attrs, calls):
+                    part.update(child.value.split("."))
+        stack += list(ast.iter_child_nodes(child))
+    return names, attrs, calls
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _property(node):
+    return any(getattr(d, "id", None) == "property" for d in node.decorator_list)
+
+
+def unreached_definitions(sources: dict, roots=()) -> list:
+    """(module, qualified name) of every non-dunder class or function in
+    `sources` (module -> text) that no reached code names. Module-level
+    code and all of the `roots` sources are reached; so is the body of a
+    reached definition, but not the definition's own name inside it, and
+    the body of a dunder whose class is reached. A bare name never refers
+    to a method, so a method is reached through a call of its attribute
+    name (any attribute, for a property), and only if its class is."""
+    defs = []  # (module, qualname, node, enclosing definition or None)
+    reached = []  # (owner node or None, names, attrs, calls) of reached code
+
+    def visit(module, node, scope, outer):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                name = f"{scope}.{child.name}" if scope else child.name
+                defs.append((module, name, child, outer))
+                visit(module, child, name, child)
+            else:
+                visit(module, child, scope, outer)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        reached.append((None, *_owned_uses(tree)))
+        visit(module, tree, "", None)
+    for source in roots:
+        reached.append((None, *_owned_uses(ast.parse(source), nested=True)))
+    live = set()
+    grew = True
+    while grew:
+        grew = False
+        for _, _, node, outer in defs:
+            if id(node) in live or (outer is not None and id(outer) not in live):
+                continue
+            if not isinstance(outer, ast.ClassDef):
+                slot = 0  # a function or class: any name
+            else:
+                slot = 1 if _property(node) else 2
+            if _dunder(node.name) or any(
+                owner is not node and node.name in used[slot]
+                for owner, *used in reached
+            ):
+                live.add(id(node))
+                reached.append((node, *_owned_uses(node)))
+                grew = True
+    return sorted(
+        (module, name)
+        for module, name, node, _ in defs
+        if id(node) not in live and not _dunder(node.name)
+    )
+
+
+def test_every_definition_is_reached():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    roots = [
+        p.read_text(encoding="utf-8")
+        for p in sorted(PERFBENCH.glob("*.py"))
+        if not p.name.startswith("test_")
+    ]
+    assert roots
+    unreached = unreached_definitions(sources, roots)
+    defined = {
+        node.name
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, DEFINITIONS)
+    }
+    assert set(UNREACHED_ALLOWED) <= defined  # no entry outlives its definition
+    extra = [d for d in unreached if d[1].split(".")[-1] not in UNREACHED_ALLOWED]
+    assert not extra, f"no caller reaches {extra}"
+
+
+def test_detects_an_unreached_definition():
+    source = (
+        "class Log:\n"
+        "    def rows(self):\n"
+        "        return helper()\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return Row(1)\n"
+        "    def again(self):\n"
+        "        return self.again()\n"
+        "    def __len__(self):\n"
+        "        return inner_only()\n"
+        "class Row:\n"
+        "    pass\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def inner_only():\n"
+        "    return 2\n"
+        "def traced():\n"
+        "    def nested():\n"
+        "        return 3\n"
+        "    return nested\n"
+        "def dead():\n"
+        "    return Log().rows()\n"
+        "log = Log()\n"
+        "NOTE = 'dead calls helper'\n"
+    )
+    roots = ["LAYERS = [('cfrank.mod', 'traced')]\nsize = 1\n"]
+    assert unreached_definitions({"mod": source}, roots) == [
+        ("mod", "Log.again"),  # only names itself
+        ("mod", "Log.rows"),  # only an unreached function calls it
+        ("mod", "Log.size"),  # a bare name never refers to a property
+        ("mod", "Row"),  # only an unreached property names it
+        ("mod", "dead"),  # prose naming it is not a use
+        ("mod", "helper"),  # only an unreached method calls it
+    ]

@@ -394,7 +394,7 @@ def spy_pretraining(monkeypatch):
 class TestInterventionRound:
     def setup_method(self):
         self.params = tiny_params(n_items=8, k=4)
-        self.posterior = VariationalPosterior.prior(8, 4)
+        self.posterior = VariationalPosterior(np.zeros(8), np.ones(8), np.zeros(4), np.ones(4))
         self.target = make_model("bpr-mf", 2, 8, 3, RandomStream(4))
         self.policy = GaussianPolicy(2, 4, RandomStream(5))
 
@@ -525,6 +525,10 @@ class TestInterventionRound:
         assert all(np.array_equal(before[k], v) for k, v in self.policy.params().items())
 
 
+PAIR_HEADER = "user\tpos_item\tneg_item\tconfidence\tprovenance"
+POINT_HEADER = "user\titem\tlabel\tconfidence\tprovenance"
+
+
 class TestBatchIO:
     def test_tsv_round_trip(self, tmp_path):
         batch = build_samples(3, [4, 5, 6, 7], [0.4, 0.3, 0.2, 0.1], "pairwise", 2)
@@ -578,14 +582,22 @@ class TestBatchIO:
         [
             ("", 1, "expected '#mode pairwise' or '#mode pointwise', got ''"),
             ("#mode listwise\nuser\n", 1, "got '#mode listwise'"),
-            ("#mode pairwise\nuser\n1\t2\t3\n", 3, "3 fields in a row of 5"),
-            ("#mode pointwise\nuser\n1\t2\t1\t0.5\tr\n1\tx\t0\t0.5\tr\n", 4,
+            (f"#mode pairwise\n{PAIR_HEADER}\n1\t2\t3\n", 3, "3 fields in a row of 5"),
+            (f"#mode pointwise\n{POINT_HEADER}\n1\t2\t1\t0.5\tr\n1\tx\t0\t0.5\tr\n",
+             4, "ids must be integers"),
+            (f"#mode pairwise\n{PAIR_HEADER}\n1\t2.0\t3\t0.5\tr\n", 3,
              "ids must be integers"),
-            ("#mode pairwise\nuser\n1\t2.0\t3\t0.5\tr\n", 3, "ids must be integers"),
-            ("#mode pairwise\nuser\n1\t2\t3\thigh\tr\n", 3, "confidence must be a number"),
+            (f"#mode pairwise\n{PAIR_HEADER}\n1\t2\t3\thigh\tr\n", 3,
+             "confidence must be a number"),
+            # no header line: the first sample must not be read as one
+            ("#mode pairwise\n1\t2\t3\t0.5\tr\n", 2,
+             f"expected {PAIR_HEADER!r}, got '1\\t2\\t3\\t0.5\\tr'"),
+            (f"#mode pairwise\n{POINT_HEADER}\n1\t2\t3\t0.5\tr\n", 2,
+             f"expected {PAIR_HEADER!r}, got {POINT_HEADER!r}"),
         ],
         ids=["empty", "unknown-mode", "short-row", "non-integer-item",
-             "float-item", "non-numeric-confidence"],
+             "float-item", "non-numeric-confidence", "no-header",
+             "pointwise-header-in-pairwise"],
     )
     def test_malformed_tsv_names_line(self, tmp_path, text, lineno, message):
         path = tmp_path / "batches.tsv"

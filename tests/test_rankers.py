@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrank import mathcore, rankers
-from cfrank.corpus import InteractionLog, Record
-from log_strategies import valid_logs
+from log_strategies import Record, log_from_records, records_of, valid_logs
 from gradcheck import finite_diff_check
 from ranking_refs import drawn_model, reference_recommend, score_candidates
 from cfrank.mathcore import (
@@ -42,7 +41,7 @@ from cfrank.rankers import (
 
 
 def small_log():
-    return InteractionLog.from_records(
+    return log_from_records(
         3,
         6,
         [
@@ -58,14 +57,14 @@ class TestScores:
     def test_bpr_zero_embeddings(self):
         model = make_model("bpr-mf", 2, 3, 4, RandomStream(0))
         model.P[:] = 0
-        assert model.score(0, 1) == 0.0
+        assert model.score_batch([0], [1])[0] == 0.0
 
     def test_itempop_counts(self):
         model = ItemPop(3, 6).fit(small_log())
-        assert model.score(0, 4) == 1.0
-        assert model.score(1, 4) == 1.0  # user independent
-        assert model.score(2, 2) == 0.0
-        assert model.counts.sum() == small_log().n_positives
+        assert model.score_batch([0], [4])[0] == 1.0
+        assert model.score_batch([1], [4])[0] == 1.0  # user independent
+        assert model.score_batch([2], [2])[0] == 0.0
+        assert model.counts.sum() == int(small_log().labels.sum())
 
     def test_itemknn_identity_similarity(self):
         model = ItemKnn(3, 6, neighborhood=6)
@@ -188,16 +187,16 @@ class TestTraining:
     def test_single_triplet_margin_grows(self):
         model = make_model("bpr-mf", 1, 2, 1, RandomStream(2))
         data = TrainingData(rows=np.array([[0, 0, 1]]))
-        start = model.score(0, 0) - model.score(0, 1)
+        start = model.score_batch([0], [0])[0] - model.score_batch([0], [1])[0]
         train_pairwise(model, data, RankerHyper(lr=0.05, epochs=100, l2=0.0), RandomStream(1))
-        end = model.score(0, 0) - model.score(0, 1)
+        end = model.score_batch([0], [0])[0] - model.score_batch([0], [1])[0]
         assert end > start + 0.5
 
     def test_single_positive_pointwise(self):
         model = make_model("gmf", 1, 2, 2, RandomStream(2))
         data = TrainingData(rows=np.array([[0, 0, 1]]))
         train_pointwise(model, data, RankerHyper(lr=0.05, epochs=200, l2=0.0), RandomStream(1))
-        assert sigmoid(model.score(0, 0)) > 0.9
+        assert sigmoid(model.score_batch([0], [0])[0]) > 0.9
 
     def test_empty_batch_no_change(self):
         model = make_model("mlp", 2, 4, 4, RandomStream(5))
@@ -224,8 +223,8 @@ class TestTraining:
         train_pairwise(model, data, RankerHyper(lr=0.02, epochs=40), RandomStream(2))
         assert model.user_positives == log.positives_by_user()
         # a trained model should rank the user's own positives above average
-        pos_score = model.score(1, 1)
-        rest = [model.score(1, i) for i in (0, 2, 5)]
+        pos_score = model.score_batch([1], [1])[0]
+        rest = [model.score_batch([1], [i])[0] for i in (0, 2, 5)]
         assert pos_score > np.mean(rest)
 
     @pytest.mark.parametrize("train", [train_pairwise, train_pointwise])
@@ -616,7 +615,7 @@ class TestBlockLosses:
 def reference_from_log(log):
     """Observed (user, item) positives in record and slot order."""
     rows = []
-    for rec in log.records:
+    for rec in records_of(log):
         for item in rec.selected:
             rows.append((rec.user, item))
     return np.array(rows, dtype=np.int64) if rows else np.zeros((0, 2), dtype=np.int64)
@@ -624,7 +623,7 @@ def reference_from_log(log):
 
 def reference_interaction_matrix(log):
     mat = np.zeros((log.n_users, log.n_items))
-    for rec in log.records:
+    for rec in records_of(log):
         for item in rec.selected:
             mat[rec.user, item] = 1.0
     return mat
@@ -635,7 +634,7 @@ class TestFitsMatchRecordLoop:
     @given(drawn=valid_logs())
     def test_from_log_and_item_counts(self, drawn):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         data = TrainingData.from_log(log)
         want = reference_from_log(log)
         assert data.positives.dtype == want.dtype
@@ -651,7 +650,7 @@ class TestFitsMatchRecordLoop:
     @given(drawn=valid_logs(), neighborhood=st.integers(1, 9))
     def test_itemknn_similarity(self, drawn, neighborhood):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         model = ItemKnn(n_users, n_items, neighborhood).fit(log)
         mat = reference_interaction_matrix(log)
         norms = np.linalg.norm(mat, axis=0)
@@ -683,7 +682,7 @@ class TestTopKCallers:
     def test_itemknn_keeps_lexsort_neighbors(self, drawn, neighborhood):
         # few records over many items: most similarities are tied zeros
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         model = ItemKnn(n_users, n_items, neighborhood).fit(log)
         dense = ItemKnn(n_users, n_items, n_items).fit(log)
         assert np.array_equal(model.sim, reference_knn_keep(dense.sim, neighborhood))
@@ -697,7 +696,7 @@ class TestTopKCallers:
     )
     def test_recommend_matches_lexsort(self, drawn, kind, subset, n):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         if kind == "bpr-mf":
             model = make_model(kind, n_users, n_items, 2, RandomStream(1))
             model.Q = np.sign(np.round(10 * model.Q))  # 9 distinct rows: ties
@@ -716,7 +715,7 @@ class TestTopKCallers:
 
 def reference_interaction_counts(log):
     counts = np.zeros(log.n_items)
-    for rec in log.records:
+    for rec in records_of(log):
         for item in rec.selected:
             counts[item] += 1
     return counts
@@ -747,7 +746,7 @@ class TestItemKnnBatch:
     )
     def test_matches_per_pair_loop(self, drawn, neighborhood, seed, n_rows):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         model = ItemKnn(n_users, n_items, neighborhood).fit(log)
         rs = RandomStream(seed)
         u = rs.integers(0, n_users, n_rows)
@@ -781,7 +780,7 @@ class TestScoreGrid:
         n_items=st.integers(0, 15),
     )
     def test_matches_pair_scores(self, drawn, kind, seed, n_users, n_items):
-        log = InteractionLog.from_records(*drawn).validate()
+        log = log_from_records(*drawn).validate()
         model = drawn_model(kind, log, seed)
         rs = RandomStream(seed + 1)
         users = rs.integers(0, log.n_users, n_users)
@@ -821,7 +820,7 @@ class TestBlockRecommend:
         subset=st.lists(st.integers(0, 15), unique=True),
     )
     def test_matches_per_user(self, drawn, kind, seed, n, n_users, entries, subset):
-        log = InteractionLog.from_records(*drawn).validate()
+        log = log_from_records(*drawn).validate()
         model = drawn_model(kind, log, seed)
         users = RandomStream(seed + 1).integers(0, log.n_users, n_users)
         candidates = [i for i in subset if i < log.n_items]

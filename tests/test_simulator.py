@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfrank.corpus import InteractionLog, Record, load_mind_behaviors
-from log_strategies import valid_logs
+from cfrank.corpus import load_mind_behaviors
+from log_strategies import Record, log_from_records, records_of, valid_logs
 from cfrank.mathcore import (
     RandomStream,
     TrainingError,
@@ -53,6 +53,13 @@ def rand_params(n_users, n_items, k, d=3, seed=0, scale=1.0):
     )
 
 
+def standard_posterior(n_items, list_len):
+    """Posteriors equal to the N(0, 1) prior of alpha and beta."""
+    return VariationalPosterior(
+        np.zeros(n_items), np.ones(n_items), np.zeros(list_len), np.ones(list_len)
+    )
+
+
 def impression_logit(params: SimParams, u: int, j: int, alpha) -> float:
     """Exposure score P_u . Q_j + w_r[j] * alpha[j]."""
     return float(params.P[u] @ params.Q[j] + params.w_r[j] * alpha[j])
@@ -91,7 +98,7 @@ class TestElementaryProbs:
 
 
 def always_item_zero_log(n_records=30):
-    return InteractionLog.from_records(
+    return log_from_records(
         1, 2, [Record(0, [0], [1]) for _ in range(n_records)]
     ).validate()
 
@@ -151,7 +158,7 @@ class TestImpressionTraining:
 
 
 def slot_zero_log(n_records=30):
-    return InteractionLog.from_records(
+    return log_from_records(
         1, 3, [Record(0, [0, 1, 2], [1, 0, 0]) for _ in range(n_records)]
     ).validate()
 
@@ -181,7 +188,7 @@ class TestSelectionTraining:
         assert np.allclose(gX, 0) and np.allclose(gY, 0) and np.allclose(gw, 0)
 
     def test_empty_selection_records_skipped(self):
-        log = InteractionLog.from_records(
+        log = log_from_records(
             1, 3, [Record(0, [0, 1, 2], [0, 0, 0])] * 4 + [Record(0, [0, 1, 2], [1, 0, 0])]
         ).validate()
         hyper = SelectionHyper(d_s=2, epochs=3)
@@ -489,7 +496,7 @@ class TestRecordNegatives:
             length = int(rs.integers(1, 8))  # up to 7 of 9 items shown
             items = rs.permutation(n_items)[:length].tolist()
             records.append(Record(r % 6, items, [0] * length))
-        arrays = _log_arrays(InteractionLog.from_records(6, n_items, records).validate())
+        arrays = _log_arrays(log_from_records(6, n_items, records).validate())
         dense = np.zeros((len(records), n_items), dtype=bool)
         for r, rec in enumerate(records):
             dense[r, rec.items] = True
@@ -520,7 +527,7 @@ class TestRecordNegatives:
             length = int(rs.integers(1, 11))  # up to 10 of 11 items shown
             items = rs.permutation(n_items)[:length].tolist()
             records.append(Record(r % 4, items, [0] * length))
-        log = InteractionLog.from_records(4, n_items, records).validate()
+        log = log_from_records(4, n_items, records).validate()
         arrays = _log_arrays(log)
         dense = np.zeros((len(records), n_items), dtype=bool)
         for r, rec in enumerate(records):
@@ -537,7 +544,7 @@ class TestRecordNegatives:
         assert ours.normal(3).tolist() == theirs.normal(3).tolist()
 
     def test_record_showing_every_item_fails(self):
-        log = InteractionLog.from_records(1, 3, [Record(0, [2, 0, 1], [1, 0, 0])])
+        log = log_from_records(1, 3, [Record(0, [2, 0, 1], [1, 0, 0])])
         with pytest.raises(
             TrainingError, match="^negative sampling failed; a record shows every item$"
         ):
@@ -548,7 +555,7 @@ class TestRecordNegatives:
 
 def reference_log_arrays(log, list_len=None):
     """(users, items, mask, sel, n_sel, list_len) filled record by record."""
-    records = log.records
+    records = records_of(log)
     k = list_len if list_len is not None else log.list_len
     n = len(records)
     users = np.zeros(n, dtype=np.int64)
@@ -569,7 +576,7 @@ class TestLogArrays:
     @given(drawn=valid_logs(), extra=st.one_of(st.none(), st.integers(0, 3)))
     def test_matches_record_loop(self, drawn, extra):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         list_len = None if extra is None else log.list_len + extra
         arrays = _log_arrays(log, list_len)
         want = reference_log_arrays(log, list_len)
@@ -583,7 +590,7 @@ class TestLogArrays:
             assert (arrays.items is log.items) == (not extra)
 
     def test_rejects_short_list_len(self):
-        log = InteractionLog.from_records(1, 3, [Record(0, [0, 1, 2], [1, 0, 0])])
+        log = log_from_records(1, 3, [Record(0, [0, 1, 2], [1, 0, 0])])
         with pytest.raises(ValueError, match="below the log"):
             _log_arrays(log, list_len=2)
 
@@ -591,7 +598,7 @@ class TestLogArrays:
 class TestLossMonotone:
     def eval_impression_loss(self, exposure, log):
         arrays = _log_arrays(log)
-        idx = np.arange(len(log.records))
+        idx = np.arange(len(records_of(log)))
         neg = RandomStream(999).integers(0, arrays.n_items, (len(idx), arrays.list_len))
         loss, _, _, _ = _impression_batch(
             *exposure, arrays.users, arrays.items, arrays.mask, neg
@@ -599,7 +606,7 @@ class TestLossMonotone:
         return loss
 
     def test_median_loss_nonincreasing(self):
-        world_log = InteractionLog.from_records(
+        world_log = log_from_records(
             4,
             10,
             [
@@ -647,7 +654,7 @@ def two_slot_params():
 
 
 def two_slot_log(n_records=20):
-    return InteractionLog.from_records(
+    return log_from_records(
         1, 2, [Record(0, [0, 1], [1, 0]) for _ in range(n_records)]
     ).validate()
 
@@ -657,7 +664,7 @@ class TestPosterior:
         params = two_slot_params()
         post = fit_posterior(
             params,
-            InteractionLog.from_records(1, 2, []),
+            log_from_records(1, 2, []),
             PosteriorHyper(epochs=50, mc_samples=4),
             RandomStream(2),
         )
@@ -715,7 +722,7 @@ class TestPosterior:
 
         rs = RandomStream(41)
         params = rand_params(2, 4, 2, d=2, seed=13)
-        log = InteractionLog.from_records(
+        log = log_from_records(
             2, 4, [Record(0, [0, 1], [1, 0]), Record(1, [2, 3], [0, 1])]
         ).validate()
         terms = _posterior_terms(params, _log_arrays(log))
@@ -830,13 +837,13 @@ class TestCachedElbo:
     def test_padded_behaviors_log(self):
         sample = Path(__file__).parent / "data" / "behaviors_sample.tsv"
         log = load_mind_behaviors(sample, max_users=25)
-        assert len({len(r.items) for r in log.records}) > 1  # lists are padded
+        assert len({len(r.items) for r in records_of(log)}) > 1  # lists are padded
         params = rand_params(log.n_users, log.n_items, log.list_len, d=4, seed=3)
         self.check(params, log)
 
     def test_empty_log(self):
         params = rand_params(3, 5, 2, seed=4)
-        self.check(params, InteractionLog.from_records(3, 5, []))
+        self.check(params, log_from_records(3, 5, []))
 
 
 def direct_alpha_loglik_grad(params, arrays, alpha):
@@ -906,7 +913,7 @@ class TestFactorizedLikelihood:
     )
     def test_matches_direct_formulas(self, drawn, extra, scale, draws, seed):
         n_users, n_items, records = drawn
-        log = InteractionLog.from_records(n_users, n_items, records).validate()
+        log = log_from_records(n_users, n_items, records).validate()
         k = max(log.list_len, 1) + extra
         params = rand_params(n_users, n_items, k, seed=seed, scale=scale)
         arrays = _log_arrays(log, list_len=k)
@@ -937,7 +944,7 @@ class TestFactorizedLikelihood:
             Y=np.array([[0.0], [900.0], [-900.0]]),
             w_s=np.array([1000.0, 1.0, 1.0]),
         )
-        log = InteractionLog.from_records(
+        log = log_from_records(
             2, 3, [Record(0, [0, 1, 2], [1, 0, 0]), Record(1, [2, 1], [0, 1]),
                    Record(1, [0], [0])],
         ).validate()
@@ -989,7 +996,7 @@ class TestFactorizedLikelihood:
     def test_empty_log(self):
         params = rand_params(3, 5, 2, seed=4)
         exposure, selection = _posterior_terms(
-            params, _log_arrays(InteractionLog.from_records(3, 5, []), 2)
+            params, _log_arrays(log_from_records(3, 5, []), 2)
         )
         assert exposure.rows.scaled.shape == (0, 5)
         assert selection.rows.scaled.shape == (0, 2)
@@ -999,7 +1006,7 @@ class TestFactorizedLikelihood:
         assert np.array_equal(values, np.zeros(2)) and np.array_equal(grads, np.zeros((2, 2)))
 
     def test_keeps_only_clicked_records(self):
-        log = InteractionLog.from_records(
+        log = log_from_records(
             2, 4, [Record(0, [0, 1], [0, 0]), Record(1, [2, 3, 0], [0, 1, 1]),
                    Record(0, [3], [0])],
         ).validate()
@@ -1027,7 +1034,7 @@ class TestFactorizedLikelihood:
 class TestCounterfactualSelect:
     def test_select_all_returns_list(self):
         params = rand_params(1, 8, 5, seed=3)
-        post = VariationalPosterior.prior(8, 5)
+        post = standard_posterior(8, 5)
         items = [3, 1, 7, 0, 5]
         selected, probs = counterfactual_select(params, post, 0, items, 5, RandomStream(1))
         assert selected == items
@@ -1057,7 +1064,7 @@ class TestCounterfactualSelect:
             Y=np.array([[8.0], [0.0], [0.0]]),
             w_s=np.ones(3),
         )
-        post = VariationalPosterior.prior(3, 3)
+        post = standard_posterior(3, 3)
         stream = RandomStream(12)
         for _ in range(100):
             selected, _ = counterfactual_select(params, post, 0, [0, 1, 2], 1, stream)
@@ -1065,7 +1072,7 @@ class TestCounterfactualSelect:
 
     def test_too_many_rejected(self):
         params = rand_params(1, 8, 5, seed=3)
-        post = VariationalPosterior.prior(8, 5)
+        post = standard_posterior(8, 5)
         with pytest.raises(ValueError):
             counterfactual_select(params, post, 0, [0, 1, 2], 4, RandomStream(0))
 

@@ -6,21 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfrank.cli import load_config, stage_synth_gen
-from cfrank.corpus import InteractionLog, Record
+from cfrank.corpus import InteractionLog
 from cfrank.mathcore import RandomStream, sigmoid, softmax
 from cfrank.synthgen import (
     SyntheticWorld,
     _draw_lists,
-    _x1_all,
+    _scores,
     emit_dataset,
-    impression_score,
     kappa1,
     kappa2,
     kappa3,
     make_world,
-    sample_impressions,
     user_feedback,
 )
+from log_strategies import Record, records_of
 
 
 class TestKappas:
@@ -55,56 +54,56 @@ def fixed_world(user_vecs, item_vecs, noise_std=0.0):
     )
 
 
+def exposure(world, u):
+    """User u's exposure propensities over the catalog, 1 - sigmoid(x1):
+    `emit_dataset` draws each list from their softmax."""
+    return 1.0 - sigmoid(_scores(world, u)[0])
+
+
 class TestImpressionScore:
     def test_zero_vectors(self):
         world = fixed_world(np.zeros((1, 3)), np.zeros((2, 3)))
-        assert impression_score(world, 0, 0) == pytest.approx(0.5)
+        assert exposure(world, 0)[0] == pytest.approx(0.5)
 
     def test_all_ones_d2(self):
         world = fixed_world(np.ones((1, 2)), np.ones((1, 2)))
         # each of the 4 stacked entries maps to 0.5, so the sum is 2
-        assert impression_score(world, 0, 0) == pytest.approx(
-            1.0 - sigmoid(2.0), abs=1e-6
-        )
-        assert impression_score(world, 0, 0) == pytest.approx(0.1192, abs=1e-4)
+        assert _scores(world, 0)[0][0] == pytest.approx(2.0)
+        assert exposure(world, 0)[0] == pytest.approx(1.0 - sigmoid(2.0), abs=1e-6)
+        assert exposure(world, 0)[0] == pytest.approx(0.1192, abs=1e-4)
 
     def test_monotone_in_feature_sum(self):
         items = np.array([[0.6, 0.6], [1.0, 1.0], [2.0, 2.0]])
         world = fixed_world(np.ones((1, 2)), items)
-        scores = [impression_score(world, 0, j) for j in range(3)]
+        scores = exposure(world, 0)
         assert scores[0] > scores[1] > scores[2]
 
     def test_range(self):
         world = make_world(5, 7, d=4, stream=RandomStream(3))
-        for j in range(7):
-            assert 0.0 < impression_score(world, 0, j) < 1.0
+        assert np.all((0.0 < exposure(world, 0)) & (exposure(world, 0) < 1.0))
 
 
 class TestSampleImpressions:
     def test_shapes_and_distinctness(self):
         world = make_world(2, 30, d=4, stream=RandomStream(1))
-        lists = sample_impressions(world, 0, n_lists=25, list_len=5, stream=RandomStream(2))
-        assert len(lists) == 25
-        for lst in lists:
-            assert len(lst) == 5
-            assert len(set(lst)) == 5
+        log = emit_dataset(world, "linear", RandomStream(2), n_lists=25, list_len=5)
+        assert log.items.shape == (2 * 25, 5)
+        assert all(len(set(row)) == 5 for row in log.items.tolist())
 
     def test_uniform_scores_frequency(self):
         # zero vectors give identical scores, hence uniform inclusion K/N
         n_items, k, n_lists = 20, 5, 4000
         world = fixed_world(np.zeros((1, 2)), np.zeros((n_items, 2)))
-        lists = sample_impressions(
-            world, 0, n_lists=n_lists, list_len=k, stream=RandomStream(5)
-        )
-        counts = np.bincount(np.concatenate(lists), minlength=n_items)
+        log = emit_dataset(world, "linear", RandomStream(5), n_lists=n_lists, list_len=k)
+        counts = np.bincount(log.items.ravel(), minlength=n_items)
         p = k / n_items
         sigma = np.sqrt(n_lists * p * (1 - p))
         assert np.all(np.abs(counts - n_lists * p) <= 3 * sigma)
 
     def test_too_long_rejected(self):
         world = make_world(1, 4, d=2, stream=RandomStream(0))
-        with pytest.raises(ValueError):
-            sample_impressions(world, 0, n_lists=1, list_len=5, stream=RandomStream(0))
+        with pytest.raises(ValueError, match="exceeds item count"):
+            emit_dataset(world, "linear", RandomStream(0), n_lists=1, list_len=5)
 
 
 class TestUserFeedback:
@@ -146,7 +145,7 @@ class TestUserFeedback:
 
     def test_positive_rate_monotone_in_offset(self):
         world = make_world(40, 40, d=6, stream=RandomStream(12))
-        response = np.concatenate([sigmoid(_x1_all(world, u)) for u in range(40)])
+        response = np.concatenate([sigmoid(_scores(world, u)[0]) for u in range(40)])
         rates = [
             np.mean(response + c - 0.5 > 0) for c in (0.0, 0.05, 0.1, 0.2, 0.4)
         ]
@@ -157,21 +156,21 @@ class TestEmitDataset:
     def test_counts(self):
         world = make_world(10, 30, d=4, stream=RandomStream(1))
         log = emit_dataset(world, "nonlinear", RandomStream(2))
-        assert len(log.records) == 10 * 25
-        assert all(len(r.items) == 5 for r in log.records)
+        assert len(records_of(log)) == 10 * 25
+        assert all(len(r.items) == 5 for r in records_of(log))
 
     def test_seed_reproducible(self):
         world = make_world(6, 20, d=4, stream=RandomStream(1))
         a = emit_dataset(world, "linear", RandomStream(9))
         b = emit_dataset(world, "linear", RandomStream(9))
-        assert a.records == b.records
+        assert records_of(a) == records_of(b)
 
     def test_modes_share_impressions(self):
         world = make_world(6, 20, d=4, stream=RandomStream(1))
         lin = emit_dataset(world, "linear", RandomStream(9))
         non = emit_dataset(world, "nonlinear", RandomStream(9))
-        assert [r.items for r in lin.records] == [r.items for r in non.records]
-        assert [r.labels for r in lin.records] != [r.labels for r in non.records]
+        assert [r.items for r in records_of(lin)] == [r.items for r in records_of(non)]
+        assert [r.labels for r in records_of(lin)] != [r.labels for r in records_of(non)]
 
     @pytest.mark.parametrize("noise_std", [0.0, 0.3])
     def test_user_ranges_join_to_the_whole_log(self, noise_std):
@@ -197,8 +196,8 @@ class TestEmitDataset:
         )
         a = emit_dataset(quiet, "nonlinear", RandomStream(3))
         b = emit_dataset(noisy, "nonlinear", RandomStream(3))
-        assert [r.items for r in a.records] == [r.items for r in b.records]
-        assert [r.labels for r in a.records] != [r.labels for r in b.records]
+        assert [r.items for r in records_of(a)] == [r.items for r in records_of(b)]
+        assert [r.labels for r in records_of(a)] != [r.labels for r in records_of(b)]
 
 
 def reference_scores(world, u):
@@ -224,6 +223,12 @@ def reference_lists(world, u, n_lists, list_len, stream):
             probs[item] = 0.0
         lists.append(chosen)
     return lists
+
+
+def block_lists(world, u, n_lists, list_len, stream):
+    """`_draw_lists` on the uniforms that per-slot `choice` calls would read."""
+    base = softmax(exposure(world, u))
+    return _draw_lists(base, stream.uniform(size=(n_lists, list_len))).tolist()
 
 
 def reference_records(world, mode, stream, n_lists, list_len):
@@ -269,7 +274,7 @@ class TestBulkMatchesPerSlot:
             world = make_world(n_users, n_items, d, noise_std, RandomStream(seed))
         bulk = emit_dataset(world, mode, RandomStream(seed + 1), n_lists, list_len)
         ref = reference_records(world, mode, RandomStream(seed + 1), n_lists, list_len)
-        assert bulk.records == ref
+        assert records_of(bulk) == ref
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -281,14 +286,14 @@ class TestBulkMatchesPerSlot:
     def test_sample_impressions(self, n_items, n_lists, len_frac, seed):
         list_len = 1 + int(len_frac * (n_items - 1))
         world = make_world(2, n_items, 3, stream=RandomStream(seed))
-        bulk = sample_impressions(world, 1, n_lists, list_len, RandomStream(seed))
+        bulk = block_lists(world, 1, n_lists, list_len, RandomStream(seed))
         ref = reference_lists(world, 1, n_lists, list_len, RandomStream(seed))
         assert bulk == ref
 
     def test_large_catalog(self):
         # rows longer than numpy's 8192-element reduction buffer
         world = make_world(1, 20000, 4, stream=RandomStream(6))
-        bulk = sample_impressions(world, 0, 3, 12, RandomStream(7))
+        bulk = block_lists(world, 0, 3, 12, RandomStream(7))
         assert bulk == reference_lists(world, 0, 3, 12, RandomStream(7))
 
 
@@ -357,8 +362,6 @@ class TestBadInput:
         kwargs = {"n_lists": 3, "list_len": 2, arg: value}
         with pytest.raises(ValueError, match=arg):
             emit_dataset(world, "linear", RandomStream(1), **kwargs)
-        with pytest.raises(ValueError, match=arg):
-            sample_impressions(world, 0, stream=RandomStream(1), **kwargs)
 
     def test_noisy_feedback_needs_stream(self):
         world = make_world(2, 3, d=2, noise_std=0.1, stream=RandomStream(0))

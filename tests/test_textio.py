@@ -426,7 +426,8 @@ def saved_checkpoint(kind, path):
         )
         return simulator.load_sim_params
     if kind == "posterior":
-        simulator.save_posterior(simulator.VariationalPosterior.prior(5, 2), path)
+        post = simulator.VariationalPosterior(np.zeros(5), np.ones(5), np.zeros(2), np.ones(2))
+        simulator.save_posterior(post, path)
         return simulator.load_posterior
     if kind == "policy":
         intervention.save_policy(intervention.GaussianPolicy(2, 4, stream), path)
@@ -469,4 +470,26 @@ def test_loaders_name_a_missing_block_or_meta_key(tmp_path, kind, drop, missing)
     meta.pop(drop, None)
     save_matrices(path, arrays, meta)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing {missing}$"):
+        loader(path)
+
+
+@pytest.mark.parametrize(
+    "kind, block, axis, shape",
+    [
+        ("sim", "X", 0, "2x2, expected 3x2"),
+        ("posterior", "sigma_alpha", 1, "1x4, expected 1x5"),
+        ("policy", "b1", 1, "1x3, expected 1x4"),
+        ("world", "item_vecs", 1, "5x1, expected 5x2"),
+        ("bpr-mf", "P", 0, "2x2, expected 3x2"),
+        ("itempop", "counts", 1, "1x4, expected 1x5"),
+    ],
+)
+def test_loaders_name_a_block_of_the_wrong_shape(tmp_path, kind, block, axis, shape):
+    path = tmp_path / "checkpoint.txt"
+    loader = saved_checkpoint(kind, path)
+    arrays, meta = load_matrices(path)
+    arrays[block] = np.delete(arrays[block], -1, axis=axis)  # one row or column short
+    save_matrices(path, arrays, meta)
+    message = f"{path}: block {block!r} is {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         loader(path)
