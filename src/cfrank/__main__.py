@@ -7,7 +7,7 @@ thread per process. The default must be in the environment before numpy
 loads, so it is set here, before `cli` is imported. `cli.main` then fixes
 glibc's mmap and trim thresholds for the process (see `cli`), so training
 steps reuse freed heap blocks instead of faulting in fresh pages. Importing
-the package as a library sets neither.
+the package or one of its modules as a library sets neither.
 """
 
 import os

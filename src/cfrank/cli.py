@@ -69,7 +69,6 @@ class MissingArtifactError(FileNotFoundError):
 class StageError(RuntimeError):
     def __init__(self, stage, cause):
         super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
         self.cause = cause
 
 
@@ -204,14 +203,18 @@ def _artifact(out, name, must_exist=False):
     return path
 
 
+# a checkpoint's size attribute -> what it counts
+_SIZES = {"n_users": "users", "n_items": "items", "list_len": "list slots"}
+
+
 def _load_checkpoint(out, name, load, log):
     """load(path) of checkpoint `name` in `out`, which must exist. A model
-    whose user or item count differs from `log`'s raises ValueError naming
-    the file and both counts."""
+    whose user count, item count or list length (of those it has) differs
+    from `log`'s raises ValueError naming the file and both sizes."""
     path = _artifact(out, name, must_exist=True)
     model = load(path)
-    for what in ("users", "items"):
-        have, want = getattr(model, f"n_{what}", None), getattr(log, f"n_{what}")
+    for size, what in _SIZES.items():
+        have, want = getattr(model, size, None), getattr(log, size)
         if have not in (None, want):
             raise ValueError(f"{path} holds {have} {what}, but the log has {want}")
     return model

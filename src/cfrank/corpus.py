@@ -6,8 +6,9 @@ reads which column.
 
 The native format is a 3-column TSV of exactly that; the news-behaviors
 format is the public 5-column TSV with "itemId-label" impression tokens,
-remapped to dense ids on load. Both loaders build the columns directly and
-name the file line in every error.
+remapped to dense ids in order of first appearance on load (the original
+labels are not kept). Both loaders build the columns directly and name the
+file line in every error.
 """
 
 from __future__ import annotations
@@ -63,13 +64,11 @@ class InteractionLog:
     items: np.ndarray  # (n, K) int64, PAD past each record's length
     labels: np.ndarray  # (n, K) int64 0/1, PAD past each record's length
     lengths: np.ndarray  # (n,) int64
-    user_ids: list | None = None  # dense id -> original label (remapped loads)
-    item_ids: list | None = None
 
     @classmethod
     def concat(cls, logs) -> "InteractionLog":
         """The records of `logs`, in order, as one log. The logs share
-        n_users, n_items and slot count, and carry no id maps."""
+        n_users, n_items and slot count."""
         first = logs[0]
         shape = (first.n_users, first.n_items)
         if any((log.n_users, log.n_items) != shape for log in logs):
@@ -87,8 +86,9 @@ class InteractionLog:
 
     @property
     def list_len(self) -> int:
-        """Slot count: the longest impression list in the log."""
-        return int(self.lengths.max(initial=0))
+        """Slot count: the width K of `items` and `labels`, which is the
+        longest impression list in the log."""
+        return self.items.shape[1]
 
     def _first_problem(self):
         """(record index, message) for the first record failing a check, or None.
@@ -339,14 +339,11 @@ def load_mind_behaviors(path, max_users: int | None = None) -> InteractionLog:
     """Parse a news behaviors TSV (5 columns, "itemId-label" tokens).
 
     One record per line. User and item ids are remapped to dense ids in
-    order of first appearance; the original labels are retained in
-    `user_ids`/`item_ids`. Lines belonging to users beyond the first
+    order of first appearance. Lines belonging to users beyond the first
     `max_users` distinct ones are skipped. The history column is unused.
     """
     user_map: dict = {}
     item_map: dict = {}
-    user_ids: list = []
-    item_ids: list = []
     users, lengths, items, labels, linenos = [], [], [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -361,7 +358,6 @@ def load_mind_behaviors(path, max_users: int | None = None) -> InteractionLog:
                 if max_users is not None and len(user_map) >= max_users:
                     continue
                 user_map[raw_user] = len(user_map)
-                user_ids.append(raw_user)
             tokens = fields[4].split()
             for token in tokens:
                 raw_item, sep, label = token.rpartition("-")
@@ -373,7 +369,6 @@ def load_mind_behaviors(path, max_users: int | None = None) -> InteractionLog:
                     raise ParseError(f"{path}:{lineno}: unknown label in {token!r}")
                 if raw_item not in item_map:
                     item_map[raw_item] = len(item_map)
-                    item_ids.append(raw_item)
                 items.append(item_map[raw_item])
                 labels.append(label == "1")
             if not tokens:
@@ -389,8 +384,6 @@ def load_mind_behaviors(path, max_users: int | None = None) -> InteractionLog:
         _pad(np.array(items, dtype=np.int64), lengths),
         _pad(np.array(labels, dtype=np.int64), lengths),
         lengths,
-        user_ids,
-        item_ids,
     )
     return _validated(log, path, linenos)
 
@@ -441,9 +434,6 @@ BUCKET_NAMES = ("low", "middle", "high")
 @dataclass
 class ColdnessBuckets:
     bucket_of: np.ndarray  # item -> 0 low, 1 middle, 2 high
-    low_max: int
-    high_min: int
-    counts: np.ndarray
 
     def name_of(self, item: int) -> str:
         return BUCKET_NAMES[self.bucket_of[item]]
@@ -457,4 +447,4 @@ def coldness_buckets(train: InteractionLog, low_max=5, high_min=15) -> ColdnessB
     bucket = np.ones(train.n_items, dtype=np.int64)
     bucket[counts < low_max] = 0
     bucket[counts > high_min] = 2
-    return ColdnessBuckets(bucket, low_max, high_min, counts)
+    return ColdnessBuckets(bucket)

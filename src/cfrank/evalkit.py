@@ -8,8 +8,9 @@ ranked one user at a time. Both score through the models' grid scorers
 (bit-exact to the pair scores for bpr-mf, itempop and itemknn, to rounding
 for gmf, mlp and neumf; see `rankers`), and HR and NDCG are summed in
 test-user order. Under "all" a user's list does not depend on which other
-users are ranked, so coldness buckets reuse the lists of the overall
-evaluation instead of ranking each user again.
+users are ranked, so coldness buckets score the lists of the overall
+report their caller passes in instead of ranking each user again. A report
+over no test users has `n_users == 0` and HR and NDCG 0.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class EvalReport:
     n: int
     n_users: int
     candidate_policy: str
-    metadata: dict = field(default_factory=dict)
     # each test user's ranked list, in test order
     ranked: list = field(default_factory=list, repr=False, compare=False)
 
@@ -108,7 +108,7 @@ def _report(test, lists, n, candidate_policy) -> EvalReport:
         ndcg_sum += ndcg_at_n(ranked, truth, len(ranked))
     count = len(test)
     if count == 0:
-        return EvalReport(0.0, 0.0, n, 0, candidate_policy, {"empty_test": True})
+        return EvalReport(0.0, 0.0, n, 0, candidate_policy)
     return EvalReport(
         hr_sum / count, ndcg_sum / count, n, count, candidate_policy, ranked=lists
     )
@@ -125,19 +125,17 @@ def coldness_report(
 ) -> dict:
     """Per-bucket reports keyed by bucket name; empty buckets are absent.
 
-    Under "all" each bucket scores the lists of `overall`, the report of
-    `evaluate(model, split, n)`, which is computed here when not given;
-    under "sampled:m" each bucket draws its own candidates from `stream`.
+    Under "all" each bucket scores the lists of `overall`, which must be
+    the report of `evaluate(model, split, n)`; under "sampled:m" each bucket
+    draws its own candidates from `stream`.
     """
     grouped: dict = {}
     for index, (_, truth) in enumerate(split.test):
         grouped.setdefault(buckets.name_of(truth), []).append(index)
     if candidate_policy == "all":
-        if overall is None:
-            overall = evaluate(model, split, n)
-        if (overall.candidate_policy, overall.n, len(overall.ranked)) != (
-            "all", n, len(split.test)
-        ):
+        if overall is None or (
+            overall.candidate_policy, overall.n, len(overall.ranked)
+        ) != ("all", n, len(split.test)):
             raise ValueError("overall report does not cover this split at this n")
     out = {}
     for name in BUCKET_NAMES:

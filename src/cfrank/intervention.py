@@ -517,8 +517,7 @@ def save_policy(policy: GaussianPolicy, path) -> None:
 
 def load_policy(path) -> GaussianPolicy:
     arrays, meta = textio.load_matrices(path)
-    textio.require(path, arrays, meta, keys=("d", "hidden"))
-    policy = GaussianPolicy(int(meta["d"]), int(meta["hidden"]), None)
+    policy = GaussianPolicy(*textio.meta_counts(path, meta, ("d", "hidden")), None)
     textio.require(path, arrays, meta, blocks=policy.shapes)
     policy.set_params({k: arrays[k].reshape(s) for k, s in policy.shapes.items()})
     return policy

@@ -574,9 +574,9 @@ def _train(model, data, hyper, stream, mode):
     return model
 
 
-def model_state(model) -> tuple[dict, dict]:
-    """(arrays, meta) of a model: what its checkpoint holds and
-    `model_from_state` rebuilds it from. The arrays are the model's own."""
+def save_model(model, path) -> None:
+    """Checkpoint a model in the shared plain-text matrix format: its kind
+    and sizes as meta, its own arrays as blocks."""
     meta = {"kind": model.kind, "n_users": model.n_users, "n_items": model.n_items}
     if model.kind == "itempop":
         arrays = {"counts": model.counts}
@@ -585,44 +585,34 @@ def model_state(model) -> tuple[dict, dict]:
         arrays = {"sim": model.sim}
     else:
         arrays = model.params()
-    return arrays, meta
+    textio.save_matrices(path, arrays, meta)
 
 
-def model_from_state(arrays, meta, source="model state"):
-    """Rebuild a model from `model_state`'s (arrays, meta) or a checkpoint's
-    (1-D blocks may come as 1xN); a missing entry, or a block whose shape
-    disagrees with the meta, raises ValueError naming `source`. Training
-    positives are not part of the state."""
-    textio.require(source, arrays, meta, keys=("kind", "n_users", "n_items"))
+def load_model(path):
+    """Rebuild a model from a checkpoint (1-D blocks come as 1xN); a missing
+    entry, or a block whose shape disagrees with the meta, raises ValueError
+    naming `path`. Training positives are not stored."""
+    arrays, meta = textio.load_matrices(path)
+    textio.require(path, arrays, meta, keys=("kind",))
     kind = meta["kind"]
-    n_users, n_items = int(meta["n_users"]), int(meta["n_items"])
+    n_users, n_items = textio.meta_counts(path, meta, ("n_users", "n_items"))
     if kind == "itempop":
-        textio.require(source, arrays, meta, blocks={"counts": (n_items,)})
+        textio.require(path, arrays, meta, blocks={"counts": (n_items,)})
         model = ItemPop(n_users, n_items)
         model.counts = arrays["counts"].ravel()
         return model
     if kind == "itemknn":
-        shapes = {"sim": (n_items, n_items)}
-        textio.require(source, arrays, meta, blocks=shapes, keys=("neighborhood",))
-        model = ItemKnn(n_users, n_items, int(meta["neighborhood"]))
+        (neighborhood,) = textio.meta_counts(path, meta, ("neighborhood",))
+        textio.require(path, arrays, meta, blocks={"sim": (n_items, n_items)})
+        model = ItemKnn(n_users, n_items, neighborhood)
         model.sim = arrays["sim"]
         return model
     d_key = "Pg" if kind == "neumf" else "P"
-    textio.require(source, arrays, meta, blocks=(d_key,))
+    textio.require(path, arrays, meta, blocks=(d_key,))
     model = make_model(kind, n_users, n_items, arrays[d_key].shape[1])
-    textio.require(source, arrays, meta, blocks=model.shapes)
+    textio.require(path, arrays, meta, blocks=model.shapes)
     model.set_params({k: arrays[k].reshape(s) for k, s in model.shapes.items()})
     return model
-
-
-def save_model(model, path) -> None:
-    """Checkpoint a model in the shared plain-text matrix format."""
-    textio.save_matrices(path, *model_state(model))
-
-
-def load_model(path):
-    """Rebuild a model from a checkpoint; training positives are not stored."""
-    return model_from_state(*textio.load_matrices(path), source=path)
 
 
 def _check_ids(ids, limit, what):

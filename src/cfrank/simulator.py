@@ -97,6 +97,10 @@ class VariationalPosterior:
     def n_items(self):
         return self.mu_alpha.shape[0]
 
+    @property
+    def list_len(self):
+        return self.mu_beta.shape[0]
+
     def sample_alpha(self, stream: RandomStream) -> np.ndarray:
         return self.mu_alpha + self.sigma_alpha * stream.normal(self.mu_alpha.shape)
 
@@ -159,24 +163,14 @@ class _LogArrays:
     n_items: int
 
 
-def _log_arrays(log: InteractionLog, list_len=None) -> _LogArrays:
-    """The log's columns as trainer arrays. `users` is the log's own column
-    and so is `items` unless `list_len` differs from the log's width, in
-    which case items and labels are copied into `list_len` padded slots."""
-    k = list_len if list_len is not None else log.list_len
-    if k < log.list_len:
-        raise ValueError(f"list_len={k} is below the log's longest list ({log.list_len})")
-    items, labels = log.items, log.labels
-    if items.shape[1] != k:
-        width = min(k, items.shape[1])
-        items = np.zeros((log.n_records, k), dtype=np.int64)
-        labels = np.zeros((log.n_records, k), dtype=np.int64)
-        items[:, :width] = log.items[:, :width]
-        labels[:, :width] = log.labels[:, :width]
+def _log_arrays(log: InteractionLog) -> _LogArrays:
+    """The log's columns as trainer arrays; `users` and `items` are the
+    log's own columns."""
+    k = log.list_len
     mask = np.arange(k) < log.lengths[:, None]
-    sel = labels.astype(np.float64)
+    sel = log.labels.astype(np.float64)
     return _LogArrays(
-        log.users, items, mask, sel, sel.sum(axis=1), k, log.n_users, log.n_items
+        log.users, log.items, mask, sel, sel.sum(axis=1), k, log.n_users, log.n_items
     )
 
 
@@ -567,16 +561,20 @@ def fit_posterior(
 ) -> VariationalPosterior:
     """Maximize the ELBO over diagonal-Gaussian posteriors for alpha and beta.
 
-    Simulator parameters stay frozen. Sigmas are parameterized through an
-    exponential map and floored at 1e-4; hitting the floor is reported once
-    as a warning.
+    Simulator parameters stay frozen and must have one selection weight per
+    slot of the log. Sigmas are parameterized through an exponential map and
+    floored at 1e-4; hitting the floor is reported once as a warning.
     """
     _check_count("mc_samples", hyper.mc_samples)
     if hyper.epochs < 0:
         raise ValueError(f"epochs={hyper.epochs} must be >= 0")
     k = params.list_len
+    if k != log.list_len:
+        raise ValueError(
+            f"the simulator has {k} list slots, but the log has {log.list_len}"
+        )
     n_items = params.n_items
-    terms = _posterior_terms(params, _log_arrays(log, list_len=k))
+    terms = _posterior_terms(params, _log_arrays(log))
     values = {
         "mu_a": np.zeros(n_items),
         "rho_a": np.zeros(n_items),
@@ -665,8 +663,7 @@ def save_sim_params(params: SimParams, path) -> None:
 def load_sim_params(path) -> SimParams:
     arrays, meta = textio.load_matrices(path)
     keys = ("n_users", "n_items", "list_len", "d_r", "d_s")
-    textio.require(path, arrays, meta, keys=keys)
-    n_users, n_items, list_len, d_r, d_s = (int(meta[key]) for key in keys)
+    n_users, n_items, list_len, d_r, d_s = textio.meta_counts(path, meta, keys)
     shapes = {
         "P": (n_users, d_r), "Q": (n_items, d_r), "w_r": (n_items,),
         "X": (n_users, d_s), "Y": (n_items, d_s), "w_s": (list_len,),

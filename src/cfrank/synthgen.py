@@ -37,8 +37,6 @@ def kappa3(x):
 class SyntheticWorld:
     user_vecs: np.ndarray  # (n_users, d), i.i.d. standard normal
     item_vecs: np.ndarray  # (n_items, d)
-    a: np.ndarray  # all-ones weight vector in R^{2d}
-    b: float  # fixed scalar bias, 0
     noise_std: float  # std of the additive label noise N_y (0 = noiseless)
 
     @property
@@ -55,20 +53,16 @@ class SyntheticWorld:
 
 
 def make_world(
-    n_users=600, n_items=300, d=16, noise_std=0.0, stream: RandomStream | None = None
+    n_users=600, n_items=300, d=16, noise_std=0.0, *, stream: RandomStream
 ) -> SyntheticWorld:
     if d < 1:
         raise ValueError(f"d={d} must be >= 1")
     noise_std = float(noise_std)
     if not (np.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
-    if stream is None:
-        stream = RandomStream(0)
     return SyntheticWorld(
         user_vecs=stream.normal((n_users, d)),
         item_vecs=stream.normal((n_items, d)),
-        a=np.ones(2 * d),
-        b=0.0,
         noise_std=noise_std,
     )
 
@@ -92,13 +86,15 @@ def _kappa_tables(world: SyntheticWorld):
 
 
 def _scores(world: SyntheticWorld, u: int, tables=None):
-    """(x1, x2) of user u over the whole catalog: a^T kappa(...) + b."""
+    """(x1, x2) of user u over the whole catalog: a^T kappa(...) + b with
+    the paper's fixed weights, a all ones and b = 0."""
     t1, t2 = _kappa_tables(world) if tables is None else tables
     d = world.d
     p = world.user_vecs[u]
     t1[:, :d] = kappa1(kappa2(p))
     t2[:, :d] = kappa3(-p)
-    return t1 @ world.a + world.b, t2 @ world.a + world.b
+    a = np.ones(2 * d)
+    return t1 @ a, t2 @ a
 
 
 def _response(x1, x2, mode: str):
@@ -252,13 +248,11 @@ def load_world(path) -> SyntheticWorld:
     textio.require(
         path, arrays, meta, blocks=("user_vecs", "item_vecs"), keys=("d", "noise_std")
     )
-    d = int(meta["d"])
+    (d,) = textio.meta_counts(path, meta, ("d",))
     shapes = {name: (len(arrays[name]), d) for name in ("user_vecs", "item_vecs")}
     textio.require(path, arrays, meta, blocks=shapes)
     return SyntheticWorld(
         user_vecs=arrays["user_vecs"],
         item_vecs=arrays["item_vecs"],
-        a=np.ones(2 * d),
-        b=0.0,
         noise_std=float(meta["noise_std"]),
     )

@@ -93,6 +93,25 @@ def require(path, arrays, meta, blocks=(), keys=()) -> None:
                 )
 
 
+def meta_counts(path, meta, keys) -> list:
+    """The integers `meta` holds under `keys`, in order; ValueError naming
+    `path` and the key for one that is missing, not an integer, or below 1.
+    A loader reads every size in its meta this way."""
+    require(path, {}, meta, keys=keys)
+    values = []
+    for key in keys:
+        try:
+            value = int(meta[key])
+        except ValueError:
+            raise ValueError(
+                f"{path}: meta key {key!r} is {meta[key]!r}, not an integer"
+            ) from None
+        if value < 1:
+            raise ValueError(f"{path}: meta key {key!r} is {value}, below 1")
+        values.append(value)
+    return values
+
+
 def _row_values(row, cols):
     """The `cols` float64 values a row line spells; else ValueError saying
     why not. `bytes.fromhex` skips whitespace, so the length is checked

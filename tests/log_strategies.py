@@ -6,7 +6,7 @@ one positive, the same item in several of a user's lists, and lists of
 every length from one slot to the whole catalog; the empty log is drawn too.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -37,6 +37,13 @@ def log_from_records(n_users, n_items, records) -> InteractionLog:
     return InteractionLog(
         n_users, n_items, users, _pad(items, lengths), _pad(labels, lengths), lengths
     )
+
+
+def widened(log: InteractionLog, width) -> InteractionLog:
+    """`log` with its item and label columns padded out to `width` slots,
+    so that its `list_len` is `width`."""
+    pad = ((0, 0), (0, width - log.list_len))
+    return replace(log, items=np.pad(log.items, pad), labels=np.pad(log.labels, pad))
 
 
 def records_of(log: InteractionLog) -> list:

@@ -10,13 +10,11 @@ import sys
 import types
 import weakref
 
-import numpy as np
 import pytest
 
 from cfrank import cli
 from cfrank.cli import (
     ConfigError,
-    ExperimentConfig,
     MissingArtifactError,
     load_config,
     main,
@@ -757,16 +755,6 @@ class TestCommandBlasDefault:
         assert module == "cfrank.__main__"
         assert self.report(f"from {module} import {name}", **blas) == [True, expected]
 
-    def test_exports_load_on_first_use(self):
-        import cfrank
-        from cfrank import rankers
-
-        assert cfrank.train_pairwise is rankers.train_pairwise
-        assert set(cfrank.__all__) <= set(dir(cfrank))
-        assert [n for n in cfrank.__all__ if not hasattr(cfrank, n)] == []
-        with pytest.raises(AttributeError):
-            cfrank.no_such_name
-
 
 class FakeLibcFunction:
     def __init__(self):
@@ -1103,19 +1091,36 @@ class TestMainEntry:
         assert not (tmp_path / "report.txt").exists()
         assert not (tmp_path / "report.tsv").exists()
 
+    SIZED = (("fit-posterior", "sim.txt"), ("intervene", "sim.txt"),
+             ("evaluate", "target.txt"))
+
     @pytest.mark.parametrize(
-        "key, first, then",
-        [("synth.n_items", 30, 40), ("synth.n_items", 40, 30), ("synth.n_users", 40, 30)],
+        "key, first, then, refit, failing",
+        [
+            pytest.param("synth.n_items", 30, 40, (), SIZED, id="synth.n_items-30-40"),
+            pytest.param("synth.n_items", 40, 30, (), SIZED, id="synth.n_items-40-30"),
+            pytest.param("synth.n_users", 40, 30, (), SIZED, id="synth.n_users-40-30"),
+            # a target ranker has no list length
+            pytest.param("synth.list_len", 5, 3, (), SIZED[:2], id="synth.list_len-5-3"),
+            pytest.param("synth.list_len", 3, 5, (), SIZED[:2], id="synth.list_len-3-5"),
+            # the simulator refitted to the new log, the posterior left stale
+            pytest.param(
+                "synth.list_len", 3, 5, ("train-sim",), (("intervene", "posterior.txt"),),
+                id="posterior-list_len-3-5",
+            ),
+        ],
     )
-    def test_checkpoint_sized_for_another_log(self, tmp_path, capsys, key, first, then):
+    def test_checkpoint_sized_for_another_log(
+        self, tmp_path, capsys, key, first, then, refit, failing
+    ):
         args = ["--out", str(tmp_path), *config_args()]
         for stage in ("synth-gen", "train-sim", "fit-posterior", "train-target"):
             assert main([stage, *args, f"--set={key}={first}"]) == 0
-        assert main(["synth-gen", *args, f"--set={key}={then}"]) == 0
+        for stage in ("synth-gen", *refit):
+            assert main([stage, *args, f"--set={key}={then}"]) == 0
         before = run_files(tmp_path)
-        what = key.removeprefix("synth.n_")
-        for stage, name in (("fit-posterior", "sim.txt"), ("intervene", "sim.txt"),
-                            ("evaluate", "target.txt")):
+        what = {"synth.n_users": "users", "synth.n_items": "items"}.get(key, "list slots")
+        for stage, name in failing:
             capsys.readouterr()
             assert main([stage, *args, f"--set={key}={then}"]) == 2
             assert error_lines(capsys.readouterr().err) == [

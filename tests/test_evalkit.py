@@ -90,7 +90,7 @@ class TestEvaluate:
         split = leave_one_out_split(log, RandomStream(1))
         model = FixedScorer(2, 4, np.zeros(4))
         report = evaluate(model, split, n=2)
-        assert report.n_users == 0 and report.metadata.get("empty_test")
+        assert (report.n_users, report.hr, report.ndcg, report.ranked) == (0, 0.0, 0.0, [])
 
     def test_sampled_deterministic(self):
         split = simple_split(n_users=8, n_items=200)
@@ -227,7 +227,7 @@ class TestBlockEvaluate:
         split = SplitPair(train=simple_split().train, test=[])
         stream = RandomStream(4)
         report = evaluate(FixedScorer(5, 30, np.zeros(30)), split, 10, policy, stream)
-        assert report.n_users == 0 and report.metadata == {"empty_test": True}
+        assert (report.n_users, report.hr, report.ndcg, report.ranked) == (0, 0.0, 0.0, [])
         assert stream.normal(2).tolist() == RandomStream(4).normal(2).tolist()
 
     def test_positives_from_the_split_not_the_model(self):
@@ -249,14 +249,18 @@ class TestColdnessReport:
         scores = np.zeros(30)
         for _, item in split.test:
             scores[item] = 50.0
-        reports = coldness_report(FixedScorer(5, 30, scores), split, buckets, n=10)
+        model = FixedScorer(5, 30, scores)
+        reports = coldness_report(
+            model, split, buckets, n=10, overall=evaluate(model, split, 10)
+        )
         assert set(reports) == {"low"}
         assert reports["low"].hr == 1.0
 
     def test_counts_sum_to_total(self):
         split = simple_split()
         buckets = coldness_buckets(split.train)
-        reports = coldness_report(FixedScorer(5, 30, np.zeros(30)), split, buckets)
+        model = FixedScorer(5, 30, np.zeros(30))
+        reports = coldness_report(model, split, buckets, overall=evaluate(model, split))
         assert sum(r.n_users for r in reports.values()) == len(split.test)
 
 
@@ -291,18 +295,17 @@ class TestColdnessReuse:
         buckets = coldness_buckets(split.train, low_max=1, high_min=3)
         overall = evaluate(model, split, n)
         assert len(overall.ranked) == len(split.test)
-        for given_overall in (overall, None):
-            got = coldness_report(model, split, buckets, n, overall=given_overall)
-            want = {}
-            for user, truth in split.test:
-                want.setdefault(buckets.name_of(truth), []).append((user, truth))
-            assert set(got) == set(want)
-            for name, test in want.items():
-                rep = evaluate(model, SplitPair(train=split.train, test=test), n)
-                assert (got[name].hr, got[name].ndcg, got[name].n_users) == (
-                    rep.hr, rep.ndcg, rep.n_users
-                )
-                assert got[name].ranked == rep.ranked
+        got = coldness_report(model, split, buckets, n, overall=overall)
+        want = {}
+        for user, truth in split.test:
+            want.setdefault(buckets.name_of(truth), []).append((user, truth))
+        assert set(got) == set(want)
+        for name, test in want.items():
+            rep = evaluate(model, SplitPair(train=split.train, test=test), n)
+            assert (got[name].hr, got[name].ndcg, got[name].n_users) == (
+                rep.hr, rep.ndcg, rep.n_users
+            )
+            assert got[name].ranked == rep.ranked
 
     def test_ranks_once(self, monkeypatch):
         split = simple_split()
@@ -314,8 +317,9 @@ class TestColdnessReuse:
         assert counter.users == len(split.test)
         coldness_report(model, split, buckets, 10, overall=overall)
         assert counter.users == len(split.test)
-        coldness_report(model, split, buckets, 10)  # ranks all users once itself
-        assert counter.users == 2 * len(split.test)
+        with pytest.raises(ValueError, match="does not cover this split"):
+            coldness_report(model, split, buckets, 10)  # no overall report
+        assert counter.users == len(split.test)
 
     def test_sampled_draws_per_bucket(self):
         split = simple_split()

@@ -8,14 +8,15 @@ fork helper in `cli` (`_Forked`) forks a process, only the two functions
 that check the overlap gate start one, and only `cli` pickles, for what a
 child sends back through its pipe. In `cli`, a checkpoint loader is only
 ever the `load` argument of `_load_checkpoint`, so every checkpoint a stage
-reads passes its user and item size check, and no module names the retired
-`.f64` twin. Only `cli` touches `ctypes`, and only to call glibc's
+reads passes its user, item and list-length check, and no module names the
+retired `.f64` twin. Only `cli` touches `ctypes`, and only to call glibc's
 `mallopt` and `malloc_trim` in one helper each, which `main` and
 `run_pipeline` call. Every class and function is reached: code that runs,
-in the package or the benchmark, names it. No linter ships with the
-project, so this parses each module with `ast`. The package `__init__` is
-skipped by the import check, its imports being the public exports, and its
-export table names nothing that counts.
+in the package or the benchmark, names it; and every attribute the package
+stores is read by name there. No linter ships with the project, so this
+parses each module with `ast`. The import check covers the test and
+benchmark files too. The package `__init__` is only its docstring, so each
+name has one import path, its module.
 """
 
 import ast
@@ -24,8 +25,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cfrank"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "cfrank"
+PERFBENCH = TESTS.parent / "perfbench"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -66,9 +69,18 @@ def test_modules_found():
     }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_init_is_only_its_docstring():
+    body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert len(body) == 1 and isinstance(body[0].value, ast.Constant)
 
 
 def test_detects_an_unused_import():
@@ -351,7 +363,15 @@ def test_no_binary_twin(path):
     assert ".f64" not in path.read_text(encoding="utf-8")
 
 
-PERFBENCH = PACKAGE.parent.parent / "perfbench"
+def _benchmark_sources():
+    """The text of every non-test `perfbench/` file."""
+    return [
+        p.read_text(encoding="utf-8")
+        for p in sorted(PERFBENCH.glob("*.py"))
+        if not p.name.startswith("test_")
+    ]
+
+
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 # Definitions no `cfrank` command calls that stay, each for its reason. The
@@ -459,11 +479,7 @@ def unreached_definitions(sources: dict, roots=()) -> list:
 
 def test_every_definition_is_reached():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
-    roots = [
-        p.read_text(encoding="utf-8")
-        for p in sorted(PERFBENCH.glob("*.py"))
-        if not p.name.startswith("test_")
-    ]
+    roots = _benchmark_sources()
     assert roots
     unreached = unreached_definitions(sources, roots)
     defined = {
@@ -513,3 +529,83 @@ def test_detects_an_unreached_definition():
         ("mod", "dead"),  # prose naming it is not a use
         ("mod", "helper"),  # only an unreached method calls it
     ]
+
+
+def _is_dataclass(decorator):
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def attribute_stores(source: str) -> list:
+    """(line, name) of every field of a `@dataclass` class and every
+    attribute stored through `self` (`self.name = ...`, `+=` and unpacking
+    included; `self.name[i] = ...` reads `name`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            found += [
+                (item.lineno, item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (t.lineno, t.attr)
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                and isinstance(t.value, ast.Name) and t.value.id == "self"
+            ]
+    return sorted(found)
+
+
+def attribute_reads(source: str) -> set:
+    """Every name `source` reads as an attribute (`x.name` in a load)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_stored_attribute_is_read():
+    """A field or `self` attribute of the package that nothing reads is
+    dead weight. The check goes by name, as the reach test does, over the
+    package and the benchmark: a store is read if any attribute of that
+    name is, so `ItemPop.counts`' reads would hide an unread `counts`
+    field of another class."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    reads = set().union(*map(attribute_reads, [*sources.values(), *_benchmark_sources()]))
+    unread = [
+        (module, line, name)
+        for module, source in sources.items()
+        for line, name in attribute_stores(source)
+        if name not in reads
+    ]
+    assert not unread, f"stored but never read: {unread}"
+
+
+def test_detects_a_write_only_attribute():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    hr: float\n"
+        "    metadata: dict\n"
+        "    KIND = 'report'\n"
+        "class Model:\n"
+        "    def __init__(self):\n"
+        "        self.sim = 0\n"
+        "        self.pid, self.code = 1, 2\n"
+        "        self.steps += 1\n"
+        "        self.table[0] = 3\n"
+        "        other.ignored = 4\n"
+        "def use(report, model):\n"
+        "    return report.hr + model.sim + model.pid\n"
+    )
+    assert attribute_stores(source) == [
+        (4, "hr"), (5, "metadata"), (9, "sim"), (10, "code"), (10, "pid"), (11, "steps")
+    ]
+    assert attribute_reads(source) >= {"hr", "sim", "pid", "table"}
+    assert {"metadata", "code", "steps", "ignored"}.isdisjoint(attribute_reads(source))

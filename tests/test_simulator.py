@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfrank.corpus import load_mind_behaviors
-from log_strategies import Record, log_from_records, records_of, valid_logs
+from log_strategies import Record, log_from_records, records_of, valid_logs, widened
 from cfrank.mathcore import (
     RandomStream,
     TrainingError,
@@ -578,21 +578,26 @@ class TestLogArrays:
         n_users, n_items, records = drawn
         log = log_from_records(n_users, n_items, records).validate()
         list_len = None if extra is None else log.list_len + extra
-        arrays = _log_arrays(log, list_len)
+        wide = log if extra is None else widened(log, list_len)
+        arrays = _log_arrays(wide)
         want = reference_log_arrays(log, list_len)
         got = (arrays.users, arrays.items, arrays.mask, arrays.sel, arrays.n_sel)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert arrays.list_len == want[5]
         assert (arrays.n_users, arrays.n_items) == (n_users, n_items)
-        if records:  # the columns are viewed, not copied
-            assert arrays.users is log.users
-            assert (arrays.items is log.items) == (not extra)
+        # the columns are viewed, not copied
+        assert arrays.users is wide.users and arrays.items is wide.items
 
     def test_rejects_short_list_len(self):
+        # fit_posterior takes the log's arrays as they are: a simulator with
+        # fewer slots, or more, than the log is refused
         log = log_from_records(1, 3, [Record(0, [0, 1, 2], [1, 0, 0])])
-        with pytest.raises(ValueError, match="below the log"):
-            _log_arrays(log, list_len=2)
+        for k in (2, 4):
+            with pytest.raises(
+                ValueError, match=f"^the simulator has {k} list slots, but the log has 3$"
+            ):
+                fit_posterior(rand_params(1, 3, k), log, PosteriorHyper(), RandomStream(0))
 
 
 class TestLossMonotone:
@@ -664,7 +669,7 @@ class TestPosterior:
         params = two_slot_params()
         post = fit_posterior(
             params,
-            log_from_records(1, 2, []),
+            widened(log_from_records(1, 2, []), 2),
             PosteriorHyper(epochs=50, mc_samples=4),
             RandomStream(2),
         )
@@ -700,7 +705,7 @@ class TestPosterior:
         post = fit_posterior(
             params, log, PosteriorHyper(lr=0.05, epochs=200, mc_samples=8), RandomStream(3)
         )
-        terms = _posterior_terms(params, _log_arrays(log, list_len=2))
+        terms = _posterior_terms(params, _log_arrays(log))
         eps_a = RandomStream(77).normal((1000, 2))
         eps_b = RandomStream(78).normal((1000, 2))
         fitted, _ = elbo_value_and_grads(
@@ -817,7 +822,7 @@ class TestCachedElbo:
     """The ELBO over cached frozen terms equals the per-draw computation."""
 
     def check(self, params, log):
-        arrays = _log_arrays(log, list_len=params.list_len)
+        arrays = _log_arrays(widened(log, params.list_len))
         rs = RandomStream(8)
         ni, k = params.n_items, params.list_len
         eps_a, eps_b = rs.normal((4, ni)), rs.normal((4, k))
@@ -843,7 +848,7 @@ class TestCachedElbo:
 
     def test_empty_log(self):
         params = rand_params(3, 5, 2, seed=4)
-        self.check(params, log_from_records(3, 5, []))
+        self.check(params, widened(log_from_records(3, 5, []), 2))
 
 
 def direct_alpha_loglik_grad(params, arrays, alpha):
@@ -916,7 +921,7 @@ class TestFactorizedLikelihood:
         log = log_from_records(n_users, n_items, records).validate()
         k = max(log.list_len, 1) + extra
         params = rand_params(n_users, n_items, k, seed=seed, scale=scale)
-        arrays = _log_arrays(log, list_len=k)
+        arrays = _log_arrays(widened(log, k))
         exposure, selection = terms = _posterior_terms(params, arrays)
         fallbacks = count_fallbacks(terms)
         rs = RandomStream(seed + 1)
@@ -950,7 +955,7 @@ class TestFactorizedLikelihood:
         ).validate()
         alphas = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         betas = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        return params, _log_arrays(log, list_len=3), alphas, betas
+        return params, _log_arrays(log), alphas, betas
 
     def test_underflow_takes_the_direct_formula_exactly(self):
         params, arrays, alphas, betas = self.huge_case()
@@ -996,7 +1001,7 @@ class TestFactorizedLikelihood:
     def test_empty_log(self):
         params = rand_params(3, 5, 2, seed=4)
         exposure, selection = _posterior_terms(
-            params, _log_arrays(log_from_records(3, 5, []), 2)
+            params, _log_arrays(widened(log_from_records(3, 5, []), 2))
         )
         assert exposure.rows.scaled.shape == (0, 5)
         assert selection.rows.scaled.shape == (0, 2)

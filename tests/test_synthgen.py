@@ -48,8 +48,6 @@ def fixed_world(user_vecs, item_vecs, noise_std=0.0):
     return SyntheticWorld(
         user_vecs=user_vecs,
         item_vecs=item_vecs,
-        a=np.ones(2 * user_vecs.shape[1]),
-        b=0.0,
         noise_std=noise_std,
     )
 
@@ -192,7 +190,7 @@ class TestEmitDataset:
     def test_noise_changes_labels(self):
         quiet = make_world(6, 20, d=4, noise_std=0.0, stream=RandomStream(1))
         noisy = SyntheticWorld(
-            quiet.user_vecs, quiet.item_vecs, quiet.a, quiet.b, noise_std=0.2
+            quiet.user_vecs, quiet.item_vecs, noise_std=0.2
         )
         a = emit_dataset(quiet, "nonlinear", RandomStream(3))
         b = emit_dataset(noisy, "nonlinear", RandomStream(3))
@@ -201,12 +199,12 @@ class TestEmitDataset:
 
 
 def reference_scores(world, u):
-    """x1, x2 for all items from freshly stacked [p_u, q_j] pair features."""
+    """x1, x2 for all items from freshly stacked [p_u, q_j] pair features,
+    with the weights a all ones and the bias b = 0."""
     p = np.broadcast_to(world.user_vecs[u], world.item_vecs.shape)
     feats = np.concatenate([p, world.item_vecs], axis=1)
-    x1 = kappa1(kappa2(feats)) @ world.a + world.b
-    x2 = kappa3(-feats) @ world.a + world.b
-    return x1, x2
+    a = np.ones(feats.shape[1])
+    return kappa1(kappa2(feats)) @ a, kappa3(-feats) @ a
 
 
 def reference_lists(world, u, n_lists, list_len, stream):
@@ -271,7 +269,7 @@ class TestBulkMatchesPerSlot:
         if zero_world:  # identical scores: uniform draws
             world = fixed_world(np.zeros((n_users, d)), np.zeros((n_items, d)), noise_std)
         else:
-            world = make_world(n_users, n_items, d, noise_std, RandomStream(seed))
+            world = make_world(n_users, n_items, d, noise_std, stream=RandomStream(seed))
         bulk = emit_dataset(world, mode, RandomStream(seed + 1), n_lists, list_len)
         ref = reference_records(world, mode, RandomStream(seed + 1), n_lists, list_len)
         assert records_of(bulk) == ref
@@ -348,7 +346,7 @@ class TestBadInput:
     @pytest.mark.parametrize("noise_std", [-0.1, float("nan"), float("inf")])
     def test_make_world_noise_std(self, noise_std):
         with pytest.raises(ValueError, match="noise_std"):
-            make_world(2, 3, d=2, noise_std=noise_std)
+            make_world(2, 3, d=2, noise_std=noise_std, stream=RandomStream(0))
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_make_world_d(self, d):

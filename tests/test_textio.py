@@ -493,3 +493,28 @@ def test_loaders_name_a_block_of_the_wrong_shape(tmp_path, kind, block, axis, sh
     message = f"{path}: block {block!r} is {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         loader(path)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, problem",
+    [
+        pytest.param(*case, id=f"{case[0]}-{case[1]}")
+        for case in (
+            ("sim", "n_users", "forty", "'forty', not an integer"),
+            ("sim", "list_len", "0", "0, below 1"),
+            ("policy", "hidden", "0", "0, below 1"),
+            ("world", "d", "2.5", "'2.5', not an integer"),
+            ("bpr-mf", "n_items", "-3", "-3, below 1"),
+            ("itemknn", "neighborhood", "", "'', not an integer"),
+        )
+    ],
+)
+def test_loaders_name_a_meta_value_that_is_not_a_count(tmp_path, kind, key, value, problem):
+    path = tmp_path / "checkpoint.txt"
+    loader = saved_checkpoint(kind, path)
+    arrays, meta = load_matrices(path)
+    meta[key] = value
+    save_matrices(path, arrays, meta)
+    message = f"{path}: meta key {key!r} is {problem}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        loader(path)
